@@ -17,12 +17,10 @@ Quick start::
     model = mk.CokrigingModel(data, result)
     pred = model.predict(X_query)
 
-Set the environment variable ``MFCOKRIG_NUMBA=0`` before import to force the
-pure-NumPy correlation kernels; by default the compiled path is used when
-numba is importable.
+Correlation kernels are vectorized NumPy; numpy and scipy are the only
+dependencies.
 """
 
-from ._backend import HAS_NUMBA, USE_NUMBA
 from .bench import (
     BOREHOLE_BOX,
     BOREHOLE_DIM,
@@ -100,8 +98,6 @@ from .priors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAS_NUMBA",
-    "USE_NUMBA",
     "BOREHOLE_BOX",
     "BOREHOLE_DIM",
     "BenchmarkReport",

@@ -7,13 +7,21 @@ or the concentrated restricted likelihood baseline (``method="plugin"``),
 via multi-start Nelder-Mead.
 
 The optimizer works in ``xi = log(1/phi)``.  For the posterior method the
-maximized objective includes the Jacobian term ``sum(log phi) = -sum(xi)``,
-so the maximized object is the posterior density of ``xi`` itself; this
-convention is recorded on the FitResult.  The plugin baseline is a
-likelihood, not a density, so no Jacobian enters there.
+maximized objective includes the Jacobian of the map from ``xi`` to the
+variable the prior is a density on, so the maximized object is the posterior
+density of ``xi`` itself; this convention is recorded on the FitResult.  The
+term is ``sum(log phi) = -sum(xi)`` for the priors on ``phi`` and
+``sum(log B) = +sum(xi)`` for ``jointly_robust``, a density on the inverse
+ranges ``B = 1/phi``.  The plugin baseline is a likelihood, not a density,
+so no Jacobian enters there.
+
+A fit builds the level's distance stack once and evaluates each point with
+one correlation build and one Cholesky factorization, shared by the
+likelihood and the prior.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +37,15 @@ from .exceptions import (
     SingularCorrelationError,
 )
 from .gp import (
-    MIN_S2,
     LevelData,
     constant_basis,
     gls_fit,
     integrated_log_likelihood,
     location_scale_estimates,
+    log_S2,
 )
-from .kernels import RangeParams
-from .priors import log_prior
+from .kernels import RangeParams, distance_stack
+from .priors import FISHER_KINDS, JOINTLY_ROBUST, log_prior
 
 # objective sentinel marking infeasible range parameters; anything at or
 # below the threshold is treated as a failed evaluation
@@ -52,6 +60,14 @@ PLUGIN = "plugin"
 _METHODS = (POSTERIOR, PLUGIN)
 
 XI_PARAMETERIZATION = "log_inverse_range_density"
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -74,12 +90,30 @@ class OptimOptions:
     initial_step: float = 0.5
 
     def __post_init__(self):
-        if self.n_starts < 1:
-            raise InvalidArgumentError("n_starts must be >= 1")
-        if self.max_evals is not None and self.max_evals < 1:
-            raise InvalidArgumentError("max_evals must be >= 1 when given")
-        if not self.start_low < self.start_high:
-            raise InvalidArgumentError("start_low must be < start_high")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise InvalidArgumentError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not _is_int(self.n_starts) or self.n_starts < 1:
+            raise InvalidArgumentError(
+                f"n_starts must be an integer >= 1, got {self.n_starts!r}"
+            )
+        if self.max_evals is not None and (
+            not _is_int(self.max_evals) or self.max_evals < 1
+        ):
+            raise InvalidArgumentError(
+                f"max_evals must be an integer >= 1 when given, got {self.max_evals!r}"
+            )
+        if not _is_real(self.tol) or not 0.0 <= self.tol < math.inf:
+            raise InvalidArgumentError(f"tol must be finite and >= 0, got {self.tol!r}")
+        if not _is_real(self.initial_step) or not 0.0 < self.initial_step < math.inf:
+            raise InvalidArgumentError(
+                f"initial_step must be finite and > 0, got {self.initial_step!r}"
+            )
+        if not (
+            _is_real(self.start_low)
+            and _is_real(self.start_high)
+            and -math.inf < self.start_low < self.start_high < math.inf
+        ):
+            raise InvalidArgumentError("start_low must be < start_high, both finite")
 
     def to_dict(self):
         return {
@@ -223,14 +257,14 @@ def assemble(raw_levels, basis="constant"):
     return CokrigingData(levels=tuple(levels))
 
 
-def objective(data_t, xi, spec, prior):
-    """Posterior log density of the log-inverse ranges at one level.
+def _evaluate(data_t, xi, spec, stack, derivs, criterion):
+    """Shared body of the xi-space objectives.
 
-    Integrated log-likelihood plus log prior plus the reparameterization
-    Jacobian ``sum(log phi) = -sum(xi)``.  Returns a large negative
-    sentinel instead of raising when the correlation matrix is singular,
-    the data degenerate, or the prior unevaluable, so the optimizer
-    retreats rather than crashing.
+    Maps ``xi`` to ranges, factorizes the level once (with the derivative
+    stack when ``derivs``) and returns ``criterion(params, fact, xi)``.
+    Returns a large negative sentinel instead of raising when the ranges
+    overflow, the correlation matrix is singular, the data degenerate, or
+    the prior unevaluable, so the optimizer retreats rather than crashing.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     if not np.all(np.isfinite(xi)):
@@ -242,11 +276,8 @@ def objective(data_t, xi, spec, prior):
         return SENTINEL
     params = RangeParams(phi)
     try:
-        fact = gls_fit(data_t, params, spec)
-        value = integrated_log_likelihood(
-            data_t, params, spec, prior.a_t(data_t.q), fact=fact
-        )
-        value += log_prior(data_t, params, spec, prior)
+        fact = gls_fit(data_t, params, spec, stack=stack, derivs=derivs)
+        value = criterion(params, fact, xi)
     except (
         SingularCorrelationError,
         DegenerateDataError,
@@ -254,13 +285,35 @@ def objective(data_t, xi, spec, prior):
         DesignRankError,
     ):
         return SENTINEL
-    value -= float(np.sum(xi))
     if not math.isfinite(value):
         return SENTINEL
     return value
 
 
-def concentrated_restricted_likelihood(data_t, params, spec):
+def objective(data_t, xi, spec, prior, stack=None):
+    """Posterior log density of the log-inverse ranges at one level.
+
+    Integrated log-likelihood plus log prior plus the reparameterization
+    Jacobian: ``sum(log phi) = -sum(xi)`` for priors on ``phi``, and
+    ``sum(log B) = +sum(xi)`` for ``jointly_robust``, a density on
+    ``B = 1/phi``.  Returns a large negative sentinel instead of raising
+    when the correlation matrix is singular, the data degenerate, or the
+    prior unevaluable.  ``stack`` is an optional
+    ``distance_stack(data_t.inputs, spec)``.
+    """
+    jacobian_sign = 1.0 if prior.kind == JOINTLY_ROBUST else -1.0
+
+    def posterior(params, fact, xi):
+        value = integrated_log_likelihood(
+            data_t, params, spec, prior.a_t(data_t.q), fact=fact
+        )
+        value += log_prior(data_t, params, spec, prior, fact=fact)
+        return value + jacobian_sign * float(np.sum(xi))
+
+    return _evaluate(data_t, xi, spec, stack, prior.kind in FISHER_KINDS, posterior)
+
+
+def concentrated_restricted_likelihood(data_t, params, spec, fact=None):
     """Plug-in baseline criterion: ``-1/2 log|R| - ((n-q)/2) log S2``.
 
     This is the log-likelihood of the ranges with the trend and the variance
@@ -272,36 +325,23 @@ def concentrated_restricted_likelihood(data_t, params, spec):
     inert inputs' ranges off to huge values, and all three give shorter
     median 95% intervals than the reference-prior posterior mode (ALCI
     6.536 under this criterion, 6.533 under REML and 6.550 under ML,
-    against 6.708).
+    against 6.708).  ``fact`` reuses a factorization at ``params``.
     """
-    fact = gls_fit(data_t, params, spec)
-    if fact.S2 < MIN_S2:
-        raise DegenerateDataError(
-            f"level {data_t.index} outputs are interpolated exactly; the "
-            "restricted likelihood is undefined"
-        )
-    return -0.5 * fact.logdet_R - 0.5 * (data_t.n - data_t.q) * math.log(fact.S2)
+    if fact is None:
+        fact = gls_fit(data_t, params, spec)
+    return -0.5 * fact.logdet_R - 0.5 * (data_t.n - data_t.q) * log_S2(fact, data_t)
 
 
-def _plugin_objective(data_t, xi, spec):
+def _plugin_objective(data_t, xi, spec, stack=None):
     """xi-space wrapper of the plug-in criterion with sentinel retreat.
 
     No Jacobian term: the maximized object is a likelihood, not a density.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    if not np.all(np.isfinite(xi)):
-        raise InvalidArgumentError("xi must be finite")
-    with np.errstate(over="ignore"):
-        phi = np.exp(-xi)
-    if not np.all(np.isfinite(phi)) or np.any(phi <= 0.0):
-        return SENTINEL
-    try:
-        value = concentrated_restricted_likelihood(data_t, RangeParams(phi), spec)
-    except (SingularCorrelationError, DegenerateDataError, DesignRankError):
-        return SENTINEL
-    if not math.isfinite(value):
-        return SENTINEL
-    return value
+
+    def plugin(params, fact, xi):
+        return concentrated_restricted_likelihood(data_t, params, spec, fact=fact)
+
+    return _evaluate(data_t, xi, spec, stack, False, plugin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,13 +421,17 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
         )
     d = data_t.dims
     max_evals = opts.max_evals if opts.max_evals is not None else 500 * (d + 1)
+    # constant over the fit; freed when it returns
+    stack = distance_stack(data_t.inputs, spec)
 
+    # both objectives are looked up at call time, so wrappers installed on
+    # this module see every evaluation
     if method == POSTERIOR:
         def func(xi):
-            return objective(data_t, xi, spec, prior)
+            return objective(data_t, xi, spec, prior, stack)
     else:
         def func(xi):
-            return _plugin_objective(data_t, xi, spec)
+            return _plugin_objective(data_t, xi, spec, stack)
 
     best = None
     best_start = -1
@@ -424,7 +468,7 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
         )
     xi_hat = best.x
     params = RangeParams.from_xi(xi_hat)
-    fact = gls_fit(data_t, params, spec)
+    fact = gls_fit(data_t, params, spec, stack=stack)
     b_hat, sigma2_hat = location_scale_estimates(fact, data_t)
     return LevelFit(
         level=data_t.index,

@@ -23,7 +23,7 @@ from .exceptions import (
     InvalidArgumentError,
     SingularCorrelationError,
 )
-from .kernels import RangeParams, corr_matrix
+from .kernels import RangeParams, corr_matrix, corr_matrix_with_derivs
 
 # below this, log(S^2) is meaningless: the outputs are interpolated exactly
 MIN_S2 = 1e-300
@@ -131,7 +131,9 @@ class LevelFactorization:
 
     ``chol_R`` is lower-triangular with ``R = L L^T``; ``white_design`` and
     ``white_resid`` are ``L^{-1} X`` and ``L^{-1}(y - X b_hat)``, so inner
-    products against them realize ``R^{-1}`` quadratic forms.
+    products against them realize ``R^{-1}`` quadratic forms.  ``dR`` is the
+    stack of ``dR/dphi_k`` at the same ranges when the factorization was
+    built for a Fisher-information prior, else ``None``.
     """
 
     chol_R: np.ndarray
@@ -143,6 +145,7 @@ class LevelFactorization:
     S2: float
     logdet_R: float
     logdet_M: float
+    dR: np.ndarray = None
 
     @property
     def n(self):
@@ -153,13 +156,21 @@ class LevelFactorization:
         return self.white_design.shape[1]
 
 
-def gls_fit(data, params, spec):
+def gls_fit(data, params, spec, stack=None, derivs=False):
     """Factorize one level at the given range parameters.
 
     Computes the generalized least squares coefficients
     ``b_hat = (X^T R^{-1} X)^{-1} X^T R^{-1} y``, the residual sum of
     squares ``S2 = (y - X b_hat)^T R^{-1} (y - X b_hat)``, and the log
     determinants of ``R`` and ``M = X^T R^{-1} X``.
+
+    Parameters
+    ----------
+    stack : ndarray, optional
+        ``distance_stack(data.inputs, spec)``, reused across many ranges.
+    derivs : bool
+        Also build the derivative stack ``dR`` (from the same kernel pass)
+        for the Fisher-information priors.
 
     Raises
     ------
@@ -168,7 +179,10 @@ def gls_fit(data, params, spec):
     DesignRankError
         If ``M`` fails its Cholesky factorization.
     """
-    R = corr_matrix(data.inputs, params, spec)
+    if derivs:
+        R, dR = corr_matrix_with_derivs(data.inputs, params, spec, stack=stack)
+    else:
+        R, dR = corr_matrix(data.inputs, params, spec, stack=stack), None
     try:
         L = _cholesky(R, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -204,7 +218,19 @@ def gls_fit(data, params, spec):
         S2=S2,
         logdet_R=logdet_R,
         logdet_M=logdet_M,
+        dR=dR,
     )
+
+
+def log_S2(fact, data):
+    """``log S2`` of a factorization; raises ``DegenerateDataError`` when the
+    outputs are interpolated exactly and every likelihood is undefined."""
+    if fact.S2 < MIN_S2:
+        raise DegenerateDataError(
+            f"level {data.index} outputs are interpolated exactly (S2={fact.S2}); "
+            "the likelihood is undefined"
+        )
+    return math.log(fact.S2)
 
 
 def integrated_log_likelihood(data, params, spec, a_t, fact=None):
@@ -234,12 +260,7 @@ def integrated_log_likelihood(data, params, spec, a_t, fact=None):
         )
     if fact is None:
         fact = gls_fit(data, params, spec)
-    if fact.S2 < MIN_S2:
-        raise DegenerateDataError(
-            f"level {data.index} outputs are interpolated exactly (S2={fact.S2}); "
-            "the integrated likelihood is undefined"
-        )
-    return -0.5 * fact.logdet_R - 0.5 * fact.logdet_M - exponent * math.log(fact.S2)
+    return -0.5 * fact.logdet_R - 0.5 * fact.logdet_M - exponent * log_S2(fact, data)
 
 
 def tail_probe(data, spec, a_t, phi_grid):

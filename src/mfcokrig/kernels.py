@@ -7,14 +7,18 @@ Two families are supported:
   through the closed forms in ``u = sqrt(2 nu) h / phi``.
 
 Correlation over d-dimensional inputs is the product of the per-dimension
-functions, each with its own range parameter ``phi_k``.  Derivative matrices
-with respect to ``phi_k`` are computed analytically via the ratio
-``(dr/dphi) / r``, which stays finite wherever ``r > 0``.
+functions, each with its own range parameter ``phi_k``.  Both families are
+assembled from a stack of transformed coordinate distances ``T_k`` that does
+not depend on the ranges (``|dx_k|^alpha``, or ``sqrt(2 nu)|dx_k|``):
 
-Matrix assembly has two interchangeable implementations: a numba-compiled
-path and a vectorized numpy path.  The active one is chosen at import time
-by the ``MFCOKRIG_NUMBA`` environment variable (see ``_backend``); both are
-importable for testing and benchmarking.
+* power-exponential: ``R = exp(-sum_k phi_k^-alpha T_k)``;
+* Matern: ``R = exp(-sum_k u_k) prod_k poly(u_k)`` with ``u_k = T_k / phi_k``.
+
+So a correlation matrix costs one weighted sum over the stack and one
+``exp``, and a caller that evaluates many ranges on one design (range
+estimation) builds the stack once with ``distance_stack``.  Derivative
+matrices with respect to ``phi_k`` are ``R`` times the ratio
+``(dr/dphi) / r``, which stays finite wherever ``r > 0``.
 """
 
 import math
@@ -22,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import USE_NUMBA, njit
 from .exceptions import InvalidArgumentError
 
 POWER_EXPONENTIAL = "power_exponential"
@@ -32,9 +35,13 @@ _MATERN_SHAPES = (0.5, 1.5, 2.5)
 MAX_NUGGET = 1e-4
 DEFAULT_NUGGET = 1e-10
 
-# integer family codes for the compiled kernels
-_CODE_POWEXP = 0
-_CODE_MATERN = 1
+# cap on the per-dimension multipliers of the distance stack: phi^-alpha
+# overflows for phi below about 1e-162, and inf * 0 at coincident points
+# would give nan where the correlation factor is exactly 1
+_MAX_WEIGHT = np.finfo(np.float64).max
+# cross-correlations are assembled in column blocks whose distance stack
+# stays below this many bytes
+_CROSS_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -92,11 +99,6 @@ class KernelSpec:
             raise InvalidArgumentError(
                 f"nugget must lie in [0, {MAX_NUGGET}], got {nugget}"
             )
-
-    @property
-    def family_code(self):
-        """Integer family tag consumed by the compiled kernels."""
-        return _CODE_POWEXP if self.family == POWER_EXPONENTIAL else _CODE_MATERN
 
     def to_dict(self):
         return {
@@ -176,161 +178,82 @@ def _check_params(params, spec):
 
 
 # ---------------------------------------------------------------------------
-# scalar building blocks (shared by the compiled path)
+# stack assembly
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _corr1d_scalar(h, phi, family, shape):
-    if h == 0.0:
-        return 1.0
-    if family == 0:
-        return math.exp(-((h / phi) ** shape))
-    u = math.sqrt(2.0 * shape) * h / phi
-    if shape == 0.5:
-        return math.exp(-u)
-    if shape == 1.5:
-        return (1.0 + u) * math.exp(-u)
-    return (1.0 + u + u * u / 3.0) * math.exp(-u)
+def _stack(X1, X2, spec):
+    """Transformed distances ``T[k, i, j]`` between rows of two designs,
+    written straight into one ``(d, n1, n2)`` array."""
+    T = np.empty((X1.shape[1], X1.shape[0], X2.shape[0]))
+    np.subtract(X1.T[:, :, None], X2.T[:, None, :], out=T)
+    np.abs(T, out=T)
+    if spec.family == POWER_EXPONENTIAL:
+        np.power(T, spec.shape, out=T)
+    else:
+        T *= math.sqrt(2.0 * spec.shape)
+    return T
 
 
-@njit(cache=True)
-def _dcorr_ratio_scalar(h, phi, family, shape):
-    # (dr/dphi) / r; evaluated only where r > 0, hence never overflows
-    if h == 0.0:
-        return 0.0
-    if family == 0:
-        return shape * h ** shape / phi ** (shape + 1.0)
-    u = math.sqrt(2.0 * shape) * h / phi
-    if shape == 0.5:
-        return h / (phi * phi)
-    if shape == 1.5:
-        return u * u / (phi * (1.0 + u))
-    return u * u * (1.0 + u) / (3.0 * phi * (1.0 + u + u * u / 3.0))
+def _correlate(T, phi, spec, derivs=False):
+    """Correlation (no nugget) from a ``(d, n1, n2)`` distance stack, plus
+    the stack of ``dR/dphi_k`` when ``derivs``.
 
-
-# ---------------------------------------------------------------------------
-# compiled matrix kernels
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _corr_matrix_nb(X, phi, family, shape, nugget):
-    n, d = X.shape
-    R = np.empty((n, n))
-    for i in range(n):
-        R[i, i] = 1.0 + nugget
-        for j in range(i + 1, n):
-            rho = 1.0
-            for k in range(d):
-                h = abs(X[i, k] - X[j, k])
-                rho *= _corr1d_scalar(h, phi[k], family, shape)
-            R[i, j] = rho
-            R[j, i] = rho
-    return R
-
-
-@njit(cache=True)
-def _cross_corr_nb(X1, X2, phi, family, shape):
-    n1, d = X1.shape
-    n2 = X2.shape[0]
-    C = np.empty((n1, n2))
-    for i in range(n1):
-        for j in range(n2):
-            rho = 1.0
-            for k in range(d):
-                h = abs(X1[i, k] - X2[j, k])
-                rho *= _corr1d_scalar(h, phi[k], family, shape)
-            C[i, j] = rho
-    return C
-
-
-@njit(cache=True)
-def _corr_matrix_with_derivs_nb(X, phi, family, shape, nugget):
-    n, d = X.shape
-    R = np.empty((n, n))
-    dR = np.zeros((d, n, n))
-    for i in range(n):
-        R[i, i] = 1.0 + nugget
-        for j in range(i + 1, n):
-            rho = 1.0
-            for k in range(d):
-                h = abs(X[i, k] - X[j, k])
-                rho *= _corr1d_scalar(h, phi[k], family, shape)
-            R[i, j] = rho
-            R[j, i] = rho
-            # underflowed correlations contribute exactly zero derivative
-            if rho != 0.0:
-                for k in range(d):
-                    h = abs(X[i, k] - X[j, k])
-                    g = rho * _dcorr_ratio_scalar(h, phi[k], family, shape)
-                    dR[k, i, j] = g
-                    dR[k, j, i] = g
-    return R, dR
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy kernels
-# ---------------------------------------------------------------------------
-
-
-def _corr1d_np(h, phi, family, shape):
-    h = np.asarray(h, dtype=np.float64)
-    if family == _CODE_POWEXP:
-        return np.exp(-((h / phi) ** shape))
-    u = math.sqrt(2.0 * shape) * (h / phi)
-    if shape == 0.5:
-        return np.exp(-u)
-    if shape == 1.5:
-        return (1.0 + u) * np.exp(-u)
-    return (1.0 + u + u * u / 3.0) * np.exp(-u)
-
-
-def _dcorr_ratio_np(h, phi, family, shape):
-    h = np.asarray(h, dtype=np.float64)
-    if family == _CODE_POWEXP:
-        return shape * h ** shape / phi ** (shape + 1.0)
-    u = math.sqrt(2.0 * shape) * (h / phi)
-    if shape == 0.5:
-        return h / (phi * phi)
-    if shape == 1.5:
-        return u * u / (phi * (1.0 + u))
-    return u * u * (1.0 + u) / (3.0 * phi * (1.0 + u + u * u / 3.0))
-
-
-def _corr_matrix_np(X, phi, family, shape, nugget):
-    n, d = X.shape
-    R = np.ones((n, n))
-    for k in range(d):
-        H = np.abs(X[:, None, k] - X[None, :, k])
-        R *= _corr1d_np(H, phi[k], family, shape)
-    R[np.diag_indices(n)] = 1.0 + nugget
-    return R
-
-
-def _cross_corr_np(X1, X2, phi, family, shape):
-    C = np.ones((X1.shape[0], X2.shape[0]))
-    for k in range(X1.shape[1]):
-        H = np.abs(X1[:, None, k] - X2[None, :, k])
-        C *= _corr1d_np(H, phi[k], family, shape)
-    return C
-
-
-def _corr_matrix_with_derivs_np(X, phi, family, shape, nugget):
-    n, d = X.shape
-    R0 = np.ones((n, n))
-    H = np.abs(X[:, None, :] - X[None, :, :])
-    for k in range(d):
-        R0 *= _corr1d_np(H[:, :, k], phi[k], family, shape)
-    dR = np.empty((d, n, n))
-    # the ratio can overflow where the correlation underflowed to zero;
-    # those entries have exactly zero derivative
+    Every pass over an ``n x n`` slice writes into a buffer allocated once
+    per call, since fresh temporaries of that size cost page faults.
+    """
+    d = T.shape[0]
+    power = spec.shape if spec.family == POWER_EXPONENTIAL else 1.0
+    # out-of-range weights and ratios are capped or zeroed below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(d):
-            g = R0 * _dcorr_ratio_np(H[:, :, k], phi[k], family, shape)
-            dR[k] = np.where(R0 == 0.0, 0.0, g)
-    R = R0.copy()
-    R[np.diag_indices(n)] = 1.0 + nugget
+        w = np.minimum(phi**-power, _MAX_WEIGHT)
+        R = w @ T.reshape(d, -1)
+        np.negative(R, out=R)
+        R = np.exp(R, out=R).reshape(T.shape[1:])
+        zero = None if R.all() else R == 0.0
+        dR = np.empty_like(T) if derivs else None
+        if spec.family == POWER_EXPONENTIAL:
+            if derivs:
+                # (dr/dphi) / r = alpha h^alpha / phi^(alpha + 1)
+                c = np.minimum(power * w / phi, _MAX_WEIGHT)
+                np.multiply(T, c[:, None, None], out=dR)
+        elif spec.shape == 0.5:
+            if derivs:
+                # (dr/dphi) / r = u / phi = T / phi^2
+                np.multiply(T, np.minimum(w * w, _MAX_WEIGHT)[:, None, None], out=dR)
+        else:
+            u = np.empty_like(R)
+            poly = np.empty_like(R)
+            for k in range(d):
+                np.multiply(T[k], w[k], out=u)
+                # poly = 1 + u, or 1 + u (1 + u / 3)
+                if spec.shape == 1.5:
+                    np.add(u, 1.0, out=poly)
+                else:
+                    np.multiply(u, 1.0 / 3.0, out=poly)
+                    poly += 1.0
+                    poly *= u
+                    poly += 1.0
+                R *= poly
+                if derivs:
+                    # (dr/dphi) / r = u^2 / (phi poly), times (1 + u) / 3 for 5/2
+                    ratio = dR[k]
+                    np.multiply(u, u, out=ratio)
+                    ratio /= poly
+                    if spec.shape == 2.5:
+                        u += 1.0
+                        u *= 1.0 / 3.0
+                        ratio *= u
+                    ratio *= w[k]
+            if zero is not None:
+                # a polynomial factor overflows only where exp(-sum u) is 0
+                R[zero] = 0.0
+        if derivs:
+            dR *= R
+            # the ratio can overflow where the correlation underflowed to
+            # zero; those entries have exactly zero derivative
+            if zero is not None:
+                dR[:, zero] = 0.0
     return R, dR
 
 
@@ -361,22 +284,47 @@ def corr1d(h, phi, spec):
         raise InvalidArgumentError("distances must be finite and >= 0")
     if not math.isfinite(phi) or phi <= 0.0:
         raise InvalidArgumentError(f"range parameter must be finite and > 0, got {phi}")
-    out = _corr1d_np(h_arr, float(phi), spec.family_code, spec.shape)
+    T = _stack(h_arr.reshape(-1, 1), np.zeros((1, 1)), spec)
+    out, _ = _correlate(T, np.array([float(phi)]), spec)
     if np.isscalar(h) or h_arr.ndim == 0:
-        return float(out)
-    return out
+        return float(out[0, 0])
+    return out.reshape(h_arr.shape)
 
 
-def corr_matrix(X, params, spec):
+def distance_stack(X, spec):
+    """Transformed coordinate distances of a design, shape ``(d, n, n)``.
+
+    ``T[k, i, j]`` is ``|x_ik - x_jk|^alpha`` for power-exponential and
+    ``sqrt(2 nu) |x_ik - x_jk|`` for Matern.  It does not depend on the
+    ranges: pass it as ``stack`` to ``corr_matrix`` and
+    ``corr_matrix_with_derivs`` when evaluating many ranges on one design.
+    """
+    X = _check_design(X, spec.dims)
+    return _stack(X, X, spec)
+
+
+def _design_stack(X, spec, stack):
+    if stack is None:
+        return distance_stack(X, spec)
+    n = np.shape(X)[0]
+    if np.shape(stack) != (spec.dims, n, n):
+        raise InvalidArgumentError(
+            f"distance stack must have shape {(spec.dims, n, n)}, got {np.shape(stack)}"
+        )
+    return stack
+
+
+def corr_matrix(X, params, spec, stack=None):
     """Correlation matrix of a design, with the spec's nugget on the diagonal.
 
     ``R[i, j]`` is the product over dimensions of the 1-d correlations of
-    coordinate distances; the diagonal is ``1 + nugget``.
+    coordinate distances; the diagonal is ``1 + nugget``.  ``stack``, when
+    given, is ``distance_stack(X, spec)``.
     """
-    X = _check_design(X, spec.dims)
-    phi = _check_params(params, spec)
-    fn = _corr_matrix_nb if USE_NUMBA else _corr_matrix_np
-    return fn(X, phi, spec.family_code, spec.shape, spec.nugget)
+    T = _design_stack(X, spec, stack)
+    R, _ = _correlate(T, _check_params(params, spec), spec)
+    np.fill_diagonal(R, 1.0 + spec.nugget)
+    return R
 
 
 def cross_corr(X1, X2, params, spec):
@@ -384,12 +332,20 @@ def cross_corr(X1, X2, params, spec):
     X1 = _check_design(X1, spec.dims)
     X2 = _check_design(X2, spec.dims)
     phi = _check_params(params, spec)
-    fn = _cross_corr_nb if USE_NUMBA else _cross_corr_np
-    return fn(X1, X2, phi, spec.family_code, spec.shape)
+    n1, n2 = X1.shape[0], X2.shape[0]
+    block = max(1, _CROSS_BLOCK_BYTES // (8 * spec.dims * n1))
+    if n2 <= block:
+        return _correlate(_stack(X1, X2, spec), phi, spec)[0]
+    C = np.empty((n1, n2))
+    for j in range(0, n2, block):
+        C[:, j : j + block] = _correlate(_stack(X1, X2[j : j + block], spec), phi, spec)[0]
+    return C
 
 
-def corr_matrix_with_derivs(X, params, spec):
+def corr_matrix_with_derivs(X, params, spec, stack=None):
     """Correlation matrix together with all range-parameter derivatives.
+
+    ``stack``, when given, is ``distance_stack(X, spec)``.
 
     Returns
     -------
@@ -399,10 +355,10 @@ def corr_matrix_with_derivs(X, params, spec):
         ``dR[k] = dR/dphi_k``; symmetric with zero diagonal (the nugget is
         constant in ``phi``).
     """
-    X = _check_design(X, spec.dims)
-    phi = _check_params(params, spec)
-    fn = _corr_matrix_with_derivs_nb if USE_NUMBA else _corr_matrix_with_derivs_np
-    return fn(X, phi, spec.family_code, spec.shape, spec.nugget)
+    T = _design_stack(X, spec, stack)
+    R, dR = _correlate(T, _check_params(params, spec), spec, derivs=True)
+    np.fill_diagonal(R, 1.0 + spec.nugget)
+    return R, dR
 
 
 def corr_matrix_deriv(X, params, spec, k):

@@ -1,8 +1,14 @@
 """Objective and robust prior densities for the range parameters.
 
 All evaluators return log densities up to additive constants, per fidelity
-level, in phi-space.  The reparameterization Jacobian used by the optimizer
-lives in the estimation module, not here.
+level, in phi-space, except ``jointly_robust``, which is a density on the
+inverse ranges ``B = 1/phi``.  The reparameterization Jacobian used by the
+optimizer lives in the estimation module, not here.
+
+The reference and Jeffreys priors read the Cholesky factor and the
+derivative stack of a ``gp.gls_fit(..., derivs=True)`` factorization; pass
+the one the likelihood already uses as ``fact`` so that an evaluation
+builds and factorizes the correlation matrix once.
 
 Supported kinds:
 
@@ -17,18 +23,18 @@ Supported kinds:
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky as _cholesky
 
-from .exceptions import (
-    DesignRankError,
-    InvalidArgumentError,
-    PriorEvaluationError,
-    SingularCorrelationError,
-)
-from .kernels import corr_matrix_with_derivs
+from .exceptions import InvalidArgumentError, PriorEvaluationError
+from .gp import gls_fit
+
+# bound here as well for tools that wrap the kernel layer under this module
+# (perfbench/tracing.py); the build itself happens inside ``gls_fit``
+from .kernels import corr_matrix_with_derivs  # noqa: F401
 
 REFERENCE = "reference"
 JEFFREYS1 = "jeffreys1"
@@ -37,6 +43,8 @@ JOINTLY_ROBUST = "jointly_robust"
 FLAT = "flat"
 INVERSE_RANGE = "inverse_range"
 PRIOR_KINDS = (REFERENCE, JEFFREYS1, JEFFREYS2, JOINTLY_ROBUST, FLAT, INVERSE_RANGE)
+# kinds built from the Fisher information, which needs the derivative stack
+FISHER_KINDS = (REFERENCE, JEFFREYS1, JEFFREYS2)
 
 
 @dataclass(frozen=True)
@@ -51,7 +59,7 @@ class PriorSpec:
         Polynomial-penalty exponent; must exceed ``-(d+1)``.  Defaults to
         ``0.5 - d`` at evaluation time when left unset.
     jr_b0 : float
-        Exponential-penalty rate, ``> 0``.
+        Exponential-penalty rate, ``> 0``; required by ``jointly_robust``.
     jr_C : array_like, optional
         Per-dimension scale constants.  Defaults to
         ``n^{-1/d} |max(x_k) - min(x_k)|`` of the level being evaluated.
@@ -67,8 +75,14 @@ class PriorSpec:
             raise InvalidArgumentError(
                 f"unknown prior kind {self.kind!r}; expected one of {PRIOR_KINDS}"
             )
-        if self.jr_b0 is not None and not self.jr_b0 > 0.0:
-            raise InvalidArgumentError(f"jr_b0 must be > 0, got {self.jr_b0}")
+        # only the jointly robust kind reads jr_b0, so only it needs one
+        b0 = self.jr_b0
+        if b0 is not None or self.kind == JOINTLY_ROBUST:
+            is_real = isinstance(b0, numbers.Real) and not isinstance(b0, bool)
+            if not (is_real and 0.0 < b0 < math.inf):
+                raise InvalidArgumentError(
+                    f"jr_b0 must be a finite number > 0, got {b0!r}"
+                )
         if self.jr_C is not None:
             C = np.asarray(self.jr_C, dtype=np.float64).ravel()
             if not np.all(np.isfinite(C)) or np.any(C <= 0.0):
@@ -99,29 +113,24 @@ class PriorSpec:
         )
 
 
-def _whitened_pieces(data, params, spec):
-    """Correlation inverse, derivative stack, and trend projector."""
-    R, dR = corr_matrix_with_derivs(data.inputs, params, spec)
-    try:
-        L = _cholesky(R, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCorrelationError(params.phi, level=data.index) from exc
-    n = data.n
-    Rinv = cho_solve((L, True), np.eye(n), check_finite=False)
-    X = data.design
-    B = Rinv @ X
-    M = X.T @ B
-    try:
-        Lm = _cholesky(M, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise DesignRankError(
-            f"level {data.index} design is numerically collinear after whitening"
-        ) from exc
-    logdet_M = 2.0 * float(np.sum(np.log(np.diag(Lm))))
-    # Q = R^{-1} - R^{-1} X M^{-1} X^T R^{-1}
-    Q = Rinv - B @ cho_solve((Lm, True), B.T, check_finite=False)
-    Q = 0.5 * (Q + Q.T)
-    return Rinv, dR, Q, logdet_M
+def _with_derivs(data, params, spec, fact):
+    """``fact`` when it carries the derivative stack, else a fresh
+    factorization that does."""
+    if fact is None or fact.dR is None:
+        fact = gls_fit(data, params, spec, derivs=True)
+    return fact
+
+
+def _trace_operands(data, fact, projected):
+    """Stack of ``dR_k P`` with ``P = Q``, the GLS projector
+    ``R^{-1} - R^{-1} X M^{-1} X^T R^{-1}`` (``projected``), or ``P = R^{-1}``."""
+    n = fact.n
+    P = cho_solve((fact.chol_R, True), np.eye(n), check_finite=False)
+    if projected:
+        B = P @ data.design
+        P = P - B @ cho_solve((fact.chol_M, True), B.T, check_finite=False)
+        P = 0.5 * (P + P.T)
+    return fact.dR @ P
 
 
 def _trace_form_matrix(corner, W):
@@ -130,30 +139,30 @@ def _trace_form_matrix(corner, W):
     d = W.shape[0]
     info = np.empty((d + 1, d + 1))
     info[0, 0] = corner
-    info[0, 1:] = np.einsum("kii->k", W)
+    info[0, 1:] = W.diagonal(axis1=1, axis2=2).sum(axis=1)
     info[1:, 0] = info[0, 1:]
-    info[1:, 1:] = np.einsum("kab,jba->kj", W, W)
+    # tr(W_k W_j) = sum_ab W_k[a, b] W_j[b, a]
+    info[1:, 1:] = W.reshape(d, -1) @ W.transpose(0, 2, 1).reshape(d, -1).T
     return 0.5 * (info + info.T)
 
 
-def fisher_info_reference(data, params, spec):
+def fisher_info_reference(data, params, spec, fact=None):
     """Profile Fisher information of (variance, ranges) at one level.
 
     The trend is projected out: with ``Q`` the GLS projector and
     ``W_k = dR_k Q``, the matrix has corner ``n - q``, first row/column
-    ``tr(W_k)``, and body ``tr(W_k W_j)``.
+    ``tr(W_k)``, and body ``tr(W_k W_j)``.  ``fact`` is an optional
+    ``gls_fit(..., derivs=True)`` factorization at ``params``.
     """
-    _, dR, Q, _ = _whitened_pieces(data, params, spec)
-    W = dR @ Q
-    return _trace_form_matrix(data.n - data.q, W)
+    fact = _with_derivs(data, params, spec, fact)
+    return _trace_form_matrix(data.n - data.q, _trace_operands(data, fact, True))
 
 
-def fisher_info_jeffreys(data, params, spec):
+def fisher_info_jeffreys(data, params, spec, fact=None):
     """Fisher information of (variance, ranges) with the trend held fixed:
     corner ``n``, operands ``U_k = dR_k R^{-1}``."""
-    Rinv, dR, _, _ = _whitened_pieces(data, params, spec)
-    U = dR @ Rinv
-    return _trace_form_matrix(data.n, U)
+    fact = _with_derivs(data, params, spec, fact)
+    return _trace_form_matrix(data.n, _trace_operands(data, fact, False))
 
 
 def _half_logdet_psd(info, params, what):
@@ -167,13 +176,13 @@ def _half_logdet_psd(info, params, what):
     return float(np.sum(np.log(np.diag(L))))
 
 
-def log_reference_prior(data, params, spec):
+def log_reference_prior(data, params, spec, fact=None):
     """Log reference prior at one level: ``1/2 log det I_R``."""
-    info = fisher_info_reference(data, params, spec)
+    info = fisher_info_reference(data, params, spec, fact)
     return _half_logdet_psd(info, params, "reference-prior")
 
 
-def log_jeffreys_prior(data, params, spec, variant="j1"):
+def log_jeffreys_prior(data, params, spec, variant="j1", fact=None):
     """Log Jeffreys prior at one level.
 
     ``variant="j1"`` gives ``1/2 log det I_J``; ``variant="j2"`` adds
@@ -182,12 +191,11 @@ def log_jeffreys_prior(data, params, spec, variant="j1"):
     """
     if variant not in ("j1", "j2"):
         raise InvalidArgumentError(f"variant must be 'j1' or 'j2', got {variant!r}")
-    Rinv, dR, _, logdet_M = _whitened_pieces(data, params, spec)
-    U = dR @ Rinv
-    info = _trace_form_matrix(data.n, U)
+    fact = _with_derivs(data, params, spec, fact)
+    info = fisher_info_jeffreys(data, params, spec, fact)
     value = _half_logdet_psd(info, params, "Jeffreys-prior")
     if variant == "j2":
-        value += 0.5 * logdet_M
+        value += 0.5 * fact.logdet_M
     return value
 
 
@@ -240,18 +248,22 @@ def log_jr_prior(params, prior, n_obs=None, input_ranges=None):
     return a0 * math.log(total) - b0 * total
 
 
-def log_prior(data, params, spec, prior):
-    """Dispatch the per-level log prior density for the configured kind."""
+def log_prior(data, params, spec, prior, fact=None):
+    """Dispatch the per-level log prior density for the configured kind.
+
+    ``fact`` is an optional ``gls_fit(..., derivs=True)`` factorization at
+    ``params``, reused by the kinds in ``FISHER_KINDS``.
+    """
     if prior.kind == FLAT:
         return 0.0
     if prior.kind == INVERSE_RANGE:
         return -float(np.sum(np.log(params.phi)))
     if prior.kind == REFERENCE:
-        return log_reference_prior(data, params, spec)
+        return log_reference_prior(data, params, spec, fact)
     if prior.kind == JEFFREYS1:
-        return log_jeffreys_prior(data, params, spec, variant="j1")
+        return log_jeffreys_prior(data, params, spec, variant="j1", fact=fact)
     if prior.kind == JEFFREYS2:
-        return log_jeffreys_prior(data, params, spec, variant="j2")
+        return log_jeffreys_prior(data, params, spec, variant="j2", fact=fact)
     inputs = data.inputs
     ranges = inputs.max(axis=0) - inputs.min(axis=0)
     return log_jr_prior(params, prior, n_obs=data.n, input_ranges=ranges)

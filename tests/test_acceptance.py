@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from mfcokrig.bench import replicate_design, run_borehole_benchmark
+from mfcokrig.bench import (
+    borehole_low,
+    replicate_design,
+    run_borehole_benchmark,
+    scale_to_box,
+)
 from mfcokrig.cli import main as cli_main
 from mfcokrig.estimate import (
     FitResult,
@@ -20,7 +25,9 @@ from mfcokrig.estimate import (
     PLUGIN,
     assemble,
     fit,
+    fit_level,
     match_rows,
+    objective,
 )
 from mfcokrig.gp import integrated_log_likelihood, tail_probe
 from mfcokrig.kernels import KernelSpec, RangeParams, corr_matrix, corr_matrix_deriv, cross_corr
@@ -309,6 +316,31 @@ class TestImproprietyDiagnostics:
             f"flat-prior tail delta={flat_large:.2e} (<0.1), zero-limit "
             f"delta={flat_small:.2e} (<1e-3), reference drop={drop:.1f} (>5); "
             f"{elapsed:.1f}s of 10s",
+        )
+
+    def test_jointly_robust_tail_decays_on_borehole_level1(self):
+        """The jointly robust prior is a density on 1/phi, so its xi-space
+        posterior must fall along the isotropic ray and its fit must keep
+        every range bounded."""
+        t0 = time.time()
+        U, low_idx, _, _ = replicate_design(0, 0, 80, 30, 20)
+        X_phys = scale_to_box(U)
+        y = np.array([borehole_low(X_phys[i]) for i in low_idx])
+        lv = assemble([(U[low_idx], y)]).levels[0]
+        spec = KernelSpec(family="power_exponential", shape=1.9, dims=8)
+        jr = PriorSpec(kind="jointly_robust")
+        ray = [objective(lv, np.full(8, -np.log(g)), spec, jr) for g in (1.0, 1e4, 1e8)]
+        drop = ray[1] - ray[2]
+        lf = fit_level(lv, spec, jr, OptimOptions(seed=0, n_starts=2, max_evals=600))
+        limit = RUNAWAY_SPAN_FACTOR * np.ptp(lv.inputs, axis=0)
+        bounded = bool(np.all(lf.phi < limit))
+        elapsed = time.time() - t0
+        ok = ray[2] < ray[0] and drop > 5.0 and bounded and elapsed < 30.0
+        assert _report(
+            "5b", "jointly robust tail decay on borehole level 1", ok,
+            f"objective at phi=1/1e4/1e8: {ray[0]:.1f}/{ray[1]:.1f}/{ray[2]:.1f}, "
+            f"drop 1e4->1e8={drop:.1f} (>5); fitted ranges < {RUNAWAY_SPAN_FACTOR:.0e} "
+            f"x span: {bounded} (largest {lf.phi.max():.3g}); {elapsed:.1f}s of 30s",
         )
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mfcokrig.bench import borehole_high, borehole_low, replicate_design, scale_to_box
 from mfcokrig.estimate import (
     PLUGIN,
     POSTERIOR,
@@ -32,7 +33,8 @@ from mfcokrig.kernels import (
     RangeParams,
     corr_matrix,
 )
-from mfcokrig.priors import PriorSpec, log_prior
+from mfcokrig.priors import PRIOR_KINDS, PriorSpec, log_prior
+from oracles import dense_objective
 
 
 def _nested_pair(rng, n1=14, n2=7, d=2, gamma=1.6):
@@ -167,6 +169,48 @@ class TestObjective:
             objective(data.levels[0], np.array([np.nan, 0.0]), spec, PriorSpec(kind="flat"))
 
 
+def _borehole_levels():
+    """Replicate 0 of the seeded borehole split: 80 low, 30 nested high runs."""
+    U, low_idx, high_idx, _ = replicate_design(0, 0, 80, 30, 20)
+    X = scale_to_box(U)
+    y_low = np.array([borehole_low(X[i]) for i in low_idx])
+    y_high = np.array([borehole_high(X[i]) for i in high_idx])
+    return assemble([(U[low_idx], y_low), (U[high_idx], y_high)]).levels
+
+
+class TestObjectiveAgainstDenseOracle:
+    # S2 at level 2 is about 2e-7 of y^T R^-1 y, so a one-ulp change of R
+    # moves the objective there by a few 1e-11 relative
+    RTOL = 1e-10
+    XI_GRID = (
+        np.zeros(8),
+        np.full(8, -1.0),
+        np.full(8, 1.0),
+        np.linspace(-1.5, 1.5, 8),
+    )
+    KERNELS = (
+        (POWER_EXPONENTIAL, 1.0),
+        (POWER_EXPONENTIAL, 1.9),
+        (MATERN, 0.5),
+        (MATERN, 1.5),
+        (MATERN, 2.5),
+    )
+
+    def test_every_prior_and_kernel_on_both_borehole_levels(self):
+        worst = 0.0
+        for family, shape in self.KERNELS:
+            spec = KernelSpec(family=family, shape=shape, dims=8)
+            for lv in _borehole_levels():
+                for kind in PRIOR_KINDS:
+                    prior = PriorSpec(kind=kind)
+                    for xi in self.XI_GRID:
+                        got = objective(lv, xi, spec, prior)
+                        want = dense_objective(lv, xi, spec, prior)
+                        assert got > SENTINEL_THRESHOLD
+                        worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= self.RTOL
+
+
 class TestConcentratedRestrictedLikelihood:
     def test_closed_form(self):
         rng = np.random.default_rng(20)
@@ -194,6 +238,39 @@ class TestOptimOptions:
             OptimOptions(max_evals=0)
         with pytest.raises(InvalidArgumentError):
             OptimOptions(start_low=1.0, start_high=-1.0)
+
+    def test_rejects_zero_or_nan_initial_step(self):
+        # a zero step collapses the simplex onto the start point
+        for step in (0.0, -0.5, float("nan"), float("inf")):
+            with pytest.raises(InvalidArgumentError, match="initial_step"):
+                OptimOptions(initial_step=step)
+
+    def test_rejects_negative_tol(self):
+        # a negative spread tolerance can never be met
+        for tol in (-1e-8, float("nan")):
+            with pytest.raises(InvalidArgumentError, match="tol"):
+                OptimOptions(tol=tol)
+
+    def test_rejects_non_integer_n_starts(self):
+        for n_starts in (2.5, 2.0, True, "3"):
+            with pytest.raises(InvalidArgumentError, match="n_starts"):
+                OptimOptions(n_starts=n_starts)
+
+    def test_rejects_non_integer_max_evals(self):
+        for max_evals in (100.5, 100.0, True):
+            with pytest.raises(InvalidArgumentError, match="max_evals"):
+                OptimOptions(max_evals=max_evals)
+
+    def test_rejects_bad_seed_and_start_box(self):
+        for seed in (-1, 1.5):
+            with pytest.raises(InvalidArgumentError, match="seed"):
+                OptimOptions(seed=seed)
+        with pytest.raises(InvalidArgumentError, match="start_low"):
+            OptimOptions(start_low=-np.inf)
+
+    def test_accepts_numpy_integers(self):
+        opts = OptimOptions(seed=np.int64(3), n_starts=np.int32(2), max_evals=np.int64(50))
+        assert opts.n_starts == 2
 
     def test_roundtrip(self):
         opts = OptimOptions(seed=7, n_starts=3, tol=1e-6, max_evals=200)

@@ -1,8 +1,13 @@
 """Correlation families: closed-form values, derivative identities, and
-backend equivalence."""
+agreement with the entry-by-entry product-form oracle."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mfcokrig.exceptions import InvalidArgumentError
 from mfcokrig.kernels import (
@@ -11,18 +16,14 @@ from mfcokrig.kernels import (
     POWER_EXPONENTIAL,
     KernelSpec,
     RangeParams,
-    _corr_matrix_nb,
-    _corr_matrix_np,
-    _corr_matrix_with_derivs_nb,
-    _corr_matrix_with_derivs_np,
-    _cross_corr_nb,
-    _cross_corr_np,
     corr1d,
     corr_matrix,
     corr_matrix_deriv,
     corr_matrix_with_derivs,
     cross_corr,
+    distance_stack,
 )
+from oracles import corr_matrix_loop, corr_matrix_with_derivs_loop, cross_corr_loop
 
 # independently computed closed-form values at h = phi
 EXP_MINUS_1 = 0.36787944117144233
@@ -238,18 +239,20 @@ class TestDerivatives:
             corr_matrix_deriv(X, params, spec, -1)
 
 
-class TestBackendEquivalence:
-    """The compiled and vectorized paths agree to a few ulp; the only
-    divergence source is the libm pow/exp implementations."""
+class TestOracleAgreement:
+    """The stack assembly (one weighted exponent sum, one exp) agrees with
+    the entry-by-entry product of 1-d correlations to a few ulp."""
 
     def test_corr_matrix(self):
         rng = np.random.default_rng(41)
         for spec in _specs(dims=3):
             X = rng.uniform(0.0, 1.0, size=(12, 3))
             phi = rng.uniform(0.2, 3.0, size=3)
-            args = (X, phi, spec.family_code, spec.shape, spec.nugget)
             np.testing.assert_allclose(
-                _corr_matrix_nb(*args), _corr_matrix_np(*args), rtol=1e-14, atol=0.0
+                corr_matrix(X, RangeParams(phi), spec),
+                corr_matrix_loop(X, phi, spec),
+                rtol=1e-14,
+                atol=0.0,
             )
 
     def test_cross_corr(self):
@@ -258,9 +261,11 @@ class TestBackendEquivalence:
             X1 = rng.uniform(0.0, 1.0, size=(8, 2))
             X2 = rng.uniform(0.0, 1.0, size=(5, 2))
             phi = rng.uniform(0.2, 3.0, size=2)
-            args = (X1, X2, phi, spec.family_code, spec.shape)
             np.testing.assert_allclose(
-                _cross_corr_nb(*args), _cross_corr_np(*args), rtol=1e-14, atol=0.0
+                cross_corr(X1, X2, RangeParams(phi), spec),
+                cross_corr_loop(X1, X2, phi, spec),
+                rtol=1e-14,
+                atol=0.0,
             )
 
     def test_derivatives(self):
@@ -268,8 +273,106 @@ class TestBackendEquivalence:
         for spec in _specs(dims=2):
             X = rng.uniform(0.0, 1.0, size=(9, 2))
             phi = rng.uniform(0.2, 3.0, size=2)
-            args = (X, phi, spec.family_code, spec.shape, spec.nugget)
-            R_nb, dR_nb = _corr_matrix_with_derivs_nb(*args)
-            R_np, dR_np = _corr_matrix_with_derivs_np(*args)
-            np.testing.assert_allclose(R_nb, R_np, rtol=1e-14, atol=0.0)
-            np.testing.assert_allclose(dR_nb, dR_np, rtol=1e-13, atol=1e-15)
+            R, dR = corr_matrix_with_derivs(X, RangeParams(phi), spec)
+            R_or, dR_or = corr_matrix_with_derivs_loop(X, phi, spec)
+            np.testing.assert_allclose(R, R_or, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(dR, dR_or, rtol=1e-13, atol=1e-15)
+
+    def test_reused_stack_gives_identical_matrices(self):
+        rng = np.random.default_rng(44)
+        for spec in _specs(dims=3):
+            X = rng.uniform(0.0, 1.0, size=(10, 3))
+            params = RangeParams(rng.uniform(0.2, 3.0, size=3))
+            stack = distance_stack(X, spec)
+            np.testing.assert_array_equal(
+                corr_matrix(X, params, spec, stack=stack), corr_matrix(X, params, spec)
+            )
+            R, dR = corr_matrix_with_derivs(X, params, spec, stack=stack)
+            np.testing.assert_array_equal(R, corr_matrix(X, params, spec))
+            np.testing.assert_array_equal(dR, corr_matrix_with_derivs(X, params, spec)[1])
+        with pytest.raises(InvalidArgumentError):
+            corr_matrix(X, params, spec, stack=np.zeros((2, 10, 10)))
+
+    def test_cross_corr_blocks_match_one_shot(self):
+        # a query batch larger than one block is assembled in column blocks
+        rng = np.random.default_rng(45)
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=8)
+        X1 = rng.uniform(0.0, 1.0, size=(80, 8))
+        X2 = rng.uniform(0.0, 1.0, size=(700, 8))
+        params = RangeParams(rng.uniform(0.2, 3.0, size=8))
+        C = cross_corr(X1, X2, params, spec)
+        for j in (0, 203, 204, 699):
+            np.testing.assert_array_equal(C[:, j : j + 1], cross_corr(X1, X2[j : j + 1], params, spec))
+
+
+# Each of the d exponent terms, and their sum, carries a few ulp of relative
+# error on either side, so exp(-S) differs from the product of the 1-d
+# correlations by a few ulp of the exponent S itself (plus a few ulp for the
+# products); the ratio (dr/dphi)/r adds a few ulp more to the derivatives.
+ULP = np.finfo(np.float64).eps
+
+
+def _exponent(X1, X2, phi, spec):
+    """Total exponent S[i, j] of the product-form correlation."""
+    H = np.abs(X1[:, None, :] - X2[None, :, :])
+    if spec.family == POWER_EXPONENTIAL:
+        return np.sum((H / phi) ** spec.shape, axis=2)
+    return np.sum(math.sqrt(2.0 * spec.shape) * H / phi, axis=2)
+
+
+# below the smallest normal float, precision is absolute rather than relative
+TINY = np.finfo(np.float64).tiny
+
+
+def _assert_close_in_exponent(got, want, S, d, extra_ulp=0.0):
+    tol = ULP * (4.0 * (d + 2) * (1.0 + S) + extra_ulp)
+    assert np.all(np.abs(got - want) <= tol * np.abs(want) + TINY)
+
+
+_SPEC_CHOICES = [
+    (POWER_EXPONENTIAL, 1.9),
+    (POWER_EXPONENTIAL, 1.0),
+    (POWER_EXPONENTIAL, 0.5),
+    (MATERN, 0.5),
+    (MATERN, 1.5),
+    (MATERN, 2.5),
+]
+
+
+@st.composite
+def _kernel_case(draw):
+    family, shape = draw(st.sampled_from(_SPEC_CHOICES))
+    d = draw(st.integers(1, 3))
+    n1 = draw(st.integers(1, 6))
+    n2 = draw(st.integers(1, 6))
+    coords = st.floats(0.0, 1.0, allow_nan=False)
+    X1 = draw(arrays(np.float64, (n1, d), elements=coords))
+    X2 = draw(arrays(np.float64, (n2, d), elements=coords))
+    phi = draw(arrays(np.float64, (d,), elements=st.floats(0.05, 50.0)))
+    return KernelSpec(family=family, shape=shape, dims=d), X1, X2, phi
+
+
+class TestOracleProperties:
+    """Over every family and shape and a wide range of phi, the kernels
+    agree with the oracle to a tolerance set by the size of the exponent."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_kernel_case())
+    def test_cross_corr(self, case):
+        spec, X1, X2, phi = case
+        got = cross_corr(X1, X2, RangeParams(phi), spec)
+        want = cross_corr_loop(X1, X2, phi, spec)
+        _assert_close_in_exponent(got, want, _exponent(X1, X2, phi, spec), spec.dims)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_kernel_case())
+    def test_corr_matrix_and_derivatives(self, case):
+        spec, X, _, phi = case
+        params = RangeParams(phi)
+        S = _exponent(X, X, phi, spec)
+        R_or, dR_or = corr_matrix_with_derivs_loop(X, phi, spec)
+        _assert_close_in_exponent(corr_matrix(X, params, spec), R_or, S, spec.dims)
+        R, dR = corr_matrix_with_derivs(X, params, spec)
+        _assert_close_in_exponent(R, R_or, S, spec.dims)
+        for k in range(spec.dims):
+            _assert_close_in_exponent(dR[k], dR_or[k], S, spec.dims, extra_ulp=16.0)

@@ -221,6 +221,13 @@ class TestPriorSpec:
         with pytest.raises(InvalidArgumentError):
             PriorSpec(kind=JOINTLY_ROBUST, jr_C=[1.0, -1.0])
 
+    def test_jointly_robust_needs_b0(self):
+        for b0 in (None, float("nan"), float("inf"), "1.0", True):
+            with pytest.raises(InvalidArgumentError, match="jr_b0"):
+                PriorSpec(kind=JOINTLY_ROBUST, jr_b0=b0)
+        # kinds that never read jr_b0 do not need one
+        assert PriorSpec(kind=REFERENCE, jr_b0=None).jr_b0 is None
+
     def test_variance_exponent_pairing(self):
         assert PriorSpec(kind=JEFFREYS2).a_t(2) == 2.0
         assert PriorSpec(kind=JEFFREYS2).a_t(1) == 1.5
