@@ -79,7 +79,7 @@ from .kernels import (
 )
 from .modelio import load_level_csv, load_model, save_model, write_level_csv
 from .optim import OptimResult, nelder_mead_max
-from .predict import CokrigingModel, Prediction, build_model
+from .predict import CokrigingModel, Prediction
 from .priors import (
     FLAT,
     INVERSE_RANGE,
@@ -152,7 +152,6 @@ __all__ = [
     "nelder_mead_max",
     "CokrigingModel",
     "Prediction",
-    "build_model",
     "FLAT",
     "INVERSE_RANGE",
     "JEFFREYS1",

@@ -225,12 +225,9 @@ def _replicate_metrics(rep, seed, n_low, n_high, n_test, spec, prior, method, op
 
     pred = model.predict(U[test_idx])
     means = pred.means[:, -1]
-    lo = np.empty(n_test)
-    hi = np.empty(n_test)
-    for i in range(n_test):
-        lo[i], hi[i] = model.credible_interval(
-            U[test_idx[i]], level=data.s, prob=0.95, seed=draw_seed + i
-        )
+    # test point i draws with seed draw_seed + i
+    intervals = model.credible_intervals(U[test_idx], prob=0.95, seed=draw_seed)
+    lo, hi = intervals[:, data.s - 1, 0], intervals[:, data.s - 1, 1]
     rmspe = float(np.sqrt(np.mean((means - y_truth) ** 2)))
     covered = (y_truth >= lo) & (y_truth <= hi)
     cvg = float(np.mean(covered))

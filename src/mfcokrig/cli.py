@@ -81,6 +81,23 @@ _CONFIG_KEYS = {
     "benchmark",
 }
 
+# the keys each nested section may hold: what _build_kernel, _build_prior,
+# _build_opts and cmd_benchmark read from it
+_SECTION_KEYS = {
+    "kernel": {"family", "shape", "nugget"},
+    "prior": {"kind", "jr_a0", "jr_b0", "jr_C"},
+    "optimizer": {
+        "seed",
+        "n_starts",
+        "tol",
+        "max_evals",
+        "start_low",
+        "start_high",
+        "initial_step",
+    },
+    "benchmark": {"n_low", "n_high", "n_test", "n_reps"},
+}
+
 
 def _load_config(path):
     if path is None:
@@ -99,6 +116,15 @@ def _load_config(path):
         raise ConfigError(
             f"unknown config keys: {sorted(unknown)}; expected {sorted(_CONFIG_KEYS)}"
         )
+    for section, allowed in _SECTION_KEYS.items():
+        sub = cfg.get(section, {})
+        if not isinstance(sub, dict):
+            raise ConfigError(f"config '{section}' must be a JSON object")
+        unknown = sorted(f"{section}.{key}" for key in set(sub) - allowed)
+        if unknown:
+            raise ConfigError(
+                f"unknown config keys: {unknown}; '{section}' takes {sorted(allowed)}"
+            )
     return cfg
 
 
@@ -237,23 +263,7 @@ def cmd_predict(args):
     X0, _ = _load_grid(grid_path, data.dims)
     pred = model.predict(X0)
     seed = args.seed if args.seed is not None else 0
-    intervals = []
-    for i in range(X0.shape[0]):
-        per_level = []
-        draws = None
-        for t in range(1, data.s + 1):
-            if t == 1:
-                per_level.append(
-                    model.credible_interval(
-                        X0[i], level=1, prob=0.95, n_draws=args.draws, seed=seed + i
-                    )
-                )
-            else:
-                if draws is None:
-                    draws = model.sample_predictive(X0[i], args.draws, seed=seed + i)
-                lo, hi = np.quantile(draws[:, t - 1], [0.025, 0.975])
-                per_level.append((float(lo), float(hi)))
-        intervals.append(per_level)
+    intervals = model.credible_intervals(X0, prob=0.95, n_draws=args.draws, seed=seed)
     pred_path = os.path.join(out, "predictions.csv")
     write_predictions_csv(pred_path, X0, pred, intervals)
     _echo_config(

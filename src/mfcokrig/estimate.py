@@ -25,6 +25,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .exceptions import (
     DegenerateDataError,
@@ -159,31 +160,43 @@ class CokrigingData:
         return self.levels[0].dims
 
 
+def coincident_rows(A, B, tol=MATCH_TOL):
+    """``(len(A), len(B))`` mask: row ``A[i]`` and row ``B[j]`` are the same
+    point, every coordinate within ``tol``.
+
+    The Chebyshev distance ``max_k |a_k - b_k|`` is at most ``tol`` exactly
+    when every ``|a_k - b_k|`` is; a row with a non-finite coordinate
+    matches nothing, as the per-coordinate test is then false.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    hits = cdist(A, B, "chebyshev") <= tol
+    hits &= np.isfinite(A).all(axis=1)[:, None]
+    hits &= np.isfinite(B).all(axis=1)
+    return hits
+
+
 def match_rows(child, parent, tol=MATCH_TOL):
     """Match each row of ``child`` to a row of ``parent`` within ``tol``
-    per coordinate.  Returns the parent indices, or raises with the first
-    unmatched row index."""
-    child = np.asarray(child, dtype=np.float64)
-    parent = np.asarray(parent, dtype=np.float64)
-    idx = np.empty(child.shape[0], dtype=np.intp)
-    for i in range(child.shape[0]):
-        hits = np.nonzero(np.all(np.abs(parent - child[i]) <= tol, axis=1))[0]
-        if hits.size == 0:
-            raise NestingError(
-                f"row {i} of the child design has no match in the parent design"
-            )
-        idx[i] = hits[0]
-    return idx
+    per coordinate.  Returns the first matching parent index of each row,
+    or raises with the first unmatched row index."""
+    hits = coincident_rows(child, parent, tol)
+    matched = hits.any(axis=1)
+    if not matched.all():
+        raise NestingError(
+            f"row {int(np.argmin(matched))} of the child design has no match "
+            "in the parent design"
+        )
+    if matched.size == 0:  # argmax needs a parent row, and there is nothing to match
+        return np.empty(0, dtype=np.intp)
+    return hits.argmax(axis=1)
 
 
 def _check_no_duplicates(X, level_index):
-    n = X.shape[0]
-    for i in range(n):
-        dup = np.nonzero(np.all(np.abs(X[i + 1 :] - X[i]) <= MATCH_TOL, axis=1))[0]
-        if dup.size:
-            raise DuplicateRowError(
-                f"level {level_index} design rows {i} and {i + 1 + dup[0]} coincide"
-            )
+    pairs = np.argwhere(np.triu(coincident_rows(X, X), k=1))
+    if pairs.size:
+        i, j = pairs[0]
+        raise DuplicateRowError(f"level {level_index} design rows {i} and {j} coincide")
 
 
 def _resolve_basis(basis, s):

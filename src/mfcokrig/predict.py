@@ -12,13 +12,14 @@ Student-t, then feed each draw into the next level's conditional Student-t,
 whose mean is linear and whose scale is quadratic in the lower draw.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.stats import t as student_t
 
-from .estimate import MATCH_TOL, CokrigingData, FitResult
+from .estimate import CokrigingData, FitResult, coincident_rows
 from .exceptions import DesignRankError, InvalidArgumentError, VarianceUndefinedError
 from .gp import gls_fit
 from .kernels import RangeParams, cross_corr
@@ -26,6 +27,10 @@ from .kernels import RangeParams, cross_corr
 # a whitened scale-link column with squared norm below this is collinear
 # with the basis, making the scale coefficient unidentifiable
 MIN_SCALE_LINK_NORM = 1e-12
+
+# interval draws are taken for a block of query rows at a time, sized so the
+# block's draws hold at most this many bytes
+DRAW_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,6 +174,32 @@ class CokrigingModel:
             raise InvalidArgumentError("queries contain non-finite entries")
         return X0
 
+    def _pieces(self, st, X0, y_link):
+        """Query pieces of one level for every row of ``X0``: one
+        cross-correlation block and one triangular solve.
+
+        Returns ``(trend, resid, c_base, U, G)``: the basis part of the
+        mean, the kriged residual, the correlation part of the scale,
+        ``U = F - W^T L^-1 C`` of shape ``(q, m)`` and ``G = M^-1 U``.
+        Above level one the last row of ``F`` is ``y_link``, the value the
+        scale link multiplies.
+        """
+        lv, fact = st.data, st.fact
+        C = cross_corr(lv.inputs, X0, st.params, self.spec)
+        Sw = solve_triangular(fact.chol_R, C, lower=True, check_finite=False)
+        H0 = np.asarray(lv.basis_fn(X0), dtype=np.float64)
+        resid = Sw.T @ fact.white_resid
+        if lv.index == 1:
+            trend = H0 @ fact.b_hat
+            F = H0.T
+        else:
+            trend = H0 @ fact.b_hat[:-1]
+            F = np.vstack([H0.T, y_link])
+        c_base = (1.0 + self.spec.nugget) - np.einsum("ij,ij->j", Sw, Sw)
+        U = F - fact.white_design.T @ Sw
+        G = cho_solve((fact.chol_M, True), U, check_finite=False)
+        return trend, resid, c_base, U, G
+
     def predict(self, X0, mean_only=False):
         """Predictive means and variances at every level for each query row.
 
@@ -183,37 +214,21 @@ class CokrigingModel:
         y_prev = None
         v_prev = np.zeros(m)
         for t, st in enumerate(self._states):
-            lv, fact = st.data, st.fact
+            lv = st.data
             df = lv.n - lv.q
             if not mean_only and df <= 2:
                 raise VarianceUndefinedError(
                     f"level {lv.index} has n - q = {df} <= 2; variances are "
                     "undefined (request mean_only for means)"
                 )
-            C = cross_corr(lv.inputs, X0, st.params, self.spec)
-            Sw = solve_triangular(fact.chol_R, C, lower=True, check_finite=False)
-            H0 = np.asarray(lv.basis_fn(X0), dtype=np.float64)
-            resid_part = Sw.T @ fact.white_resid
+            trend, resid, c_base, U, G = self._pieces(st, X0, y_prev)
             if t == 0:
-                mu = H0 @ fact.b_hat + resid_part
-                F = H0.T
+                mu = trend + resid
             else:
-                mu = H0 @ fact.b_hat[:-1] + st.gamma * y_prev + resid_part
-                F = np.vstack([H0.T, y_prev])
+                mu = trend + st.gamma * y_prev + resid
             means[:, t] = mu
-            hits = np.fromiter(
-                (
-                    bool(np.any(np.all(np.abs(lv.inputs - x) <= MATCH_TOL, axis=1)))
-                    for x in X0
-                ),
-                dtype=bool,
-                count=m,
-            )
-            at_design[:, t] = hits
+            at_design[:, t] = coincident_rows(X0, lv.inputs).any(axis=1)
             if not mean_only:
-                c_base = (1.0 + self.spec.nugget) - np.einsum("ij,ij->j", Sw, Sw)
-                U = F - fact.white_design.T @ Sw
-                G = cho_solve((fact.chol_M, True), U, check_finite=False)
                 quad = np.einsum("ij,ij->j", U, G)
                 c_star = c_base + quad + v_prev * st.inv_scale_link_quad
                 np.maximum(c_star, 0.0, out=c_star)
@@ -225,16 +240,52 @@ class CokrigingModel:
             means=means, variances=variances, dfs=self.dfs, at_design=at_design
         )
 
-    def _point_pieces(self, st, x0):
-        """Per-query scalars at one level: whitened cross-correlation
-        pieces shared by sampling and exact intervals."""
-        lv, fact = st.data, st.fact
-        C = cross_corr(lv.inputs, x0[None, :], st.params, self.spec)
-        sw = solve_triangular(fact.chol_R, C[:, 0], lower=True, check_finite=False)
-        h0 = np.asarray(lv.basis_fn(x0[None, :]), dtype=np.float64)[0]
-        resid_part = float(sw @ fact.white_resid)
-        c_base = (1.0 + self.spec.nugget) - float(sw @ sw)
-        return sw, h0, resid_part, c_base
+    def _draw_pieces(self, X0):
+        """Per level, the mean part and the coefficients of the conditional
+        scale ``c0 + c1 y + c2 y^2`` in the lower-level value ``y``, for
+        every row of ``X0``; at level one the scale is the constant ``c0``."""
+        zeros = np.zeros(X0.shape[0])
+        out = []
+        for st in self._states:
+            trend, resid, c_base, U, G = self._pieces(st, X0, zeros)
+            c0 = c_base + np.einsum("ij,ij->j", U, G)
+            out.append((trend + resid, c0, 2.0 * G[-1]))
+        return out
+
+    def _draws(self, pieces, rows, seeds, n_draws):
+        """Sequential joint draws at the query rows ``rows`` of ``pieces``,
+        row ``rows[k]`` from a generator seeded ``seeds[k]``; returns
+        ``(len(rows), n_draws, s)``.
+
+        Each row's generator yields all of level one's Student-t variates,
+        then level two's, and so on, whatever the block of rows.
+        """
+        draws = np.empty((len(rows), n_draws, self.s))
+        dfs = [st.data.n - st.data.q for st in self._states]
+        for k, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            for t, df in enumerate(dfs):
+                draws[k, :, t] = rng.standard_t(df, size=n_draws)
+        y_prev = None
+        for t, (st, (mu, c0, c1)) in enumerate(zip(self._states, pieces)):
+            mu, c0, c1 = mu[rows, None], c0[rows, None], c1[rows, None]
+            if t == 0:
+                c_star = np.maximum(c0, 0.0)
+            else:
+                mu = mu + st.gamma * y_prev
+                c_star = np.maximum(c0 + c1 * y_prev + st.minv_qq * y_prev**2, 0.0)
+            level = draws[:, :, t]
+            level *= np.sqrt(st.sigma2_pred * c_star)
+            level += mu
+            y_prev = level
+        return draws
+
+    @staticmethod
+    def _check_n_draws(n_draws):
+        n_draws = int(n_draws)
+        if n_draws < 1:
+            raise InvalidArgumentError("n_draws must be >= 1")
+        return n_draws
 
     def sample_predictive(self, x0, n_draws, seed=0):
         """Draws from the joint predictive distribution at one point.
@@ -248,73 +299,57 @@ class CokrigingModel:
         x0 = self._check_queries(x0)
         if x0.shape[0] != 1:
             raise InvalidArgumentError("sampling takes a single query point")
-        x0 = x0[0]
-        n_draws = int(n_draws)
-        if n_draws < 1:
-            raise InvalidArgumentError("n_draws must be >= 1")
-        rng = np.random.default_rng(seed)
-        draws = np.empty((n_draws, self.s))
-        y_prev = None
-        for t, st in enumerate(self._states):
-            lv, fact = st.data, st.fact
-            df = lv.n - lv.q
-            sw, h0, resid_part, c_base = self._point_pieces(st, x0)
-            if t == 0:
-                u0 = h0 - fact.white_design.T @ sw
-                g0 = cho_solve((fact.chol_M, True), u0, check_finite=False)
-                c_star = max(c_base + float(u0 @ g0), 0.0)
-                mu = float(h0 @ fact.b_hat) + resid_part
-                scale = np.sqrt(st.sigma2_pred * c_star)
-                level_draws = mu + scale * rng.standard_t(df, size=n_draws)
-            else:
-                f0 = np.concatenate([h0, [0.0]])
-                u0 = f0 - fact.white_design.T @ sw
-                g0 = cho_solve((fact.chol_M, True), u0, check_finite=False)
-                # conditional scale is quadratic in the lower-level draw
-                c0 = c_base + float(u0 @ g0)
-                c1 = 2.0 * float(g0[-1])
-                c2 = st.minv_qq
-                mu = float(h0 @ fact.b_hat[:-1]) + resid_part + st.gamma * y_prev
-                c_star = np.maximum(c0 + c1 * y_prev + c2 * y_prev**2, 0.0)
-                scale = np.sqrt(st.sigma2_pred * c_star)
-                level_draws = mu + scale * rng.standard_t(df, size=n_draws)
-            draws[:, t] = level_draws
-            y_prev = level_draws
-        return draws
+        n_draws = self._check_n_draws(n_draws)
+        return self._draws(self._draw_pieces(x0), [0], [seed], n_draws)[0]
+
+    def credible_intervals(self, X0, prob=0.95, n_draws=4000, seed=0):
+        """Equal-tail predictive intervals at every level for each query row.
+
+        Returns an ``(m, s, 2)`` array of lower and upper bounds.  Level
+        one uses exact Student-t quantiles; higher levels use empirical
+        quantiles of ``n_draws`` sequential draws, those of row ``i``
+        seeded ``seed + i``, so row ``i`` reads as ``sample_predictive(X0[i],
+        n_draws, seed=seed + i)`` would.
+        """
+        if not 0.0 < prob < 1.0:
+            raise InvalidArgumentError(f"prob must lie in (0, 1), got {prob}")
+        if not (
+            isinstance(seed, numbers.Integral)
+            and not isinstance(seed, bool)
+            and seed >= 0
+        ):
+            raise InvalidArgumentError(f"seed must be an integer >= 0, got {seed!r}")
+        X0 = self._check_queries(X0)
+        n_draws = self._check_n_draws(n_draws)
+        m, s = X0.shape[0], self.s
+        tails = np.array([0.5 * (1.0 - prob), 0.5 * (1.0 + prob)])
+        pieces = self._draw_pieces(X0)
+        out = np.empty((m, s, 2))
+        st = self._states[0]
+        mu, c0, _ = pieces[0]
+        scale = np.sqrt(st.sigma2_pred * np.maximum(c0, 0.0))
+        out[:, 0, :] = mu[:, None] + scale[:, None] * student_t.ppf(tails, self.dfs[0])
+        if s > 1:
+            block = max(1, DRAW_BLOCK_BYTES // (8 * n_draws * s))
+            for start in range(0, m, block):
+                rows = np.arange(start, min(start + block, m))
+                seeds = [seed + int(i) for i in rows]
+                draws = self._draws(pieces, rows, seeds, n_draws)
+                q = np.quantile(draws[:, :, 1:], tails, axis=1)
+                out[rows, 1:, :] = np.moveaxis(q, 0, -1)
+        return out
 
     def credible_interval(self, x0, level, prob=0.95, n_draws=4000, seed=0):
         """Equal-tail predictive interval at one point and level.
 
-        Level one uses exact Student-t quantiles; higher levels use
-        empirical quantiles of ``n_draws`` sequential draws.
+        The entry ``[0, level - 1]`` of ``credible_intervals`` at ``x0``.
         """
-        if not 0.0 < prob < 1.0:
-            raise InvalidArgumentError(f"prob must lie in (0, 1), got {prob}")
         if not 1 <= level <= self.s:
             raise InvalidArgumentError(
                 f"level must lie in [1, {self.s}], got {level}"
             )
-        lo_q, hi_q = 0.5 * (1.0 - prob), 0.5 * (1.0 + prob)
-        if level == 1:
-            st = self._states[0]
-            lv, fact = st.data, st.fact
-            df = lv.n - lv.q
-            x0 = self._check_queries(x0)[0]
-            sw, h0, resid_part, c_base = self._point_pieces(st, x0)
-            u0 = h0 - fact.white_design.T @ sw
-            g0 = cho_solve((fact.chol_M, True), u0, check_finite=False)
-            c_star = max(c_base + float(u0 @ g0), 0.0)
-            mu = float(h0 @ fact.b_hat) + resid_part
-            scale = np.sqrt(st.sigma2_pred * c_star)
-            return (
-                mu + scale * float(student_t.ppf(lo_q, df)),
-                mu + scale * float(student_t.ppf(hi_q, df)),
-            )
-        draws = self.sample_predictive(x0, n_draws, seed=seed)[:, level - 1]
-        lo, hi = np.quantile(draws, [lo_q, hi_q])
+        x0 = self._check_queries(x0)
+        if x0.shape[0] != 1:
+            raise InvalidArgumentError("an interval takes a single query point")
+        lo, hi = self.credible_intervals(x0, prob, n_draws, seed)[0, level - 1]
         return float(lo), float(hi)
-
-
-def build_model(data, fit_result):
-    """Convenience constructor pairing validated data with its fit."""
-    return CokrigingModel(data, fit_result)

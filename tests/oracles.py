@@ -7,14 +7,20 @@ is the whole posterior objective computed the long way: the correlation
 matrix is built twice (once for the likelihood, once with its derivatives
 for the prior), ``R^{-1}`` is formed explicitly and the prior's trace terms
 come from ``einsum``.
+
+``coincident_rows_loop`` is the row-by-row design-point test and
+``point_draws``/``point_intervals`` the per-point interval path: one
+cross-correlation column, one triangular solve and one set of seeded draws
+per query point, with the level-one Student-t formula written out.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.stats import t as student_t
 
-from mfcokrig.kernels import POWER_EXPONENTIAL
+from mfcokrig.kernels import POWER_EXPONENTIAL, cross_corr
 
 
 def corr1d(h, phi, spec):
@@ -152,3 +158,76 @@ def dense_objective(lv, xi, spec, prior):
                 lp += 0.5 * np.linalg.slogdet(M)[1]
     jacobian = float(np.sum(xi)) if prior.kind == "jointly_robust" else -float(np.sum(xi))
     return value + lp + jacobian
+
+
+def coincident_rows_loop(A, B, tol):
+    """Row by row: ``B[j]`` coincides with ``A[i]`` when every coordinate
+    is within ``tol``."""
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    hits = np.zeros((A.shape[0], B.shape[0]), dtype=bool)
+    for i in range(A.shape[0]):
+        hits[i] = np.all(np.abs(B - A[i]) <= tol, axis=1)
+    return hits
+
+
+def _point_pieces(model, st, x0):
+    lv, fact = st.data, st.fact
+    C = cross_corr(lv.inputs, x0[None, :], st.params, model.spec)
+    sw = solve_triangular(fact.chol_R, C[:, 0], lower=True, check_finite=False)
+    h0 = np.asarray(lv.basis_fn(x0[None, :]), dtype=np.float64)[0]
+    resid_part = float(sw @ fact.white_resid)
+    c_base = (1.0 + model.spec.nugget) - float(sw @ sw)
+    return sw, h0, resid_part, c_base
+
+
+def _level_one(model, x0):
+    """Mean, Student-t scale and degrees of freedom of level one at ``x0``."""
+    st = model._states[0]
+    lv, fact = st.data, st.fact
+    sw, h0, resid_part, c_base = _point_pieces(model, st, x0)
+    u0 = h0 - fact.white_design.T @ sw
+    g0 = cho_solve((fact.chol_M, True), u0, check_finite=False)
+    c_star = max(c_base + float(u0 @ g0), 0.0)
+    mu = float(h0 @ fact.b_hat) + resid_part
+    return mu, np.sqrt(st.sigma2_pred * c_star), lv.n - lv.q
+
+
+def point_draws(model, x0, n_draws, seed):
+    """``(n_draws, s)`` sequential joint draws at one point."""
+    rng = np.random.default_rng(seed)
+    draws = np.empty((n_draws, model.s))
+    y_prev = None
+    for t, st in enumerate(model._states):
+        lv, fact = st.data, st.fact
+        df = lv.n - lv.q
+        if t == 0:
+            mu, scale, _ = _level_one(model, x0)
+        else:
+            sw, h0, resid_part, c_base = _point_pieces(model, st, x0)
+            u0 = np.concatenate([h0, [0.0]]) - fact.white_design.T @ sw
+            g0 = cho_solve((fact.chol_M, True), u0, check_finite=False)
+            c0 = c_base + float(u0 @ g0)
+            c1 = 2.0 * float(g0[-1])
+            mu = float(h0 @ fact.b_hat[:-1]) + resid_part + st.gamma * y_prev
+            c_star = np.maximum(c0 + c1 * y_prev + st.minv_qq * y_prev**2, 0.0)
+            scale = np.sqrt(st.sigma2_pred * c_star)
+        draws[:, t] = mu + scale * rng.standard_t(df, size=n_draws)
+        y_prev = draws[:, t]
+    return draws
+
+
+def point_intervals(model, X0, prob, n_draws, seed):
+    """``(m, s, 2)`` intervals, point by point: exact Student-t quantiles at
+    level one, empirical quantiles of ``point_draws`` seeded ``seed + i``
+    above it."""
+    lo_q, hi_q = 0.5 * (1.0 - prob), 0.5 * (1.0 + prob)
+    out = np.empty((X0.shape[0], model.s, 2))
+    for i, x0 in enumerate(X0):
+        mu, scale, df = _level_one(model, x0)
+        out[i, 0] = mu + scale * student_t.ppf([lo_q, hi_q], df)
+        if model.s > 1:
+            draws = point_draws(model, x0, n_draws, seed + i)
+            for t in range(1, model.s):
+                out[i, t] = np.quantile(draws[:, t], [lo_q, hi_q])
+    return out

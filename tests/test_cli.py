@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mfcokrig.cli import EXIT_CONFIG, EXIT_ESTIMATION, EXIT_OK, main
-from mfcokrig.modelio import load_model, write_level_csv
+from mfcokrig.modelio import _format, load_model, write_level_csv
+from mfcokrig.predict import CokrigingModel
 
 
 def _write_levels(tmp_path, seed=0, degenerate=False):
@@ -166,6 +167,31 @@ class TestPredictCommand:
         np.testing.assert_allclose(means, y2, atol=1e-6)
         assert np.all(variances < 1e-8)
 
+    def test_mean_and_variance_columns_are_library_predict(self, tmp_path):
+        out, (X1, _), (X2, _) = _fit(tmp_path)
+        pts = np.vstack([np.random.default_rng(5).uniform(size=(6, 2)), X2[:3], X1[-2:]])
+        grid = tmp_path / "grid.csv"
+        grid.write_text(
+            "x1,x2\n" + "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in pts) + "\n"
+        )
+        code = main(
+            ["predict", "--model", str(out / "model.json"), "--grid", str(grid),
+             "--draws", "300", "--seed", "8", "--out", str(tmp_path / "pm")]
+        )
+        assert code == EXIT_OK
+        data, result = load_model(out / "model.json")
+        model = CokrigingModel(data, result)
+        pred = model.predict(pts)
+        intervals = model.credible_intervals(pts, n_draws=300, seed=8)
+        rows = (tmp_path / "pm" / "predictions.csv").read_text().splitlines()[1:]
+        cells = [r.split(",") for r in rows]
+        for k, row in enumerate(cells):
+            i, t = divmod(k, 2)
+            assert row[2] == str(t + 1)
+            assert row[3] == _format(pred.means[i, t])
+            assert row[4] == _format(pred.variances[i, t])
+            assert row[5:] == [_format(v) for v in intervals[i, t]]
+
     def test_grid_dimension_mismatch(self, tmp_path, capsys):
         out, _, _ = _fit(tmp_path)
         grid = tmp_path / "grid.csv"
@@ -288,6 +314,31 @@ class TestExitCodes:
         code = main(["fit", "--config", str(cfg), "--level", p1, "--level", p2])
         assert code == EXIT_CONFIG
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("kernel", "famly"),
+            ("prior", "knd"),
+            ("optimizer", "n_start"),
+            ("benchmark", "n_lo"),
+        ],
+    )
+    def test_unknown_nested_config_key(self, tmp_path, capsys, section, key):
+        p1, p2, _, _ = _write_levels(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: 1}}))
+        code = main(["fit", "--config", str(cfg), "--level", p1, "--level", p2])
+        assert code == EXIT_CONFIG
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_config_section_must_be_an_object(self, tmp_path, capsys):
+        p1, p2, _, _ = _write_levels(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"optimizer": [2]}')
+        code = main(["fit", "--config", str(cfg), "--level", p1, "--level", p2])
+        assert code == EXIT_CONFIG
+        assert "'optimizer' must be a JSON object" in capsys.readouterr().err
 
     def test_degenerate_data_exits_three(self, tmp_path, capsys):
         p1, p2, _, _ = _write_levels(tmp_path, degenerate=True)

@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfcokrig.bench import borehole_high, borehole_low, replicate_design, scale_to_box
 from mfcokrig.estimate import (
+    MATCH_TOL,
     PLUGIN,
     POSTERIOR,
     SENTINEL_THRESHOLD,
     CokrigingData,
     OptimOptions,
     assemble,
+    coincident_rows,
     concentrated_restricted_likelihood,
     fit,
     fit_level,
@@ -34,7 +38,7 @@ from mfcokrig.kernels import (
     corr_matrix,
 )
 from mfcokrig.priors import PRIOR_KINDS, PriorSpec, log_prior
-from oracles import dense_objective
+from oracles import coincident_rows_loop, dense_objective
 
 
 def _nested_pair(rng, n1=14, n2=7, d=2, gamma=1.6):
@@ -62,6 +66,58 @@ class TestMatchRows:
         child = np.array([[0.5, 0.5], [0.25, 0.25]])
         with pytest.raises(NestingError, match="row 1"):
             match_rows(child, parent)
+
+
+# per-coordinate offsets on both sides of the tolerance, including exactly
+# the tolerance and one rounding step either side of it
+_OFFSETS = [0.0, 1e-14, 1.0, 1.0 - 1e-15, 1.0 + 1e-15, 2.0, 0.5, 1e3]
+
+
+@st.composite
+def _row_sets(draw):
+    """Rows ``A`` and rows ``B`` made of ``A``'s rows moved by multiples of
+    ``tol`` per coordinate, plus unrelated rows, some non-finite."""
+    d = draw(st.integers(1, 3))
+    tol = draw(st.sampled_from([MATCH_TOL, 1e-6, 0.25]))
+    m = draw(st.integers(0, 5))
+    coord = st.floats(-1e3, 1e3, allow_nan=False)
+    A = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=m, max_size=m)))
+    A = A.reshape(m, d)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        if m and draw(st.booleans()):
+            base = A[draw(st.integers(0, m - 1))]
+            steps = draw(st.lists(st.sampled_from(_OFFSETS), min_size=d, max_size=d))
+            signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d))
+            rows.append(base + np.array(signs) * np.array(steps) * tol)
+        else:
+            rows.append(np.array(draw(st.lists(coord, min_size=d, max_size=d))))
+    B = np.array(rows).reshape(len(rows), d)
+    if draw(st.booleans()) and B.size:
+        B[draw(st.integers(0, B.shape[0] - 1)), 0] = draw(st.sampled_from([np.nan, np.inf]))
+    return A, B, tol
+
+
+class TestCoincidentRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_row_sets())
+    def test_equals_row_loop(self, case):
+        A, B, tol = case
+        np.testing.assert_array_equal(coincident_rows(A, B, tol), coincident_rows_loop(A, B, tol))
+        np.testing.assert_array_equal(coincident_rows(B, A, tol), coincident_rows_loop(B, A, tol))
+
+    def test_offset_of_exactly_tol_coincides(self):
+        A = np.array([[0.0, 0.0]])
+        B = np.array([[MATCH_TOL, -MATCH_TOL], [MATCH_TOL * (1 + 1e-15), 0.0]])
+        np.testing.assert_array_equal(coincident_rows(A, B), [[True, False]])
+
+    def test_duplicate_error_names_smallest_pair(self):
+        rng = np.random.default_rng(7)
+        X = rng.uniform(size=(5, 2))
+        X[3] = X[0]
+        X[2] = X[1]  # (1, 2) has the smaller second index, (0, 3) the smaller first
+        with pytest.raises(DuplicateRowError, match="rows 0 and 3"):
+            assemble([(X, rng.standard_normal(5))])
 
 
 class TestAssemble:

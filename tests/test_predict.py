@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import t as student_t
 
 from mfcokrig.estimate import (
+    MATCH_TOL,
     FitResult,
     LevelFit,
     OptimOptions,
@@ -20,8 +21,9 @@ from mfcokrig.kernels import (
     corr_matrix,
     cross_corr,
 )
-from mfcokrig.predict import CokrigingModel, build_model
+from mfcokrig.predict import CokrigingModel
 from mfcokrig.priors import PriorSpec
+from oracles import coincident_rows_loop, point_draws, point_intervals
 
 
 def _nested_pair(rng, n1=15, n2=8, d=2, gamma=1.4):
@@ -32,6 +34,19 @@ def _nested_pair(rng, n1=15, n2=8, d=2, gamma=1.4):
     idx = match_rows(X2, X1)
     y2 = gamma * y1[idx] + 0.4 * np.cos(4.0 * X2[:, 0]) - 0.2
     return (X1, y1), (X2, y2)
+
+
+def _three_level_case(rng):
+    X1 = rng.uniform(size=(18, 2))
+    X2 = X1[:10]
+    X3 = X2[:5]
+    y1 = np.sin(2.0 * X1[:, 0]) + 0.2 * rng.standard_normal(18)
+    y2 = 1.3 * y1[:10] + 0.3 * X2[:, 1] ** 2
+    y3 = 0.8 * y2[:5] + 0.1 * np.cos(3.0 * X3[:, 0])
+    data = assemble([(X1, y1), (X2, y2), (X3, y3)])
+    spec = KernelSpec(family=MATERN, shape=1.5, dims=2)
+    phis = [np.array([0.7, 0.7]), np.array([0.9, 0.6]), np.array([1.1, 0.8])]
+    return data, spec, phis
 
 
 def _manual_fit(data, spec, phis):
@@ -136,15 +151,7 @@ class TestPredictionAgainstDenseReference:
 
     def test_three_level_recursion(self):
         rng = np.random.default_rng(101)
-        X1 = rng.uniform(size=(18, 2))
-        X2 = X1[:10]
-        X3 = X2[:5]
-        y1 = np.sin(2.0 * X1[:, 0]) + 0.2 * rng.standard_normal(18)
-        y2 = 1.3 * y1[:10] + 0.3 * X2[:, 1] ** 2
-        y3 = 0.8 * y2[:5] + 0.1 * np.cos(3.0 * X3[:, 0])
-        data = assemble([(X1, y1), (X2, y2), (X3, y3)])
-        spec = KernelSpec(family=MATERN, shape=1.5, dims=2)
-        phis = [np.array([0.7, 0.7]), np.array([0.9, 0.6]), np.array([1.1, 0.8])]
+        data, spec, phis = _three_level_case(rng)
         model = CokrigingModel(data, _manual_fit(data, spec, phis))
         X0 = rng.uniform(0.1, 0.9, size=(6, 2))
         pred = model.predict(X0)
@@ -210,6 +217,21 @@ class TestInterpolation:
         assert not pred.at_design[:, 1].any()
         # the high level is genuinely uncertain there
         assert np.all(pred.variances[:, 1] > 1e-8)
+
+
+    def test_at_design_matches_row_loop(self):
+        rng = np.random.default_rng(112)
+        data, spec, phis = _three_level_case(rng)
+        model = CokrigingModel(data, _manual_fit(data, spec, phis))
+        X1 = data.levels[0].inputs
+        nudged = X1[:6].copy()
+        nudged[:, 0] += np.array([1.0, -1.0, 1.0 + 1e-15, 1.0 - 1e-15, 2.0, 0.5]) * MATCH_TOL
+        X0 = np.vstack([X1, nudged, rng.uniform(size=(10, 2))])
+        pred = model.predict(X0)
+        for t, lv in enumerate(data.levels):
+            want = coincident_rows_loop(X0, lv.inputs, MATCH_TOL).any(axis=1)
+            np.testing.assert_array_equal(pred.at_design[:, t], want)
+        assert pred.at_design[:18, 0].all() and not pred.at_design[-10:].any()
 
 
 class TestVarianceDominance:
@@ -350,6 +372,56 @@ class TestCredibleIntervals:
             model.credible_interval(np.zeros(2), level=2)
         with pytest.raises(InvalidArgumentError):
             model.credible_interval(np.zeros(2), level=1, prob=1.0)
+        with pytest.raises(InvalidArgumentError):
+            model.credible_interval(np.zeros((2, 2)), level=1)
+        for seed in (None, -1, True, 1.5):
+            with pytest.raises(InvalidArgumentError):
+                model.credible_intervals(np.zeros(2), seed=seed)
+        with pytest.raises(InvalidArgumentError):
+            model.credible_intervals(np.zeros(2), n_draws=0)
+        with pytest.raises(InvalidArgumentError):
+            model.credible_intervals(np.zeros((3, 5)))
+
+
+def _interval_cases():
+    """Two- and three-level models with queries at random points, at the
+    top design and at bottom-only design points."""
+    rng = np.random.default_rng(143)
+    pair1, pair2 = _nested_pair(rng)
+    data = assemble([pair1, pair2])
+    spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+    phis = [np.array([0.6, 0.9]), np.array([0.8, 0.5])]
+    two = CokrigingModel(data, _manual_fit(data, spec, phis))
+    X0_two = np.vstack([rng.uniform(size=(12, 2)), pair2[0][:4], pair1[0][:4]])
+    data, spec, phis = _three_level_case(rng)
+    three = CokrigingModel(data, _manual_fit(data, spec, phis))
+    X1 = data.levels[0].inputs
+    X0_three = np.vstack([rng.uniform(size=(12, 2)), X1[:3], X1[7:9], X1[12:15]])
+    return [(two, X0_two), (three, X0_three)]
+
+
+class TestBatchedIntervals:
+    @pytest.mark.parametrize("case", [0, 1], ids=["two_level", "three_level"])
+    def test_agree_with_per_point_oracle(self, case):
+        model, X0 = _interval_cases()[case]
+        # 4000 draws put several query rows in each draw block, and more
+        # than one block in the call
+        got = model.credible_intervals(X0, prob=0.9, n_draws=4000, seed=31)
+        want = point_intervals(model, X0, 0.9, 4000, 31)
+        tol = 1e-9 * np.abs(model.predict(X0).means)
+        assert np.all(np.abs(got - want) <= tol[:, :, None])
+        for i in (0, 13, X0.shape[0] - 1):
+            draws = model.sample_predictive(X0[i], 300, seed=5 + i)
+            assert np.all(np.abs(draws - point_draws(model, X0[i], 300, 5 + i)) <= tol[i])
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["two_level", "three_level"])
+    def test_single_interval_is_the_batched_entry(self, case):
+        model, X0 = _interval_cases()[case]
+        for i in (0, 12, X0.shape[0] - 1):
+            batched = model.credible_intervals(X0[i], n_draws=700, seed=40 + i)
+            for level in range(1, model.s + 1):
+                single = model.credible_interval(X0[i], level, n_draws=700, seed=40 + i)
+                assert single == tuple(batched[0, level - 1])
 
 
 class TestModelConstruction:
@@ -372,7 +444,6 @@ class TestModelConstruction:
         )
         with pytest.raises(InvalidArgumentError):
             CokrigingModel(data, short)
-        assert isinstance(build_model(data, fitres), CokrigingModel)
 
     def test_variance_needs_enough_degrees_of_freedom(self):
         rng = np.random.default_rng(151)
