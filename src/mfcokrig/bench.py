@@ -14,7 +14,7 @@ interval length, because any single random split is design-dependent.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .exceptions import (
     SingularCorrelationError,
 )
 from .kernels import KernelSpec
+from .modelio import record
 from .predict import CokrigingModel
 from .priors import PriorSpec
 
@@ -211,15 +212,7 @@ def _replicate_metrics(rep, seed, n_low, n_high, n_test, spec, prior, method, op
     y_truth = np.array([borehole_high(X_phys[i]) for i in test_idx])
 
     data = assemble([(U[low_idx], y_low), (U[high_idx], y_high)])
-    opts = OptimOptions(
-        seed=fit_seed,
-        n_starts=opts_base.n_starts,
-        tol=opts_base.tol,
-        max_evals=opts_base.max_evals,
-        start_low=opts_base.start_low,
-        start_high=opts_base.start_high,
-        initial_step=opts_base.initial_step,
-    )
+    opts = replace(opts_base, seed=fit_seed)
     result = fit(data, spec, prior, opts, method=method)
     model = CokrigingModel(data, result)
 
@@ -318,9 +311,9 @@ def run_borehole_benchmark(
         "n_test": n_test,
         "n_reps": n_reps,
         "method": method,
-        "kernel": spec.to_dict(),
-        "prior": prior.to_dict(),
-        "optimizer": opts.to_dict(),
+        "kernel": record(spec),
+        "prior": record(prior),
+        "optimizer": record(opts),
         "metric_note": (
             "medians over seeded replicates; single-split results vary with "
             "the random design"

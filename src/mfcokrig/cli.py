@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -36,9 +37,12 @@ from .exceptions import (
 from .gp import tail_probe
 from .kernels import KernelSpec, RangeParams
 from .modelio import (
+    check_keys,
     dump_json,
     load_level_csv,
     load_model,
+    read_record,
+    record,
     save_model,
     write_draws_csv,
     write_predictions_csv,
@@ -81,20 +85,12 @@ _CONFIG_KEYS = {
     "benchmark",
 }
 
-# the keys each nested section may hold: what _build_kernel, _build_prior,
-# _build_opts and cmd_benchmark read from it
+# the keys each nested section may hold: the fields of the record it
+# builds (a kernel's dims come from the data), or the benchmark's sizes
 _SECTION_KEYS = {
-    "kernel": {"family", "shape", "nugget"},
-    "prior": {"kind", "jr_a0", "jr_b0", "jr_C"},
-    "optimizer": {
-        "seed",
-        "n_starts",
-        "tol",
-        "max_evals",
-        "start_low",
-        "start_high",
-        "initial_step",
-    },
+    "kernel": {f.name for f in fields(KernelSpec)} - {"dims"},
+    "prior": {f.name for f in fields(PriorSpec)},
+    "optimizer": {f.name for f in fields(OptimOptions)},
     "benchmark": {"n_low", "n_high", "n_test", "n_reps"},
 }
 
@@ -117,70 +113,36 @@ def _load_config(path):
             f"unknown config keys: {sorted(unknown)}; expected {sorted(_CONFIG_KEYS)}"
         )
     for section, allowed in _SECTION_KEYS.items():
-        sub = cfg.get(section, {})
-        if not isinstance(sub, dict):
-            raise ConfigError(f"config '{section}' must be a JSON object")
-        unknown = sorted(f"{section}.{key}" for key in set(sub) - allowed)
-        if unknown:
-            raise ConfigError(
-                f"unknown config keys: {unknown}; '{section}' takes {sorted(allowed)}"
-            )
+        check_keys(cfg.get(section, {}), section, allowed)
     return cfg
 
 
+def _section(cfg, args, name, cls):
+    """Config section ``name`` with the flags given on the command line
+    laid over it: each flag's destination is the field of ``cls`` it sets."""
+    section = dict(cfg.get(name, {}))
+    for f in fields(cls):
+        if getattr(args, f.name, None) is not None:
+            section[f.name] = getattr(args, f.name)
+    return section
+
+
 def _build_kernel(cfg, args, dims):
-    kcfg = dict(cfg.get("kernel", {}))
-    if getattr(args, "kernel", None) is not None:
-        kcfg["family"] = args.kernel
-    if getattr(args, "shape", None) is not None:
-        kcfg["shape"] = args.shape
-    if getattr(args, "nugget", None) is not None:
-        kcfg["nugget"] = args.nugget
+    kcfg = _section(cfg, args, "kernel", KernelSpec)
     kcfg.setdefault("family", "power_exponential")
     kcfg["dims"] = dims
-    kcfg.setdefault("shape", None)
-    kcfg.setdefault("nugget", 1e-10)
-    return KernelSpec(
-        family=kcfg["family"],
-        shape=kcfg["shape"],
-        dims=kcfg["dims"],
-        nugget=kcfg["nugget"],
-    )
+    return read_record(KernelSpec, kcfg, "kernel", partial=True)
 
 
 def _build_prior(cfg, args):
-    pcfg = dict(cfg.get("prior", {}))
-    if getattr(args, "prior", None) is not None:
-        pcfg["kind"] = args.prior
-    if getattr(args, "jr_a0", None) is not None:
-        pcfg["jr_a0"] = args.jr_a0
-    if getattr(args, "jr_b0", None) is not None:
-        pcfg["jr_b0"] = args.jr_b0
+    pcfg = _section(cfg, args, "prior", PriorSpec)
     pcfg.setdefault("kind", "reference")
-    return PriorSpec(
-        kind=pcfg["kind"],
-        jr_a0=pcfg.get("jr_a0"),
-        jr_b0=pcfg.get("jr_b0", 1.0),
-        jr_C=pcfg.get("jr_C"),
-    )
+    return read_record(PriorSpec, pcfg, "prior", partial=True)
 
 
 def _build_opts(cfg, args):
-    ocfg = dict(cfg.get("optimizer", {}))
-    if getattr(args, "seed", None) is not None:
-        ocfg["seed"] = args.seed
-    if getattr(args, "starts", None) is not None:
-        ocfg["n_starts"] = args.starts
-    ocfg.setdefault("seed", 0)
-    return OptimOptions(
-        seed=ocfg["seed"],
-        n_starts=ocfg.get("n_starts", 8),
-        tol=ocfg.get("tol", 1e-8),
-        max_evals=ocfg.get("max_evals"),
-        start_low=ocfg.get("start_low", -3.0),
-        start_high=ocfg.get("start_high", 3.0),
-        initial_step=ocfg.get("initial_step", 0.5),
-    )
+    ocfg = _section(cfg, args, "optimizer", OptimOptions)
+    return read_record(OptimOptions, ocfg, "optimizer", partial=True)
 
 
 def _resolve_out(cfg, args):
@@ -225,9 +187,9 @@ def cmd_fit(args):
         "fit",
         {
             "levels": paths,
-            "kernel": spec.to_dict(),
-            "prior": prior.to_dict(),
-            "optimizer": opts.to_dict(),
+            "kernel": record(spec),
+            "prior": record(prior),
+            "optimizer": record(opts),
             "method": method,
         },
     )
@@ -260,7 +222,12 @@ def cmd_predict(args):
         raise ConfigError("no prediction grid given; pass --grid or config 'grid'")
     data, result = load_model(args.model)
     model = CokrigingModel(data, result)
-    X0, _ = _load_grid(grid_path, data.dims)
+    X0, _ = load_level_csv(grid_path, y_optional=True)
+    if X0.shape[1] != data.dims:
+        raise ConfigError(
+            f"{grid_path} has {X0.shape[1]} input columns but the model "
+            f"expects {data.dims}"
+        )
     pred = model.predict(X0)
     seed = args.seed if args.seed is not None else 0
     intervals = model.credible_intervals(X0, prob=0.95, n_draws=args.draws, seed=seed)
@@ -280,35 +247,6 @@ def cmd_predict(args):
         f"predicted {X0.shape[0]} points at {data.s} level(s); wrote {pred_path}\n"
     )
     return EXIT_OK
-
-
-def _load_grid(path, dims):
-    """Read a query grid: either x1..xd,y (y ignored) or x1..xd."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            import csv as _csv
-
-            reader = _csv.reader(fh)
-            header = next(reader, None)
-            rows = [row for row in reader if row]
-    except FileNotFoundError as exc:
-        raise ConfigError(f"grid file not found: {path}") from exc
-    if header is None:
-        raise ConfigError(f"{path} is empty; expected a header row")
-    header = [h.strip() for h in header]
-    has_y = header[-1] == "y"
-    d = len(header) - (1 if has_y else 0)
-    if d != dims:
-        raise ConfigError(f"{path} has {d} input columns but the model expects {dims}")
-    try:
-        values = np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: non-numeric cell ({exc})") from exc
-    if values.size == 0:
-        raise ConfigError(f"{path} contains no data rows")
-    X = values[:, :dims]
-    y = values[:, dims] if has_y else None
-    return X, y
 
 
 def cmd_sample(args):
@@ -419,8 +357,8 @@ def cmd_tailprobe(args):
         {
             "levels": paths,
             "level_index": args.level_index,
-            "kernel": spec.to_dict(),
-            "prior": prior.to_dict(),
+            "kernel": record(spec),
+            "prior": record(prior),
             "phi_grid": [float(g) for g in grid],
         },
     )
@@ -432,14 +370,18 @@ def _add_common(parser):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output directory (default: current)")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
+    # each flag that sets a kernel, prior or optimizer field has that
+    # field's name as its destination
     parser.add_argument(
         "--prior",
+        dest="kind",
         choices=PRIOR_KINDS,
         default=None,
         help="prior for the range parameters",
     )
     parser.add_argument(
         "--kernel",
+        dest="family",
         choices=("power_exponential", "matern"),
         default=None,
         help="correlation family",
@@ -474,7 +416,12 @@ def build_parser():
         help="per-level CSV (repeat, lowest fidelity first)",
     )
     p_fit.add_argument(
-        "--starts", type=int, default=None, help="optimizer multi-start count"
+        "--starts",
+        dest="n_starts",
+        metavar="STARTS",
+        type=int,
+        default=None,
+        help="optimizer multi-start count",
     )
     p_fit.add_argument(
         "--method",
@@ -506,7 +453,7 @@ def build_parser():
     p_bench.add_argument("--n-high", type=int, default=None)
     p_bench.add_argument("--n-test", type=int, default=None)
     p_bench.add_argument("--reps", type=int, default=None)
-    p_bench.add_argument("--starts", type=int, default=None)
+    p_bench.add_argument("--starts", dest="n_starts", metavar="STARTS", type=int)
     p_bench.add_argument(
         "--method", choices=("posterior", "plugin"), default=None
     )

@@ -75,11 +75,11 @@ def _is_real(value):
 class OptimOptions:
     """Multi-start Nelder-Mead configuration.
 
-    ``max_evals`` of ``None`` means ``500 * (d + 1)`` per start.  The first
-    start is always ``xi = 0``; the remaining ``n_starts - 1`` are drawn
-    uniformly from ``[start_low, start_high]^d`` with a stream seeded by
-    ``(seed, level, start)`` so runs are reproducible and levels
-    independent.
+    ``max_evals`` of ``None`` means ``nelder_mead_max``'s default budget
+    per start.  The first start is always ``xi = 0``; the remaining
+    ``n_starts - 1`` are drawn uniformly from ``[start_low, start_high]^d``
+    with a stream seeded by ``(seed, level, start)`` so runs are
+    reproducible and levels independent.
     """
 
     seed: int = 0
@@ -115,21 +115,6 @@ class OptimOptions:
             and -math.inf < self.start_low < self.start_high < math.inf
         ):
             raise InvalidArgumentError("start_low must be < start_high, both finite")
-
-    def to_dict(self):
-        return {
-            "seed": self.seed,
-            "n_starts": self.n_starts,
-            "tol": self.tol,
-            "max_evals": self.max_evals,
-            "start_low": self.start_low,
-            "start_high": self.start_high,
-            "initial_step": self.initial_step,
-        }
-
-    @classmethod
-    def from_dict(cls, payload):
-        return cls(**payload)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,6 +228,11 @@ def assemble(raw_levels, basis="constant"):
         outputs = np.asarray(outputs, dtype=np.float64).ravel()
         if inputs.ndim != 2:
             raise InvalidArgumentError(f"level {t} inputs must be a 2-d matrix")
+        if t > 1 and inputs.shape[1] != prev_inputs.shape[1]:
+            raise InvalidArgumentError(
+                "all levels must share one input dimension; "
+                f"level {t} has d={inputs.shape[1]}, expected {prev_inputs.shape[1]}"
+            )
         _check_no_duplicates(inputs, t)
         lower = None
         if t > 1:
@@ -359,7 +349,12 @@ def _plugin_objective(data_t, xi, spec, stack=None):
 
 @dataclass(frozen=True, eq=False)
 class LevelFit:
-    """Estimation outcome at one level."""
+    """Estimation outcome at one level.
+
+    ``phi``, ``xi`` and ``b_hat`` are held as float arrays and
+    ``start_values`` as a tuple of floats, whatever sequences they are
+    built from.
+    """
 
     level: int
     phi: np.ndarray
@@ -374,28 +369,18 @@ class LevelFit:
     n_failed_starts: int
     start_values: tuple
 
+    def __post_init__(self):
+        for name in ("phi", "xi", "b_hat"):
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "start_values", tuple(map(float, self.start_values)))
+
     @property
     def gamma(self):
         """Scale-link coefficient to the lower level; None at level one."""
         if self.level == 1:
             return None
         return float(self.b_hat[-1])
-
-    def to_dict(self):
-        return {
-            "level": self.level,
-            "phi": [float(v) for v in self.phi],
-            "xi": [float(v) for v in self.xi],
-            "objective_value": self.objective_value,
-            "b_hat": [float(v) for v in self.b_hat],
-            "sigma2_hat": self.sigma2_hat,
-            "S2": self.S2,
-            "converged": self.converged,
-            "n_evals": self.n_evals,
-            "best_start": self.best_start,
-            "n_failed_starts": self.n_failed_starts,
-            "start_values": [float(v) for v in self.start_values],
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,7 +418,6 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
             f"got n={data_t.n}, q={data_t.q}"
         )
     d = data_t.dims
-    max_evals = opts.max_evals if opts.max_evals is not None else 500 * (d + 1)
     # constant over the fit; freed when it returns
     stack = distance_stack(data_t.inputs, spec)
 
@@ -464,7 +448,7 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
             x0,
             initial_step=opts.initial_step,
             tol=opts.tol,
-            max_evals=max_evals,
+            max_evals=opts.max_evals,
         )
         total_evals += res.n_evals
         start_values.append(res.fun)
@@ -495,7 +479,7 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
         n_evals=total_evals,
         best_start=best_start,
         n_failed_starts=n_failed,
-        start_values=tuple(start_values),
+        start_values=start_values,
     )
 
 

@@ -100,23 +100,6 @@ class KernelSpec:
                 f"nugget must lie in [0, {MAX_NUGGET}], got {nugget}"
             )
 
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "shape": self.shape,
-            "dims": self.dims,
-            "nugget": self.nugget,
-        }
-
-    @classmethod
-    def from_dict(cls, payload):
-        return cls(
-            family=payload["family"],
-            shape=payload["shape"],
-            dims=payload["dims"],
-            nugget=payload["nugget"],
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class RangeParams:

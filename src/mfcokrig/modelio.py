@@ -7,11 +7,16 @@ predictor exactly.  Floats are written with shortest round-trip formatting;
 documents are key-sorted with no timestamps, so identical runs produce
 byte-identical files.
 
-CSV conventions: one file per level with header ``x1,...,xd,y``; values
-round-trip at full double precision.
+The kernel, prior, optimizer and per-level fit records are written by
+``record`` and read back by ``read_record``, both driven by the records'
+dataclass fields; the same reader builds records from config sections.
+
+CSV conventions: one file per level with header ``x1,...,xd,y`` (a query
+grid may drop the ``y``); values round-trip at full double precision.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 
@@ -24,11 +29,22 @@ from .estimate import (
     OptimOptions,
     assemble,
 )
-from .exceptions import ConfigError, InvalidArgumentError
+from .exceptions import ConfigError, InvalidArgumentError, MfcokrigError
 from .kernels import KernelSpec
 from .priors import PriorSpec
 
 MODEL_SCHEMA_VERSION = 1
+_DOCUMENT_KEYS = (
+    "schema_version",
+    "kernel",
+    "prior",
+    "method",
+    "parameterization",
+    "optimizer",
+    "basis",
+    "levels",
+)
+_LEVEL_KEYS = ("inputs", "outputs", "fingerprint", "fit")
 
 
 def _fingerprint(inputs, outputs):
@@ -37,6 +53,55 @@ def _fingerprint(inputs, outputs):
     h.update(np.ascontiguousarray(inputs, dtype="<f8").tobytes())
     h.update(np.ascontiguousarray(outputs, dtype="<f8").tobytes())
     return h.hexdigest()
+
+
+def record(obj):
+    """JSON-ready mapping of a ``KernelSpec``, ``PriorSpec``,
+    ``OptimOptions`` or ``LevelFit``: one key per dataclass field, with
+    arrays and tuples as lists of floats."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, (np.ndarray, tuple)):
+            value = [float(v) for v in value]
+        out[f.name] = value
+    return out
+
+
+def check_keys(payload, where, allowed, required=()):
+    """Raise ``ConfigError`` unless ``payload`` is a JSON object holding
+    only ``allowed`` keys and every ``required`` one.  Keys are named
+    ``where.key``, or ``key`` at the top of a document (``where=""``)."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"'{where}' must be a JSON object")
+    prefix = f"{where}." if where else ""
+    unknown = sorted(prefix + key for key in set(payload) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown keys: {unknown}; expected {sorted(allowed)}")
+    missing = [prefix + key for key in required if key not in payload]
+    if missing:
+        raise ConfigError(f"missing keys: {missing}")
+
+
+def read_record(cls, payload, where, partial=False):
+    """Rebuild a record of type ``cls`` from the mapping ``record`` writes.
+
+    A model document must hold every field; a config section
+    (``partial``) may leave out the fields that have a default.  Raises
+    ``ConfigError`` naming ``where.key`` for a non-object, an unknown key,
+    a missing key or a value of the wrong type.
+    """
+    fields = dataclasses.fields(cls)
+    required = [
+        f.name for f in fields if not partial or f.default is dataclasses.MISSING
+    ]
+    check_keys(payload, where, [f.name for f in fields], required)
+    try:
+        return cls(**payload)
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, MfcokrigError):
+            raise
+        raise ConfigError(f"'{where}' holds a value of the wrong type ({exc})") from exc
 
 
 def model_document(data, fit_result):
@@ -48,16 +113,16 @@ def model_document(data, fit_result):
                 "inputs": [[float(v) for v in row] for row in lv.inputs],
                 "outputs": [float(v) for v in lv.outputs],
                 "fingerprint": _fingerprint(lv.inputs, lv.outputs),
-                "fit": lf.to_dict(),
+                "fit": record(lf),
             }
         )
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
-        "kernel": fit_result.spec.to_dict(),
-        "prior": fit_result.prior.to_dict(),
+        "kernel": record(fit_result.spec),
+        "prior": record(fit_result.prior),
         "method": fit_result.method,
         "parameterization": fit_result.parameterization,
-        "optimizer": fit_result.opts.to_dict(),
+        "optimizer": record(fit_result.opts),
         "basis": "constant",
         "levels": levels,
     }
@@ -91,42 +156,37 @@ def load_model(path):
         raise ConfigError(f"model file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"model file is not valid JSON: {path} ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"model file {path} must hold a JSON object")
     version = doc.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported model schema version {version!r}; "
             f"this build reads version {MODEL_SCHEMA_VERSION}"
         )
-    spec = KernelSpec.from_dict(doc["kernel"])
-    prior = PriorSpec.from_dict(doc["prior"])
-    opts = OptimOptions.from_dict(doc["optimizer"])
+    check_keys(doc, "", _DOCUMENT_KEYS, _DOCUMENT_KEYS)
+    spec = read_record(KernelSpec, doc["kernel"], "kernel")
+    prior = read_record(PriorSpec, doc["prior"], "prior")
+    opts = read_record(OptimOptions, doc["optimizer"], "optimizer")
+    if not isinstance(doc["levels"], list):
+        raise ConfigError("'levels' must be a JSON array")
     raw_levels = []
-    for entry in doc["levels"]:
-        inputs = np.asarray(entry["inputs"], dtype=np.float64)
-        outputs = np.asarray(entry["outputs"], dtype=np.float64)
-        if entry.get("fingerprint") != _fingerprint(inputs, outputs):
+    fits = []
+    for t, entry in enumerate(doc["levels"]):
+        where = f"levels[{t}]"
+        check_keys(entry, where, _LEVEL_KEYS, _LEVEL_KEYS)
+        try:
+            inputs = np.asarray(entry["inputs"], dtype=np.float64)
+            outputs = np.asarray(entry["outputs"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"'{where}' holds ragged or non-numeric data ({exc})"
+            ) from exc
+        if entry["fingerprint"] != _fingerprint(inputs, outputs):
             raise ConfigError(f"model file {path} fails its data fingerprint check")
         raw_levels.append((inputs, outputs))
-    data = assemble(raw_levels, basis=doc.get("basis", "constant"))
-    fits = []
-    for entry in doc["levels"]:
-        f = entry["fit"]
-        fits.append(
-            LevelFit(
-                level=f["level"],
-                phi=np.asarray(f["phi"], dtype=np.float64),
-                xi=np.asarray(f["xi"], dtype=np.float64),
-                objective_value=f["objective_value"],
-                b_hat=np.asarray(f["b_hat"], dtype=np.float64),
-                sigma2_hat=f["sigma2_hat"],
-                S2=f["S2"],
-                converged=f["converged"],
-                n_evals=f["n_evals"],
-                best_start=f["best_start"],
-                n_failed_starts=f["n_failed_starts"],
-                start_values=tuple(f["start_values"]),
-            )
-        )
+        fits.append(read_record(LevelFit, entry["fit"], f"{where}.fit"))
+    data = assemble(raw_levels, basis=doc["basis"])
     fit_result = FitResult(
         levels=tuple(fits),
         method=doc["method"],
@@ -142,8 +202,13 @@ def _format(value):
     return repr(float(value))
 
 
-def load_level_csv(path):
-    """Read one level's ``x1..xd,y`` file into (inputs, outputs)."""
+def load_level_csv(path, y_optional=False):
+    """Read one level's ``x1..xd,y`` file into (inputs, outputs).
+
+    With ``y_optional``, as for a query grid, a header ``x1..xd`` is
+    accepted too and gives outputs of ``None``.  Every row must have one
+    cell per header column.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -151,30 +216,29 @@ def load_level_csv(path):
                 header = next(reader)
             except StopIteration:
                 raise ConfigError(f"{path} is empty; expected a header row")
-            rows = [row for row in reader if row]
+            rows = [(reader.line_num, row) for row in reader if row]
     except FileNotFoundError as exc:
         raise ConfigError(f"data file not found: {path}") from exc
     header = [h.strip() for h in header]
-    if len(header) < 2 or header[-1] != "y":
-        raise ConfigError(
-            f"{path}: header must be x1,...,xd,y, got {','.join(header)}"
-        )
-    d = len(header) - 1
-    expected = [f"x{k + 1}" for k in range(d)]
-    if header[:-1] != expected:
-        raise ConfigError(
-            f"{path}: header must be {','.join(expected + ['y'])}, "
-            f"got {','.join(header)}"
-        )
+    has_y = header[-1:] == ["y"]
+    d = len(header) - has_y
+    expected = [f"x{k + 1}" for k in range(d)] + ["y"] * has_y
+    if d < 1 or header != expected or not (has_y or y_optional):
+        form = "x1,...,xd[,y]" if y_optional else "x1,...,xd,y"
+        raise ConfigError(f"{path}: header must be {form}, got {','.join(header)}")
     if not rows:
         raise ConfigError(f"{path} contains a header but no data rows")
+    for line, row in rows:
+        if len(row) != len(header):
+            raise ConfigError(
+                f"{path}: line {line} has {len(row)} cells; "
+                f"the header has {len(header)}"
+            )
     try:
-        values = np.array([[float(v) for v in row] for row in rows])
+        values = np.array([[float(v) for v in row] for _, row in rows])
     except ValueError as exc:
         raise ConfigError(f"{path}: non-numeric cell ({exc})") from exc
-    if values.shape[1] != d + 1:
-        raise ConfigError(f"{path}: rows must have {d + 1} columns")
-    return values[:, :d], values[:, d]
+    return values[:, :d], values[:, d] if has_y else None
 
 
 def write_level_csv(path, inputs, outputs):

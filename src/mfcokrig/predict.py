@@ -24,8 +24,9 @@ from .exceptions import DesignRankError, InvalidArgumentError, VarianceUndefined
 from .gp import gls_fit
 from .kernels import RangeParams, cross_corr
 
-# a whitened scale-link column with squared norm below this is collinear
-# with the basis, making the scale coefficient unidentifiable
+# a whitened scale-link column that keeps less than this share of its
+# squared norm once the basis is projected out is collinear with the basis,
+# making the scale coefficient unidentifiable
 MIN_SCALE_LINK_NORM = 1e-12
 
 # interval draws are taken for a block of query rows at a time, sized so the
@@ -69,7 +70,6 @@ class _LevelState:
     fact: object
     sigma2_pred: float  # S2 / (n - q), the Student-t scale estimate
     gamma: float  # scale link to the level below; 0.0 at level one
-    inv_scale_link_quad: float  # {W^T Q_H W}^{-1}; 0.0 at level one
     minv_qq: float  # last diagonal entry of (X^T R^-1 X)^-1
 
 
@@ -101,17 +101,19 @@ class CokrigingModel:
                 )
             params = RangeParams(lf.phi)
             fact = gls_fit(lv, params, self.spec)
+            # the last diagonal entry of M^-1 for M = L L^T is 1 / L_qq^2;
+            # above level one L_qq^2 = W^T Q_H W, the squared norm of the
+            # whitened scale-link column with the basis projected out
+            tail = fact.chol_M[-1, -1] ** 2
             gamma = 0.0
-            inv_quad = 0.0
             if lv.index > 1:
                 gamma = float(fact.b_hat[-1])
-                inv_quad = 1.0 / self._scale_link_quad(lv, fact)
-            q = lv.q
-            e_last = np.zeros(q)
-            e_last[-1] = 1.0
-            minv_qq = float(
-                cho_solve((fact.chol_M, True), e_last, check_finite=False)[-1]
-            )
+                w = fact.white_design[:, -1]
+                if tail <= MIN_SCALE_LINK_NORM * (w @ w):
+                    raise DesignRankError(
+                        f"level {lv.index} lower-level outputs are collinear "
+                        "with the basis; the scale link is unidentifiable"
+                    )
             states.append(
                 _LevelState(
                     data=lv,
@@ -119,40 +121,10 @@ class CokrigingModel:
                     fact=fact,
                     sigma2_pred=fact.S2 / (lv.n - lv.q),
                     gamma=gamma,
-                    inv_scale_link_quad=inv_quad,
-                    minv_qq=minv_qq,
+                    minv_qq=float(1.0 / tail),
                 )
             )
         self._states = states
-
-    @staticmethod
-    def _scale_link_quad(lv, fact):
-        """``W^T Q_H W`` with ``Q_H`` the GLS projector of the basis alone:
-        the squared norm of the scale-link column after whitening and
-        projecting out the basis."""
-        p = lv.p
-        A_H = fact.white_design[:, :p]
-        w = fact.white_design[:, p]
-        Mh = A_H.T @ A_H
-        try:
-            Lh = np.linalg.cholesky(Mh)
-        except np.linalg.LinAlgError as exc:
-            raise DesignRankError(
-                f"level {lv.index} basis is collinear after whitening"
-            ) from exc
-        coef = solve_triangular(
-            Lh.T,
-            solve_triangular(Lh, A_H.T @ w, lower=True, check_finite=False),
-            lower=False,
-            check_finite=False,
-        )
-        quad = float(w @ w - (A_H.T @ w) @ coef)
-        if quad <= MIN_SCALE_LINK_NORM:
-            raise DesignRankError(
-                f"level {lv.index} lower-level outputs are collinear with the "
-                "basis; the scale link is unidentifiable"
-            )
-        return quad
 
     @property
     def s(self):
@@ -230,7 +202,7 @@ class CokrigingModel:
             at_design[:, t] = coincident_rows(X0, lv.inputs).any(axis=1)
             if not mean_only:
                 quad = np.einsum("ij,ij->j", U, G)
-                c_star = c_base + quad + v_prev * st.inv_scale_link_quad
+                c_star = c_base + quad + v_prev * st.minv_qq
                 np.maximum(c_star, 0.0, out=c_star)
                 v = st.gamma**2 * v_prev + (df / (df - 2.0)) * st.sigma2_pred * c_star
                 variances[:, t] = v

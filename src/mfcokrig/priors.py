@@ -95,23 +95,6 @@ class PriorSpec:
             return 1.0 + 0.5 * q_t
         return 1.0
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "jr_a0": self.jr_a0,
-            "jr_b0": self.jr_b0,
-            "jr_C": None if self.jr_C is None else list(map(float, self.jr_C)),
-        }
-
-    @classmethod
-    def from_dict(cls, payload):
-        return cls(
-            kind=payload["kind"],
-            jr_a0=payload.get("jr_a0"),
-            jr_b0=payload.get("jr_b0", 1.0),
-            jr_C=payload.get("jr_C"),
-        )
-
 
 def _with_derivs(data, params, spec, fact):
     """``fact`` when it carries the derivative stack, else a fresh

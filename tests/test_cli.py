@@ -203,6 +203,58 @@ class TestPredictCommand:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a y column in the header but not in the rows
+            ("x1,x2,y\n0.1,0.2\n", "line 2 has 2 cells; the header has 3"),
+            # a short row among full ones
+            ("x1,x2\n0.1,0.2\n0.3\n", "line 3 has 1 cells; the header has 2"),
+            # a row wider than the header
+            ("x1,x2\n0.1,0.2,0.3\n", "line 2 has 3 cells; the header has 2"),
+        ],
+    )
+    def test_grid_rows_must_match_the_header(self, tmp_path, capsys, text, message):
+        out, _, _ = _fit(tmp_path)
+        grid = tmp_path / "grid.csv"
+        grid.write_text(text)
+        code = main(
+            ["predict", "--model", str(out / "model.json"), "--grid", str(grid),
+             "--out", str(tmp_path / "pg")]
+        )
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_grid_with_y_column_predicts_like_grid_without(self, tmp_path):
+        out, _, _ = _fit(tmp_path)
+        pts = np.random.default_rng(6).uniform(size=(4, 2))
+        write_level_csv(tmp_path / "with.csv", pts, np.full(4, 7.0))
+        (tmp_path / "without.csv").write_text(
+            "x1,x2\n" + "".join(f"{_format(a)},{_format(b)}\n" for a, b in pts)
+        )
+        for name in ("with", "without"):
+            code = main(
+                ["predict", "--model", str(out / "model.json"),
+                 "--grid", str(tmp_path / f"{name}.csv"),
+                 "--draws", "100", "--out", str(tmp_path / name)]
+            )
+            assert code == EXIT_OK
+        assert (tmp_path / "with" / "predictions.csv").read_bytes() == (
+            tmp_path / "without" / "predictions.csv"
+        ).read_bytes()
+
+    def test_malformed_model_exits_two_naming_the_key(self, tmp_path, capsys):
+        out, _, _ = _fit(tmp_path)
+        doc = json.loads((out / "model.json").read_text())
+        del doc["kernel"]["nugget"]
+        (out / "model.json").write_text(json.dumps(doc))
+        grid = tmp_path / "grid.csv"
+        grid.write_text("x1,x2\n0.1,0.2\n")
+        code = main(["predict", "--model", str(out / "model.json"), "--grid", str(grid)])
+        assert code == EXIT_CONFIG
+        assert "kernel.nugget" in capsys.readouterr().err
+
+
 class TestSampleCommand:
     def test_draws_csv_and_seeding(self, tmp_path):
         out, _, _ = _fit(tmp_path)

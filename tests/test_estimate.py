@@ -37,6 +37,7 @@ from mfcokrig.kernels import (
     RangeParams,
     corr_matrix,
 )
+from mfcokrig.modelio import read_record, record
 from mfcokrig.priors import PRIOR_KINDS, PriorSpec, log_prior
 from oracles import coincident_rows_loop, dense_objective
 
@@ -169,6 +170,13 @@ class TestAssemble:
                     assemble([(rng.uniform(size=(5, 3)), rng.standard_normal(5))]).levels[0],
                 )
             )
+
+    def test_assemble_checks_dimensions_before_nesting(self):
+        rng = np.random.default_rng(8)
+        low = (rng.uniform(size=(8, 2)), rng.standard_normal(8))
+        high = (rng.uniform(size=(4, 3)), rng.standard_normal(4))
+        with pytest.raises(InvalidArgumentError, match="level 2 has d=3, expected 2"):
+            assemble([low, high])
 
     def test_custom_basis(self):
         rng = np.random.default_rng(7)
@@ -330,7 +338,7 @@ class TestOptimOptions:
 
     def test_roundtrip(self):
         opts = OptimOptions(seed=7, n_starts=3, tol=1e-6, max_evals=200)
-        assert OptimOptions.from_dict(opts.to_dict()) == opts
+        assert read_record(OptimOptions, record(opts), "optimizer") == opts
 
 
 class TestFitLevel:
@@ -366,6 +374,16 @@ class TestFitLevel:
                 xi = lf.xi.copy()
                 xi[k] += delta
                 assert objective(lv, xi, spec, prior) <= lf.objective_value + 1e-9
+
+    def test_default_budget_is_the_optimizer_default(self):
+        rng = np.random.default_rng(34)
+        X = rng.uniform(size=(8, 1))
+        data = assemble([(X, np.sin(4.0 * X[:, 0]))])
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=1)
+        # tol=0 never converges, so each start spends its whole budget
+        opts = OptimOptions(n_starts=2, tol=0.0)
+        lf = fit_level(data.levels[0], spec, PriorSpec(kind="flat"), opts)
+        assert lf.n_evals == 2 * 500 * (1 + 1)
 
     def test_minimum_degrees_of_freedom(self):
         rng = np.random.default_rng(32)

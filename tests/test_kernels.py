@@ -23,6 +23,7 @@ from mfcokrig.kernels import (
     cross_corr,
     distance_stack,
 )
+from mfcokrig.modelio import read_record, record
 from oracles import corr_matrix_loop, corr_matrix_with_derivs_loop, cross_corr_loop
 
 # independently computed closed-form values at h = phi
@@ -115,7 +116,7 @@ class TestKernelSpec:
 
     def test_roundtrip(self):
         spec = KernelSpec(family=MATERN, shape=1.5, dims=3, nugget=1e-8)
-        assert KernelSpec.from_dict(spec.to_dict()) == spec
+        assert read_record(KernelSpec, record(spec), "kernel") == spec
 
 
 class TestRangeParams:

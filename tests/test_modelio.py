@@ -1,26 +1,31 @@
 """JSON model persistence and CSV interchange round-trips."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mfcokrig.estimate import OptimOptions, assemble, fit
+from mfcokrig.estimate import FitResult, LevelFit, OptimOptions, assemble, fit
 from mfcokrig.exceptions import ConfigError, InvalidArgumentError
-from mfcokrig.kernels import MATERN, KernelSpec
+from mfcokrig.kernels import MATERN, POWER_EXPONENTIAL, KernelSpec
 from mfcokrig.modelio import (
     MODEL_SCHEMA_VERSION,
     dump_json,
     load_level_csv,
     load_model,
     model_document,
+    read_record,
+    record,
     save_model,
     write_draws_csv,
     write_level_csv,
     write_tailprobe_csv,
 )
 from mfcokrig.predict import CokrigingModel
-from mfcokrig.priors import PriorSpec
+from mfcokrig.priors import PRIOR_KINDS, PriorSpec
 
 
 def _fitted(seed=0):
@@ -103,6 +108,198 @@ class TestModelRoundTrip:
             save_model(tmp_path / "m.json", data, result)
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+vectors = st.lists(finite, min_size=1, max_size=4)
+
+kernel_specs = st.one_of(
+    st.builds(
+        KernelSpec,
+        family=st.just(POWER_EXPONENTIAL),
+        shape=st.floats(0.05, 1.99),
+        dims=st.integers(1, 6),
+        nugget=st.floats(0.0, 1e-4),
+    ),
+    st.builds(
+        KernelSpec,
+        family=st.just(MATERN),
+        shape=st.sampled_from([0.5, 1.5, 2.5]),
+        dims=st.integers(1, 6),
+        nugget=st.floats(0.0, 1e-4),
+    ),
+)
+prior_specs = st.builds(
+    PriorSpec,
+    kind=st.sampled_from(PRIOR_KINDS),
+    jr_a0=st.none() | finite,
+    jr_b0=positive,
+    jr_C=st.none() | st.lists(positive, min_size=1, max_size=4),
+)
+optim_options = st.builds(
+    OptimOptions,
+    seed=st.integers(0, 2**62),
+    n_starts=st.integers(1, 50),
+    tol=st.floats(0.0, 1.0),
+    max_evals=st.none() | st.integers(1, 10**6),
+    start_low=st.floats(-10.0, -0.5),
+    start_high=st.floats(0.5, 10.0),
+    initial_step=positive,
+)
+level_fits = st.builds(
+    LevelFit,
+    level=st.integers(1, 5),
+    phi=st.lists(positive, min_size=1, max_size=4),
+    xi=vectors,
+    objective_value=finite,
+    b_hat=vectors,
+    sigma2_hat=positive,
+    S2=positive,
+    converged=st.booleans(),
+    n_evals=st.integers(0, 10**6),
+    best_start=st.integers(-1, 50),
+    n_failed_starts=st.integers(0, 50),
+    start_values=st.lists(finite, max_size=5).map(tuple),
+)
+
+
+def _same_fields(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y)
+        else:
+            assert x == y and type(x) is type(y), f.name
+
+
+class TestRecordCodec:
+    @settings(max_examples=60, deadline=None)
+    @given(obj=st.one_of(kernel_specs, prior_specs, optim_options, level_fits))
+    def test_json_round_trip_returns_equal_fields(self, obj):
+        text = json.dumps(record(obj), allow_nan=False)
+        back = read_record(type(obj), json.loads(text), "where")
+        _same_fields(obj, back)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        spec=kernel_specs,
+        prior=prior_specs,
+        opts=optim_options,
+    )
+    def test_save_load_save_is_byte_identical(self, tmp_path_factory, seed, spec, prior, opts):
+        rng = np.random.default_rng(seed)
+        d = spec.dims
+        X1 = rng.uniform(size=(6, d))
+        y1 = rng.standard_normal(6) * 10.0 ** rng.integers(-8, 8)
+        X2 = X1[:3]
+        y2 = 1.5 * y1[:3] + rng.standard_normal(3)
+        data = assemble([(X1, y1), (X2, y2)])
+        fits = tuple(
+            LevelFit(
+                level=lv.index,
+                phi=rng.lognormal(size=d),
+                xi=rng.standard_normal(d),
+                objective_value=float(rng.standard_normal()),
+                b_hat=rng.standard_normal(lv.q),
+                sigma2_hat=float(rng.lognormal()),
+                S2=float(rng.lognormal()),
+                converged=bool(rng.integers(2)),
+                n_evals=int(rng.integers(100)),
+                best_start=0,
+                n_failed_starts=0,
+                start_values=tuple(rng.standard_normal(2)),
+            )
+            for lv in data.levels
+        )
+        result = FitResult(levels=fits, method="plugin", prior=prior, spec=spec, opts=opts)
+        first = tmp_path_factory.mktemp("m") / "a.json"
+        second = first.with_name("b.json")
+        save_model(first, data, result)
+        data2, result2 = load_model(first)
+        save_model(second, data2, result2)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_config_sections_may_leave_out_defaults(self):
+        opts = read_record(OptimOptions, {"n_starts": 3}, "optimizer", partial=True)
+        assert opts == OptimOptions(n_starts=3)
+        with pytest.raises(ConfigError, match=r"missing keys: \['kernel.family'\]"):
+            read_record(KernelSpec, {"dims": 2}, "kernel", partial=True)
+
+
+def _edit_missing_nugget(doc):
+    del doc["kernel"]["nugget"]
+
+
+def _edit_missing_phi(doc):
+    del doc["levels"][0]["fit"]["phi"]
+
+
+def _edit_missing_levels(doc):
+    del doc["levels"]
+
+
+def _edit_unknown_kernel_key(doc):
+    doc["kernel"]["nuget"] = 1e-10
+
+
+def _edit_unknown_optimizer_key(doc):
+    doc["optimizer"]["n_start"] = 2
+
+
+def _edit_wrong_value_type(doc):
+    doc["kernel"]["shape"] = "smooth"
+
+
+def _edit_ragged_inputs(doc):
+    doc["levels"][1]["inputs"][0].append(0.5)
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    return _fitted()
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (_edit_missing_nugget, "kernel.nugget"),
+            (_edit_missing_phi, "levels[0].fit.phi"),
+            (_edit_missing_levels, "levels"),
+            (_edit_unknown_kernel_key, "kernel.nuget"),
+            (_edit_unknown_optimizer_key, "optimizer.n_start"),
+            (_edit_wrong_value_type, "kernel"),
+            (_edit_ragged_inputs, "levels[1]"),
+        ],
+    )
+    def test_rejected_naming_the_key(self, tmp_path, fitted, edit, key):
+        data, result = fitted
+        doc = model_document(data, result)
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as err:
+            load_model(path)
+        assert f"'{key}'" in str(err.value)
+
+    def test_non_object_entries_rejected(self, tmp_path, fitted):
+        data, result = fitted
+        path = tmp_path / "model.json"
+        for edit in (
+            lambda doc: doc.update(prior=["reference"]),
+            lambda doc: doc["levels"].__setitem__(1, 3),
+            lambda doc: doc.update(levels={"fit": {}}),
+        ):
+            doc = model_document(data, result)
+            edit(doc)
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError):
+                load_model(path)
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_model(path)
+
+
 class TestLevelCsv:
     def test_full_precision_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -136,6 +333,27 @@ class TestLevelCsv:
             load_level_csv(path)
         with pytest.raises(ConfigError, match="not found"):
             load_level_csv(tmp_path / "absent.csv")
+
+    def test_rows_must_match_the_header_width(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,y\n0.1,0.2,3.0\n0.4,0.5\n")
+        with pytest.raises(ConfigError, match="line 3 has 2 cells; the header has 3"):
+            load_level_csv(path)
+        path.write_text("x1,x2,y\n0.1,0.2,3.0,4.0\n")
+        with pytest.raises(ConfigError, match="line 2 has 4 cells"):
+            load_level_csv(path)
+
+    def test_y_column_optional_only_when_asked(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("x1,x2\n0.1,0.2\n0.3,0.4\n")
+        with pytest.raises(ConfigError, match="header"):
+            load_level_csv(path)
+        X, y = load_level_csv(path, y_optional=True)
+        np.testing.assert_array_equal(X, [[0.1, 0.2], [0.3, 0.4]])
+        assert y is None
+        path.write_text("x1,x2,y\n0.1,0.2,5.0\n")
+        X, y = load_level_csv(path, y_optional=True)
+        np.testing.assert_array_equal(y, [5.0])
 
 
 class TestAuxiliaryWriters:

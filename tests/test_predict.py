@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import t as student_t
 
+from mfcokrig.bench import borehole_high, borehole_low, lhs_design, scale_to_box
 from mfcokrig.estimate import (
     MATCH_TOL,
     FitResult,
@@ -13,7 +14,11 @@ from mfcokrig.estimate import (
     assemble,
     match_rows,
 )
-from mfcokrig.exceptions import InvalidArgumentError, VarianceUndefinedError
+from mfcokrig.exceptions import (
+    DesignRankError,
+    InvalidArgumentError,
+    VarianceUndefinedError,
+)
 from mfcokrig.kernels import (
     MATERN,
     KernelSpec,
@@ -473,3 +478,44 @@ class TestModelConstruction:
             model.predict(np.zeros((3, 5)))
         with pytest.raises(InvalidArgumentError):
             model.predict(np.array([[0.1, np.inf]]))
+
+
+class TestScaleLink:
+    @staticmethod
+    def _borehole_model(scale, y_low=None):
+        """Two-level borehole model with outputs times ``scale``, pinned at
+        unit ranges."""
+        U = lhs_design(30, 8, seed=4)
+        X = scale_to_box(U)
+        if y_low is None:
+            y_low = scale * np.array([borehole_low(x) for x in X])
+        y_high = scale * np.array([borehole_high(x) for x in X[:12]])
+        data = assemble([(U, y_low), (U[:12], y_high)])
+        spec = KernelSpec(family="power_exponential", shape=1.9, dims=8)
+        phis = [np.ones(8), np.ones(8)]
+        return CokrigingModel(data, _manual_fit(data, spec, phis)), U
+
+    def test_identifiability_check_is_free_of_units(self):
+        base, U = self._borehole_model(1.0)
+        reference = base.predict(U[25:28])
+        for scale in (1e-8, 1e-9, 1e-10):
+            model, _ = self._borehole_model(scale)
+            pred = model.predict(U[25:28])
+            np.testing.assert_allclose(pred.means / scale, reference.means, rtol=1e-12)
+            np.testing.assert_allclose(
+                pred.variances / scale**2, reference.variances, rtol=1e-9
+            )
+
+    def test_collinear_lower_output_still_raises(self):
+        rng = np.random.default_rng(160)
+        y_low = 1.0 + 1e-9 * rng.standard_normal(30)
+        with pytest.raises(DesignRankError, match="collinear"):
+            self._borehole_model(1.0, y_low=y_low)
+
+    def test_term_matches_dense_inverse(self):
+        rng = np.random.default_rng(161)
+        data, spec, phis = _three_level_case(rng)
+        model = CokrigingModel(data, _manual_fit(data, spec, phis))
+        for st, lv, phi in zip(model._states, data.levels, phis):
+            Minv = _dense_level(lv, phi, spec)[4]
+            assert abs(st.minv_qq - Minv[-1, -1]) <= 1e-12 * abs(Minv[-1, -1])

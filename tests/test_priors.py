@@ -15,6 +15,7 @@ from mfcokrig.kernels import (
     RangeParams,
     corr_matrix,
 )
+from mfcokrig.modelio import read_record, record
 from mfcokrig.priors import (
     FLAT,
     INVERSE_RANGE,
@@ -236,7 +237,7 @@ class TestPriorSpec:
 
     def test_roundtrip(self):
         prior = PriorSpec(kind=JOINTLY_ROBUST, jr_a0=0.2, jr_b0=2.0, jr_C=[0.5, 0.5])
-        back = PriorSpec.from_dict(prior.to_dict())
+        back = read_record(PriorSpec, record(prior), "prior")
         assert back.kind == prior.kind
         assert back.jr_a0 == prior.jr_a0
         assert back.jr_b0 == prior.jr_b0
