@@ -17,15 +17,13 @@ Quick start::
     model = mk.CokrigingModel(data, result)
     pred = model.predict(X_query)
 
-Correlation kernels are vectorized NumPy; numpy and scipy are the only
-dependencies.
+The names in ``__all__`` are the public API; names reached only through
+a submodule are internal.  Correlation kernels are vectorized NumPy; numpy
+and scipy are the only dependencies.
 """
 
 from .bench import (
-    BOREHOLE_BOX,
-    BOREHOLE_DIM,
     BenchmarkReport,
-    BoreholeInput,
     borehole_high,
     borehole_low,
     lhs_design,
@@ -40,10 +38,7 @@ from .estimate import (
     LevelFit,
     OptimOptions,
     assemble,
-    concentrated_restricted_likelihood,
     fit,
-    fit_level,
-    objective,
 )
 from .exceptions import (
     BenchmarkError,
@@ -60,25 +55,8 @@ from .exceptions import (
     SingularCorrelationError,
     VarianceUndefinedError,
 )
-from .gp import (
-    LevelData,
-    constant_basis,
-    integrated_log_likelihood,
-    location_scale_estimates,
-    tail_probe,
-)
-from .kernels import (
-    MATERN,
-    POWER_EXPONENTIAL,
-    KernelSpec,
-    RangeParams,
-    corr1d,
-    corr_matrix,
-    corr_matrix_deriv,
-    cross_corr,
-)
+from .kernels import MATERN, POWER_EXPONENTIAL, KernelSpec
 from .modelio import load_level_csv, load_model, save_model, write_level_csv
-from .optim import OptimResult, nelder_mead_max
 from .predict import CokrigingModel, Prediction
 from .priors import (
     FLAT,
@@ -89,19 +67,12 @@ from .priors import (
     PRIOR_KINDS,
     REFERENCE,
     PriorSpec,
-    fisher_info_jeffreys,
-    fisher_info_reference,
-    jr_defaults,
-    log_prior,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOREHOLE_BOX",
-    "BOREHOLE_DIM",
     "BenchmarkReport",
-    "BoreholeInput",
     "borehole_high",
     "borehole_low",
     "lhs_design",
@@ -114,10 +85,7 @@ __all__ = [
     "LevelFit",
     "OptimOptions",
     "assemble",
-    "concentrated_restricted_likelihood",
     "fit",
-    "fit_level",
-    "objective",
     "BenchmarkError",
     "ConfigError",
     "DegenerateDataError",
@@ -131,25 +99,13 @@ __all__ = [
     "PriorEvaluationError",
     "SingularCorrelationError",
     "VarianceUndefinedError",
-    "LevelData",
-    "constant_basis",
-    "integrated_log_likelihood",
-    "location_scale_estimates",
-    "tail_probe",
     "MATERN",
     "POWER_EXPONENTIAL",
     "KernelSpec",
-    "RangeParams",
-    "corr1d",
-    "corr_matrix",
-    "corr_matrix_deriv",
-    "cross_corr",
     "load_level_csv",
     "load_model",
     "save_model",
     "write_level_csv",
-    "OptimResult",
-    "nelder_mead_max",
     "CokrigingModel",
     "Prediction",
     "FLAT",
@@ -160,9 +116,5 @@ __all__ = [
     "PRIOR_KINDS",
     "REFERENCE",
     "PriorSpec",
-    "fisher_info_jeffreys",
-    "fisher_info_reference",
-    "jr_defaults",
-    "log_prior",
     "__version__",
 ]

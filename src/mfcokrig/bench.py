@@ -75,9 +75,6 @@ class BoreholeInput:
                     f"{name}={value} outside its physical range [{lo}, {hi}]"
                 )
 
-    def as_array(self):
-        return np.array([getattr(self, name) for name, _, _ in BOREHOLE_BOX])
-
     @classmethod
     def from_array(cls, arr):
         arr = np.asarray(arr, dtype=np.float64).ravel()

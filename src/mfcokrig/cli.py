@@ -18,7 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .bench import run_borehole_benchmark
+from .bench import BOREHOLE_DIM, run_borehole_benchmark
 from .estimate import OptimOptions, assemble, fit
 from .exceptions import (
     BenchmarkError,
@@ -117,31 +117,31 @@ def _load_config(path):
     return cfg
 
 
-def _section(cfg, args, name, cls):
+def _section(cfg, args, name):
     """Config section ``name`` with the flags given on the command line
-    laid over it: each flag's destination is the field of ``cls`` it sets."""
+    laid over it: each flag's destination is the section key it sets."""
     section = dict(cfg.get(name, {}))
-    for f in fields(cls):
-        if getattr(args, f.name, None) is not None:
-            section[f.name] = getattr(args, f.name)
+    for key in _SECTION_KEYS[name]:
+        if getattr(args, key, None) is not None:
+            section[key] = getattr(args, key)
     return section
 
 
 def _build_kernel(cfg, args, dims):
-    kcfg = _section(cfg, args, "kernel", KernelSpec)
+    kcfg = _section(cfg, args, "kernel")
     kcfg.setdefault("family", "power_exponential")
     kcfg["dims"] = dims
     return read_record(KernelSpec, kcfg, "kernel", partial=True)
 
 
 def _build_prior(cfg, args):
-    pcfg = _section(cfg, args, "prior", PriorSpec)
+    pcfg = _section(cfg, args, "prior")
     pcfg.setdefault("kind", "reference")
     return read_record(PriorSpec, pcfg, "prior", partial=True)
 
 
 def _build_opts(cfg, args):
-    ocfg = _section(cfg, args, "optimizer", OptimOptions)
+    ocfg = _section(cfg, args, "optimizer")
     return read_record(OptimOptions, ocfg, "optimizer", partial=True)
 
 
@@ -276,26 +276,14 @@ def cmd_sample(args):
 def cmd_benchmark(args):
     cfg = _load_config(args.config)
     out = _resolve_out(cfg, args)
-    bcfg = dict(cfg.get("benchmark", {}))
-    n_low = args.n_low if args.n_low is not None else bcfg.get("n_low", 80)
-    n_high = args.n_high if args.n_high is not None else bcfg.get("n_high", 30)
-    n_test = args.n_test if args.n_test is not None else bcfg.get("n_test", 20)
-    n_reps = args.reps if args.reps is not None else bcfg.get("n_reps", 10)
-    spec = _build_kernel(cfg, args, dims=8)
+    # sizes left out take run_borehole_benchmark's defaults
+    sizes = _section(cfg, args, "benchmark")
+    spec = _build_kernel(cfg, args, dims=BOREHOLE_DIM)
     prior = _build_prior(cfg, args)
     opts = _build_opts(cfg, args)
     method = args.method or cfg.get("method", "posterior")
-    seed = args.seed if args.seed is not None else opts.seed
     report = run_borehole_benchmark(
-        n_low=n_low,
-        n_high=n_high,
-        n_test=n_test,
-        prior=prior,
-        spec=spec,
-        seed=seed,
-        n_reps=n_reps,
-        method=method,
-        opts=opts,
+        prior=prior, spec=spec, seed=opts.seed, method=method, opts=opts, **sizes
     )
     json_path = os.path.join(out, "benchmark_report.json")
     csv_path = os.path.join(out, "benchmark_replicates.csv")
@@ -303,7 +291,7 @@ def cmd_benchmark(args):
     write_replicates_csv(csv_path, report)
     sys.stdout.write(
         f"borehole benchmark ({method}, prior={prior.kind}, kernel={spec.family}, "
-        f"{n_reps} replicates): median RMSPE={report.rmspe:.4g} "
+        f"{report.config['n_reps']} replicates): median RMSPE={report.rmspe:.4g} "
         f"CVG95={report.cvg95:.3f} ALCI95={report.alci95:.4g} "
         f"failures={report.n_failed}\n"
     )
@@ -341,12 +329,7 @@ def cmd_tailprobe(args):
     for i, g in enumerate(grid):
         try:
             logprior[i] = log_prior(lv, RangeParams(np.full(lv.dims, g)), spec, prior)
-        except (
-            SingularCorrelationError,
-            PriorEvaluationError,
-            DesignRankError,
-            InvalidArgumentError,
-        ):
+        except (SingularCorrelationError, PriorEvaluationError, DesignRankError):
             logprior[i] = np.nan
     logpost = loglik + logprior
     path = os.path.join(out, f"tailprobe_level{args.level_index}.csv")
@@ -452,7 +435,7 @@ def build_parser():
     p_bench.add_argument("--n-low", type=int, default=None)
     p_bench.add_argument("--n-high", type=int, default=None)
     p_bench.add_argument("--n-test", type=int, default=None)
-    p_bench.add_argument("--reps", type=int, default=None)
+    p_bench.add_argument("--reps", dest="n_reps", type=int, default=None)
     p_bench.add_argument("--starts", dest="n_starts", metavar="STARTS", type=int)
     p_bench.add_argument(
         "--method", choices=("posterior", "plugin"), default=None

@@ -25,8 +25,9 @@ from .exceptions import (
 )
 from .kernels import RangeParams, corr_matrix, corr_matrix_with_derivs
 
-# below this, log(S^2) is meaningless: the outputs are interpolated exactly
-MIN_S2 = 1e-300
+# S2 at or below this share of y^T R^-1 y is rounding noise: the outputs
+# are interpolated exactly and log(S^2) is meaningless
+MIN_S2_RATIO = 1e-24
 
 
 def constant_basis(X):
@@ -151,10 +152,6 @@ class LevelFactorization:
     def n(self):
         return self.chol_R.shape[0]
 
-    @property
-    def q(self):
-        return self.white_design.shape[1]
-
 
 def gls_fit(data, params, spec, stack=None, derivs=False):
     """Factorize one level at the given range parameters.
@@ -224,11 +221,13 @@ def gls_fit(data, params, spec, stack=None, derivs=False):
 
 def log_S2(fact, data):
     """``log S2`` of a factorization; raises ``DegenerateDataError`` when the
-    outputs are interpolated exactly and every likelihood is undefined."""
-    if fact.S2 < MIN_S2:
+    outputs are interpolated exactly (``S2`` vanishes relative to
+    ``y^T R^{-1} y``) and every likelihood is undefined."""
+    yy = float(fact.white_outputs @ fact.white_outputs)
+    if not fact.S2 > MIN_S2_RATIO * yy:
         raise DegenerateDataError(
-            f"level {data.index} outputs are interpolated exactly (S2={fact.S2}); "
-            "the likelihood is undefined"
+            f"level {data.index} outputs are interpolated exactly "
+            f"(S2={fact.S2}, y^T R^-1 y={yy}); the likelihood is undefined"
         )
     return math.log(fact.S2)
 

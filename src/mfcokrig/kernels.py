@@ -245,35 +245,6 @@ def _correlate(T, phi, spec, derivs=False):
 # ---------------------------------------------------------------------------
 
 
-def corr1d(h, phi, spec):
-    """One-dimensional correlation ``r(h)`` for distance ``h`` and range ``phi``.
-
-    Parameters
-    ----------
-    h : float or array_like
-        Nonnegative distances.
-    phi : float
-        Positive range parameter.
-    spec : KernelSpec
-        Family and shape; ``dims`` and ``nugget`` are ignored here.
-
-    Returns
-    -------
-    float or ndarray
-        Correlation values in ``(0, 1]``, with ``r(0) = 1``.
-    """
-    h_arr = np.asarray(h, dtype=np.float64)
-    if not np.all(np.isfinite(h_arr)) or np.any(h_arr < 0.0):
-        raise InvalidArgumentError("distances must be finite and >= 0")
-    if not math.isfinite(phi) or phi <= 0.0:
-        raise InvalidArgumentError(f"range parameter must be finite and > 0, got {phi}")
-    T = _stack(h_arr.reshape(-1, 1), np.zeros((1, 1)), spec)
-    out, _ = _correlate(T, np.array([float(phi)]), spec)
-    if np.isscalar(h) or h_arr.ndim == 0:
-        return float(out[0, 0])
-    return out.reshape(h_arr.shape)
-
-
 def distance_stack(X, spec):
     """Transformed coordinate distances of a design, shape ``(d, n, n)``.
 
@@ -342,15 +313,3 @@ def corr_matrix_with_derivs(X, params, spec, stack=None):
     R, dR = _correlate(T, _check_params(params, spec), spec, derivs=True)
     np.fill_diagonal(R, 1.0 + spec.nugget)
     return R, dR
-
-
-def corr_matrix_deriv(X, params, spec, k):
-    """Derivative of the correlation matrix with respect to ``phi_k``.
-
-    ``k`` is a zero-based dimension index.
-    """
-    if not isinstance(k, (int, np.integer)) or not 0 <= k < spec.dims:
-        raise InvalidArgumentError(
-            f"dimension index must satisfy 0 <= k < {spec.dims}, got {k}"
-        )
-    return corr_matrix_with_derivs(X, params, spec)[1][int(k)]

@@ -23,10 +23,15 @@ import json
 import numpy as np
 
 from .estimate import (
+    PLUGIN,
+    POSTERIOR,
+    XI_PARAMETERIZATION,
     CokrigingData,
     FitResult,
     LevelFit,
     OptimOptions,
+    _is_int,
+    _is_real,
     assemble,
 )
 from .exceptions import ConfigError, InvalidArgumentError, MfcokrigError
@@ -104,6 +109,24 @@ def read_record(cls, payload, where, partial=False):
         raise ConfigError(f"'{where}' holds a value of the wrong type ({exc})") from exc
 
 
+def _check_level_fit(lf, where, level):
+    """Raise ``ConfigError`` unless the loaded fit of one-based ``level``
+    says it is that level and each scalar field holds its declared type."""
+    checks = {
+        int: (_is_int, "an integer"),
+        float: (_is_real, "a number"),
+        bool: (lambda v: isinstance(v, bool), "a boolean"),
+    }
+    for f in dataclasses.fields(lf):
+        if f.type in checks:
+            ok, kind = checks[f.type]
+            value = getattr(lf, f.name)
+            if not ok(value):
+                raise ConfigError(f"'{where}.{f.name}' must be {kind}, got {value!r}")
+    if lf.level != level:
+        raise ConfigError(f"'{where}.level' must be {level}, got {lf.level}")
+
+
 def model_document(data, fit_result):
     """Serializable dictionary capturing data, configuration, and fit."""
     levels = []
@@ -165,6 +188,14 @@ def load_model(path):
             f"this build reads version {MODEL_SCHEMA_VERSION}"
         )
     check_keys(doc, "", _DOCUMENT_KEYS, _DOCUMENT_KEYS)
+    expected = {
+        "method": (POSTERIOR, PLUGIN),
+        "parameterization": (XI_PARAMETERIZATION,),
+        "basis": ("constant",),
+    }
+    for key, allowed in expected.items():
+        if doc[key] not in allowed:
+            raise ConfigError(f"'{key}' must be one of {list(allowed)}, got {doc[key]!r}")
     spec = read_record(KernelSpec, doc["kernel"], "kernel")
     prior = read_record(PriorSpec, doc["prior"], "prior")
     opts = read_record(OptimOptions, doc["optimizer"], "optimizer")
@@ -185,7 +216,9 @@ def load_model(path):
         if entry["fingerprint"] != _fingerprint(inputs, outputs):
             raise ConfigError(f"model file {path} fails its data fingerprint check")
         raw_levels.append((inputs, outputs))
-        fits.append(read_record(LevelFit, entry["fit"], f"{where}.fit"))
+        lf = read_record(LevelFit, entry["fit"], f"{where}.fit")
+        _check_level_fit(lf, f"{where}.fit", t + 1)
+        fits.append(lf)
     data = assemble(raw_levels, basis=doc["basis"])
     fit_result = FitResult(
         levels=tuple(fits),

@@ -27,7 +27,6 @@ class OptimResult:
     x: np.ndarray
     fun: float
     n_evals: int
-    n_iters: int
     converged: bool
 
 
@@ -79,7 +78,6 @@ def nelder_mead_max(func, x0, initial_step=0.5, tol=1e-8, max_evals=None):
         simplex[k + 1, k] += initial_step
 
     converged = False
-    n_iters = 0
     fvals = None
     try:
         fvals = np.array([evaluate(v) for v in simplex])
@@ -90,7 +88,6 @@ def nelder_mead_max(func, x0, initial_step=0.5, tol=1e-8, max_evals=None):
             if fvals[0] - fvals[-1] < tol:
                 converged = True
                 break
-            n_iters += 1
             centroid = simplex[:-1].mean(axis=0)
             worst = simplex[-1]
 
@@ -135,6 +132,4 @@ def nelder_mead_max(func, x0, initial_step=0.5, tol=1e-8, max_evals=None):
             f"evaluation budget {max_evals} is too small to evaluate the "
             f"initial simplex ({d + 1} points)"
         )
-    return OptimResult(
-        x=best_x, fun=best_f, n_evals=n_evals, n_iters=n_iters, converged=converged
-    )
+    return OptimResult(x=best_x, fun=best_f, n_evals=n_evals, converged=converged)

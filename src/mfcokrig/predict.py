@@ -12,14 +12,13 @@ Student-t, then feed each draw into the next level's conditional Student-t,
 whose mean is linear and whose scale is quadratic in the lower draw.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.stats import t as student_t
 
-from .estimate import CokrigingData, FitResult, coincident_rows
+from .estimate import CokrigingData, FitResult, _is_int, coincident_rows
 from .exceptions import DesignRankError, InvalidArgumentError, VarianceUndefinedError
 from .gp import gls_fit
 from .kernels import RangeParams, cross_corr
@@ -254,10 +253,9 @@ class CokrigingModel:
 
     @staticmethod
     def _check_n_draws(n_draws):
-        n_draws = int(n_draws)
-        if n_draws < 1:
-            raise InvalidArgumentError("n_draws must be >= 1")
-        return n_draws
+        if not _is_int(n_draws) or n_draws < 1:
+            raise InvalidArgumentError(f"n_draws must be an integer >= 1, got {n_draws!r}")
+        return int(n_draws)
 
     def sample_predictive(self, x0, n_draws, seed=0):
         """Draws from the joint predictive distribution at one point.
@@ -285,11 +283,7 @@ class CokrigingModel:
         """
         if not 0.0 < prob < 1.0:
             raise InvalidArgumentError(f"prob must lie in (0, 1), got {prob}")
-        if not (
-            isinstance(seed, numbers.Integral)
-            and not isinstance(seed, bool)
-            and seed >= 0
-        ):
+        if not _is_int(seed) or seed < 0:
             raise InvalidArgumentError(f"seed must be an integer >= 0, got {seed!r}")
         X0 = self._check_queries(X0)
         n_draws = self._check_n_draws(n_draws)
@@ -316,9 +310,9 @@ class CokrigingModel:
 
         The entry ``[0, level - 1]`` of ``credible_intervals`` at ``x0``.
         """
-        if not 1 <= level <= self.s:
+        if not _is_int(level) or not 1 <= level <= self.s:
             raise InvalidArgumentError(
-                f"level must lie in [1, {self.s}], got {level}"
+                f"level must be an integer in [1, {self.s}], got {level!r}"
             )
         x0 = self._check_queries(x0)
         if x0.shape[0] != 1:

@@ -159,29 +159,6 @@ def _half_logdet_psd(info, params, what):
     return float(np.sum(np.log(np.diag(L))))
 
 
-def log_reference_prior(data, params, spec, fact=None):
-    """Log reference prior at one level: ``1/2 log det I_R``."""
-    info = fisher_info_reference(data, params, spec, fact)
-    return _half_logdet_psd(info, params, "reference-prior")
-
-
-def log_jeffreys_prior(data, params, spec, variant="j1", fact=None):
-    """Log Jeffreys prior at one level.
-
-    ``variant="j1"`` gives ``1/2 log det I_J``; ``variant="j2"`` adds
-    ``1/2 log|X^T R^{-1} X|`` and must be paired with the matching
-    variance-prior exponent ``1 + q/2``.
-    """
-    if variant not in ("j1", "j2"):
-        raise InvalidArgumentError(f"variant must be 'j1' or 'j2', got {variant!r}")
-    fact = _with_derivs(data, params, spec, fact)
-    info = fisher_info_jeffreys(data, params, spec, fact)
-    value = _half_logdet_psd(info, params, "Jeffreys-prior")
-    if variant == "j2":
-        value += 0.5 * fact.logdet_M
-    return value
-
-
 def jr_defaults(n_obs, input_ranges):
     """Default jointly robust hyperparameters for a level with ``n_obs``
     runs and per-dimension input ranges: ``a0 = 0.5 - d``, ``b0 = 1``,
@@ -232,8 +209,10 @@ def log_jr_prior(params, prior, n_obs=None, input_ranges=None):
 
 
 def log_prior(data, params, spec, prior, fact=None):
-    """Dispatch the per-level log prior density for the configured kind.
+    """Per-level log prior density of the configured kind.
 
+    ``reference`` is ``1/2 log det I_R``; ``jeffreys1`` is
+    ``1/2 log det I_J``, and ``jeffreys2`` adds ``1/2 log|X^T R^{-1} X|``.
     ``fact`` is an optional ``gls_fit(..., derivs=True)`` factorization at
     ``params``, reused by the kinds in ``FISHER_KINDS``.
     """
@@ -242,11 +221,15 @@ def log_prior(data, params, spec, prior, fact=None):
     if prior.kind == INVERSE_RANGE:
         return -float(np.sum(np.log(params.phi)))
     if prior.kind == REFERENCE:
-        return log_reference_prior(data, params, spec, fact)
-    if prior.kind == JEFFREYS1:
-        return log_jeffreys_prior(data, params, spec, variant="j1", fact=fact)
-    if prior.kind == JEFFREYS2:
-        return log_jeffreys_prior(data, params, spec, variant="j2", fact=fact)
+        info = fisher_info_reference(data, params, spec, fact)
+        return _half_logdet_psd(info, params, "reference-prior")
+    if prior.kind in (JEFFREYS1, JEFFREYS2):
+        fact = _with_derivs(data, params, spec, fact)
+        info = fisher_info_jeffreys(data, params, spec, fact)
+        value = _half_logdet_psd(info, params, "Jeffreys-prior")
+        if prior.kind == JEFFREYS2:
+            value += 0.5 * fact.logdet_M
+        return value
     inputs = data.inputs
     ranges = inputs.max(axis=0) - inputs.min(axis=0)
     return log_jr_prior(params, prior, n_obs=data.n, input_ranges=ranges)

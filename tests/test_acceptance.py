@@ -30,14 +30,19 @@ from mfcokrig.estimate import (
     objective,
 )
 from mfcokrig.gp import integrated_log_likelihood, tail_probe
-from mfcokrig.kernels import KernelSpec, RangeParams, corr_matrix, corr_matrix_deriv, cross_corr
+from mfcokrig.kernels import (
+    KernelSpec,
+    RangeParams,
+    corr_matrix,
+    corr_matrix_with_derivs,
+    cross_corr,
+)
 from mfcokrig.modelio import write_level_csv
 from mfcokrig.predict import CokrigingModel
 from mfcokrig.priors import (
     PriorSpec,
     fisher_info_jeffreys,
     fisher_info_reference,
-    log_jeffreys_prior,
     log_prior,
 )
 
@@ -257,7 +262,7 @@ class TestDerivativeAndFisherChecks:
             )
             phi = rng.uniform(0.3, 1.5, size=2)
             for k in range(2):
-                dR = corr_matrix_deriv(X, RangeParams(phi), spec, k)
+                dR = corr_matrix_with_derivs(X, RangeParams(phi), spec)[1][k]
                 step = 1e-6 * phi[k]
                 up, dn = phi.copy(), phi.copy()
                 up[k] += step
@@ -277,8 +282,8 @@ class TestDerivativeAndFisherChecks:
                 eig = np.linalg.eigvalsh(info)
                 psd_ok &= bool(eig.min() >= -1e-10 * max(eig.max(), 1.0))
 
-            j1 = log_jeffreys_prior(lv, params, spec, variant="j1")
-            j2 = log_jeffreys_prior(lv, params, spec, variant="j2")
+            j1 = log_prior(lv, params, spec, PriorSpec(kind="jeffreys1"))
+            j2 = log_prior(lv, params, spec, PriorSpec(kind="jeffreys2"))
             R = corr_matrix(X, params, spec)
             H = lv.design
             want = 0.5 * np.linalg.slogdet(H.T @ np.linalg.solve(R, H))[1]

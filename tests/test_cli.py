@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from mfcokrig import cli
 from mfcokrig.cli import EXIT_CONFIG, EXIT_ESTIMATION, EXIT_OK, main
+from mfcokrig.exceptions import BenchmarkError
 from mfcokrig.modelio import _format, load_model, write_level_csv
 from mfcokrig.predict import CokrigingModel
 
@@ -344,6 +346,27 @@ class TestTailprobeCommand:
         assert code == EXIT_CONFIG
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "prior, key",
+        [
+            ({"kind": "jointly_robust", "jr_C": [1.0, 1.0, 1.0]}, "jr_C"),
+            ({"kind": "jointly_robust", "jr_a0": -10.0}, "jr_a0"),
+        ],
+    )
+    def test_bad_prior_config_exits_two(self, tmp_path, capsys, prior, key):
+        """A prior the fit would reject is a configuration error here too,
+        not a column of NaN."""
+        p1, p2, _, _ = _write_levels(tmp_path)
+        cfg = _write_config(tmp_path, {"prior": prior})
+        out = tmp_path / "probe"
+        for command in ("fit", "tailprobe"):
+            code = main(
+                [command, "--config", cfg, "--level", p1, "--level", p2, "--out", str(out)]
+            )
+            assert code == EXIT_CONFIG, command
+            assert key in capsys.readouterr().err
+        assert not (out / "tailprobe_level1.csv").exists()
+
 
 class TestExitCodes:
     def test_missing_level_file(self, tmp_path, capsys):
@@ -411,6 +434,17 @@ class TestExitCodes:
         assert code == EXIT_ESTIMATION
         assert "estimation error:" in capsys.readouterr().err
 
+    def test_constant_outputs_exit_three(self, tmp_path, capsys):
+        """Constant outputs are interpolated exactly at every range: S2 is
+        rounding noise against y^T R^-1 y, so no start yields a fit."""
+        rng = np.random.default_rng(7)
+        X = rng.uniform(size=(20, 2))
+        path = tmp_path / "level1.csv"
+        write_level_csv(path, X, np.full(20, 3.7))
+        code = main(["fit", "--level", str(path), "--starts", "2", "--out", str(tmp_path / "o")])
+        assert code == EXIT_ESTIMATION
+        assert "degenerate data" in capsys.readouterr().err
+
     def test_missing_subcommand_and_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -454,3 +488,31 @@ class TestBenchmarkCommand:
         lines = (out / "benchmark_replicates.csv").read_text().splitlines()
         assert lines[0] == "replicate,rmspe,cvg95,alci95,failed,reason"
         assert "median RMSPE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "config, flags, sizes",
+        [
+            ({}, [], {}),
+            ({"n_high": 12, "n_reps": 3}, [], {"n_high": 12, "n_reps": 3}),
+            ({"n_high": 12}, ["--reps", "2", "--n-low", "40"],
+             {"n_high": 12, "n_reps": 2, "n_low": 40}),
+        ],
+    )
+    def test_passes_only_the_sizes_given(self, tmp_path, monkeypatch, capsys,
+                                         config, flags, sizes):
+        """Sizes come from the config section and the flags; the rest are
+        left to run_borehole_benchmark's own defaults."""
+        seen = {}
+
+        def fake_benchmark(**kwargs):
+            seen.update(kwargs)
+            raise BenchmarkError("stopped after reading the arguments")
+
+        monkeypatch.setattr(cli, "run_borehole_benchmark", fake_benchmark)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"benchmark": config}))
+        code = main(["benchmark", "--config", str(cfg), *flags, "--out", str(tmp_path)])
+        assert code == EXIT_ESTIMATION
+        capsys.readouterr()
+        got = {k: v for k, v in seen.items() if k in ("n_low", "n_high", "n_test", "n_reps")}
+        assert got == sizes

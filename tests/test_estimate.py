@@ -436,6 +436,21 @@ class TestFit:
         with pytest.raises(InvalidArgumentError, match="method"):
             fit(data, spec, PriorSpec(kind="flat"), method="mcmc")
 
+    def test_constant_outputs_fail_but_tiny_noise_fits(self):
+        """Constant outputs leave S2 at rounding noise against y^T R^-1 y
+        at every range, so every start fails; 1e-9 of noise is real
+        signal and fits."""
+        rng = np.random.default_rng(450)
+        X = rng.uniform(size=(20, 2))
+        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2)
+        prior = PriorSpec(kind="reference")
+        opts = OptimOptions(n_starts=2)
+        with pytest.raises(EstimationError, match="degenerate data"):
+            fit(assemble([(X, np.full(20, 3.7))]), spec, prior, opts)
+        noisy = 3.7 + 1e-9 * rng.standard_normal(20)
+        result = fit(assemble([(X, noisy)]), spec, prior, opts)
+        assert result.level(1).converged
+
     def test_failure_report_names_level(self):
         rng = np.random.default_rng(43)
         X1 = rng.uniform(size=(10, 2))

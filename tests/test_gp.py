@@ -176,6 +176,25 @@ class TestIntegratedLogLikelihood:
             integrated_log_likelihood(lv, RangeParams(np.array([1.0, 1.0])), spec, 1.0)
 
 
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_degeneracy_is_relative_to_the_output_scale(self, scale):
+        """Constant outputs raise at any scale; constant outputs plus 1e-9
+        relative noise give a finite likelihood at any scale."""
+        rng = np.random.default_rng(24)
+        X = rng.uniform(size=(20, 2))
+        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2)
+        params = RangeParams(np.array([0.9, 1.6]))
+        constant = np.full(20, 3.7 * scale)
+        noisy = constant + 1e-9 * scale * rng.standard_normal(20)
+        for y, degenerate in ((constant, True), (noisy, False)):
+            lv = LevelData(index=1, inputs=X, outputs=y, basis=constant_basis(X))
+            if degenerate:
+                with pytest.raises(DegenerateDataError):
+                    integrated_log_likelihood(lv, params, spec, 1.0)
+            else:
+                assert math.isfinite(integrated_log_likelihood(lv, params, spec, 1.0))
+
+
 class TestTailProbe:
     def test_grid_evaluation_with_nan_retreat(self):
         rng = np.random.default_rng(30)

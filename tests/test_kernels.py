@@ -16,15 +16,13 @@ from mfcokrig.kernels import (
     POWER_EXPONENTIAL,
     KernelSpec,
     RangeParams,
-    corr1d,
     corr_matrix,
-    corr_matrix_deriv,
     corr_matrix_with_derivs,
     cross_corr,
     distance_stack,
 )
 from mfcokrig.modelio import read_record, record
-from oracles import corr_matrix_loop, corr_matrix_with_derivs_loop, cross_corr_loop
+from oracles import corr1d, corr_matrix_loop, corr_matrix_with_derivs_loop, cross_corr_loop
 
 # independently computed closed-form values at h = phi
 EXP_MINUS_1 = 0.36787944117144233
@@ -42,7 +40,17 @@ def _specs(dims=1, nugget=DEFAULT_NUGGET):
     ]
 
 
+def _r1d(h, phi, spec):
+    """One-dimensional correlation at distances ``h`` through ``cross_corr``
+    at d = 1: the points ``h`` against the origin, with range ``phi``."""
+    h_arr = np.asarray(h, dtype=np.float64)
+    C = cross_corr(h_arr.reshape(-1, 1), np.zeros((1, 1)), RangeParams([phi]), spec)
+    return float(C[0, 0]) if h_arr.ndim == 0 else C[:, 0]
+
+
 class TestCorr1d:
+    """The 1-d correlation, read off ``cross_corr`` at d = 1."""
+
     def test_known_values_at_unit_scaled_distance(self):
         """r(phi; phi) has a closed form for every family."""
         phi = 0.73
@@ -54,11 +62,11 @@ class TestCorr1d:
             (KernelSpec(family=MATERN, shape=2.5), MATERN52_AT_RANGE),
         ]
         for spec, expected in cases:
-            assert corr1d(phi, phi, spec) == pytest.approx(expected, rel=1e-14)
+            assert _r1d(phi, phi, spec) == pytest.approx(expected, rel=1e-14)
 
     def test_zero_distance_is_one(self):
         for spec in _specs():
-            assert corr1d(0.0, 0.4, spec) == 1.0
+            assert _r1d(0.0, 0.4, spec) == 1.0
 
     def test_decreasing_in_distance(self):
         rng = np.random.default_rng(11)
@@ -66,7 +74,7 @@ class TestCorr1d:
             for _ in range(20):
                 phi = rng.uniform(0.1, 5.0)
                 h = np.sort(rng.uniform(0.0, 10.0, size=30))
-                r = corr1d(h, phi, spec)
+                r = _r1d(h, phi, spec)
                 assert np.all(np.diff(r) <= 0.0)
                 # extreme h/phi ratios may underflow to exactly zero
                 assert np.all(r >= 0.0) and np.all(r <= 1.0)
@@ -77,19 +85,17 @@ class TestCorr1d:
             for _ in range(20):
                 h = rng.uniform(0.05, 4.0)
                 phis = np.sort(rng.uniform(0.05, 8.0, size=10))
-                r = np.array([corr1d(h, p, spec) for p in phis])
+                r = np.array([_r1d(h, p, spec) for p in phis])
                 assert np.all(np.diff(r) >= 0.0)
 
     def test_rejects_bad_arguments(self):
         spec = KernelSpec(family=MATERN, shape=2.5)
         with pytest.raises(InvalidArgumentError):
-            corr1d(-0.1, 1.0, spec)
+            _r1d(np.nan, 1.0, spec)
         with pytest.raises(InvalidArgumentError):
-            corr1d(np.nan, 1.0, spec)
+            _r1d(1.0, 0.0, spec)
         with pytest.raises(InvalidArgumentError):
-            corr1d(1.0, 0.0, spec)
-        with pytest.raises(InvalidArgumentError):
-            corr1d(1.0, -2.0, spec)
+            _r1d(1.0, -2.0, spec)
 
 
 class TestKernelSpec:
@@ -128,6 +134,24 @@ class TestRangeParams:
             back = RangeParams.from_xi(params.xi)
             np.testing.assert_allclose(back.phi, phi, rtol=1e-15)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        xi=arrays(
+            np.float64,
+            st.integers(1, 8),
+            elements=st.floats(-700.0, 700.0, allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_xi_phi_round_trip_property(self, xi):
+        """xi -> phi -> xi and phi -> xi -> phi are the identity wherever
+        phi = exp(-xi) is a normal double, up to rounding: a few ulp of
+        ``1 + |xi|``, since an ulp of xi is a relative step of phi."""
+        tol = 4.0 * np.finfo(np.float64).eps * (1.0 + np.abs(xi))
+        params = RangeParams.from_xi(xi)
+        assert np.all(np.abs(params.xi - xi) <= tol)
+        back = RangeParams.from_xi(params.xi)
+        assert np.all(np.abs(back.phi / params.phi - 1.0) <= tol)
+
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             RangeParams(np.array([1.0, 0.0]))
@@ -144,7 +168,7 @@ class TestRangeParams:
 
 class TestCorrMatrix:
     def test_matches_product_of_univariate_correlations(self):
-        """R[i,j] is the product over dimensions of corr1d values."""
+        """R[i,j] is the product over dimensions of the oracle's 1-d values."""
         rng = np.random.default_rng(21)
         for spec in _specs(dims=3):
             X = rng.uniform(0.0, 1.0, size=(7, 3))
@@ -225,19 +249,6 @@ class TestDerivatives:
         assert R[0, 1] == 0.0
         assert dR[0][0, 1] == 0.0
         assert np.all(np.isfinite(dR))
-
-    def test_single_derivative_accessor(self):
-        rng = np.random.default_rng(33)
-        spec = KernelSpec(family=MATERN, shape=1.5, dims=2)
-        X = rng.uniform(0.0, 1.0, size=(5, 2))
-        params = RangeParams(np.array([0.4, 1.3]))
-        _, dR = corr_matrix_with_derivs(X, params, spec)
-        for k in range(2):
-            np.testing.assert_array_equal(corr_matrix_deriv(X, params, spec, k), dR[k])
-        with pytest.raises(InvalidArgumentError):
-            corr_matrix_deriv(X, params, spec, 2)
-        with pytest.raises(InvalidArgumentError):
-            corr_matrix_deriv(X, params, spec, -1)
 
 
 class TestOracleAgreement:

@@ -254,6 +254,38 @@ def _edit_ragged_inputs(doc):
     doc["levels"][1]["inputs"][0].append(0.5)
 
 
+def _edit_level_number(doc):
+    doc["levels"][0]["fit"]["level"] = 7
+
+
+def _edit_converged(doc):
+    doc["levels"][0]["fit"]["converged"] = "maybe"
+
+
+def _edit_fractional_count(doc):
+    doc["levels"][1]["fit"]["n_evals"] = 2.5
+
+
+def _edit_boolean_count(doc):
+    doc["levels"][1]["fit"]["best_start"] = True
+
+
+def _edit_text_objective(doc):
+    doc["levels"][0]["fit"]["objective_value"] = "high"
+
+
+def _edit_method(doc):
+    doc["method"] = "nonsense"
+
+
+def _edit_parameterization(doc):
+    doc["parameterization"] = "whatever"
+
+
+def _edit_basis(doc):
+    doc["basis"] = "linear"
+
+
 @pytest.fixture(scope="module")
 def fitted():
     return _fitted()
@@ -270,6 +302,14 @@ class TestMalformedDocuments:
             (_edit_unknown_optimizer_key, "optimizer.n_start"),
             (_edit_wrong_value_type, "kernel"),
             (_edit_ragged_inputs, "levels[1]"),
+            (_edit_level_number, "levels[0].fit.level"),
+            (_edit_converged, "levels[0].fit.converged"),
+            (_edit_fractional_count, "levels[1].fit.n_evals"),
+            (_edit_boolean_count, "levels[1].fit.best_start"),
+            (_edit_text_objective, "levels[0].fit.objective_value"),
+            (_edit_method, "method"),
+            (_edit_parameterization, "parameterization"),
+            (_edit_basis, "basis"),
         ],
     )
     def test_rejected_naming_the_key(self, tmp_path, fitted, edit, key):

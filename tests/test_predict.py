@@ -3,6 +3,8 @@ linear-algebra references and each other."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import t as student_t
 
 from mfcokrig.bench import borehole_high, borehole_low, lhs_design, scale_to_box
@@ -21,6 +23,7 @@ from mfcokrig.exceptions import (
 )
 from mfcokrig.kernels import (
     MATERN,
+    POWER_EXPONENTIAL,
     KernelSpec,
     RangeParams,
     corr_matrix,
@@ -202,6 +205,30 @@ class TestInterpolation:
         assert np.all(pred.variances < 1e-8)
         assert pred.at_design.all()
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n1=st.integers(8, 20),
+        n2=st.integers(4, 8),
+        kernel=st.sampled_from(
+            [(MATERN, 0.5), (MATERN, 1.5), (MATERN, 2.5),
+             (POWER_EXPONENTIAL, 1.0), (POWER_EXPONENTIAL, 1.9)]
+        ),
+        phis=st.lists(st.floats(0.05, 0.5), min_size=4, max_size=4),
+    )
+    def test_top_level_design_outputs_are_reproduced(self, seed, n1, n2, kernel, phis):
+        """Whatever the data, kernel and ranges, the top-level mean at a
+        top-level design point is that point's output; only the 1e-10
+        nugget separates them, far below 1e-5 of the output scale."""
+        pair1, (X2, y2) = _nested_pair(np.random.default_rng(seed), n1=n1, n2=n2)
+        data = assemble([pair1, (X2, y2)])
+        spec = KernelSpec(family=kernel[0], shape=kernel[1], dims=2)
+        fit = _manual_fit(data, spec, [phis[:2], phis[2:]])
+        pred = CokrigingModel(data, fit).predict(X2, mean_only=True)
+        assert pred.at_design[:, 1].all()
+        scale = 1.0 + np.max(np.abs(y2))
+        np.testing.assert_allclose(pred.means[:, 1], y2, rtol=0.0, atol=1e-5 * scale)
+
     def test_low_level_only_points(self):
         rng = np.random.default_rng(111)
         pair1, pair2 = _nested_pair(rng)
@@ -366,6 +393,37 @@ class TestCredibleIntervals:
         want = np.quantile(draws, [0.025, 0.975])
         assert (lo, hi) == (pytest.approx(want[0]), pytest.approx(want[1]))
         assert lo < model.predict(x0).means[0, 1] < hi
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: m.sample_predictive(np.zeros(2), None),
+            lambda m: m.sample_predictive(np.zeros(2), "abc"),
+            lambda m: m.sample_predictive(np.zeros(2), 2.7),
+            lambda m: m.sample_predictive(np.zeros(2), True),
+            lambda m: m.credible_intervals(np.zeros(2), n_draws=None),
+            lambda m: m.credible_intervals(np.zeros(2), n_draws="abc"),
+            lambda m: m.credible_intervals(np.zeros(2), n_draws=2.7),
+            lambda m: m.credible_intervals(np.zeros(2), n_draws=True),
+            lambda m: m.credible_interval(np.zeros(2), level=True),
+            lambda m: m.credible_interval(np.zeros(2), level=1.0),
+            lambda m: m.credible_interval(np.zeros(2), level="1"),
+        ],
+        ids=[
+            "draws-none", "draws-str", "draws-float", "draws-bool",
+            "intervals-none", "intervals-str", "intervals-float", "intervals-bool",
+            "level-bool", "level-float", "level-str",
+        ],
+    )
+    def test_counts_and_levels_must_be_integers(self, call):
+        rng = np.random.default_rng(144)
+        pair1, pair2 = _nested_pair(rng)
+        data = assemble([pair1, pair2])
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+        phis = [np.array([0.6, 0.9]), np.array([0.8, 0.5])]
+        model = CokrigingModel(data, _manual_fit(data, spec, phis))
+        with pytest.raises(InvalidArgumentError):
+            call(model)
 
     def test_validation(self):
         rng = np.random.default_rng(142)

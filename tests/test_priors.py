@@ -28,10 +28,8 @@ from mfcokrig.priors import (
     fisher_info_jeffreys,
     fisher_info_reference,
     jr_defaults,
-    log_jeffreys_prior,
     log_jr_prior,
     log_prior,
-    log_reference_prior,
 )
 
 
@@ -148,8 +146,8 @@ class TestDeterminantIdentities:
             for _ in range(10):
                 phi = rng.uniform(0.2, 3.0, size=2)
                 params = RangeParams(phi)
-                j1 = log_jeffreys_prior(lv, params, spec, variant="j1")
-                j2 = log_jeffreys_prior(lv, params, spec, variant="j2")
+                j1 = log_prior(lv, params, spec, PriorSpec(kind=JEFFREYS1))
+                j2 = log_prior(lv, params, spec, PriorSpec(kind=JEFFREYS2))
                 R = corr_matrix(lv.inputs, params, spec)
                 X = lv.design
                 M = X.T @ np.linalg.solve(R, X)
@@ -163,9 +161,8 @@ class TestDeterminantIdentities:
         phi = np.array([0.5, 1.2])
         info = fisher_info_reference(lv, RangeParams(phi), spec)
         want = 0.5 * np.linalg.slogdet(info)[1]
-        assert log_reference_prior(lv, RangeParams(phi), spec) == pytest.approx(
-            want, rel=1e-12
-        )
+        got = log_prior(lv, RangeParams(phi), spec, PriorSpec(kind=REFERENCE))
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestJointlyRobust:
@@ -255,16 +252,24 @@ class TestDispatch:
         assert got == pytest.approx(-float(np.sum(np.log(phi))), rel=1e-14)
 
     def test_reference_and_jeffreys_routes(self):
+        """Each Fisher kind is half the log-determinant of its dense oracle
+        information (explicit inverses, finite-difference derivatives);
+        ``jeffreys2`` adds half the log-determinant of ``X^T R^-1 X``."""
         rng = np.random.default_rng(81)
-        lv = _toy_level(rng)
         spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
-        params = RangeParams(np.array([0.9, 0.7]))
-        assert log_prior(lv, params, spec, PriorSpec(kind=REFERENCE)) == (
-            log_reference_prior(lv, params, spec)
-        )
-        assert log_prior(lv, params, spec, PriorSpec(kind=JEFFREYS1)) == (
-            log_jeffreys_prior(lv, params, spec, variant="j1")
-        )
-        assert log_prior(lv, params, spec, PriorSpec(kind=JEFFREYS2)) == (
-            log_jeffreys_prior(lv, params, spec, variant="j2")
-        )
+        phi = np.array([0.9, 0.7])
+        params = RangeParams(phi)
+        for with_lower in (False, True):
+            lv = _toy_level(rng, with_lower=with_lower)
+            R = corr_matrix(lv.inputs, params, spec)
+            X = lv.design
+            half_logdet_M = 0.5 * np.linalg.slogdet(X.T @ np.linalg.solve(R, X))[1]
+            ref = 0.5 * np.linalg.slogdet(_reference_info_oracle(lv, phi, spec))[1]
+            jef = 0.5 * np.linalg.slogdet(_jeffreys_info_oracle(lv, phi, spec))[1]
+            for kind, want in (
+                (REFERENCE, ref),
+                (JEFFREYS1, jef),
+                (JEFFREYS2, jef + half_logdet_M),
+            ):
+                got = log_prior(lv, params, spec, PriorSpec(kind=kind))
+                assert got == pytest.approx(want, rel=1e-6, abs=1e-6), kind
