@@ -22,6 +22,7 @@ from .estimate import (
     OptimOptions,
     PLUGIN,
     POSTERIOR,
+    _is_int,
     assemble,
     fit,
 )
@@ -169,7 +170,7 @@ class BenchmarkReport:
 
 
 def _replicate_seeds(rep, seed):
-    return np.random.SeedSequence(entropy=seed, spawn_key=(rep,)).spawn(4)
+    return np.random.SeedSequence(entropy=seed, spawn_key=(rep,)).spawn(3)
 
 
 def replicate_design(rep, seed, n_low, n_high, n_test):
@@ -199,7 +200,6 @@ def _replicate_metrics(rep, seed, n_low, n_high, n_test, spec, prior, method, op
     """Run one seeded replicate; returns the metrics dict."""
     kids = _replicate_seeds(rep, seed)
     fit_seed = int(kids[2].generate_state(1, np.uint64)[0] % np.iinfo(np.int64).max)
-    draw_seed = int(kids[3].generate_state(1, np.uint64)[0] % np.iinfo(np.int64).max)
 
     U, low_idx, high_idx, test_idx = replicate_design(rep, seed, n_low, n_high, n_test)
     X_phys = scale_to_box(U)
@@ -215,8 +215,7 @@ def _replicate_metrics(rep, seed, n_low, n_high, n_test, spec, prior, method, op
 
     pred = model.predict(U[test_idx])
     means = pred.means[:, -1]
-    # test point i draws with seed draw_seed + i
-    intervals = model.credible_intervals(U[test_idx], prob=0.95, seed=draw_seed)
+    intervals = model.credible_intervals(U[test_idx], prob=0.95)
     lo, hi = intervals[:, data.s - 1, 0], intervals[:, data.s - 1, 1]
     rmspe = float(np.sqrt(np.mean((means - y_truth) ** 2)))
     covered = (y_truth >= lo) & (y_truth <= hi)
@@ -253,6 +252,10 @@ def run_borehole_benchmark(
     held-out predictions at the top level.  Replicates that fail to fit are
     excluded with a warning when fewer than 20% fail; more than that aborts.
     """
+    sizes = {"n_low": n_low, "n_high": n_high, "n_test": n_test, "n_reps": n_reps}
+    for name, value in sizes.items():
+        if not _is_int(value) or value < 1:
+            raise InvalidArgumentError(f"{name} must be an integer >= 1, got {value!r}")
     if n_high > n_low:
         raise InvalidArgumentError("n_high must be <= n_low (nested by subsampling)")
     if prior is None:

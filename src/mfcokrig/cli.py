@@ -229,20 +229,10 @@ def cmd_predict(args):
             f"expects {data.dims}"
         )
     pred = model.predict(X0)
-    seed = args.seed if args.seed is not None else 0
-    intervals = model.credible_intervals(X0, prob=0.95, n_draws=args.draws, seed=seed)
+    intervals = model.credible_intervals(X0, prob=0.95)
     pred_path = os.path.join(out, "predictions.csv")
     write_predictions_csv(pred_path, X0, pred, intervals)
-    _echo_config(
-        out,
-        "predict",
-        {
-            "model": args.model,
-            "grid": grid_path,
-            "draws": args.draws,
-            "seed": seed,
-        },
-    )
+    _echo_config(out, "predict", {"model": args.model, "grid": grid_path})
     sys.stdout.write(
         f"predicted {X0.shape[0]} points at {data.s} level(s); wrote {pred_path}\n"
     )
@@ -418,9 +408,6 @@ def build_parser():
     _add_common(p_pred)
     p_pred.add_argument("--model", required=True, help="model JSON from fit")
     p_pred.add_argument("--grid", help="CSV of query points")
-    p_pred.add_argument(
-        "--draws", type=int, default=4000, help="draws for empirical intervals"
-    )
     p_pred.set_defaults(func=cmd_predict)
 
     p_sample = sub.add_parser("sample", help="joint predictive draws at one point")

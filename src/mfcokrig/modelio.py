@@ -297,22 +297,21 @@ def write_predictions_csv(path, X0, prediction, intervals):
         "lo95",
         "hi95",
     ]
+    # one .tolist() per array gives Python floats, whose repr is _format's;
+    # a query's inputs are formatted once for all of its levels
+    intervals = np.asarray(intervals, dtype=np.float64)
+    values = np.stack(
+        [prediction.means, prediction.variances, intervals[..., 0], intervals[..., 1]],
+        axis=-1,
+    ).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i in range(X0.shape[0]):
-            for t in range(prediction.s):
-                lo, hi = intervals[i][t]
-                writer.writerow(
-                    [_format(v) for v in X0[i]]
-                    + [
-                        str(t + 1),
-                        _format(prediction.means[i, t]),
-                        _format(prediction.variances[i, t]),
-                        _format(lo),
-                        _format(hi),
-                    ]
-                )
+        for x, levels in zip(X0.tolist(), values):
+            cells = [repr(v) for v in x]
+            writer.writerows(
+                cells + [str(t)] + [repr(v) for v in row] for t, row in enumerate(levels, start=1)
+            )
 
 
 def write_draws_csv(path, draws):

@@ -9,16 +9,19 @@ for the prior), ``R^{-1}`` is formed explicitly and the prior's trace terms
 come from ``einsum``.
 
 ``coincident_rows_loop`` is the row-by-row design-point test and
-``point_draws``/``point_intervals`` the per-point interval path: one
-cross-correlation column, one triangular solve and one set of seeded draws
-per query point, with the level-one Student-t formula written out.
+``point_draws`` the per-point sampling path: one cross-correlation column,
+one triangular solve and one set of seeded draws per query point, with the
+level-one Student-t formula written out.  ``point_cdf`` integrates the joint
+predictive at one query row with ``scipy.integrate.quad``, nested over the
+lower levels' values, each in its Student-t CDF scale.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.stats import t as student_t
+from scipy.special import stdtr, stdtrit
 
 from mfcokrig.kernels import POWER_EXPONENTIAL, cross_corr
 
@@ -217,17 +220,83 @@ def point_draws(model, x0, n_draws, seed):
     return draws
 
 
-def point_intervals(model, X0, prob, n_draws, seed):
-    """``(m, s, 2)`` intervals, point by point: exact Student-t quantiles at
-    level one, empirical quantiles of ``point_draws`` seeded ``seed + i``
-    above it."""
-    lo_q, hi_q = 0.5 * (1.0 - prob), 0.5 * (1.0 + prob)
-    out = np.empty((X0.shape[0], model.s, 2))
-    for i, x0 in enumerate(X0):
-        mu, scale, df = _level_one(model, x0)
-        out[i, 0] = mu + scale * student_t.ppf([lo_q, hi_q], df)
-        if model.s > 1:
-            draws = point_draws(model, x0, n_draws, seed + i)
-            for t in range(1, model.s):
-                out[i, t] = np.quantile(draws[:, t], [lo_q, hi_q])
-    return out
+def point_cdf(model, pieces, level, z):
+    """``P(y_level <= z)`` at one query row, for the joint predictive that
+    ``sample_predictive`` draws from.
+
+    ``pieces`` holds the row's ``(mu, c0, c1)`` for each level, as
+    ``model._draw_pieces`` gives them; at a design point the predictive is
+    a few rounding errors wide, so the pieces must be the ones the bounds
+    were solved with.  ``scipy.integrate.quad`` runs over ``u`` in (0, 1)
+    for each level below ``level``, the level's value being its Student-t
+    quantile at ``u`` given the value below; the top level contributes its
+    conditional Student-t CDF.  A zero scale is a point mass.
+    """
+    st1 = model._states[0]
+    mu1, c01, _ = (float(v) for v in pieces[0])
+    s1 = float(np.sqrt(st1.sigma2_pred * max(c01, 0.0)))
+    df1 = st1.data.n - st1.data.q
+    upper = [
+        (float(mu), float(c0), float(c1), st)
+        for (mu, c0, c1), st in zip(pieces[1:], model._states[1:])
+    ]
+
+    def t_pdf(x, df):
+        logc = math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
+        return math.exp(logc - 0.5 * (df + 1) * math.log1p(x * x / df))
+
+    def t_cdf(x, loc, scale, df):
+        if scale <= 0.0:
+            return float(x >= loc)
+        return float(stdtr(df, (x - loc) / scale))
+
+    def given(t, y):
+        """Location, scale and degrees of freedom of level ``t + 1`` (0-based
+        index into the levels) given the value ``y`` of the level below."""
+        mu, c0, c1, st = upper[t - 1]
+        c_star = max(c0 + c1 * y + st.minv_qq * y * y, 0.0)
+        return mu + st.gamma * y, np.sqrt(st.sigma2_pred * c_star), st.data.n - st.data.q
+
+    # the value of each lower level whose conditional means carry it to z:
+    # where the integrand turns fastest, in a layer as thin as the
+    # conditional scales above that level
+    target = [None] * level
+    target[level - 1] = z
+    for t in range(level - 1, 0, -1):
+        mu, _, _, st = upper[t - 1]
+        target[t - 1] = (target[t] - mu) / st.gamma if st.gamma != 0.0 else None
+
+    def inner(u):
+        """``u`` kept off the ends, where a node of a tiny subinterval can
+        round onto them."""
+        return min(max(u, 1e-300), 1.0 - 2.0**-53)
+
+    # inner integrals are held tighter, so their rounding does not stall
+    # the outer one
+    tol = [1e-10 * 0.01**t for t in range(model.s)]
+
+    def integrate(t, loc, scale, df):
+        """Probability of the event given that level ``t + 1`` is
+        ``loc + scale * T_df``."""
+        if t == level - 1:
+            return t_cdf(z, loc, scale, df)
+        # quad runs piecewise, with breaks at the layer and at 1, 10 and
+        # 100 times its width, which is about the next level's conditional
+        # scale there over |gamma|
+        cuts = {0.0, 1.0}
+        if scale > 0.0 and target[t] is not None:
+            x = (target[t] - loc) / scale
+            u = float(stdtr(df, x))
+            width = t_pdf(x, df) * given(t + 1, target[t])[1] / (abs(upper[t][3].gamma) * scale)
+            cuts |= {u + k * width * 10.0**j for j in range(3) for k in (-1, 1)} | {u}
+        cuts = sorted(c for c in cuts if 0.0 <= c <= 1.0)
+        return sum(
+            quad(
+                lambda u: integrate(t + 1, *given(t + 1, loc + scale * stdtrit(df, inner(u)))),
+                a, b, epsabs=tol[t], epsrel=tol[t], limit=100,
+            )[0]
+            for a, b in zip(cuts[:-1], cuts[1:])
+            if b > a
+        )
+
+    return integrate(0, mu1, s1, df1)

@@ -391,7 +391,7 @@ class TestByteDeterminism:
                              "--level", str(p2), "--out", str(fit_out)]) == 0
             pred_out = tmp_path / f"pred_{run}"
             assert cli_main(["predict", "--model", str(model_path),
-                             "--grid", str(grid), "--draws", "300",
+                             "--grid", str(grid),
                              "--out", str(pred_out)]) == 0
             samp_out = tmp_path / f"samp_{run}"
             assert cli_main(["sample", "--model", str(model_path),

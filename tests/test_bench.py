@@ -144,6 +144,15 @@ class TestBenchmarkLoop:
         with pytest.raises(InvalidArgumentError):
             run_borehole_benchmark(method="bogus")
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n_low", "20"), ("n_high", 2.0), ("n_test", True), ("n_reps", 1.5), ("n_reps", 0),
+         ("n_test", None)],
+    )
+    def test_sizes_must_be_integers_at_least_one(self, name, value):
+        with pytest.raises(InvalidArgumentError, match=name):
+            run_borehole_benchmark(**{name: value})
+
 
 class TestReportCleaning:
     def test_non_finite_becomes_none(self):

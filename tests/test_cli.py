@@ -125,22 +125,24 @@ class TestPredictCommand:
                     str(out / "model.json"),
                     "--grid",
                     str(grid),
-                    "--draws",
-                    "400",
                     "--out",
                     str(tmp_path / name),
                 ]
             )
             assert code == EXIT_OK
+        # the intervals take no draws, so the shared --seed flag is accepted
+        # and changes nothing
+        code = main(["predict", "--model", str(out / "model.json"), "--grid", str(grid),
+                     "--seed", "9", "--out", str(tmp_path / "p3")])
+        assert code == EXIT_OK
         a = (tmp_path / "p1" / "predictions.csv").read_bytes()
         b = (tmp_path / "p2" / "predictions.csv").read_bytes()
-        assert a == b
+        assert a == b == (tmp_path / "p3" / "predictions.csv").read_bytes()
         lines = a.decode().splitlines()
         assert lines[0] == "x1,x2,level,mean,variance,lo95,hi95"
         assert len(lines) == 1 + 5 * 2  # one row per (point, level)
         echoed = json.loads((tmp_path / "p1" / "predict_config.json").read_text())
-        assert echoed["seed"] == 0
-        assert echoed["draws"] == 400
+        assert echoed == {"model": str(out / "model.json"), "grid": str(grid)}
 
     def test_reproduces_training_data_at_design_points(self, tmp_path):
         out, _, (X2, y2) = _fit(tmp_path)
@@ -155,8 +157,6 @@ class TestPredictCommand:
                 str(out / "model.json"),
                 "--grid",
                 str(grid),
-                "--draws",
-                "200",
                 "--out",
                 str(tmp_path / "pd"),
             ]
@@ -178,13 +178,13 @@ class TestPredictCommand:
         )
         code = main(
             ["predict", "--model", str(out / "model.json"), "--grid", str(grid),
-             "--draws", "300", "--seed", "8", "--out", str(tmp_path / "pm")]
+             "--out", str(tmp_path / "pm")]
         )
         assert code == EXIT_OK
         data, result = load_model(out / "model.json")
         model = CokrigingModel(data, result)
         pred = model.predict(pts)
-        intervals = model.credible_intervals(pts, n_draws=300, seed=8)
+        intervals = model.credible_intervals(pts)
         rows = (tmp_path / "pm" / "predictions.csv").read_text().splitlines()[1:]
         cells = [r.split(",") for r in rows]
         for k, row in enumerate(cells):
@@ -193,6 +193,16 @@ class TestPredictCommand:
             assert row[3] == _format(pred.means[i, t])
             assert row[4] == _format(pred.variances[i, t])
             assert row[5:] == [_format(v) for v in intervals[i, t]]
+
+    def test_intervals_take_no_draws_flag(self, tmp_path, capsys):
+        out, _, _ = _fit(tmp_path)
+        grid = tmp_path / "grid.csv"
+        grid.write_text("x1,x2\n0.1,0.2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--model", str(out / "model.json"), "--grid", str(grid),
+                  "--draws", "100", "--out", str(tmp_path / "pq")])
+        assert exc.value.code == 2
+        assert "--draws" in capsys.readouterr().err
 
     def test_grid_dimension_mismatch(self, tmp_path, capsys):
         out, _, _ = _fit(tmp_path)
@@ -238,7 +248,7 @@ class TestPredictCommand:
             code = main(
                 ["predict", "--model", str(out / "model.json"),
                  "--grid", str(tmp_path / f"{name}.csv"),
-                 "--draws", "100", "--out", str(tmp_path / name)]
+                 "--out", str(tmp_path / name)]
             )
             assert code == EXIT_OK
         assert (tmp_path / "with" / "predictions.csv").read_bytes() == (
@@ -488,6 +498,18 @@ class TestBenchmarkCommand:
         lines = (out / "benchmark_replicates.csv").read_text().splitlines()
         assert lines[0] == "replicate,rmspe,cvg95,alci95,failed,reason"
         assert "median RMSPE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "sizes, key",
+        [({"n_low": "20"}, "n_low"), ({"n_reps": 1.5}, "n_reps"),
+         ({"n_high": True}, "n_high"), ({"n_test": 0}, "n_test")],
+    )
+    def test_bad_size_in_config_exits_two_naming_the_key(self, tmp_path, capsys, sizes, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"benchmark": sizes}))
+        code = main(["benchmark", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "config, flags, sizes",

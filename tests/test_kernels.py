@@ -167,6 +167,33 @@ class TestRangeParams:
 
 
 class TestCorrMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family_shape=st.one_of(
+            st.tuples(st.just(POWER_EXPONENTIAL), st.floats(0.05, 1.99)),
+            st.tuples(st.just(MATERN), st.sampled_from([0.5, 1.5, 2.5])),
+        ),
+        dims=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_symmetric_positive_definite_property(self, family_shape, dims, data):
+        """Over distinct points of the quarter lattice in the unit cube,
+        ranges in [0.05, 1] and nuggets in [0, MAX_NUGGET], R is exactly
+        symmetric with unit-plus-nugget diagonal, and Cholesky succeeds."""
+        family, shape = family_shape
+        lattice = np.array(np.meshgrid(*[np.linspace(0.0, 1.0, 5)] * dims)).reshape(dims, -1).T
+        rows = data.draw(
+            st.lists(st.integers(0, lattice.shape[0] - 1), min_size=2, max_size=12, unique=True)
+        )
+        phi = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=dims, max_size=dims)))
+        nugget = data.draw(st.sampled_from([0.0, DEFAULT_NUGGET, 1e-6, 1e-4]))
+        spec = KernelSpec(family=family, shape=shape, dims=dims, nugget=nugget)
+        R = corr_matrix(lattice[rows], RangeParams(phi), spec)
+        np.testing.assert_array_equal(R, R.T)
+        np.testing.assert_array_equal(np.diag(R), 1.0 + nugget)
+        L = np.linalg.cholesky(R)
+        assert np.all(np.diag(L) > 0.0)
+
     def test_matches_product_of_univariate_correlations(self):
         """R[i,j] is the product over dimensions of the oracle's 1-d values."""
         rng = np.random.default_rng(21)

@@ -22,9 +22,10 @@ from mfcokrig.modelio import (
     save_model,
     write_draws_csv,
     write_level_csv,
+    write_predictions_csv,
     write_tailprobe_csv,
 )
-from mfcokrig.predict import CokrigingModel
+from mfcokrig.predict import CokrigingModel, Prediction
 from mfcokrig.priors import PRIOR_KINDS, PriorSpec
 
 
@@ -396,7 +397,44 @@ class TestLevelCsv:
         np.testing.assert_array_equal(y, [5.0])
 
 
+def _predictions_csv_per_cell(X0, prediction, intervals):
+    """``predictions.csv`` text written one cell at a time, each number
+    formatted as ``repr(float(v))``."""
+    d = X0.shape[1]
+    lines = [",".join([f"x{k + 1}" for k in range(d)] + ["level", "mean", "variance", "lo95", "hi95"])]
+    for i in range(X0.shape[0]):
+        for t in range(prediction.means.shape[1]):
+            cells = [repr(float(v)) for v in X0[i]] + [str(t + 1)]
+            cells += [repr(float(prediction.means[i, t])), repr(float(prediction.variances[i, t]))]
+            cells += [repr(float(v)) for v in intervals[i, t]]
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 class TestAuxiliaryWriters:
+    def test_predictions_csv_matches_per_cell_formatting(self, tmp_path):
+        rng = np.random.default_rng(170)
+        m, d, s = 40, 3, 2
+        special = np.array([-0.0, 1e-300, 1e300, -1e300, 0.1, 1.0 / 3.0])
+
+        def values(shape):
+            v = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+            flat = v.reshape(-1)
+            flat[rng.choice(flat.size, size=special.size, replace=False)] = special
+            return v
+
+        X0 = values((m, d))
+        pred = Prediction(
+            means=values((m, s)),
+            variances=np.abs(values((m, s))),
+            dfs=np.array([10, 5]),
+            at_design=np.zeros((m, s), dtype=bool),
+        )
+        intervals = values((m, s, 2))
+        path = tmp_path / "predictions.csv"
+        write_predictions_csv(path, X0, pred, intervals)
+        assert path.read_bytes() == _predictions_csv_per_cell(X0, pred, intervals).encode()
+
     def test_draws_csv(self, tmp_path):
         draws = np.array([[1.5, 2.5], [3.25, -0.125]])
         path = tmp_path / "draws.csv"

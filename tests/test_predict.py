@@ -1,10 +1,13 @@
 """Recursive prediction and sequential sampling, checked against dense
 linear-algebra references and each other."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtr
 from scipy.stats import t as student_t
 
 from mfcokrig.bench import borehole_high, borehole_low, lhs_design, scale_to_box
@@ -14,6 +17,7 @@ from mfcokrig.estimate import (
     LevelFit,
     OptimOptions,
     assemble,
+    fit,
     match_rows,
 )
 from mfcokrig.exceptions import (
@@ -29,9 +33,10 @@ from mfcokrig.kernels import (
     corr_matrix,
     cross_corr,
 )
-from mfcokrig.predict import CokrigingModel
+from mfcokrig import predict as predict_module
+from mfcokrig.predict import TAIL_MASS, CokrigingModel, _Quadrature, _quantiles
 from mfcokrig.priors import PriorSpec
-from oracles import coincident_rows_loop, point_draws, point_intervals
+from oracles import coincident_rows_loop, point_cdf, point_draws
 
 
 def _nested_pair(rng, n1=15, n2=8, d=2, gamma=1.4):
@@ -267,6 +272,33 @@ class TestInterpolation:
 
 
 class TestVarianceDominance:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        three=st.booleans(),
+        family_shape=st.sampled_from(
+            [(POWER_EXPONENTIAL, 1.9), (POWER_EXPONENTIAL, 1.0), (MATERN, 1.5), (MATERN, 2.5)]
+        ),
+        phis=st.lists(st.floats(0.1, 3.0), min_size=6, max_size=6),
+    )
+    def test_variance_floor_property(self, seed, three, family_shape, phis):
+        """At random, design and lower-design queries, every level's
+        variance is at least gamma_t^2 times the level below's (the
+        single-level floor) and is never negative."""
+        rng = np.random.default_rng(seed)
+        if three:
+            data, _, _ = _three_level_case(rng)
+        else:
+            data = assemble(list(_nested_pair(rng, gamma=rng.uniform(-2.0, 2.0))))
+        spec = KernelSpec(family=family_shape[0], shape=family_shape[1], dims=2)
+        ranges = [np.array(phis[2 * t:2 * t + 2]) for t in range(data.s)]
+        model = CokrigingModel(data, _manual_fit(data, spec, ranges))
+        X0 = np.vstack([rng.uniform(size=(10, 2))] + [lv.inputs[:3] for lv in data.levels])
+        v = model.predict(X0).variances
+        assert np.all(v >= 0.0)
+        for t in range(1, data.s):
+            assert np.all(v[:, t] >= model._states[t].gamma ** 2 * v[:, t - 1])
+
     def test_exceeds_kriging_only_variance_off_design(self):
         rng = np.random.default_rng(120)
         pair1, pair2 = _nested_pair(rng)
@@ -380,19 +412,22 @@ class TestCredibleIntervals:
         assert lo == pytest.approx(want_lo, rel=1e-10)
         assert hi == pytest.approx(want_hi, rel=1e-10)
 
-    def test_higher_level_uses_seeded_draws(self):
-        rng = np.random.default_rng(141)
-        pair1, pair2 = _nested_pair(rng)
-        data = assemble([pair1, pair2])
-        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
-        phis = [np.array([0.6, 0.9]), np.array([0.8, 0.5])]
-        model = CokrigingModel(data, _manual_fit(data, spec, phis))
-        x0 = np.array([0.45, 0.25])
-        lo, hi = model.credible_interval(x0, level=2, prob=0.95, n_draws=2000, seed=77)
-        draws = model.sample_predictive(x0, 2000, seed=77)[:, 1]
-        want = np.quantile(draws, [0.025, 0.975])
-        assert (lo, hi) == (pytest.approx(want[0]), pytest.approx(want[1]))
-        assert lo < model.predict(x0).means[0, 1] < hi
+    @pytest.mark.parametrize("case", [0, 1], ids=["two_level", "three_level"])
+    def test_higher_levels_match_sampled_quantiles(self, case):
+        """Each bound lies within 4 standard errors of the empirical
+        quantile of 1e6 joint draws: between the order statistics of rank
+        ``n p -+ 4 sqrt(n p (1 - p))``."""
+        model, X0 = _interval_cases()[case]
+        n, tails = 1_000_000, np.array([0.025, 0.975])
+        band = 4.0 * np.sqrt(n * tails * (1.0 - tails))
+        ranks = np.stack([np.floor(n * tails - band), np.ceil(n * tails + band)]).astype(int)
+        for i in (0, 12, X0.shape[0] - 1):
+            bounds = model.credible_intervals(X0[i])[0]
+            draws = model.sample_predictive(X0[i], n, seed=300 + i)
+            for t in range(1, model.s):
+                order = np.sort(draws[:, t])
+                for k in range(2):
+                    assert order[ranks[0, k]] <= bounds[t, k] <= order[ranks[1, k]]
 
     @pytest.mark.parametrize(
         "call",
@@ -401,17 +436,12 @@ class TestCredibleIntervals:
             lambda m: m.sample_predictive(np.zeros(2), "abc"),
             lambda m: m.sample_predictive(np.zeros(2), 2.7),
             lambda m: m.sample_predictive(np.zeros(2), True),
-            lambda m: m.credible_intervals(np.zeros(2), n_draws=None),
-            lambda m: m.credible_intervals(np.zeros(2), n_draws="abc"),
-            lambda m: m.credible_intervals(np.zeros(2), n_draws=2.7),
-            lambda m: m.credible_intervals(np.zeros(2), n_draws=True),
             lambda m: m.credible_interval(np.zeros(2), level=True),
             lambda m: m.credible_interval(np.zeros(2), level=1.0),
             lambda m: m.credible_interval(np.zeros(2), level="1"),
         ],
         ids=[
             "draws-none", "draws-str", "draws-float", "draws-bool",
-            "intervals-none", "intervals-str", "intervals-float", "intervals-bool",
             "level-bool", "level-float", "level-str",
         ],
     )
@@ -437,11 +467,9 @@ class TestCredibleIntervals:
             model.credible_interval(np.zeros(2), level=1, prob=1.0)
         with pytest.raises(InvalidArgumentError):
             model.credible_interval(np.zeros((2, 2)), level=1)
-        for seed in (None, -1, True, 1.5):
+        for prob in (None, "0.9", True, 0.0, float("nan")):
             with pytest.raises(InvalidArgumentError):
-                model.credible_intervals(np.zeros(2), seed=seed)
-        with pytest.raises(InvalidArgumentError):
-            model.credible_intervals(np.zeros(2), n_draws=0)
+                model.credible_intervals(np.zeros(2), prob=prob)
         with pytest.raises(InvalidArgumentError):
             model.credible_intervals(np.zeros((3, 5)))
 
@@ -463,16 +491,31 @@ def _interval_cases():
     return [(two, X0_two), (three, X0_three)]
 
 
+def _assert_tail_probabilities(model, X0, intervals, tails, rows, levels):
+    """The quad oracle's probability below each bound is its tail to 1e-8."""
+    pieces = model._draw_pieces(X0)
+    for i in rows:
+        row = [tuple(a[i] for a in pc) for pc in pieces]
+        for t in levels:
+            for k, tail in enumerate(tails):
+                got = point_cdf(model, row, t, intervals[i, t - 1, k])
+                assert abs(got - tail) <= 1e-8, (i, t, k, got)
+
+
 class TestBatchedIntervals:
     @pytest.mark.parametrize("case", [0, 1], ids=["two_level", "three_level"])
     def test_agree_with_per_point_oracle(self, case):
+        """Random, top-design and bottom-only design rows.  Both cases put
+        innovation mass beyond the sign change of the event's leading
+        coefficient, where its set is bounded."""
         model, X0 = _interval_cases()[case]
-        # 4000 draws put several query rows in each draw block, and more
-        # than one block in the call
-        got = model.credible_intervals(X0, prob=0.9, n_draws=4000, seed=31)
-        want = point_intervals(model, X0, 0.9, 4000, 31)
+        got = model.credible_intervals(X0, prob=0.9)
+        top = (0, 12, X0.shape[0] - 1) if case else range(X0.shape[0])
+        _assert_tail_probabilities(model, X0, got, (0.05, 0.95), range(X0.shape[0]), [2])
+        _assert_tail_probabilities(model, X0, got, (0.05, 0.95), top, range(3, model.s + 1))
+        quad = _Quadrature(model._states, model._quad_pieces(X0))
+        assert any(stdtr(df, -e) > TAIL_MASS for df, e in zip(quad.dfs, quad.e_star))
         tol = 1e-9 * np.abs(model.predict(X0).means)
-        assert np.all(np.abs(got - want) <= tol[:, :, None])
         for i in (0, 13, X0.shape[0] - 1):
             draws = model.sample_predictive(X0[i], 300, seed=5 + i)
             assert np.all(np.abs(draws - point_draws(model, X0[i], 300, 5 + i)) <= tol[i])
@@ -481,10 +524,81 @@ class TestBatchedIntervals:
     def test_single_interval_is_the_batched_entry(self, case):
         model, X0 = _interval_cases()[case]
         for i in (0, 12, X0.shape[0] - 1):
-            batched = model.credible_intervals(X0[i], n_draws=700, seed=40 + i)
+            batched = model.credible_intervals(X0[i])
             for level in range(1, model.s + 1):
-                single = model.credible_interval(X0[i], level, n_draws=700, seed=40 + i)
+                single = model.credible_interval(X0[i], level)
                 assert single == tuple(batched[0, level - 1])
+
+    def test_blocks_do_not_change_the_bounds(self, monkeypatch):
+        model, X0 = _interval_cases()[0]
+        whole = model.credible_intervals(X0)
+        monkeypatch.setattr(predict_module, "QUAD_BLOCK_BYTES", 1)
+        np.testing.assert_array_equal(model.credible_intervals(X0), whole)
+
+    def test_negative_scale_link(self):
+        """A fitted model whose level-two output falls as level one rises."""
+        rng = np.random.default_rng(145)
+        X1 = rng.uniform(size=(16, 2))
+        X2 = X1[:9]
+        y1 = np.sin(3.0 * X1[:, 0]) + X1[:, 1] ** 2 + 0.1 * rng.standard_normal(16)
+        y2 = -1.3 * y1[:9] + 0.3 * np.cos(4.0 * X2[:, 0])
+        data = assemble([(X1, y1), (X2, y2)])
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+        result = fit(data, spec, PriorSpec(kind="reference"),
+                     OptimOptions(seed=3, n_starts=2, max_evals=200))
+        model = CokrigingModel(data, result)
+        assert model._states[1].gamma < 0.0
+        X0 = np.vstack([rng.uniform(size=(8, 2)), X2[:3], X1[12:15]])
+        got = model.credible_intervals(X0)
+        _assert_tail_probabilities(model, X0, got, (0.025, 0.975), range(X0.shape[0]), [2])
+
+
+class TestQuadratureCases:
+    """The quadrature CDF and its quantiles on synthetic two-level pieces,
+    against the quad oracle."""
+
+    @staticmethod
+    def _state(n, q, sigma2, gamma=0.0, minv_qq=0.0):
+        return SimpleNamespace(data=SimpleNamespace(n=n, q=q), sigma2_pred=sigma2,
+                               gamma=gamma, minv_qq=minv_qq)
+
+    @pytest.mark.parametrize(
+        "gamma, minv_qq, Q0, yc, innovation",
+        [
+            # e_star = 3: 2.4% of the level-two innovation falls where the
+            # event's set is bounded, and the innovation sum is used
+            (1.2, 0.16, 0.01, 0.5, True),
+            (-1.2, 0.16, 0.01, 0.5, True),
+            # a design-like row: the conditional scale vanishes at yc
+            (0.9, 0.05, 0.0, 0.0, True),
+            # the conditional scale dominates: the sum runs over level one
+            (0.3, 0.16, 0.01, 0.5, False),
+            (-0.3, 0.16, 0.5, -1.0, False),
+        ],
+        ids=["bounded-sets", "negative-gamma", "design-like", "over-lower", "over-lower-neg"],
+    )
+    def test_cdf_and_quantiles_match_quad(self, gamma, minv_qq, Q0, yc, innovation):
+        states = [self._state(11, 1, 1.0), self._state(8, 2, 1.0, gamma, minv_qq)]
+        pieces = [(np.array([0.0]), np.array([1.0]), None),
+                  (np.array([0.3]), np.array([Q0]), np.array([yc]))]
+        quad_cdf = _Quadrature(states, pieces)
+        assert bool(quad_cdf.over_lower[1][0]) is not innovation
+        probs = np.array([0.001, 0.025, 0.3, 0.5, 0.975, 0.999])
+        bounds = _quantiles(states, pieces, 1, probs)[0]
+        # the sampler's form of the same row: c0 + c1 y + q y^2
+        row = [(0.0, 1.0, 0.0), (0.3, Q0 + minv_qq * yc**2, -2.0 * minv_qq * yc)]
+        model = SimpleNamespace(_states=states, s=2)
+        r = np.zeros(1, dtype=int)
+        for p, z in zip(probs, bounds):
+            assert abs(point_cdf(model, row, 2, z) - p) <= 1e-9
+            if p == 0.5:
+                # the design-like median sits on the density's cusp
+                continue
+            _, f, _ = quad_cdf.cdf(1, np.array([z]), r)
+            h = 1e-5 * quad_cdf.spread[1][0]
+            Fp, _, _ = quad_cdf.cdf(1, np.array([z + h]), r)
+            Fm, _, _ = quad_cdf.cdf(1, np.array([z - h]), r)
+            assert f[0] == pytest.approx((Fp[0] - Fm[0]) / (2.0 * h), rel=1e-5)
 
 
 class TestModelConstruction:
