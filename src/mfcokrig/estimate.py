@@ -71,6 +71,21 @@ def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _real_array(value, name):
+    """``value`` as a C-contiguous float64 array; InvalidArgumentError
+    naming ``name`` unless it holds real numbers (integers or floats, not
+    booleans, complex numbers, strings or objects) in a rectangular shape."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"{name} must be a rectangular array ({exc})") from exc
+    if arr.dtype.kind not in "iuf":
+        raise InvalidArgumentError(
+            f"{name} must hold real numbers, got dtype {arr.dtype}"
+        )
+    return np.ascontiguousarray(arr, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class OptimOptions:
     """Multi-start Nelder-Mead configuration.
@@ -223,9 +238,13 @@ def assemble(raw_levels, basis="constant"):
     levels = []
     prev_inputs = None
     prev_outputs = None
-    for t, (inputs, outputs) in enumerate(raw, start=1):
-        inputs = np.ascontiguousarray(inputs, dtype=np.float64)
-        outputs = np.asarray(outputs, dtype=np.float64).ravel()
+    for t, pair in enumerate(raw, start=1):
+        try:
+            inputs, outputs = pair
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"level {t} must be an (inputs, outputs) pair") from exc
+        inputs = _real_array(inputs, f"level {t} inputs")
+        outputs = _real_array(outputs, f"level {t} outputs").ravel()
         if inputs.ndim != 2:
             raise InvalidArgumentError(f"level {t} inputs must be a 2-d matrix")
         if t > 1 and inputs.shape[1] != prev_inputs.shape[1]:

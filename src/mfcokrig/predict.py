@@ -7,9 +7,19 @@ the scale-linked lower-level prediction to its mean and propagates both the
 lower-level variance and the estimation uncertainty of the trend and scale
 coefficients into its variance.
 
+Every read path starts from one centred piece ``(mu, Q0, yc)`` per level
+and query row.  Given the lower-level value ``y``, level ``t`` is the
+Student-t ``mu + gamma*y + sqrt(S*Q(y))*e`` with conditional scale
+``Q(y) = Q0 + q*(y - yc)^2``, where ``S`` is the level's scale estimate
+and ``q`` the last diagonal entry of ``(X^T R^-1 X)^-1``; at level one the
+scale is the constant ``Q0`` and ``yc`` is None.  So ``predict`` gives, for
+a lower level of mean ``ybar`` and variance ``v``, the mean ``mu +
+gamma*ybar`` and the variance
+
+    gamma^2 v + df/(df - 2) * S * (Q0 + q*((ybar - yc)^2 + v)).
+
 Sampling follows the conditional route: draw the level-one output from its
-Student-t, then feed each draw into the next level's conditional Student-t,
-whose mean is linear and whose scale is quadratic in the lower draw.
+Student-t, then feed each draw into the next level's conditional Student-t.
 
 Credible intervals need quantiles of the predictive, which above level one
 is a Student-t mixed over the level below.  Its CDF is a one-dimensional
@@ -32,11 +42,18 @@ is solved again on rules of half the step.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.special import gammaln, stdtr, stdtrit
 from scipy.stats import t as student_t
 
-from .estimate import CokrigingData, FitResult, _is_int, _is_real, coincident_rows
+from .estimate import (
+    CokrigingData,
+    FitResult,
+    _is_int,
+    _is_real,
+    _real_array,
+    coincident_rows,
+)
 from .exceptions import DesignRankError, InvalidArgumentError, VarianceUndefinedError
 from .gp import gls_fit
 from .kernels import RangeParams, cross_corr
@@ -111,7 +128,8 @@ class _LevelState:
     data: object
     params: RangeParams
     fact: object
-    sigma2_pred: float  # S2 / (n - q), the Student-t scale estimate
+    df: int  # n - q, the Student-t degrees of freedom
+    sigma2_pred: float  # S2 / df, the Student-t scale estimate
     gamma: float  # scale link to the level below; 0.0 at level one
     minv_qq: float  # last diagonal entry of (X^T R^-1 X)^-1
 
@@ -157,12 +175,14 @@ class CokrigingModel:
                         f"level {lv.index} lower-level outputs are collinear "
                         "with the basis; the scale link is unidentifiable"
                     )
+            df = lv.n - lv.q
             states.append(
                 _LevelState(
                     data=lv,
                     params=params,
                     fact=fact,
-                    sigma2_pred=fact.S2 / (lv.n - lv.q),
+                    df=df,
+                    sigma2_pred=fact.S2 / df,
                     gamma=gamma,
                     minv_qq=float(1.0 / tail),
                 )
@@ -175,45 +195,51 @@ class CokrigingModel:
 
     @property
     def dfs(self):
-        return np.array([lv.n - lv.q for lv in self.data.levels], dtype=np.intp)
+        return np.array([st.df for st in self._states], dtype=np.intp)
 
     def _check_queries(self, X0):
-        X0 = np.ascontiguousarray(X0, dtype=np.float64)
+        X0 = _real_array(X0, "queries")
         if X0.ndim == 1:
             X0 = X0[None, :]
         if X0.ndim != 2 or X0.shape[1] != self.data.dims:
             raise InvalidArgumentError(
                 f"queries must be (m, {self.data.dims}), got shape {X0.shape}"
             )
+        if X0.shape[0] == 0:
+            raise InvalidArgumentError("queries must contain at least one row")
         if not np.all(np.isfinite(X0)):
             raise InvalidArgumentError("queries contain non-finite entries")
         return X0
 
-    def _pieces(self, st, X0, y_link):
-        """Query pieces of one level for every row of ``X0``: one
-        cross-correlation block and one triangular solve.
+    def _pieces(self, X0):
+        """Per level, the centred piece ``(mu, Q0, yc)`` of every row of
+        ``X0`` (module docstring): one cross-correlation block and one
+        triangular solve against each of ``chol_R`` and ``chol_M``.
 
-        Returns ``(trend, resid, c_base, U, G)``: the basis part of the
-        mean, the kriged residual, the correlation part of the scale,
-        ``U = F - W^T L^-1 C`` of shape ``(q, m)`` and ``G = M^-1 U``.
-        Above level one the last row of ``F`` is ``y_link``, the value the
-        scale link multiplies.
+        With ``U = F - W^T L_R^-1 C``, whose basis rows ``F`` are the basis
+        at ``X0`` and whose link row is zero, and ``Z = L_M^-1 U``, the
+        conditional scale is ``c_base + |Z|^2``; the lower value ``y``
+        enters only the last entry of ``Z``, as ``y / L_qq``.  So ``Q0``,
+        the least scale over ``y``, drops that entry, and ``yc`` is the
+        value that attains it.
         """
-        lv, fact = st.data, st.fact
-        C = cross_corr(lv.inputs, X0, st.params, self.spec)
-        Sw = solve_triangular(fact.chol_R, C, lower=True, check_finite=False)
-        H0 = np.asarray(lv.basis_fn(X0), dtype=np.float64)
-        resid = Sw.T @ fact.white_resid
-        if lv.index == 1:
-            trend = H0 @ fact.b_hat
-            F = H0.T
-        else:
-            trend = H0 @ fact.b_hat[:-1]
-            F = np.vstack([H0.T, y_link])
-        c_base = (1.0 + self.spec.nugget) - np.einsum("ij,ij->j", Sw, Sw)
-        U = F - fact.white_design.T @ Sw
-        G = cho_solve((fact.chol_M, True), U, check_finite=False)
-        return trend, resid, c_base, U, G
+        out = []
+        for st in self._states:
+            lv, fact, L = st.data, st.fact, st.fact.chol_M
+            C = cross_corr(lv.inputs, X0, st.params, self.spec)
+            Sw = solve_triangular(fact.chol_R, C, lower=True, check_finite=False)
+            H0 = np.asarray(lv.basis_fn(X0), dtype=np.float64)
+            k = H0.shape[1]
+            mu = H0 @ fact.b_hat[:k] + Sw.T @ fact.white_resid
+            U = -(fact.white_design.T @ Sw)
+            U[:k] += H0.T
+            Z = solve_triangular(L, U, lower=True, check_finite=False)
+            Q0 = (1.0 + self.spec.nugget) - np.einsum("ij,ij->j", Sw, Sw)
+            Q0 += np.einsum("ij,ij->j", Z[:k], Z[:k])
+            out.append((mu, Q0, None if lv.index == 1 else -Z[-1] * L[-1, -1]))
+            # the (n, m) blocks go before the next level builds its own
+            del C, Sw
+        return out
 
     def predict(self, X0, mean_only=False):
         """Predictive means and variances at every level for each query row.
@@ -226,103 +252,25 @@ class CokrigingModel:
         means = np.empty((m, s))
         variances = None if mean_only else np.empty((m, s))
         at_design = np.empty((m, s), dtype=bool)
-        y_prev = None
-        v_prev = np.zeros(m)
-        for t, st in enumerate(self._states):
-            lv = st.data
-            df = lv.n - lv.q
-            if not mean_only and df <= 2:
+        y = v = 0.0
+        for t, (st, (mu, Q0, yc)) in enumerate(zip(self._states, self._pieces(X0))):
+            if not mean_only and st.df <= 2:
                 raise VarianceUndefinedError(
-                    f"level {lv.index} has n - q = {df} <= 2; variances are "
-                    "undefined (request mean_only for means)"
+                    f"level {st.data.index} has n - q = {st.df} <= 2; variances "
+                    "are undefined (request mean_only for means)"
                 )
-            trend, resid, c_base, U, G = self._pieces(st, X0, y_prev)
-            if t == 0:
-                mu = trend + resid
-            else:
-                mu = trend + st.gamma * y_prev + resid
-            means[:, t] = mu
-            at_design[:, t] = coincident_rows(X0, lv.inputs).any(axis=1)
+            at_design[:, t] = coincident_rows(X0, st.data.inputs).any(axis=1)
+            if yc is not None:
+                mu = mu + st.gamma * y
+                Q0 = Q0 + st.minv_qq * ((y - yc) ** 2 + v)
+            means[:, t] = y = mu
             if not mean_only:
-                quad = np.einsum("ij,ij->j", U, G)
-                c_star = c_base + quad + v_prev * st.minv_qq
-                np.maximum(c_star, 0.0, out=c_star)
-                v = st.gamma**2 * v_prev + (df / (df - 2.0)) * st.sigma2_pred * c_star
+                c_star = np.maximum(Q0, 0.0)
+                v = st.gamma**2 * v + (st.df / (st.df - 2.0)) * st.sigma2_pred * c_star
                 variances[:, t] = v
-                v_prev = v
-            y_prev = mu
         return Prediction(
             means=means, variances=variances, dfs=self.dfs, at_design=at_design
         )
-
-    def _draw_pieces(self, X0):
-        """Per level, the mean part and the coefficients of the conditional
-        scale ``c0 + c1 y + c2 y^2`` in the lower-level value ``y``, for
-        every row of ``X0``; at level one the scale is the constant ``c0``."""
-        zeros = np.zeros(X0.shape[0])
-        out = []
-        for st in self._states:
-            trend, resid, c_base, U, G = self._pieces(st, X0, zeros)
-            c0 = c_base + np.einsum("ij,ij->j", U, G)
-            out.append((trend + resid, c0, 2.0 * G[-1]))
-        return out
-
-    def _quad_pieces(self, X0):
-        """Per level, the mean part and the conditional scale in centred
-        form ``Q0 + q (y - yc)^2`` in the lower-level value ``y``, for every
-        row of ``X0``: ``Q0`` is the least scale over ``y`` and ``yc`` the
-        value that attains it.  At level one the scale is the constant
-        ``Q0`` and ``yc`` is None.
-
-        With ``Z = L_M^-1 U`` the scale is ``c_base + |Z|^2``, and the link
-        value enters only the last entry of ``Z``, as ``y / L_qq``.
-        """
-        zeros = np.zeros(X0.shape[0])
-        out = []
-        for st in self._states:
-            trend, resid, c_base, U, G = self._pieces(st, X0, zeros)
-            if st.data.index == 1:
-                out.append((trend + resid, c_base + np.einsum("ij,ij->j", U, G), None))
-                continue
-            L = st.fact.chol_M
-            Z = solve_triangular(L, U, lower=True, check_finite=False)
-            Q0 = c_base + np.einsum("ij,ij->j", Z[:-1], Z[:-1])
-            out.append((trend + resid, Q0, -Z[-1] * L[-1, -1]))
-        return out
-
-    def _draws(self, pieces, rows, seeds, n_draws):
-        """Sequential joint draws at the query rows ``rows`` of ``pieces``,
-        row ``rows[k]`` from a generator seeded ``seeds[k]``; returns
-        ``(len(rows), n_draws, s)``.
-
-        Each row's generator yields all of level one's Student-t variates,
-        then level two's, and so on, whatever the block of rows.
-        """
-        draws = np.empty((len(rows), n_draws, self.s))
-        dfs = [st.data.n - st.data.q for st in self._states]
-        for k, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
-            for t, df in enumerate(dfs):
-                draws[k, :, t] = rng.standard_t(df, size=n_draws)
-        y_prev = None
-        for t, (st, (mu, c0, c1)) in enumerate(zip(self._states, pieces)):
-            mu, c0, c1 = mu[rows, None], c0[rows, None], c1[rows, None]
-            if t == 0:
-                c_star = np.maximum(c0, 0.0)
-            else:
-                mu = mu + st.gamma * y_prev
-                c_star = np.maximum(c0 + c1 * y_prev + st.minv_qq * y_prev**2, 0.0)
-            level = draws[:, :, t]
-            level *= np.sqrt(st.sigma2_pred * c_star)
-            level += mu
-            y_prev = level
-        return draws
-
-    @staticmethod
-    def _check_n_draws(n_draws):
-        if not _is_int(n_draws) or n_draws < 1:
-            raise InvalidArgumentError(f"n_draws must be an integer >= 1, got {n_draws!r}")
-        return int(n_draws)
 
     def sample_predictive(self, x0, n_draws, seed=0):
         """Draws from the joint predictive distribution at one point.
@@ -331,13 +279,27 @@ class CokrigingModel:
         ``t``.  Level one is sampled from its Student-t; each later level is
         sampled conditionally on the previous level's draw, whose value
         shifts the mean linearly and widens the scale quadratically.
-        Deterministic given ``seed``.
+        Deterministic given ``seed``, an integer >= 0: one generator yields
+        all of level one's Student-t variates, then level two's, and so on.
         """
         x0 = self._check_queries(x0)
         if x0.shape[0] != 1:
             raise InvalidArgumentError("sampling takes a single query point")
-        n_draws = self._check_n_draws(n_draws)
-        return self._draws(self._draw_pieces(x0), [0], [seed], n_draws)[0]
+        if not _is_int(n_draws) or n_draws < 1:
+            raise InvalidArgumentError(f"n_draws must be an integer >= 1, got {n_draws!r}")
+        if not _is_int(seed) or seed < 0:
+            raise InvalidArgumentError(f"seed must be an integer >= 0, got {seed!r}")
+        rng = np.random.default_rng(seed)
+        draws = np.empty((n_draws, self.s))
+        y = 0.0
+        for st, (mu, Q0, yc), level in zip(self._states, self._pieces(x0), draws.T):
+            if yc is not None:
+                mu = mu + st.gamma * y
+                Q0 = Q0 + st.minv_qq * (y - yc) ** 2
+            scale = np.sqrt(st.sigma2_pred * np.maximum(Q0, 0.0))
+            level[:] = mu + scale * rng.standard_t(st.df, size=n_draws)
+            y = level
+        return draws
 
     def credible_intervals(self, X0, prob=0.95):
         """Equal-tail predictive intervals at every level for each query row.
@@ -352,12 +314,12 @@ class CokrigingModel:
         X0 = self._check_queries(X0)
         m, s = X0.shape[0], self.s
         tails = np.array([0.5 * (1.0 - prob), 0.5 * (1.0 + prob)])
-        pieces = self._quad_pieces(X0)
+        pieces = self._pieces(X0)
         out = np.empty((m, s, 2))
         st = self._states[0]
-        mu, c0, _ = pieces[0]
-        scale = np.sqrt(st.sigma2_pred * np.maximum(c0, 0.0))
-        out[:, 0, :] = mu[:, None] + scale[:, None] * student_t.ppf(tails, self.dfs[0])
+        mu, Q0, _ = pieces[0]
+        scale = np.sqrt(st.sigma2_pred * np.maximum(Q0, 0.0))
+        out[:, 0, :] = mu[:, None] + scale[:, None] * student_t.ppf(tails, st.df)
         for t in range(1, s):
             out[:, t, :] = _quantiles(self._states, pieces, t, tails)
         return out
@@ -380,14 +342,14 @@ class CokrigingModel:
 
 def _quantiles(states, pieces, t, probs):
     """Level ``t + 1`` quantiles ``(rows, len(probs))`` of the rows of the
-    ``_quad_pieces`` output ``pieces``, solved in blocks of rows; a row
-    whose error estimate exceeds ``QUAD_TOL`` is solved again with finer
-    rules."""
+    ``CokrigingModel._pieces`` output ``pieces``, solved in blocks of rows;
+    a row whose error estimate exceeds ``QUAD_TOL`` is solved again with
+    finer rules."""
     states, pieces = states[: t + 1], pieces[: t + 1]
     out = np.empty((pieces[0][0].size, probs.size))
     rows = np.arange(out.shape[0])
     for refine in range(MAX_REFINE + 1):
-        nodes = int(np.prod([_rule_size(st.data.n - st.data.q, refine) for st in states[1:]]))
+        nodes = int(np.prod([_rule_size(st.df, refine) for st in states[1:]]))
         block = max(1, QUAD_BLOCK_BYTES // (8 * probs.size * nodes))
         err = np.empty((rows.size, probs.size))
         for start in range(0, rows.size, block):
@@ -493,7 +455,7 @@ class _Quadrature:
 
     def __init__(self, states, pieces, refine=0):
         self.states = states
-        self.dfs = [st.data.n - st.data.q for st in states]
+        self.dfs = [st.df for st in states]
         self.mu = [mu for mu, _, _ in pieces]
         self.Q0 = [np.maximum(Q0, 0.0) for _, Q0, _ in pieces]
         self.yc = [yc for _, _, yc in pieces]

@@ -224,8 +224,9 @@ def point_cdf(model, pieces, level, z):
     """``P(y_level <= z)`` at one query row, for the joint predictive that
     ``sample_predictive`` draws from.
 
-    ``pieces`` holds the row's ``(mu, c0, c1)`` for each level, as
-    ``model._draw_pieces`` gives them; at a design point the predictive is
+    ``pieces`` holds the row's ``(mu, c0, c1)`` for each level, the
+    conditional scale being ``c0 + c1 y + q y^2`` in the lower value ``y``
+    (``c1`` is unused at level one); at a design point the predictive is
     a few rounding errors wide, so the pieces must be the ones the bounds
     were solved with.  ``scipy.integrate.quad`` runs over ``u`` in (0, 1)
     for each level below ``level``, the level's value being its Student-t

@@ -303,6 +303,14 @@ class TestSampleCommand:
         assert code == EXIT_CONFIG
         capsys.readouterr()
 
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        out, _, _ = _fit(tmp_path)
+        code = main(
+            ["sample", "--model", str(out / "model.json"), "--x0", "0.4,0.6", "--seed", "-1"]
+        )
+        assert code == EXIT_CONFIG
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+
 
 class TestTailprobeCommand:
     def test_probe_schema_and_explicit_grid(self, tmp_path):

@@ -190,6 +190,19 @@ class TestPredictionAgainstDenseReference:
             np.testing.assert_allclose(
                 single.variances[0], batch.variances[i], rtol=1e-10
             )
+        # the interval models, intervals included.  A design row's level-one
+        # scale cancels to about twice the nugget, whose rounding depends on
+        # the other rows of the solve and moves its variances and bounds in
+        # the 7th digit
+        for model, X0 in _interval_cases():
+            batch, bounds = model.predict(X0), model.credible_intervals(X0)
+            sd = np.sqrt(batch.variances)
+            for i in range(X0.shape[0]):
+                single = model.predict(X0[i])
+                np.testing.assert_allclose(single.means[0], batch.means[i], rtol=1e-10)
+                np.testing.assert_allclose(single.variances[0], batch.variances[i], rtol=1e-5)
+                gap = np.abs(model.credible_intervals(X0[i])[0] - bounds[i])
+                assert np.all(gap <= 1e-5 * sd[i][:, None]), (i, gap)
 
 
 class TestInterpolation:
@@ -436,12 +449,18 @@ class TestCredibleIntervals:
             lambda m: m.sample_predictive(np.zeros(2), "abc"),
             lambda m: m.sample_predictive(np.zeros(2), 2.7),
             lambda m: m.sample_predictive(np.zeros(2), True),
+            lambda m: m.sample_predictive(np.zeros(2), 10, seed=None),
+            lambda m: m.sample_predictive(np.zeros(2), 10, seed="abc"),
+            lambda m: m.sample_predictive(np.zeros(2), 10, seed=2.5),
+            lambda m: m.sample_predictive(np.zeros(2), 10, seed=True),
+            lambda m: m.sample_predictive(np.zeros(2), 10, seed=-1),
             lambda m: m.credible_interval(np.zeros(2), level=True),
             lambda m: m.credible_interval(np.zeros(2), level=1.0),
             lambda m: m.credible_interval(np.zeros(2), level="1"),
         ],
         ids=[
             "draws-none", "draws-str", "draws-float", "draws-bool",
+            "seed-none", "seed-str", "seed-float", "seed-bool", "seed-negative",
             "level-bool", "level-float", "level-str",
         ],
     )
@@ -491,9 +510,20 @@ def _interval_cases():
     return [(two, X0_two), (three, X0_three)]
 
 
+def _oracle_pieces(model, X0):
+    """The model's centred pieces ``(mu, Q0, yc)`` in the oracle's ``(mu, c0,
+    c1)`` form: ``c0 = Q0 + q yc^2`` and ``c1 = -2 q yc``."""
+    out = []
+    for st, (mu, Q0, yc) in zip(model._states, model._pieces(X0)):
+        if yc is None:
+            yc = np.zeros_like(Q0)
+        out.append((mu, Q0 + st.minv_qq * yc**2, -2.0 * st.minv_qq * yc))
+    return out
+
+
 def _assert_tail_probabilities(model, X0, intervals, tails, rows, levels):
     """The quad oracle's probability below each bound is its tail to 1e-8."""
-    pieces = model._draw_pieces(X0)
+    pieces = _oracle_pieces(model, X0)
     for i in rows:
         row = [tuple(a[i] for a in pc) for pc in pieces]
         for t in levels:
@@ -513,7 +543,7 @@ class TestBatchedIntervals:
         top = (0, 12, X0.shape[0] - 1) if case else range(X0.shape[0])
         _assert_tail_probabilities(model, X0, got, (0.05, 0.95), range(X0.shape[0]), [2])
         _assert_tail_probabilities(model, X0, got, (0.05, 0.95), top, range(3, model.s + 1))
-        quad = _Quadrature(model._states, model._quad_pieces(X0))
+        quad = _Quadrature(model._states, model._pieces(X0))
         assert any(stdtr(df, -e) > TAIL_MASS for df, e in zip(quad.dfs, quad.e_star))
         tol = 1e-9 * np.abs(model.predict(X0).means)
         for i in (0, 13, X0.shape[0] - 1):
@@ -559,7 +589,7 @@ class TestQuadratureCases:
 
     @staticmethod
     def _state(n, q, sigma2, gamma=0.0, minv_qq=0.0):
-        return SimpleNamespace(data=SimpleNamespace(n=n, q=q), sigma2_pred=sigma2,
+        return SimpleNamespace(data=SimpleNamespace(n=n, q=q), df=n - q, sigma2_pred=sigma2,
                                gamma=gamma, minv_qq=minv_qq)
 
     @pytest.mark.parametrize(
@@ -650,6 +680,47 @@ class TestModelConstruction:
             model.predict(np.zeros((3, 5)))
         with pytest.raises(InvalidArgumentError):
             model.predict(np.array([[0.1, np.inf]]))
+
+
+_ARRAY_CALLS = {
+    "assemble-inputs": (lambda m, pair, v: assemble([(v, pair[1])]), "level 1 inputs"),
+    "assemble-outputs": (lambda m, pair, v: assemble([(pair[0], v)]), "level 1 outputs"),
+    "assemble-level": (lambda m, pair, v: assemble([v]), "level 1"),
+    "predict": (lambda m, pair, v: m.predict(v), "queries"),
+    "credible_intervals": (lambda m, pair, v: m.credible_intervals(v), "queries"),
+    "credible_interval": (lambda m, pair, v: m.credible_interval(v, level=1), "queries"),
+    "sample_predictive": (lambda m, pair, v: m.sample_predictive(v, 10), "queries"),
+}
+_BAD_ARRAYS = {
+    "strings": [["a", "b"]],
+    "ragged": [[0.1, 0.2], [0.3]],
+    "dict": {"a": 0.1, "b": 0.2},
+    "complex": np.array([[0.1 + 0.5j, 0.2]]),
+    "empty": np.empty((0, 2)),
+    "not-a-pair": (np.zeros((4, 2)),),
+}
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [(c, v) for c in _ARRAY_CALLS if c != "assemble-level"
+     for v in ("strings", "ragged", "dict", "complex")]
+    + [(c, "empty") for c, (_, name) in _ARRAY_CALLS.items() if name == "queries"]
+    + [("assemble-level", "not-a-pair")],
+)
+def test_array_arguments_raise_typed_errors_naming_the_argument(call, value):
+    """Array arguments that are not rectangular arrays of real numbers, and
+    empty query sets, raise InvalidArgumentError naming the argument."""
+    rng = np.random.default_rng(153)
+    pair1, pair2 = _nested_pair(rng)
+    data = assemble([pair1, pair2])
+    spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+    model = CokrigingModel(
+        data, _manual_fit(data, spec, [np.array([0.6, 0.9]), np.array([0.8, 0.5])])
+    )
+    fn, name = _ARRAY_CALLS[call]
+    with pytest.raises(InvalidArgumentError, match=name):
+        fn(model, pair1, _BAD_ARRAYS[value])
 
 
 class TestScaleLink:
