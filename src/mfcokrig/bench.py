@@ -34,6 +34,7 @@ from .exceptions import (
     EstimationError,
     InvalidArgumentError,
     SingularCorrelationError,
+    real_array,
 )
 from .kernels import KernelSpec
 from .modelio import record
@@ -78,7 +79,7 @@ class BoreholeInput:
 
     @classmethod
     def from_array(cls, arr):
-        arr = np.asarray(arr, dtype=np.float64).ravel()
+        arr = real_array(arr, "x").ravel()
         if arr.size != BOREHOLE_DIM:
             raise InvalidArgumentError(
                 f"expected {BOREHOLE_DIM} coordinates, got {arr.size}"
@@ -89,7 +90,7 @@ class BoreholeInput:
 def _coerce_input(x):
     if isinstance(x, BoreholeInput):
         return x
-    return BoreholeInput.from_array(np.asarray(x, dtype=np.float64))
+    return BoreholeInput.from_array(x)
 
 
 def _flow_terms(v):
@@ -114,7 +115,7 @@ def borehole_low(x):
 
 def scale_to_box(U):
     """Map unit-cube rows to the physical borehole box."""
-    U = np.asarray(U, dtype=np.float64)
+    U = real_array(U, "U")
     if U.ndim != 2 or U.shape[1] != BOREHOLE_DIM:
         raise InvalidArgumentError(f"expected (m, {BOREHOLE_DIM}) unit-cube rows")
     if np.any(U < 0.0) or np.any(U > 1.0):

@@ -15,9 +15,12 @@ term is ``sum(log phi) = -sum(xi)`` for the priors on ``phi`` and
 ranges ``B = 1/phi``.  The plugin baseline is a likelihood, not a density,
 so no Jacobian enters there.
 
-A fit builds the level's distance stack once and evaluates each point with
-one correlation build and one Cholesky factorization, shared by the
-likelihood and the prior.
+A fit builds one ``kernels.Workspace`` per level: the distance stack and
+every buffer an evaluation writes (R, and for the Fisher-information priors
+the derivative stack and the trace operands).  Each point then costs one
+correlation build and one in-place Cholesky factorization, shared by the
+likelihood and the prior, with LAPACK called directly and no allocation of
+an ``n x n`` or larger array.
 """
 
 import math
@@ -36,6 +39,7 @@ from .exceptions import (
     NestingError,
     PriorEvaluationError,
     SingularCorrelationError,
+    real_array,
 )
 from .gp import (
     LevelData,
@@ -45,7 +49,7 @@ from .gp import (
     location_scale_estimates,
     log_S2,
 )
-from .kernels import RangeParams, distance_stack
+from .kernels import RangeParams, Workspace
 from .priors import FISHER_KINDS, JOINTLY_ROBUST, log_prior
 
 # objective sentinel marking infeasible range parameters; anything at or
@@ -69,21 +73,6 @@ def _is_int(value):
 
 def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _real_array(value, name):
-    """``value`` as a C-contiguous float64 array; InvalidArgumentError
-    naming ``name`` unless it holds real numbers (integers or floats, not
-    booleans, complex numbers, strings or objects) in a rectangular shape."""
-    try:
-        arr = np.asarray(value)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"{name} must be a rectangular array ({exc})") from exc
-    if arr.dtype.kind not in "iuf":
-        raise InvalidArgumentError(
-            f"{name} must hold real numbers, got dtype {arr.dtype}"
-        )
-    return np.ascontiguousarray(arr, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -243,8 +232,8 @@ def assemble(raw_levels, basis="constant"):
             inputs, outputs = pair
         except (TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"level {t} must be an (inputs, outputs) pair") from exc
-        inputs = _real_array(inputs, f"level {t} inputs")
-        outputs = _real_array(outputs, f"level {t} outputs").ravel()
+        inputs = real_array(inputs, f"level {t} inputs")
+        outputs = real_array(outputs, f"level {t} outputs").ravel()
         if inputs.ndim != 2:
             raise InvalidArgumentError(f"level {t} inputs must be a 2-d matrix")
         if t > 1 and inputs.shape[1] != prev_inputs.shape[1]:
@@ -279,7 +268,7 @@ def assemble(raw_levels, basis="constant"):
     return CokrigingData(levels=tuple(levels))
 
 
-def _evaluate(data_t, xi, spec, stack, derivs, criterion):
+def _evaluate(data_t, xi, spec, ws, derivs, criterion):
     """Shared body of the xi-space objectives.
 
     Maps ``xi`` to ranges, factorizes the level once (with the derivative
@@ -289,16 +278,18 @@ def _evaluate(data_t, xi, spec, stack, derivs, criterion):
     the prior unevaluable, so the optimizer retreats rather than crashing.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    if not np.all(np.isfinite(xi)):
-        raise InvalidArgumentError("xi must be finite")
-    # overflow to inf marks an infeasible point, handled by the sentinel
+    if xi.ndim != 1 or not np.isfinite(xi).all():
+        raise InvalidArgumentError("xi must be a finite 1-d vector")
+    # ranges that overflow to inf or underflow to 0 are infeasible, and
+    # RangeParams rejects exactly those
     with np.errstate(over="ignore"):
         phi = np.exp(-xi)
-    if not np.all(np.isfinite(phi)) or np.any(phi <= 0.0):
-        return SENTINEL
-    params = RangeParams(phi)
     try:
-        fact = gls_fit(data_t, params, spec, stack=stack, derivs=derivs)
+        params = RangeParams(phi)
+    except InvalidArgumentError:
+        return SENTINEL
+    try:
+        fact = gls_fit(data_t, params, spec, ws=ws, derivs=derivs)
         value = criterion(params, fact, xi)
     except (
         SingularCorrelationError,
@@ -312,7 +303,7 @@ def _evaluate(data_t, xi, spec, stack, derivs, criterion):
     return value
 
 
-def objective(data_t, xi, spec, prior, stack=None):
+def objective(data_t, xi, spec, prior, ws=None):
     """Posterior log density of the log-inverse ranges at one level.
 
     Integrated log-likelihood plus log prior plus the reparameterization
@@ -320,8 +311,9 @@ def objective(data_t, xi, spec, prior, stack=None):
     ``sum(log B) = +sum(xi)`` for ``jointly_robust``, a density on
     ``B = 1/phi``.  Returns a large negative sentinel instead of raising
     when the correlation matrix is singular, the data degenerate, or the
-    prior unevaluable.  ``stack`` is an optional
-    ``distance_stack(data_t.inputs, spec)``.
+    prior unevaluable.  ``ws`` is an optional
+    ``Workspace(data_t.inputs, spec, derivs=prior.kind in FISHER_KINDS)``
+    whose buffers the evaluation writes.
     """
     jacobian_sign = 1.0 if prior.kind == JOINTLY_ROBUST else -1.0
 
@@ -330,9 +322,9 @@ def objective(data_t, xi, spec, prior, stack=None):
             data_t, params, spec, prior.a_t(data_t.q), fact=fact
         )
         value += log_prior(data_t, params, spec, prior, fact=fact)
-        return value + jacobian_sign * float(np.sum(xi))
+        return value + jacobian_sign * float(xi.sum())
 
-    return _evaluate(data_t, xi, spec, stack, prior.kind in FISHER_KINDS, posterior)
+    return _evaluate(data_t, xi, spec, ws, prior.kind in FISHER_KINDS, posterior)
 
 
 def concentrated_restricted_likelihood(data_t, params, spec, fact=None):
@@ -354,16 +346,17 @@ def concentrated_restricted_likelihood(data_t, params, spec, fact=None):
     return -0.5 * fact.logdet_R - 0.5 * (data_t.n - data_t.q) * log_S2(fact, data_t)
 
 
-def _plugin_objective(data_t, xi, spec, stack=None):
+def _plugin_objective(data_t, xi, spec, ws=None):
     """xi-space wrapper of the plug-in criterion with sentinel retreat.
 
     No Jacobian term: the maximized object is a likelihood, not a density.
+    ``ws`` is an optional ``Workspace(data_t.inputs, spec)``.
     """
 
     def plugin(params, fact, xi):
         return concentrated_restricted_likelihood(data_t, params, spec, fact=fact)
 
-    return _evaluate(data_t, xi, spec, stack, False, plugin)
+    return _evaluate(data_t, xi, spec, ws, False, plugin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,17 +430,18 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
             f"got n={data_t.n}, q={data_t.q}"
         )
     d = data_t.dims
-    # constant over the fit; freed when it returns
-    stack = distance_stack(data_t.inputs, spec)
+    # one set of evaluation buffers for the whole fit; freed when it returns
+    derivs = method == POSTERIOR and prior.kind in FISHER_KINDS
+    ws = Workspace(data_t.inputs, spec, derivs=derivs)
 
     # both objectives are looked up at call time, so wrappers installed on
     # this module see every evaluation
     if method == POSTERIOR:
         def func(xi):
-            return objective(data_t, xi, spec, prior, stack)
+            return objective(data_t, xi, spec, prior, ws)
     else:
         def func(xi):
-            return _plugin_objective(data_t, xi, spec, stack)
+            return _plugin_objective(data_t, xi, spec, ws)
 
     best = None
     best_start = -1
@@ -484,7 +478,8 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
         )
     xi_hat = best.x
     params = RangeParams.from_xi(xi_hat)
-    fact = gls_fit(data_t, params, spec, stack=stack)
+    # the workspace is free again, and b_hat and S2 are copied out of it
+    fact = gls_fit(data_t, params, spec, ws=ws)
     b_hat, sigma2_hat = location_scale_estimates(fact, data_t)
     return LevelFit(
         level=data_t.index,

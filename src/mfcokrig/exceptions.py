@@ -2,7 +2,11 @@
 
 Every failure mode callers are expected to branch on has its own class;
 plain ``ValueError``/``TypeError`` are reserved for programming mistakes.
+``real_array`` is the one conversion of array arguments, so every entry
+point rejects non-numeric input with the same typed error.
 """
+
+import numpy as np
 
 
 class MfcokrigError(Exception):
@@ -75,3 +79,18 @@ class BenchmarkError(MfcokrigError):
 
 class ConfigError(MfcokrigError):
     """A run configuration file is missing, unparsable, or inconsistent."""
+
+
+def real_array(value, name):
+    """``value`` as a C-contiguous float64 array; InvalidArgumentError
+    naming ``name`` unless it holds real numbers (integers or floats, not
+    booleans, complex numbers, strings or objects) in a rectangular shape."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"{name} must be a rectangular array ({exc})") from exc
+    if arr.dtype.kind not in "iuf":
+        raise InvalidArgumentError(
+            f"{name} must hold real numbers, got dtype {arr.dtype}"
+        )
+    return np.ascontiguousarray(arr, dtype=np.float64)

@@ -7,15 +7,21 @@ least squares problem, and evaluates the integrated log-likelihood obtained
 by marginalizing the trend coefficients and the process variance.
 
 All solves go through Cholesky factors and triangular back-substitution;
-no matrix is ever inverted explicitly.
+no matrix is ever inverted explicitly.  ``gls_fit`` calls LAPACK
+(``dpotrf``, ``dtrtrs``) directly, the routines ``scipy.linalg.cholesky``
+and ``solve_triangular`` wrap, so its results are theirs bit for bit
+without their per-call checks.  It factorizes the correlation matrix in
+place, and given a ``kernels.Workspace`` it builds that matrix in the
+workspace's buffer, so an objective evaluation of range estimation
+allocates no ``n x n`` array.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky as _cholesky
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .exceptions import (
     DegenerateDataError,
@@ -117,10 +123,11 @@ class LevelData:
         to the lower level when one exists."""
         return self.p + (0 if self.lower_output is None else 1)
 
-    @property
+    @cached_property
     def design(self):
         """Full regression matrix: the basis, extended by the lower-level
-        output column above level one."""
+        output column above level one.  Built once; every evaluation of
+        range estimation reads it."""
         if self.lower_output is None:
             return self.basis
         return np.column_stack([self.basis, self.lower_output])
@@ -134,7 +141,10 @@ class LevelFactorization:
     ``white_resid`` are ``L^{-1} X`` and ``L^{-1}(y - X b_hat)``, so inner
     products against them realize ``R^{-1}`` quadratic forms.  ``dR`` is the
     stack of ``dR/dphi_k`` at the same ranges when the factorization was
-    built for a Fisher-information prior, else ``None``.
+    built for a Fisher-information prior, else ``None``.  ``ws`` is the
+    ``kernels.Workspace`` that holds ``chol_R`` and ``dR`` when the
+    factorization was built on one; they are valid only until the next
+    evaluation on it.
     """
 
     chol_R: np.ndarray
@@ -147,13 +157,14 @@ class LevelFactorization:
     logdet_R: float
     logdet_M: float
     dR: np.ndarray = None
+    ws: object = None
 
     @property
     def n(self):
         return self.chol_R.shape[0]
 
 
-def gls_fit(data, params, spec, stack=None, derivs=False):
+def gls_fit(data, params, spec, ws=None, derivs=False):
     """Factorize one level at the given range parameters.
 
     Computes the generalized least squares coefficients
@@ -163,8 +174,9 @@ def gls_fit(data, params, spec, stack=None, derivs=False):
 
     Parameters
     ----------
-    stack : ndarray, optional
-        ``distance_stack(data.inputs, spec)``, reused across many ranges.
+    ws : kernels.Workspace, optional
+        Buffers built on ``data.inputs``, reused across many ranges; the
+        result's ``chol_R`` and ``dR`` live in them until the next call.
     derivs : bool
         Also build the derivative stack ``dR`` (from the same kernel pass)
         for the Fisher-information priors.
@@ -177,34 +189,30 @@ def gls_fit(data, params, spec, stack=None, derivs=False):
         If ``M`` fails its Cholesky factorization.
     """
     if derivs:
-        R, dR = corr_matrix_with_derivs(data.inputs, params, spec, stack=stack)
+        R, dR = corr_matrix_with_derivs(data.inputs, params, spec, stack=ws)
     else:
-        R, dR = corr_matrix(data.inputs, params, spec, stack=stack), None
-    try:
-        L = _cholesky(R, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCorrelationError(params.phi, level=data.index) from exc
+        R, dR = corr_matrix(data.inputs, params, spec, stack=ws), None
+    # R is symmetric, so its transpose, a Fortran-order view, is R itself
+    # for LAPACK, which factorizes it in place
+    L, info = dpotrf(R.T, lower=1, overwrite_a=1)
+    if info != 0:
+        raise SingularCorrelationError(params.phi, level=data.index)
+    # dtrtrs fails only on a zero diagonal, which a successful dpotrf
+    # rules out, so its info is not checked
     X = data.design
-    A = solve_triangular(L, X, lower=True, check_finite=False)
-    z = solve_triangular(L, data.outputs, lower=True, check_finite=False)
+    A = dtrtrs(L, X, lower=1)[0]
+    z = dtrtrs(L, data.outputs, lower=1)[0]
     M = A.T @ A
-    try:
-        Lm = _cholesky(M, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
+    Lm, info = dpotrf(M, lower=1)
+    if info != 0:
         raise DesignRankError(
             f"level {data.index} design is numerically collinear after whitening"
-        ) from exc
-    rhs = A.T @ z
-    b = solve_triangular(
-        Lm.T,
-        solve_triangular(Lm, rhs, lower=True, check_finite=False),
-        lower=False,
-        check_finite=False,
-    )
+        )
+    b = dtrtrs(Lm, dtrtrs(Lm, A.T @ z, lower=1)[0], lower=1, trans=1)[0]
     e = z - A @ b
     S2 = float(e @ e)
-    logdet_R = 2.0 * float(np.sum(np.log(np.diag(L))))
-    logdet_M = 2.0 * float(np.sum(np.log(np.diag(Lm))))
+    logdet_R = 2.0 * float(np.log(L.diagonal()).sum())
+    logdet_M = 2.0 * float(np.log(Lm.diagonal()).sum())
     return LevelFactorization(
         chol_R=L,
         white_design=A,
@@ -216,6 +224,7 @@ def gls_fit(data, params, spec, stack=None, derivs=False):
         logdet_R=logdet_R,
         logdet_M=logdet_M,
         dR=dR,
+        ws=ws,
     )
 
 

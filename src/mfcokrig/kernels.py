@@ -16,7 +16,8 @@ not depend on the ranges (``|dx_k|^alpha``, or ``sqrt(2 nu)|dx_k|``):
 
 So a correlation matrix costs one weighted sum over the stack and one
 ``exp``, and a caller that evaluates many ranges on one design (range
-estimation) builds the stack once with ``distance_stack``.  Derivative
+estimation) builds the stack once with ``distance_stack``, or a
+``Workspace`` that also holds every buffer one evaluation writes.  Derivative
 matrices with respect to ``phi_k`` are ``R`` times the ratio
 ``(dr/dphi) / r``, which stays finite wherever ``r > 0``.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError
+from .exceptions import InvalidArgumentError, real_array
 
 POWER_EXPONENTIAL = "power_exponential"
 MATERN = "matern"
@@ -112,10 +113,10 @@ class RangeParams:
     phi: np.ndarray = field()
 
     def __post_init__(self):
-        phi = np.atleast_1d(np.asarray(self.phi, dtype=np.float64)).copy()
+        phi = np.atleast_1d(real_array(self.phi, "phi")).copy()
         if phi.ndim != 1:
             raise InvalidArgumentError("phi must be a 1-d vector")
-        if not np.all(np.isfinite(phi)) or np.any(phi <= 0.0):
+        if not (np.isfinite(phi).all() and (phi > 0.0).all()):
             raise InvalidArgumentError(f"all range parameters must be finite and > 0, got {phi}")
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
@@ -127,7 +128,7 @@ class RangeParams:
 
     @classmethod
     def from_xi(cls, xi):
-        xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+        xi = np.atleast_1d(real_array(xi, "xi"))
         if not np.all(np.isfinite(xi)):
             raise InvalidArgumentError("xi must be finite")
         return cls(np.exp(-xi))
@@ -137,18 +138,18 @@ class RangeParams:
         return self.phi.shape[0]
 
 
-def _check_design(X, dims):
-    X = np.ascontiguousarray(X, dtype=np.float64)
+def _check_design(X, dims, name="X"):
+    X = real_array(X, name)
     if X.ndim != 2:
-        raise InvalidArgumentError(f"design must be 2-d, got shape {X.shape}")
+        raise InvalidArgumentError(f"design {name} must be 2-d, got shape {X.shape}")
     if X.shape[1] != dims:
         raise InvalidArgumentError(
-            f"design has {X.shape[1]} columns but the kernel expects {dims}"
+            f"design {name} has {X.shape[1]} columns but the kernel expects {dims}"
         )
     if X.shape[0] < 1:
-        raise InvalidArgumentError("design must contain at least one row")
+        raise InvalidArgumentError(f"design {name} must contain at least one row")
     if not np.all(np.isfinite(X)):
-        raise InvalidArgumentError("design contains non-finite entries")
+        raise InvalidArgumentError(f"design {name} contains non-finite entries")
     return X
 
 
@@ -178,23 +179,30 @@ def _stack(X1, X2, spec):
     return T
 
 
-def _correlate(T, phi, spec, derivs=False):
+def _correlate(T, phi, spec, derivs=False, out=None):
     """Correlation (no nugget) from a ``(d, n1, n2)`` distance stack, plus
     the stack of ``dR/dphi_k`` when ``derivs``.
 
-    Every pass over an ``n x n`` slice writes into a buffer allocated once
-    per call, since fresh temporaries of that size cost page faults.
+    Every pass over an ``n x n`` slice writes into a buffer, since fresh
+    temporaries of that size cost page faults: the buffers of the
+    ``Workspace`` ``out``, or, without one, buffers allocated once per call.
     """
     d = T.shape[0]
     power = spec.shape if spec.family == POWER_EXPONENTIAL else 1.0
+    fresh = out is None
+    R = np.empty(T.shape[1:]) if fresh else out.R
+    dR = None
+    if derivs:
+        dR = np.empty_like(T) if fresh else out.dR
     # out-of-range weights and ratios are capped or zeroed below
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.minimum(phi**-power, _MAX_WEIGHT)
-        R = w @ T.reshape(d, -1)
-        np.negative(R, out=R)
-        R = np.exp(R, out=R).reshape(T.shape[1:])
-        zero = None if R.all() else R == 0.0
-        dR = np.empty_like(T) if derivs else None
+        # -w gives the exponent -(w @ T) exactly: rounding is symmetric
+        np.matmul(-w, T.reshape(d, -1), out=R.reshape(-1))
+        np.exp(R, out=R)
+        zero = None
+        if not R.all():
+            zero = np.equal(R, 0.0, out=None if fresh else out.zero)
         if spec.family == POWER_EXPONENTIAL:
             if derivs:
                 # (dr/dphi) / r = alpha h^alpha / phi^(alpha + 1)
@@ -205,8 +213,7 @@ def _correlate(T, phi, spec, derivs=False):
                 # (dr/dphi) / r = u / phi = T / phi^2
                 np.multiply(T, np.minimum(w * w, _MAX_WEIGHT)[:, None, None], out=dR)
         else:
-            u = np.empty_like(R)
-            poly = np.empty_like(R)
+            u, poly = (np.empty_like(R), np.empty_like(R)) if fresh else (out.u, out.poly)
             for k in range(d):
                 np.multiply(T[k], w[k], out=u)
                 # poly = 1 + u, or 1 + u (1 + u / 3)
@@ -230,13 +237,13 @@ def _correlate(T, phi, spec, derivs=False):
                     ratio *= w[k]
             if zero is not None:
                 # a polynomial factor overflows only where exp(-sum u) is 0
-                R[zero] = 0.0
+                np.copyto(R, 0.0, where=zero)
         if derivs:
             dR *= R
             # the ratio can overflow where the correlation underflowed to
             # zero; those entries have exactly zero derivative
             if zero is not None:
-                dR[:, zero] = 0.0
+                np.copyto(dR, 0.0, where=zero)
     return R, dR
 
 
@@ -257,15 +264,55 @@ def distance_stack(X, spec):
     return _stack(X, X, spec)
 
 
+class Workspace:
+    """Buffers that many evaluations of ranges on one design reuse.
+
+    Range estimation builds one per level, and the correlation builds take
+    it as ``stack``, so an objective evaluation allocates no array of
+    ``n x n`` or more.  It holds the distance stack ``stack``; ``R`` and
+    its underflow mask ``zero``; the Matern 3/2 and 5/2 temporaries ``u``
+    and ``poly``; and, with ``derivs`` (the Fisher-information priors), the
+    derivative stack ``dR``, the trace operands ``W`` and their slice
+    transposes ``WT`` (each ``(d, n, n)``), the identity ``eye`` and the
+    ``n x n`` scratch ``P`` and ``G``, in Fortran order so that LAPACK
+    solves into ``P`` in place, and ``S``.  Whatever is built on a
+    workspace, a factorization included, is overwritten by the next
+    evaluation on it.
+    """
+
+    def __init__(self, X, spec, derivs=False):
+        self.stack = distance_stack(X, spec)
+        d, n, _ = self.stack.shape
+        self.R = np.empty((n, n))
+        self.zero = np.empty((n, n), dtype=bool)
+        self.u = self.poly = None
+        if spec.family == MATERN and spec.shape != 0.5:
+            self.u = np.empty((n, n))
+            self.poly = np.empty((n, n))
+        self.dR = self.W = self.WT = self.eye = self.P = self.G = self.S = None
+        if derivs:
+            self.dR = np.empty((d, n, n))
+            self.W = np.empty((d, n, n))
+            self.WT = np.empty((d, n, n))
+            self.eye = np.eye(n)
+            self.P = np.empty((n, n), order="F")
+            self.G = np.empty((n, n), order="F")
+            self.S = np.empty((n, n))
+
+
 def _design_stack(X, spec, stack):
+    """The distance stack to build from and the workspace to write into,
+    given the ``stack`` argument: None, a distance stack or a Workspace."""
     if stack is None:
-        return distance_stack(X, spec)
+        return distance_stack(X, spec), None
+    out = stack if isinstance(stack, Workspace) else None
+    T = stack if out is None else out.stack
     n = np.shape(X)[0]
-    if np.shape(stack) != (spec.dims, n, n):
+    if np.shape(T) != (spec.dims, n, n):
         raise InvalidArgumentError(
-            f"distance stack must have shape {(spec.dims, n, n)}, got {np.shape(stack)}"
+            f"distance stack must have shape {(spec.dims, n, n)}, got {np.shape(T)}"
         )
-    return stack
+    return T, out
 
 
 def corr_matrix(X, params, spec, stack=None):
@@ -273,18 +320,20 @@ def corr_matrix(X, params, spec, stack=None):
 
     ``R[i, j]`` is the product over dimensions of the 1-d correlations of
     coordinate distances; the diagonal is ``1 + nugget``.  ``stack``, when
-    given, is ``distance_stack(X, spec)``.
+    given, is ``distance_stack(X, spec)`` or a ``Workspace`` built on
+    ``X``; with a workspace, ``R`` is its buffer, which the next call on it
+    overwrites.
     """
-    T = _design_stack(X, spec, stack)
-    R, _ = _correlate(T, _check_params(params, spec), spec)
+    T, out = _design_stack(X, spec, stack)
+    R, _ = _correlate(T, _check_params(params, spec), spec, out=out)
     np.fill_diagonal(R, 1.0 + spec.nugget)
     return R
 
 
 def cross_corr(X1, X2, params, spec):
     """Cross-correlation matrix between two designs (no nugget)."""
-    X1 = _check_design(X1, spec.dims)
-    X2 = _check_design(X2, spec.dims)
+    X1 = _check_design(X1, spec.dims, "X1")
+    X2 = _check_design(X2, spec.dims, "X2")
     phi = _check_params(params, spec)
     n1, n2 = X1.shape[0], X2.shape[0]
     block = max(1, _CROSS_BLOCK_BYTES // (8 * spec.dims * n1))
@@ -299,7 +348,9 @@ def cross_corr(X1, X2, params, spec):
 def corr_matrix_with_derivs(X, params, spec, stack=None):
     """Correlation matrix together with all range-parameter derivatives.
 
-    ``stack``, when given, is ``distance_stack(X, spec)``.
+    ``stack``, when given, is ``distance_stack(X, spec)`` or a
+    ``Workspace`` built on ``X`` with ``derivs``, whose buffers then hold
+    the results until the next call on it.
 
     Returns
     -------
@@ -309,7 +360,9 @@ def corr_matrix_with_derivs(X, params, spec, stack=None):
         ``dR[k] = dR/dphi_k``; symmetric with zero diagonal (the nugget is
         constant in ``phi``).
     """
-    T = _design_stack(X, spec, stack)
-    R, dR = _correlate(T, _check_params(params, spec), spec, derivs=True)
+    T, out = _design_stack(X, spec, stack)
+    if out is not None and out.dR is None:
+        raise InvalidArgumentError("the workspace was built without derivative buffers")
+    R, dR = _correlate(T, _check_params(params, spec), spec, derivs=True, out=out)
     np.fill_diagonal(R, 1.0 + spec.nugget)
     return R, dR

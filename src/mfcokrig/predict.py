@@ -51,10 +51,14 @@ from .estimate import (
     FitResult,
     _is_int,
     _is_real,
-    _real_array,
     coincident_rows,
 )
-from .exceptions import DesignRankError, InvalidArgumentError, VarianceUndefinedError
+from .exceptions import (
+    DesignRankError,
+    InvalidArgumentError,
+    VarianceUndefinedError,
+    real_array,
+)
 from .gp import gls_fit
 from .kernels import RangeParams, cross_corr
 
@@ -198,7 +202,7 @@ class CokrigingModel:
         return np.array([st.df for st in self._states], dtype=np.intp)
 
     def _check_queries(self, X0):
-        X0 = _real_array(X0, "queries")
+        X0 = real_array(X0, "queries")
         if X0.ndim == 1:
             X0 = X0[None, :]
         if X0.ndim != 2 or X0.shape[1] != self.data.dims:
@@ -244,8 +248,11 @@ class CokrigingModel:
     def predict(self, X0, mean_only=False):
         """Predictive means and variances at every level for each query row.
 
-        Requires ``n - q > 2`` at every level unless ``mean_only``.
+        Requires ``n - q > 2`` at every level unless ``mean_only``, which
+        must be a bool.
         """
+        if not isinstance(mean_only, (bool, np.bool_)):
+            raise InvalidArgumentError(f"mean_only must be a bool, got {mean_only!r}")
         X0 = self._check_queries(X0)
         m = X0.shape[0]
         s = self.s

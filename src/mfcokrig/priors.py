@@ -8,7 +8,10 @@ optimizer lives in the estimation module, not here.
 The reference and Jeffreys priors read the Cholesky factor and the
 derivative stack of a ``gp.gls_fit(..., derivs=True)`` factorization; pass
 the one the likelihood already uses as ``fact`` so that an evaluation
-builds and factorizes the correlation matrix once.
+builds and factorizes the correlation matrix once.  When that
+factorization lives in a ``kernels.Workspace``, the trace operands are
+written into its buffers, and LAPACK (``dpotrs``, ``dpotrf``) is called
+directly, so an evaluation allocates no ``n x n`` array.
 
 Supported kinds:
 
@@ -27,7 +30,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky as _cholesky
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .exceptions import InvalidArgumentError, PriorEvaluationError
 from .gp import gls_fit
@@ -104,28 +107,58 @@ def _with_derivs(data, params, spec, fact):
     return fact
 
 
-def _trace_operands(data, fact, projected):
-    """Stack of ``dR_k P`` with ``P = Q``, the GLS projector
-    ``R^{-1} - R^{-1} X M^{-1} X^T R^{-1}`` (``projected``), or ``P = R^{-1}``."""
-    n = fact.n
-    P = cho_solve((fact.chol_R, True), np.eye(n), check_finite=False)
+def _solve(L, B, params, overwrite_b=0):
+    """``(L L^T)^{-1} B`` by LAPACK ``dpotrs``; with ``overwrite_b`` and a
+    Fortran-order ``B`` the solution replaces ``B``."""
+    x, info = dpotrs(L, B, lower=1, overwrite_b=overwrite_b)
+    if info != 0:
+        raise PriorEvaluationError(f"dpotrs reported info={info}", phi=params.phi)
+    return x
+
+
+def _fisher_info(data, params, spec, fact, corner, projected):
+    """Fisher-style matrix [corner, tr(W_k); tr(W_k), tr(W_k W_j)],
+    symmetrized, from the trace operands ``W_k = dR_k P`` with ``P = Q``,
+    the GLS projector ``R^{-1} - R^{-1} X M^{-1} X^T R^{-1}``
+    (``projected``), or ``P = R^{-1}``.
+
+    The operands are formed in the buffers of the workspace holding
+    ``fact``, or in fresh ones when it has none: ``R^{-1}`` is solved in
+    place into ``P`` and the projector is formed in ``S``.  No ufunc mixes
+    the Fortran order of ``P`` with C order, since numpy would copy an
+    operand for it: the correction term passes from ``S`` to ``G`` (Fortran
+    order), and ``P`` comes back through ``S``.  ``WT`` receives the slice
+    transposes of ``W``.  The products stay d per-slice gemms: as one
+    ``(d n, n)`` gemm they cost over ten times as much at two OpenBLAS
+    threads.
+    """
+    fact = _with_derivs(data, params, spec, fact)
+    ws, n = fact.ws, fact.n
+    if ws is None:
+        P, S, G = np.eye(n, order="F"), np.empty((n, n)), np.empty((n, n), order="F")
+        W, WT = np.empty_like(fact.dR), np.empty_like(fact.dR)
+    else:
+        P, S, G, W, WT = ws.P, ws.S, ws.G, ws.W, ws.WT
+        np.copyto(P, ws.eye)
+    _solve(fact.chol_R, P, params, overwrite_b=1)
     if projected:
         B = P @ data.design
-        P = P - B @ cho_solve((fact.chol_M, True), B.T, check_finite=False)
-        P = 0.5 * (P + P.T)
-    return fact.dR @ P
-
-
-def _trace_form_matrix(corner, W):
-    """Fisher-style matrix: given the (1,1) entry and the stack of trace
-    operands, fill [corner, tr(W_k); tr(W_k), tr(W_k W_j)] and symmetrize."""
+        np.matmul(B, _solve(fact.chol_M, B.T, params), out=S)
+        np.copyto(G, S)
+        np.subtract(P, G, out=P)
+        np.copyto(S, P)
+        np.add(S, P.T, out=S)
+        S *= 0.5
+        P = S
+    np.matmul(fact.dR, P, out=W)
     d = W.shape[0]
     info = np.empty((d + 1, d + 1))
     info[0, 0] = corner
     info[0, 1:] = W.diagonal(axis1=1, axis2=2).sum(axis=1)
     info[1:, 0] = info[0, 1:]
     # tr(W_k W_j) = sum_ab W_k[a, b] W_j[b, a]
-    info[1:, 1:] = W.reshape(d, -1) @ W.transpose(0, 2, 1).reshape(d, -1).T
+    np.copyto(WT, W.transpose(0, 2, 1))
+    info[1:, 1:] = W.reshape(d, -1) @ WT.reshape(d, -1).T
     return 0.5 * (info + info.T)
 
 
@@ -137,26 +170,24 @@ def fisher_info_reference(data, params, spec, fact=None):
     ``tr(W_k)``, and body ``tr(W_k W_j)``.  ``fact`` is an optional
     ``gls_fit(..., derivs=True)`` factorization at ``params``.
     """
-    fact = _with_derivs(data, params, spec, fact)
-    return _trace_form_matrix(data.n - data.q, _trace_operands(data, fact, True))
+    return _fisher_info(data, params, spec, fact, data.n - data.q, True)
 
 
 def fisher_info_jeffreys(data, params, spec, fact=None):
     """Fisher information of (variance, ranges) with the trend held fixed:
     corner ``n``, operands ``U_k = dR_k R^{-1}``."""
-    fact = _with_derivs(data, params, spec, fact)
-    return _trace_form_matrix(data.n, _trace_operands(data, fact, False))
+    return _fisher_info(data, params, spec, fact, data.n, False)
 
 
 def _half_logdet_psd(info, params, what):
-    sym = 0.5 * (info + info.T)
-    try:
-        L = _cholesky(sym, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
+    """Half the log determinant of a symmetric ``info`` (its lower triangle
+    is read)."""
+    L, status = dpotrf(info, lower=1)
+    if status != 0:
         raise PriorEvaluationError(
             f"{what} information matrix is not positive definite", phi=params.phi
-        ) from exc
-    return float(np.sum(np.log(np.diag(L))))
+        )
+    return float(np.log(L.diagonal()).sum())
 
 
 def jr_defaults(n_obs, input_ranges):

@@ -1,17 +1,20 @@
 """Data assembly, the posterior objective, and multi-start estimation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfcokrig import estimate as estimate_module
 from mfcokrig.bench import borehole_high, borehole_low, replicate_design, scale_to_box
 from mfcokrig.estimate import (
     MATCH_TOL,
     PLUGIN,
     POSTERIOR,
+    SENTINEL,
     SENTINEL_THRESHOLD,
     CokrigingData,
     OptimOptions,
@@ -20,25 +23,31 @@ from mfcokrig.estimate import (
     concentrated_restricted_likelihood,
     fit,
     fit_level,
+    _plugin_objective,
     match_rows,
     objective,
 )
 from mfcokrig.exceptions import (
+    DegenerateDataError,
+    DesignRankError,
     DuplicateRowError,
     EstimationError,
     InvalidArgumentError,
     NestingError,
+    PriorEvaluationError,
+    SingularCorrelationError,
 )
-from mfcokrig.gp import integrated_log_likelihood
+from mfcokrig.gp import gls_fit, integrated_log_likelihood
 from mfcokrig.kernels import (
     MATERN,
     POWER_EXPONENTIAL,
     KernelSpec,
     RangeParams,
+    Workspace,
     corr_matrix,
 )
 from mfcokrig.modelio import read_record, record
-from mfcokrig.priors import PRIOR_KINDS, PriorSpec, log_prior
+from mfcokrig.priors import FISHER_KINDS, JOINTLY_ROBUST, PRIOR_KINDS, PriorSpec, log_prior
 from oracles import coincident_rows_loop, dense_objective
 
 
@@ -273,6 +282,94 @@ class TestObjectiveAgainstDenseOracle:
                         assert got > SENTINEL_THRESHOLD
                         worst = max(worst, abs(got - want) / abs(want))
         assert worst <= self.RTOL
+
+
+def _allocating_objective(lv, xi, spec, prior, method):
+    """The objective composed from the allocating path: ``gls_fit`` without
+    a workspace, the criterion, and ``log_prior`` building its own
+    factorization; the sentinel where any of them fails."""
+    params = RangeParams.from_xi(np.asarray(xi))
+    try:
+        fact = gls_fit(lv, params, spec)
+        if method == PLUGIN:
+            return concentrated_restricted_likelihood(lv, params, spec, fact=fact)
+        sign = 1.0 if prior.kind == JOINTLY_ROBUST else -1.0
+        return (
+            integrated_log_likelihood(lv, params, spec, prior.a_t(lv.q), fact=fact)
+            + log_prior(lv, params, spec, prior)
+            + sign * float(np.sum(xi))
+        )
+    except (SingularCorrelationError, DegenerateDataError, PriorEvaluationError,
+            DesignRankError):
+        return SENTINEL
+
+
+_WS_KERNELS = ((POWER_EXPONENTIAL, 1.9), (MATERN, 0.5), (MATERN, 1.5), (MATERN, 2.5))
+_WS_CASES = [(k, kind, POSTERIOR) for k in _WS_KERNELS for kind in PRIOR_KINDS]
+_WS_CASES += [(k, "reference", PLUGIN) for k in _WS_KERNELS]
+# phi = e^40: with no nugget, R rounds to all ones and its in-place
+# factorization fails part way, leaving the workspace half overwritten
+_SINGULAR_XI = (-40.0, -40.0)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("kernel, kind, method", _WS_CASES)
+    @settings(max_examples=10, deadline=None)
+    @given(xis=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                        min_size=1, max_size=3))
+    def test_objective_equals_the_allocating_path(self, kernel, kind, method, xis):
+        family, shape = kernel
+        spec = KernelSpec(family=family, shape=shape, dims=2, nugget=0.0)
+        prior = PriorSpec(kind=kind)
+        data = assemble(list(_nested_pair(np.random.default_rng(30))))
+        for lv in data.levels:
+            ws = Workspace(lv.inputs, spec,
+                           derivs=method == POSTERIOR and kind in FISHER_KINDS)
+            for xi in xis:
+                for point, singular in ((_SINGULAR_XI, True), (xi, False)):
+                    point = np.array(point)
+                    if method == PLUGIN:
+                        got = _plugin_objective(lv, point, spec, ws)
+                    else:
+                        got = objective(lv, point, spec, prior, ws)
+                    want = _allocating_objective(lv, point, spec, prior, method)
+                    assert got == pytest.approx(want, rel=1e-12)
+                    assert (got <= SENTINEL_THRESHOLD) or not singular
+
+    @pytest.mark.parametrize("kind, method", [
+        ("reference", POSTERIOR), ("jeffreys2", POSTERIOR), ("reference", PLUGIN)])
+    def test_fit_level_is_the_same_without_the_workspace(self, monkeypatch, kind, method):
+        data = assemble(list(_nested_pair(np.random.default_rng(31))))
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+        prior = PriorSpec(kind=kind)
+        opts = OptimOptions(seed=5, n_starts=2, max_evals=150)
+        with_ws = [fit_level(lv, spec, prior, opts, method=method) for lv in data.levels]
+
+        def allocating(data, params, spec, ws=None, derivs=False):
+            return gls_fit(data, params, spec, derivs=derivs)
+
+        monkeypatch.setattr(estimate_module, "gls_fit", allocating)
+        without = [fit_level(lv, spec, prior, opts, method=method) for lv in data.levels]
+        assert [record(f) for f in with_ws] == [record(f) for f in without]
+
+    def test_evaluation_allocates_less_than_one_derivative_stack(self):
+        """A reference-prior evaluation at n=80, d=8 on a warm workspace
+        allocates less than one (d, n, n) stack in all."""
+        lv = _borehole_levels()[0]
+        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=8)
+        prior = PriorSpec(kind="reference")
+        ws = Workspace(lv.inputs, spec, derivs=True)
+        assert objective(lv, np.zeros(8), spec, prior, ws) > SENTINEL_THRESHOLD
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            value = objective(lv, np.full(8, 0.5), spec, prior, ws)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert value > SENTINEL_THRESHOLD
+        assert peak < lv.dims * lv.n**2 * 8
 
 
 class TestConcentratedRestrictedLikelihood:

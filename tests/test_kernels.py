@@ -2,6 +2,7 @@
 agreement with the entry-by-entry product-form oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mfcokrig.bench import borehole_high, borehole_low, scale_to_box
 from mfcokrig.exceptions import InvalidArgumentError
 from mfcokrig.kernels import (
     DEFAULT_NUGGET,
@@ -415,3 +417,38 @@ class TestOracleProperties:
         _assert_close_in_exponent(R, R_or, S, spec.dims)
         for k in range(spec.dims):
             _assert_close_in_exponent(dR[k], dR_or[k], S, spec.dims, extra_ulp=16.0)
+
+
+_SPEC2 = KernelSpec(family=MATERN, shape=2.5, dims=2)
+_UNIT2 = RangeParams(np.ones(2))
+_ENTRY_POINTS = {
+    "RangeParams": (RangeParams, "phi"),
+    "RangeParams.from_xi": (RangeParams.from_xi, "xi"),
+    "corr_matrix": (lambda v: corr_matrix(v, _UNIT2, _SPEC2), "X"),
+    "corr_matrix_with_derivs": (lambda v: corr_matrix_with_derivs(v, _UNIT2, _SPEC2), "X"),
+    "cross_corr-X1": (lambda v: cross_corr(v, np.zeros((1, 2)), _UNIT2, _SPEC2), "X1"),
+    "cross_corr-X2": (lambda v: cross_corr(np.zeros((1, 2)), v, _UNIT2, _SPEC2), "X2"),
+    "distance_stack": (lambda v: distance_stack(v, _SPEC2), "X"),
+    "borehole_low": (borehole_low, "x"),
+    "borehole_high": (borehole_high, "x"),
+    "scale_to_box": (scale_to_box, "U"),
+}
+_NOT_REAL = {
+    "string": "abc",
+    "strings": [["a", "b"]],
+    "ragged": [[0.1, 0.2], [0.3]],
+    "complex": np.full((1, 8), 0.5 + 0.5j),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("value", sorted(_NOT_REAL))
+def test_array_entry_points_raise_typed_errors_naming_the_argument(entry, value):
+    """Kernel and borehole entry points given strings, ragged rows or
+    complex numbers raise InvalidArgumentError naming the argument, and
+    never warn (a ComplexWarning would mean the real part was taken)."""
+    fn, name = _ENTRY_POINTS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match=rf"^{name} must"):
+            fn(_NOT_REAL[value])

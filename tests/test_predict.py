@@ -680,6 +680,11 @@ class TestModelConstruction:
             model.predict(np.zeros((3, 5)))
         with pytest.raises(InvalidArgumentError):
             model.predict(np.array([[0.1, np.inf]]))
+        # only a bool selects means only; "False" would be truthy
+        for flag in ("False", "", 0, 1, None):
+            with pytest.raises(InvalidArgumentError, match="mean_only"):
+                model.predict(np.zeros((1, 2)), mean_only=flag)
+        assert model.predict(np.zeros((1, 2)), mean_only=np.True_).variances is None
 
 
 _ARRAY_CALLS = {
