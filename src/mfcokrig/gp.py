@@ -189,9 +189,9 @@ def gls_fit(data, params, spec, ws=None, derivs=False):
         If ``M`` fails its Cholesky factorization.
     """
     if derivs:
-        R, dR = corr_matrix_with_derivs(data.inputs, params, spec, stack=ws)
+        R, dR = corr_matrix_with_derivs(data.inputs, params, spec, ws=ws)
     else:
-        R, dR = corr_matrix(data.inputs, params, spec, stack=ws), None
+        R, dR = corr_matrix(data.inputs, params, spec, ws=ws), None
     # R is symmetric, so its transpose, a Fortran-order view, is R itself
     # for LAPACK, which factorizes it in place
     L, info = dpotrf(R.T, lower=1, overwrite_a=1)

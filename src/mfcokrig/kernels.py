@@ -16,10 +16,10 @@ not depend on the ranges (``|dx_k|^alpha``, or ``sqrt(2 nu)|dx_k|``):
 
 So a correlation matrix costs one weighted sum over the stack and one
 ``exp``, and a caller that evaluates many ranges on one design (range
-estimation) builds the stack once with ``distance_stack``, or a
-``Workspace`` that also holds every buffer one evaluation writes.  Derivative
-matrices with respect to ``phi_k`` are ``R`` times the ratio
-``(dr/dphi) / r``, which stays finite wherever ``r > 0``.
+estimation) builds the stack once, in a ``Workspace`` that also holds
+every buffer one evaluation writes.  Derivative matrices with respect to
+``phi_k`` are ``R`` times the ratio ``(dr/dphi) / r``, which stays finite
+wherever ``r > 0``.
 """
 
 import math
@@ -257,8 +257,8 @@ def distance_stack(X, spec):
 
     ``T[k, i, j]`` is ``|x_ik - x_jk|^alpha`` for power-exponential and
     ``sqrt(2 nu) |x_ik - x_jk|`` for Matern.  It does not depend on the
-    ranges: pass it as ``stack`` to ``corr_matrix`` and
-    ``corr_matrix_with_derivs`` when evaluating many ranges on one design.
+    ranges: a ``Workspace`` holds it for evaluating many ranges on one
+    design.
     """
     X = _check_design(X, spec.dims)
     return _stack(X, X, spec)
@@ -268,16 +268,15 @@ class Workspace:
     """Buffers that many evaluations of ranges on one design reuse.
 
     Range estimation builds one per level, and the correlation builds take
-    it as ``stack``, so an objective evaluation allocates no array of
+    it as ``ws``, so an objective evaluation allocates no array of
     ``n x n`` or more.  It holds the distance stack ``stack``; ``R`` and
     its underflow mask ``zero``; the Matern 3/2 and 5/2 temporaries ``u``
     and ``poly``; and, with ``derivs`` (the Fisher-information priors), the
     derivative stack ``dR``, the trace operands ``W`` and their slice
-    transposes ``WT`` (each ``(d, n, n)``), the identity ``eye`` and the
-    ``n x n`` scratch ``P`` and ``G``, in Fortran order so that LAPACK
-    solves into ``P`` in place, and ``S``.  Whatever is built on a
-    workspace, a factorization included, is overwritten by the next
-    evaluation on it.
+    transposes ``WT`` (each ``(d, n, n)``), and the ``n x n`` scratch
+    ``P`` and ``G``, in Fortran order so that LAPACK solves into ``P`` in
+    place, and ``S``.  Whatever is built on a workspace, a factorization
+    included, is overwritten by the next evaluation on it.
     """
 
     def __init__(self, X, spec, derivs=False):
@@ -289,43 +288,40 @@ class Workspace:
         if spec.family == MATERN and spec.shape != 0.5:
             self.u = np.empty((n, n))
             self.poly = np.empty((n, n))
-        self.dR = self.W = self.WT = self.eye = self.P = self.G = self.S = None
+        self.dR = self.W = self.WT = self.P = self.G = self.S = None
         if derivs:
             self.dR = np.empty((d, n, n))
             self.W = np.empty((d, n, n))
             self.WT = np.empty((d, n, n))
-            self.eye = np.eye(n)
             self.P = np.empty((n, n), order="F")
             self.G = np.empty((n, n), order="F")
             self.S = np.empty((n, n))
 
 
-def _design_stack(X, spec, stack):
-    """The distance stack to build from and the workspace to write into,
-    given the ``stack`` argument: None, a distance stack or a Workspace."""
-    if stack is None:
-        return distance_stack(X, spec), None
-    out = stack if isinstance(stack, Workspace) else None
-    T = stack if out is None else out.stack
+def _design_stack(X, spec, ws):
+    """The distance stack of ``X``: a fresh one, or that of the workspace
+    ``ws`` after checking it was built on a design of this size."""
+    if ws is None:
+        return distance_stack(X, spec)
     n = np.shape(X)[0]
-    if np.shape(T) != (spec.dims, n, n):
+    if ws.stack.shape != (spec.dims, n, n):
         raise InvalidArgumentError(
-            f"distance stack must have shape {(spec.dims, n, n)}, got {np.shape(T)}"
+            f"workspace distance stack must have shape {(spec.dims, n, n)}, "
+            f"got {ws.stack.shape}"
         )
-    return T, out
+    return ws.stack
 
 
-def corr_matrix(X, params, spec, stack=None):
+def corr_matrix(X, params, spec, ws=None):
     """Correlation matrix of a design, with the spec's nugget on the diagonal.
 
     ``R[i, j]`` is the product over dimensions of the 1-d correlations of
-    coordinate distances; the diagonal is ``1 + nugget``.  ``stack``, when
-    given, is ``distance_stack(X, spec)`` or a ``Workspace`` built on
-    ``X``; with a workspace, ``R`` is its buffer, which the next call on it
-    overwrites.
+    coordinate distances; the diagonal is ``1 + nugget``.  ``ws``, when
+    given, is a ``Workspace`` built on ``X``; ``R`` is then its buffer,
+    which the next call on it overwrites.
     """
-    T, out = _design_stack(X, spec, stack)
-    R, _ = _correlate(T, _check_params(params, spec), spec, out=out)
+    T = _design_stack(X, spec, ws)
+    R, _ = _correlate(T, _check_params(params, spec), spec, out=ws)
     np.fill_diagonal(R, 1.0 + spec.nugget)
     return R
 
@@ -345,12 +341,11 @@ def cross_corr(X1, X2, params, spec):
     return C
 
 
-def corr_matrix_with_derivs(X, params, spec, stack=None):
+def corr_matrix_with_derivs(X, params, spec, ws=None):
     """Correlation matrix together with all range-parameter derivatives.
 
-    ``stack``, when given, is ``distance_stack(X, spec)`` or a
-    ``Workspace`` built on ``X`` with ``derivs``, whose buffers then hold
-    the results until the next call on it.
+    ``ws``, when given, is a ``Workspace`` built on ``X`` with ``derivs``,
+    whose buffers then hold the results until the next call on it.
 
     Returns
     -------
@@ -360,9 +355,9 @@ def corr_matrix_with_derivs(X, params, spec, stack=None):
         ``dR[k] = dR/dphi_k``; symmetric with zero diagonal (the nugget is
         constant in ``phi``).
     """
-    T, out = _design_stack(X, spec, stack)
-    if out is not None and out.dR is None:
+    T = _design_stack(X, spec, ws)
+    if ws is not None and ws.dR is None:
         raise InvalidArgumentError("the workspace was built without derivative buffers")
-    R, dR = _correlate(T, _check_params(params, spec), spec, derivs=True, out=out)
+    R, dR = _correlate(T, _check_params(params, spec), spec, derivs=True, out=ws)
     np.fill_diagonal(R, 1.0 + spec.nugget)
     return R, dR

@@ -139,8 +139,9 @@ def _fisher_info(data, params, spec, fact, corner, projected):
         W, WT = np.empty_like(fact.dR), np.empty_like(fact.dR)
     else:
         P, S, G, W, WT = ws.P, ws.S, ws.G, ws.W, ws.WT
-        np.copyto(P, ws.eye)
-    _solve(fact.chol_R, P, params, overwrite_b=1)
+        P.fill(0.0)
+        np.fill_diagonal(P, 1.0)
+    P = _solve(fact.chol_R, P, params, overwrite_b=1)
     if projected:
         B = P @ data.design
         np.matmul(B, _solve(fact.chol_M, B.T, params), out=S)

@@ -18,6 +18,7 @@ from mfcokrig.kernels import (
     POWER_EXPONENTIAL,
     KernelSpec,
     RangeParams,
+    Workspace,
     corr_matrix,
     corr_matrix_with_derivs,
     cross_corr,
@@ -324,15 +325,15 @@ class TestOracleAgreement:
         for spec in _specs(dims=3):
             X = rng.uniform(0.0, 1.0, size=(10, 3))
             params = RangeParams(rng.uniform(0.2, 3.0, size=3))
-            stack = distance_stack(X, spec)
+            ws = Workspace(X, spec, derivs=True)
             np.testing.assert_array_equal(
-                corr_matrix(X, params, spec, stack=stack), corr_matrix(X, params, spec)
+                corr_matrix(X, params, spec, ws=ws), corr_matrix(X, params, spec)
             )
-            R, dR = corr_matrix_with_derivs(X, params, spec, stack=stack)
+            R, dR = corr_matrix_with_derivs(X, params, spec, ws=ws)
             np.testing.assert_array_equal(R, corr_matrix(X, params, spec))
             np.testing.assert_array_equal(dR, corr_matrix_with_derivs(X, params, spec)[1])
         with pytest.raises(InvalidArgumentError):
-            corr_matrix(X, params, spec, stack=np.zeros((2, 10, 10)))
+            corr_matrix(X, params, spec, ws=Workspace(X[:5], spec))
 
     def test_cross_corr_blocks_match_one_shot(self):
         # a query batch larger than one block is assembled in column blocks
