@@ -15,9 +15,10 @@ term is ``sum(log phi) = -sum(xi)`` for the priors on ``phi`` and
 ranges ``B = 1/phi``.  The plugin baseline is a likelihood, not a density,
 so no Jacobian enters there.
 
-A fit builds one ``kernels.Workspace`` per level: the distance stack and
-every buffer an evaluation writes (R, and for the Fisher-information priors
-the derivative stack and the trace operands).  Each point then costs one
+A fit builds one ``kernels.Workspace`` per level: the packed distance
+stack of the level's distinct row pairs and every buffer an evaluation
+writes (R, and for the Fisher-information priors the derivative stack and
+the trace operands).  Each point then costs one
 correlation build and one in-place Cholesky factorization, shared by the
 likelihood and the prior, with LAPACK called directly and no allocation of
 an ``n x n`` or larger array.

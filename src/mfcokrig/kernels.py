@@ -17,9 +17,20 @@ not depend on the ranges (``|dx_k|^alpha``, or ``sqrt(2 nu)|dx_k|``):
 So a correlation matrix costs one weighted sum over the stack and one
 ``exp``, and a caller that evaluates many ranges on one design (range
 estimation) builds the stack once, in a ``Workspace`` that also holds
-every buffer one evaluation writes.  Derivative matrices with respect to
-``phi_k`` are ``R`` times the ratio ``(dr/dphi) / r``, which stays finite
-wherever ``r > 0``.
+every buffer one evaluation writes.  ``R`` is symmetric, so its builds run
+over a packed stack of the ``n(n-1)/2`` distinct row pairs, shape
+``(d, n(n-1)/2)``, and one gather expands the result into the full matrix
+with the diagonal ``1 + nugget``; ``corr_matrix`` and
+``corr_matrix_with_derivs`` share that path and give the same ``R`` bit for
+bit.  Derivative matrices with respect to ``phi_k`` are ``R`` times the
+ratio ``(dr/dphi_k) / r``, which stays finite wherever ``r > 0``; they are
+full ``(d, n, n)`` stacks, since the Fisher products read whole slices.
+Where the ratio is the distance times a constant (power-exponential and
+Matern 1/2), one pass over a full distance stack costs less than a gather,
+so those families keep one next to the packed stack when derivatives are
+needed; the Matern 3/2 and 5/2 ratios come from the polynomial passes over
+the pairs and are gathered.  The rectangular ``cross_corr`` keeps a full
+``(d, n1, n2)`` stack.
 """
 
 import math
@@ -43,6 +54,11 @@ _MAX_WEIGHT = np.finfo(np.float64).max
 # cross-correlations are assembled in column blocks whose distance stack
 # stays below this many bytes
 _CROSS_BLOCK_BYTES = 1 << 20
+# a workspace's pair stack has zero columns up to a multiple of this width:
+# BLAS gemv kernels compute their outputs in blocks and round the last
+# (length mod block) by another path, so without them the last few pairs of
+# R differed from the full n x n layout's entries by an ulp of the exponent
+_PAD = 8
 
 
 @dataclass(frozen=True)
@@ -161,16 +177,15 @@ def _check_params(params, spec):
     return params.phi
 
 
+
 # ---------------------------------------------------------------------------
 # stack assembly
 # ---------------------------------------------------------------------------
 
 
-def _stack(X1, X2, spec):
-    """Transformed distances ``T[k, i, j]`` between rows of two designs,
-    written straight into one ``(d, n1, n2)`` array."""
-    T = np.empty((X1.shape[1], X1.shape[0], X2.shape[0]))
-    np.subtract(X1.T[:, :, None], X2.T[:, None, :], out=T)
+def _transform(T, spec):
+    """Coordinate differences ``dx`` to ``|dx|^alpha`` or ``sqrt(2 nu)|dx|``,
+    in place."""
     np.abs(T, out=T)
     if spec.family == POWER_EXPONENTIAL:
         np.power(T, spec.shape, out=T)
@@ -179,72 +194,114 @@ def _stack(X1, X2, spec):
     return T
 
 
-def _correlate(T, phi, spec, derivs=False, out=None):
-    """Correlation (no nugget) from a ``(d, n1, n2)`` distance stack, plus
-    the stack of ``dR/dphi_k`` when ``derivs``.
+def _stack(X1, X2, spec):
+    """Transformed distances ``T[k, i, j]`` between rows of two designs,
+    written straight into one ``(d, n1, n2)`` array."""
+    T = np.empty((X1.shape[1], X1.shape[0], X2.shape[0]))
+    np.subtract(X1.T[:, :, None], X2.T[:, None, :], out=T)
+    return _transform(T, spec)
 
-    Every pass over an ``n x n`` slice writes into a buffer, since fresh
-    temporaries of that size cost page faults: the buffers of the
-    ``Workspace`` ``out``, or, without one, buffers allocated once per call.
+
+def _pair_stack(X, spec, width):
+    """``distance_stack`` of the checked design ``X`` in the leading
+    columns of a ``(d, width)`` array whose other columns are zero."""
+    i, j = np.triu_indices(X.shape[0], 1)
+    T = np.zeros((X.shape[1], width))
+    for k, x in enumerate(X.T):
+        np.subtract(x[i], x[j], out=T[k, : i.size])
+    return _transform(T, spec)
+
+
+def _gather_index(n):
+    """For each flat position of an ``n x n`` matrix, its slot in the packed
+    strict upper triangle: ``(i, j)`` and ``(j, i)`` read the slot of pair
+    ``(i, j)``, and the diagonal reads the slot ``n(n-1)/2`` after them."""
+    i, j = np.triu_indices(n, 1)
+    index = np.full((n, n), i.size, dtype=np.intp)
+    index[i, j] = index[j, i] = np.arange(i.size)
+    return index.reshape(-1)
+
+
+def _weights(phi, spec):
+    """Per-dimension multipliers of the distance stack, ``phi^-alpha`` or
+    ``1 / phi``, capped."""
+    power = spec.shape if spec.family == POWER_EXPONENTIAL else 1.0
+    return np.minimum(phi**-power, _MAX_WEIGHT)
+
+
+def _correlate(T, w, spec, R, scratch=None, dR=None):
+    """Correlation (no nugget) over the trailing axes of the distance stack
+    ``T`` with weights ``w``, written into ``R``, which it returns.  For
+    Matern 3/2 and 5/2, ``dR``, when given, receives ``dR/dphi_k`` from
+    the same polynomial passes.
+
+    Every pass writes into a buffer, since fresh temporaries of the size of
+    ``R`` cost page faults: the ``zero``, ``u`` and ``poly`` of the
+    ``Workspace`` ``scratch``, or, without one, buffers allocated once per
+    call.  Callers ignore floating-point overflow and invalid operations:
+    out-of-range exponents, factors and ratios are zeroed here.
     """
     d = T.shape[0]
-    power = spec.shape if spec.family == POWER_EXPONENTIAL else 1.0
-    fresh = out is None
-    R = np.empty(T.shape[1:]) if fresh else out.R
-    dR = None
-    if derivs:
-        dR = np.empty_like(T) if fresh else out.dR
-    # out-of-range weights and ratios are capped or zeroed below
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.minimum(phi**-power, _MAX_WEIGHT)
-        # -w gives the exponent -(w @ T) exactly: rounding is symmetric
-        np.matmul(-w, T.reshape(d, -1), out=R.reshape(-1))
-        np.exp(R, out=R)
-        zero = None
-        if not R.all():
-            zero = np.equal(R, 0.0, out=None if fresh else out.zero)
-        if spec.family == POWER_EXPONENTIAL:
-            if derivs:
-                # (dr/dphi) / r = alpha h^alpha / phi^(alpha + 1)
-                c = np.minimum(power * w / phi, _MAX_WEIGHT)
-                np.multiply(T, c[:, None, None], out=dR)
-        elif spec.shape == 0.5:
-            if derivs:
-                # (dr/dphi) / r = u / phi = T / phi^2
-                np.multiply(T, np.minimum(w * w, _MAX_WEIGHT)[:, None, None], out=dR)
+    # -w gives the exponent -(w @ T) exactly: rounding is symmetric
+    np.matmul(-w, T.reshape(d, -1), out=R.reshape(-1))
+    np.exp(R, out=R)
+    if spec.family == POWER_EXPONENTIAL or spec.shape == 0.5:
+        return R
+    fresh = scratch is None
+    u, poly = (np.empty_like(R), np.empty_like(R)) if fresh else (scratch.u, scratch.poly)
+    zero = None
+    if not R.all():
+        zero = np.equal(R, 0.0, out=None if fresh else scratch.zero)
+    for k in range(d):
+        np.multiply(T[k], w[k], out=u)
+        # poly = 1 + u, or 1 + u (1 + u / 3)
+        if spec.shape == 1.5:
+            np.add(u, 1.0, out=poly)
         else:
-            u, poly = (np.empty_like(R), np.empty_like(R)) if fresh else (out.u, out.poly)
-            for k in range(d):
-                np.multiply(T[k], w[k], out=u)
-                # poly = 1 + u, or 1 + u (1 + u / 3)
-                if spec.shape == 1.5:
-                    np.add(u, 1.0, out=poly)
-                else:
-                    np.multiply(u, 1.0 / 3.0, out=poly)
-                    poly += 1.0
-                    poly *= u
-                    poly += 1.0
-                R *= poly
-                if derivs:
-                    # (dr/dphi) / r = u^2 / (phi poly), times (1 + u) / 3 for 5/2
-                    ratio = dR[k]
-                    np.multiply(u, u, out=ratio)
-                    ratio /= poly
-                    if spec.shape == 2.5:
-                        u += 1.0
-                        u *= 1.0 / 3.0
-                        ratio *= u
-                    ratio *= w[k]
-            if zero is not None:
-                # a polynomial factor overflows only where exp(-sum u) is 0
-                np.copyto(R, 0.0, where=zero)
-        if derivs:
-            dR *= R
-            # the ratio can overflow where the correlation underflowed to
-            # zero; those entries have exactly zero derivative
-            if zero is not None:
-                np.copyto(dR, 0.0, where=zero)
-    return R, dR
+            np.multiply(u, 1.0 / 3.0, out=poly)
+            poly += 1.0
+            poly *= u
+            poly += 1.0
+        R *= poly
+        if dR is not None:
+            # (dr/dphi) / r = u^2 / (phi poly), times (1 + u) / 3 for 5/2
+            ratio = dR[k]
+            np.multiply(u, u, out=ratio)
+            ratio /= poly
+            if spec.shape == 2.5:
+                u += 1.0
+                u *= 1.0 / 3.0
+                ratio *= u
+            ratio *= w[k]
+    if zero is not None:
+        # a polynomial factor overflows only where exp(-sum u) is 0
+        np.copyto(R, 0.0, where=zero)
+    if dR is not None:
+        dR *= R
+        # the ratio can overflow where the correlation underflowed to
+        # zero; those entries have exactly zero derivative
+        if zero is not None:
+            np.copyto(dR, 0.0, where=zero)
+    return R
+
+
+def _linear_derivatives(phi, w, spec, ws):
+    """``dR/dphi_k`` into ``ws.dR`` for power-exponential and Matern 1/2,
+    whose ratio ``(dr/dphi_k) / r`` is the distance ``T_k`` times a
+    constant: one pass over each slice of ``ws.full_stack``, times the
+    gathered ``ws.R``, and exactly zero where ``R`` underflowed.  Like
+    ``_correlate``, it runs with overflow ignored."""
+    if spec.family == POWER_EXPONENTIAL:
+        # (dr/dphi) / r = alpha h^alpha / phi^(alpha + 1)
+        c = np.minimum(spec.shape * w / phi, _MAX_WEIGHT)
+    else:
+        # (dr/dphi) / r = u / phi = T / phi^2
+        c = np.minimum(w * w, _MAX_WEIGHT)
+    np.multiply(ws.full_stack, c[:, None, None], out=ws.dR)
+    ws.dR *= ws.R
+    # the ratio can overflow where the correlation underflowed to zero
+    if not ws.pairs.all():
+        np.copyto(ws.dR, 0.0, where=np.equal(ws.R, 0.0, out=ws.full_zero))
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +310,19 @@ def _correlate(T, phi, spec, derivs=False, out=None):
 
 
 def distance_stack(X, spec):
-    """Transformed coordinate distances of a design, shape ``(d, n, n)``.
+    """Transformed coordinate distances of the distinct row pairs of a
+    design, shape ``(d, n(n-1)/2)``.
 
-    ``T[k, i, j]`` is ``|x_ik - x_jk|^alpha`` for power-exponential and
+    Column ``p`` holds the ``p``-th pair ``(i, j)``, ``i < j``, of the
+    strict upper triangle in row-major order, and ``T[k, p]`` is
+    ``|x_ik - x_jk|^alpha`` for power-exponential and
     ``sqrt(2 nu) |x_ik - x_jk|`` for Matern.  It does not depend on the
     ranges: a ``Workspace`` holds it for evaluating many ranges on one
     design.
     """
     X = _check_design(X, spec.dims)
-    return _stack(X, X, spec)
+    n = X.shape[0]
+    return _pair_stack(X, spec, n * (n - 1) // 2)
 
 
 class Workspace:
@@ -269,27 +330,58 @@ class Workspace:
 
     Range estimation builds one per level, and the correlation builds take
     it as ``ws``, so an objective evaluation allocates no array of
-    ``n x n`` or more.  It holds the distance stack ``stack``; ``R`` and
-    its underflow mask ``zero``; the Matern 3/2 and 5/2 temporaries ``u``
-    and ``poly``; and, with ``derivs`` (the Fisher-information priors), the
-    derivative stack ``dR``, the trace operands ``W`` and their slice
-    transposes ``WT`` (each ``(d, n, n)``), and the ``n x n`` scratch
-    ``P`` and ``G``, in Fortran order so that LAPACK solves into ``P`` in
-    place, and ``S``.  Whatever is built on a workspace, a factorization
-    included, is overwritten by the next evaluation on it.
+    ``n x n`` or more.  It records the design ``X`` and the ``spec`` it was
+    built on, and a build on another design or spec is refused.
+
+    A build runs over the ``m = n(n-1)/2`` distinct row pairs, which hold
+    every off-diagonal value of the symmetric ``R``, and one gather through
+    ``index`` then expands them into the full matrix.  The workspace holds
+    the pair stack ``stack``, ``distance_stack`` padded with zero columns
+    to a width above ``m``; over that width, the correlations ``pairs``,
+    whose slot ``m`` holds the diagonal ``1 + nugget``, and for Matern 3/2
+    and 5/2 their underflow mask ``zero`` and the temporaries ``u`` and
+    ``poly``; and the gathered ``R``.  Without ``derivs`` it holds no
+    ``(d, n, n)`` array.  With ``derivs`` (the Fisher-information priors)
+    it also holds the derivative stack ``dR``, full because the Fisher
+    products read whole slices of it: for Matern 3/2 and 5/2 it is gathered
+    from ``dpairs``, the ``(d, width)`` derivatives over the pairs, and for
+    power-exponential and Matern 1/2, whose ratio ``(dr/dphi_k) / r`` is
+    linear in the distance, it is the full ``(d, n, n)`` distance stack
+    ``full_stack`` times that constant and the gathered ``R``, with the
+    ``n x n`` underflow mask ``full_zero``.  It then holds too the trace
+    operands ``W`` and their slice transposes ``WT`` (each ``(d, n, n)``),
+    and the ``n x n`` scratch ``P`` and ``G``, in Fortran order so that
+    LAPACK solves into ``P`` in place, and ``S``.  Whatever is built on a
+    workspace, a factorization included, is overwritten by the next
+    evaluation on it.
     """
 
     def __init__(self, X, spec, derivs=False):
-        self.stack = distance_stack(X, spec)
-        d, n, _ = self.stack.shape
+        self.X = _check_design(X, spec.dims)
+        self.spec = spec
+        n, d = self.X.shape
+        width = (n * (n - 1) // 2 // _PAD + 1) * _PAD
+        self.stack = _pair_stack(self.X, spec, width)
+        self.index = _gather_index(n)
+        self.pairs = np.empty(width)
+        polynomial = spec.family == MATERN and spec.shape != 0.5
+        self.zero = self.u = self.poly = None
+        if polynomial:
+            self.zero = np.empty(width, dtype=bool)
+            self.u = np.empty(width)
+            self.poly = np.empty(width)
         self.R = np.empty((n, n))
-        self.zero = np.empty((n, n), dtype=bool)
-        self.u = self.poly = None
-        if spec.family == MATERN and spec.shape != 0.5:
-            self.u = np.empty((n, n))
-            self.poly = np.empty((n, n))
+        self.dpairs = self.full_stack = self.full_zero = None
         self.dR = self.W = self.WT = self.P = self.G = self.S = None
         if derivs:
+            if polynomial:
+                # the ratios need the pair loop's polynomial factors
+                self.dpairs = np.empty((d, width))
+            else:
+                # a ratio linear in the distance costs less over whole
+                # slices than a gather of it
+                self.full_stack = _stack(self.X, self.X, spec)
+                self.full_zero = np.empty((n, n), dtype=bool)
             self.dR = np.empty((d, n, n))
             self.W = np.empty((d, n, n))
             self.WT = np.empty((d, n, n))
@@ -298,32 +390,58 @@ class Workspace:
             self.S = np.empty((n, n))
 
 
-def _design_stack(X, spec, ws):
-    """The distance stack of ``X``: a fresh one, or that of the workspace
-    ``ws`` after checking it was built on a design of this size."""
+def _workspace(X, spec, ws, derivs):
+    """``ws`` after checking that it was built on the design ``X`` and on
+    ``spec``, with derivative buffers when ``derivs``; a fresh workspace
+    when it is None.  The fit path passes the very design the workspace
+    was built on, which the identity test accepts at no cost."""
     if ws is None:
-        return distance_stack(X, spec)
-    n = np.shape(X)[0]
-    if ws.stack.shape != (spec.dims, n, n):
+        return Workspace(X, spec, derivs=derivs)
+    if spec is not ws.spec and spec != ws.spec:
+        raise InvalidArgumentError(f"the workspace was built for {ws.spec}, not for {spec}")
+    if X is not ws.X and not np.array_equal(_check_design(X, spec.dims), ws.X):
         raise InvalidArgumentError(
-            f"workspace distance stack must have shape {(spec.dims, n, n)}, "
-            f"got {ws.stack.shape}"
+            f"the workspace was built on another design (shape {ws.X.shape}, "
+            f"got {np.shape(X)})"
         )
-    return ws.stack
+    if derivs and ws.dR is None:
+        raise InvalidArgumentError("the workspace was built without derivative buffers")
+    return ws
+
+
+def _build(X, params, spec, ws, derivs):
+    """Correlation matrix of ``X``, and its derivative stack when
+    ``derivs``, into the workspace ``ws`` (or a fresh one), which it
+    returns: ``R`` is computed over the distinct pairs and gathered."""
+    ws = _workspace(X, spec, ws, derivs)
+    phi = _check_params(params, spec)
+    # out-of-range weights and ratios are capped or zeroed
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _weights(phi, spec)
+        _correlate(ws.stack, w, spec, ws.pairs, ws, ws.dpairs if derivs else None)
+        # slot m has zero distances, so its correlation came out 1 and its
+        # derivatives 0; the diagonal is read from it
+        ws.pairs[ws.index[0]] = 1.0 + spec.nugget
+        # mode="clip" gathers straight into the output; the default "raise"
+        # buffers the whole output first (every index is in range either way)
+        np.take(ws.pairs, ws.index, out=ws.R.reshape(-1), mode="clip")
+        if derivs and ws.dpairs is None:
+            _linear_derivatives(phi, w, spec, ws)
+        elif derivs:
+            np.take(ws.dpairs, ws.index, axis=1, out=ws.dR.reshape(spec.dims, -1), mode="clip")
+    return ws
 
 
 def corr_matrix(X, params, spec, ws=None):
     """Correlation matrix of a design, with the spec's nugget on the diagonal.
 
     ``R[i, j]`` is the product over dimensions of the 1-d correlations of
-    coordinate distances; the diagonal is ``1 + nugget``.  ``ws``, when
-    given, is a ``Workspace`` built on ``X``; ``R`` is then its buffer,
-    which the next call on it overwrites.
+    coordinate distances; the diagonal is ``1 + nugget``.  It is exactly
+    symmetric.  ``ws``, when given, is a ``Workspace`` built on ``X`` and
+    ``spec``; ``R`` is then its buffer, which the next call on it
+    overwrites.
     """
-    T = _design_stack(X, spec, ws)
-    R, _ = _correlate(T, _check_params(params, spec), spec, out=ws)
-    np.fill_diagonal(R, 1.0 + spec.nugget)
-    return R
+    return _build(X, params, spec, ws, False).R
 
 
 def cross_corr(X1, X2, params, spec):
@@ -332,19 +450,26 @@ def cross_corr(X1, X2, params, spec):
     X2 = _check_design(X2, spec.dims, "X2")
     phi = _check_params(params, spec)
     n1, n2 = X1.shape[0], X2.shape[0]
+
+    def block_corr(X2_block):
+        T = _stack(X1, X2_block, spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _correlate(T, _weights(phi, spec), spec, np.empty(T.shape[1:]))
+
     block = max(1, _CROSS_BLOCK_BYTES // (8 * spec.dims * n1))
     if n2 <= block:
-        return _correlate(_stack(X1, X2, spec), phi, spec)[0]
+        return block_corr(X2)
     C = np.empty((n1, n2))
     for j in range(0, n2, block):
-        C[:, j : j + block] = _correlate(_stack(X1, X2[j : j + block], spec), phi, spec)[0]
+        C[:, j : j + block] = block_corr(X2[j : j + block])
     return C
 
 
 def corr_matrix_with_derivs(X, params, spec, ws=None):
     """Correlation matrix together with all range-parameter derivatives.
 
-    ``ws``, when given, is a ``Workspace`` built on ``X`` with ``derivs``,
+    ``R`` is bit for bit the matrix ``corr_matrix`` builds.  ``ws``, when
+    given, is a ``Workspace`` built on ``X`` and ``spec`` with ``derivs``,
     whose buffers then hold the results until the next call on it.
 
     Returns
@@ -355,9 +480,5 @@ def corr_matrix_with_derivs(X, params, spec, ws=None):
         ``dR[k] = dR/dphi_k``; symmetric with zero diagonal (the nugget is
         constant in ``phi``).
     """
-    T = _design_stack(X, spec, ws)
-    if ws is not None and ws.dR is None:
-        raise InvalidArgumentError("the workspace was built without derivative buffers")
-    R, dR = _correlate(T, _check_params(params, spec), spec, derivs=True, out=ws)
-    np.fill_diagonal(R, 1.0 + spec.nugget)
-    return R, dR
+    ws = _build(X, params, spec, ws, True)
+    return ws.R, ws.dR

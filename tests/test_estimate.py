@@ -242,9 +242,10 @@ class TestObjective:
             objective(data.levels[0], np.array([np.nan, 0.0]), spec, PriorSpec(kind="flat"))
 
 
-def _borehole_levels():
-    """Replicate 0 of the seeded borehole split: 80 low, 30 nested high runs."""
-    U, low_idx, high_idx, _ = replicate_design(0, 0, 80, 30, 20)
+def _borehole_levels(n_low=80, n_high=30):
+    """Replicate 0 of the seeded borehole split: by default 80 low and 30
+    nested high runs."""
+    U, low_idx, high_idx, _ = replicate_design(0, 0, n_low, n_high, 20)
     X = scale_to_box(U)
     y_low = np.array([borehole_low(X[i]) for i in low_idx])
     y_high = np.array([borehole_high(X[i]) for i in high_idx])
@@ -370,6 +371,25 @@ class TestWorkspace:
             tracemalloc.stop()
         assert value > SENTINEL_THRESHOLD
         assert peak < lv.dims * lv.n**2 * 8
+
+    def test_plugin_evaluation_allocates_less_than_one_matrix(self):
+        """A plug-in Matern 5/2 evaluation at n=200 on a warm workspace
+        allocates less than one n x n array in all: the pairs are gathered
+        into R without a buffered copy of it."""
+        lv = _borehole_levels(200, 60)[0]
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=8)
+        ws = Workspace(lv.inputs, spec)
+        assert _plugin_objective(lv, np.zeros(8), spec, ws) > SENTINEL_THRESHOLD
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            value = _plugin_objective(lv, np.full(8, 0.5), spec, ws)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert value > SENTINEL_THRESHOLD
+        assert peak < lv.n**2 * 8
 
 
 class TestConcentratedRestrictedLikelihood:

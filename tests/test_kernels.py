@@ -15,6 +15,7 @@ from mfcokrig.exceptions import InvalidArgumentError
 from mfcokrig.kernels import (
     DEFAULT_NUGGET,
     MATERN,
+    MAX_NUGGET,
     POWER_EXPONENTIAL,
     KernelSpec,
     RangeParams,
@@ -335,6 +336,30 @@ class TestOracleAgreement:
         with pytest.raises(InvalidArgumentError):
             corr_matrix(X, params, spec, ws=Workspace(X[:5], spec))
 
+    def test_workspace_of_another_design_or_spec_is_refused(self):
+        # a design of the same size once passed the shape check, and R came
+        # back built on the workspace's design
+        rng = np.random.default_rng(47)
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+        X, Y = rng.uniform(0.0, 1.0, size=(6, 2)), rng.uniform(0.0, 1.0, size=(6, 2))
+        params = RangeParams([0.5, 0.8])
+        ws = Workspace(X, spec, derivs=True)
+        others = (
+            KernelSpec(family=MATERN, shape=1.5, dims=2),
+            KernelSpec(family=MATERN, shape=2.5, dims=2, nugget=1e-6),
+        )
+        for build in (corr_matrix, corr_matrix_with_derivs):
+            with pytest.raises(InvalidArgumentError, match="another design"):
+                build(Y, params, spec, ws=ws)
+            for other in others:
+                with pytest.raises(InvalidArgumentError, match="built for"):
+                    build(X, params, other, ws=ws)
+        # an equal copy of the design with an equal spec is the same build
+        np.testing.assert_array_equal(
+            corr_matrix(X.copy(), params, KernelSpec(family=MATERN, shape=2.5, dims=2), ws=ws),
+            corr_matrix(X, params, spec),
+        )
+
     def test_cross_corr_blocks_match_one_shot(self):
         # a query batch larger than one block is assembled in column blocks
         rng = np.random.default_rng(45)
@@ -418,6 +443,64 @@ class TestOracleProperties:
         _assert_close_in_exponent(R, R_or, S, spec.dims)
         for k in range(spec.dims):
             _assert_close_in_exponent(dR[k], dR_or[k], S, spec.dims, extra_ulp=16.0)
+
+
+@st.composite
+def _packed_case(draw, phi_low, phi_high):
+    family, shape = draw(st.sampled_from(_SPEC_CHOICES))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    nugget = draw(st.sampled_from([0.0, DEFAULT_NUGGET, MAX_NUGGET]))
+    X = draw(arrays(np.float64, (n, d), elements=st.floats(0.0, 1.0, allow_nan=False)))
+    phi = draw(arrays(np.float64, (d,), elements=st.floats(phi_low, phi_high)))
+    return KernelSpec(family=family, shape=shape, dims=d, nugget=nugget), X, phi
+
+
+class TestPackedBuild:
+    """R is computed over the distinct row pairs and gathered into the
+    full matrix, for every family and shape."""
+
+    # ranges of at least the input span keep the exponent below about 7,
+    # where the kernel and the oracle agree to a few ulp
+    @settings(max_examples=150, deadline=None)
+    @given(_packed_case(1.0, 50.0))
+    def test_symmetric_with_exact_diagonal_and_oracle_values(self, case):
+        spec, X, phi = case
+        params = RangeParams(phi)
+        ws = Workspace(X, spec)
+        R = corr_matrix(X, params, spec, ws=ws)
+        np.testing.assert_array_equal(R, R.T)
+        np.testing.assert_array_equal(R.diagonal(), 1.0 + spec.nugget)
+        np.testing.assert_allclose(R, corr_matrix_loop(X, phi, spec), rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(corr_matrix_with_derivs(X, params, spec)[0], R)
+        # an R-only workspace holds no (d, n, n) array
+        assert all(v.ndim < 3 for v in vars(ws).values() if isinstance(v, np.ndarray))
+
+    # the smallest ranges overflow Matern's polynomial factors; below
+    # about 1e-162 the weights phi^-alpha would overflow and be capped
+    @settings(max_examples=150, deadline=None)
+    @given(_packed_case(1e-160, 1e-2))
+    def test_underflowed_pairs_are_exactly_zero(self, case):
+        spec, X, phi = case
+        params = RangeParams(phi)
+        R, dR = corr_matrix_with_derivs(X, params, spec, ws=Workspace(X, spec, derivs=True))
+        assert np.isfinite(R).all() and np.isfinite(dR).all()
+        with np.errstate(over="ignore"):
+            far = _exponent(X, X, phi, spec) > 800.0
+        assert (R[far] == 0.0).all()
+        assert (dR[:, R == 0.0] == 0.0).all()
+        np.testing.assert_array_equal(corr_matrix(X, params, spec), R)
+
+    @pytest.mark.parametrize("family, shape", _SPEC_CHOICES)
+    def test_one_row_design(self, family, shape):
+        spec = KernelSpec(family=family, shape=shape, dims=2, nugget=1e-6)
+        X = np.array([[0.3, 0.7]])
+        params = RangeParams([0.5, 2.0])
+        for ws in (None, Workspace(X, spec, derivs=True)):
+            assert corr_matrix(X, params, spec, ws=ws).tolist() == [[1.0 + 1e-6]]
+            R, dR = corr_matrix_with_derivs(X, params, spec, ws=ws)
+            assert R.tolist() == [[1.0 + 1e-6]]
+            assert dR.tolist() == [[[0.0]], [[0.0]]]
 
 
 _SPEC2 = KernelSpec(family=MATERN, shape=2.5, dims=2)
