@@ -317,8 +317,8 @@ def distance_stack(X, spec):
     strict upper triangle in row-major order, and ``T[k, p]`` is
     ``|x_ik - x_jk|^alpha`` for power-exponential and
     ``sqrt(2 nu) |x_ik - x_jk|`` for Matern.  It does not depend on the
-    ranges: a ``Workspace`` holds it for evaluating many ranges on one
-    design.
+    ranges: a ``Workspace`` holds it, padded with zero columns, for
+    evaluating many ranges on one design.
     """
     X = _check_design(X, spec.dims)
     n = X.shape[0]
