@@ -4,7 +4,12 @@
 regression structures; ``fit`` maximizes, independently per level, either
 the integrated posterior of the log-inverse ranges (``method="posterior"``)
 or the concentrated restricted likelihood baseline (``method="plugin"``),
-via multi-start Nelder-Mead.
+from several starts.  The optimizer follows from the objective: the
+plug-in criterion and the posterior under ``flat``, ``inverse_range`` and
+``jointly_robust`` have an analytic xi-gradient and run L-BFGS-B
+(``optim.lbfgs_max``); the posterior under the Fisher-information priors
+(``reference``, ``jeffreys1``, ``jeffreys2``) runs Nelder-Mead
+(``optim.nelder_mead_max``).
 
 The optimizer works in ``xi = log(1/phi)``.  For the posterior method the
 maximized objective includes the Jacobian of the map from ``xi`` to the
@@ -18,10 +23,12 @@ so no Jacobian enters there.
 A fit builds one ``kernels.Workspace`` per level: the packed distance
 stack of the level's distinct row pairs and every buffer an evaluation
 writes (R, and for the Fisher-information priors the derivative stack and
-the trace operands).  Each point then costs one
-correlation build and one in-place Cholesky factorization, shared by the
-likelihood and the prior, with LAPACK called directly and no allocation of
-an ``n x n`` or larger array.
+the trace operands, or for the gradient objectives the pair weights of the
+gradient).  Each point then costs one correlation build and one in-place
+Cholesky factorization, shared by the likelihood and the prior, with
+LAPACK called directly and no allocation of an ``n x n`` or larger array.
+The gradient adds ``R^-1``, formed in place on the factor, and one pass
+over the pairs (``gp.log_likelihood_xi_grad``).
 """
 
 import math
@@ -39,6 +46,7 @@ from .exceptions import (
     InvalidArgumentError,
     NestingError,
     PriorEvaluationError,
+    RangeOverflowError,
     SingularCorrelationError,
     real_array,
 )
@@ -48,10 +56,12 @@ from .gp import (
     gls_fit,
     integrated_log_likelihood,
     location_scale_estimates,
+    log_likelihood_xi_grad,
     log_S2,
+    log_S2_exponent,
 )
 from .kernels import RangeParams, Workspace
-from .priors import FISHER_KINDS, JOINTLY_ROBUST, log_prior
+from .priors import FISHER_KINDS, JOINTLY_ROBUST, log_prior, log_prior_xi_grad
 
 # objective sentinel marking infeasible range parameters; anything at or
 # below the threshold is treated as a failed evaluation
@@ -78,13 +88,19 @@ def _is_real(value):
 
 @dataclass(frozen=True)
 class OptimOptions:
-    """Multi-start Nelder-Mead configuration.
+    """Multi-start optimizer configuration.
 
-    ``max_evals`` of ``None`` means ``nelder_mead_max``'s default budget
-    per start.  The first start is always ``xi = 0``; the remaining
-    ``n_starts - 1`` are drawn uniformly from ``[start_low, start_high]^d``
-    with a stream seeded by ``(seed, level, start)`` so runs are
-    reproducible and levels independent.
+    Each start runs the optimizer ``fit_level`` picks for the objective:
+    L-BFGS-B for the gradient objectives, Nelder-Mead for the
+    Fisher-information priors.  ``tol`` is the simplex's value spread at
+    which it stops, and L-BFGS-B's ``gtol`` (the largest gradient
+    component at which it stops); ``initial_step`` is the simplex's edge
+    and only the simplex reads it.  ``max_evals`` caps each start's
+    evaluations for both, and ``None`` means ``500 * (d + 1)``.  The first
+    start is always ``xi = 0``; the remaining ``n_starts - 1`` are drawn
+    uniformly from ``[start_low, start_high]^d`` with a stream seeded by
+    ``(seed, level, start)`` so runs are reproducible and levels
+    independent.
     """
 
     seed: int = 0
@@ -269,42 +285,51 @@ def assemble(raw_levels, basis="constant"):
     return CokrigingData(levels=tuple(levels))
 
 
-def _evaluate(data_t, xi, spec, ws, derivs, criterion):
+def _evaluate(data_t, xi, spec, ws, derivs, criterion, grad=None):
     """Shared body of the xi-space objectives.
 
     Maps ``xi`` to ranges, factorizes the level once (with the derivative
-    stack when ``derivs``) and returns ``criterion(params, fact, xi)``.
-    Returns a large negative sentinel instead of raising when the ranges
-    overflow, the correlation matrix is singular, the data degenerate, or
-    the prior unevaluable, so the optimizer retreats rather than crashing.
+    stack when ``derivs``) and returns ``criterion(params, fact, xi)``,
+    which also writes the xi-gradient into ``grad`` when that is given.
+    Returns a large negative sentinel, with a zero ``grad``, instead of
+    raising when the ranges are infeasible, the correlation matrix is
+    singular, the data degenerate, the prior unevaluable, or the value or
+    the gradient is not finite, so the optimizer retreats rather than
+    crashing.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     if xi.ndim != 1 or not np.isfinite(xi).all():
         raise InvalidArgumentError("xi must be a finite 1-d vector")
     # ranges that overflow to inf or underflow to 0 are infeasible, and
-    # RangeParams rejects exactly those
+    # RangeParams rejects exactly those; so are ranges whose kernel weights
+    # phi^-alpha overflow
     with np.errstate(over="ignore"):
         phi = np.exp(-xi)
+    value = SENTINEL
     try:
         params = RangeParams(phi)
     except InvalidArgumentError:
-        return SENTINEL
-    try:
-        fact = gls_fit(data_t, params, spec, ws=ws, derivs=derivs)
-        value = criterion(params, fact, xi)
-    except (
-        SingularCorrelationError,
-        DegenerateDataError,
-        PriorEvaluationError,
-        DesignRankError,
-    ):
-        return SENTINEL
-    if not math.isfinite(value):
-        return SENTINEL
-    return value
+        params = None
+    if params is not None:
+        try:
+            fact = gls_fit(data_t, params, spec, ws=ws, derivs=derivs)
+            value = criterion(params, fact, xi)
+        except (
+            RangeOverflowError,
+            SingularCorrelationError,
+            DegenerateDataError,
+            PriorEvaluationError,
+            DesignRankError,
+        ):
+            value = SENTINEL
+    failed = value == SENTINEL or not math.isfinite(value)
+    if grad is not None and (failed or not np.isfinite(grad).all()):
+        grad.fill(0.0)
+        failed = True
+    return SENTINEL if failed else value
 
 
-def objective(data_t, xi, spec, prior, ws=None):
+def objective(data_t, xi, spec, prior, ws=None, grad=None):
     """Posterior log density of the log-inverse ranges at one level.
 
     Integrated log-likelihood plus log prior plus the reparameterization
@@ -315,17 +340,26 @@ def objective(data_t, xi, spec, prior, ws=None):
     prior unevaluable.  ``ws`` is an optional
     ``Workspace(data_t.inputs, spec, derivs=prior.kind in FISHER_KINDS)``
     whose buffers the evaluation writes.
+
+    ``grad``, an optional float array of shape ``(d,)`` for the kinds
+    outside ``FISHER_KINDS``, receives the xi-gradient of the same value;
+    without a ``ws`` built with ``grad=True`` the gradient builds R a
+    second time.  The value is the same bit for bit with or without it.
     """
     jacobian_sign = 1.0 if prior.kind == JOINTLY_ROBUST else -1.0
+    a_t = prior.a_t(data_t.q)
 
     def posterior(params, fact, xi):
-        value = integrated_log_likelihood(
-            data_t, params, spec, prior.a_t(data_t.q), fact=fact
-        )
+        value = integrated_log_likelihood(data_t, params, spec, a_t, fact=fact)
         value += log_prior(data_t, params, spec, prior, fact=fact)
-        return value + jacobian_sign * float(xi.sum())
+        value += jacobian_sign * float(xi.sum())
+        if grad is not None:
+            exponent = log_S2_exponent(data_t, a_t)
+            log_likelihood_xi_grad(data_t, params, spec, fact, exponent, grad)
+            grad[:] += log_prior_xi_grad(data_t, params, prior) + jacobian_sign
+        return value
 
-    return _evaluate(data_t, xi, spec, ws, prior.kind in FISHER_KINDS, posterior)
+    return _evaluate(data_t, xi, spec, ws, prior.kind in FISHER_KINDS, posterior, grad)
 
 
 def concentrated_restricted_likelihood(data_t, params, spec, fact=None):
@@ -347,17 +381,24 @@ def concentrated_restricted_likelihood(data_t, params, spec, fact=None):
     return -0.5 * fact.logdet_R - 0.5 * (data_t.n - data_t.q) * log_S2(fact, data_t)
 
 
-def _plugin_objective(data_t, xi, spec, ws=None):
+def _plugin_objective(data_t, xi, spec, ws=None, grad=None):
     """xi-space wrapper of the plug-in criterion with sentinel retreat.
 
     No Jacobian term: the maximized object is a likelihood, not a density.
-    ``ws`` is an optional ``Workspace(data_t.inputs, spec)``.
+    ``ws`` is an optional ``Workspace(data_t.inputs, spec)``; ``grad``, as
+    for ``objective``, receives the xi-gradient.
     """
 
     def plugin(params, fact, xi):
-        return concentrated_restricted_likelihood(data_t, params, spec, fact=fact)
+        value = concentrated_restricted_likelihood(data_t, params, spec, fact=fact)
+        if grad is not None:
+            exponent = 0.5 * (data_t.n - data_t.q)
+            log_likelihood_xi_grad(
+                data_t, params, spec, fact, exponent, grad, projected=False
+            )
+        return value
 
-    return _evaluate(data_t, xi, spec, ws, False, plugin)
+    return _evaluate(data_t, xi, spec, ws, False, plugin, grad)
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,9 +458,15 @@ class FitResult:
 
 
 def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
-    """Estimate the range parameters of one level by multi-start simplex
-    maximization in xi-space.  Deterministic given ``opts.seed``."""
-    from .optim import nelder_mead_max
+    """Estimate the range parameters of one level by multi-start
+    maximization in xi-space.  Deterministic given ``opts.seed``.
+
+    Objectives with an analytic xi-gradient (the plug-in criterion, and
+    the posterior under every kind outside ``FISHER_KINDS``) run
+    ``optim.lbfgs_max``; the reference and Jeffreys posteriors run
+    ``optim.nelder_mead_max``.
+    """
+    from .optim import lbfgs_max, nelder_mead_max
 
     if method not in _METHODS:
         raise InvalidArgumentError(f"method must be one of {_METHODS}, got {method!r}")
@@ -433,16 +480,16 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
     d = data_t.dims
     # one set of evaluation buffers for the whole fit; freed when it returns
     derivs = method == POSTERIOR and prior.kind in FISHER_KINDS
-    ws = Workspace(data_t.inputs, spec, derivs=derivs)
+    ws = Workspace(data_t.inputs, spec, derivs=derivs, grad=not derivs)
 
     # both objectives are looked up at call time, so wrappers installed on
     # this module see every evaluation
     if method == POSTERIOR:
-        def func(xi):
-            return objective(data_t, xi, spec, prior, ws)
+        def func(xi, grad=None):
+            return objective(data_t, xi, spec, prior, ws, grad)
     else:
-        def func(xi):
-            return _plugin_objective(data_t, xi, spec, ws)
+        def func(xi, grad=None):
+            return _plugin_objective(data_t, xi, spec, ws, grad)
 
     best = None
     best_start = -1
@@ -457,13 +504,16 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
                 np.random.SeedSequence(entropy=opts.seed, spawn_key=(data_t.index, j))
             )
             x0 = rng.uniform(opts.start_low, opts.start_high, size=d)
-        res = nelder_mead_max(
-            func,
-            x0,
-            initial_step=opts.initial_step,
-            tol=opts.tol,
-            max_evals=opts.max_evals,
-        )
+        if derivs:
+            res = nelder_mead_max(
+                func,
+                x0,
+                initial_step=opts.initial_step,
+                tol=opts.tol,
+                max_evals=opts.max_evals,
+            )
+        else:
+            res = lbfgs_max(func, x0, tol=opts.tol, max_evals=opts.max_evals)
         total_evals += res.n_evals
         start_values.append(res.fun)
         if res.fun <= SENTINEL_THRESHOLD:

@@ -17,6 +17,11 @@ class InvalidArgumentError(MfcokrigError, ValueError):
     """An argument violates a documented precondition."""
 
 
+class RangeOverflowError(InvalidArgumentError):
+    """Range parameters so small that their kernel weights ``phi^-alpha``
+    overflow; range estimation treats such ranges as infeasible."""
+
+
 class SingularCorrelationError(MfcokrigError):
     """Cholesky factorization of a correlation matrix failed.
 

@@ -6,8 +6,10 @@ module factorizes the level's correlation matrix, solves the generalized
 least squares problem, and evaluates the integrated log-likelihood obtained
 by marginalizing the trend coefficients and the process variance.
 
-All solves go through Cholesky factors and triangular back-substitution;
-no matrix is ever inverted explicitly.  ``gls_fit`` calls LAPACK
+All solves go through Cholesky factors and triangular back-substitution.
+The one explicit inverse is the ``R^{-1}`` of the xi-gradient
+(``log_likelihood_xi_grad``), whose trace term reads every entry of it;
+LAPACK ``dpotri`` forms it from the factor.  ``gls_fit`` calls LAPACK
 (``dpotrf``, ``dtrtrs``) directly, the routines ``scipy.linalg.cholesky``
 and ``solve_triangular`` wrap, so its results are theirs bit for bit
 without their per-call checks.  It factorizes the correlation matrix in
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotrf, dpotri, dtrtrs
 
 from .exceptions import (
     DegenerateDataError,
@@ -29,7 +32,13 @@ from .exceptions import (
     InvalidArgumentError,
     SingularCorrelationError,
 )
-from .kernels import RangeParams, corr_matrix, corr_matrix_with_derivs
+from .kernels import (
+    RangeParams,
+    Workspace,
+    corr_matrix,
+    corr_matrix_with_derivs,
+    xi_gradient,
+)
 
 # S2 at or below this share of y^T R^-1 y is rounding noise: the outputs
 # are interpolated exactly and log(S^2) is meaningless
@@ -256,6 +265,15 @@ def integrated_log_likelihood(data, params, spec, a_t, fact=None):
     fact : LevelFactorization, optional
         Reuse an existing factorization at ``params`` instead of refitting.
     """
+    exponent = log_S2_exponent(data, a_t)
+    if fact is None:
+        fact = gls_fit(data, params, spec)
+    return -0.5 * fact.logdet_R - 0.5 * fact.logdet_M - exponent * log_S2(fact, data)
+
+
+def log_S2_exponent(data, a_t):
+    """The exponent ``(n-q)/2 + a_t - 1`` on ``log S2`` in the integrated
+    log-likelihood; raises unless ``n - q >= 1`` and it is positive."""
     n, q = data.n, data.q
     if n - q < 1:
         raise InvalidArgumentError(
@@ -266,9 +284,48 @@ def integrated_log_likelihood(data, params, spec, a_t, fact=None):
         raise InvalidArgumentError(
             f"(n-q)/2 + a_t - 1 must be positive, got {exponent} (a_t={a_t})"
         )
-    if fact is None:
-        fact = gls_fit(data, params, spec)
-    return -0.5 * fact.logdet_R - 0.5 * fact.logdet_M - exponent * log_S2(fact, data)
+    return exponent
+
+
+def log_likelihood_xi_grad(data, params, spec, fact, exponent, out, projected=True):
+    """Gradient in ``xi = -log(phi)`` of
+    ``-1/2 log|R| - 1/2 log|X^T R^{-1} X| - exponent log S2`` (``projected``)
+    or of ``-1/2 log|R| - exponent log S2``, into ``out``.
+
+    With ``u = R^{-1}(y - X b_hat) = L^-T e`` (``e`` the whitened residual)
+    and ``c`` the exponent, the ``phi_k`` derivative is
+    ``sum_{i<j} dR_k[i, j] (-G[i, j] + (2c / S2) u_i u_j)``, with ``G`` the
+    GLS projector ``Q = R^{-1} - B B^T``, ``B = L^-T A Lm^-T``, when
+    ``projected`` and ``R^{-1}`` otherwise.  ``R^{-1}`` is formed by LAPACK
+    ``dpotri`` in place on the factor, one ``dsyrk`` adds the rank-(q+1)
+    term ``[B, sqrt(2c/S2) u]`` to its negation, and the pairs are gathered
+    into the workspace's ``gpairs`` for ``kernels.xi_gradient``.  ``fact``
+    is a factorization at ``params``, whose ``chol_R`` this consumes; when
+    it lives in a ``kernels.Workspace`` built with ``grad``, the gradient
+    reads that build, and otherwise it builds the pairs again in a fresh
+    one.
+    """
+    ws = fact.ws
+    if ws is None or ws.gpairs is None:
+        ws = Workspace(data.inputs, spec, grad=True)
+        corr_matrix(data.inputs, params, spec, ws=ws)
+    L = fact.chol_R
+    q = fact.chol_M.shape[0] if projected else 0
+    V = np.empty((fact.n, q + 1), order="F")
+    V[:, 0] = dtrtrs(L, fact.white_resid, lower=1, trans=1)[0]
+    V[:, 0] *= math.sqrt(2.0 * exponent / fact.S2)
+    if projected:
+        AM = dtrtrs(fact.chol_M, fact.white_design.T, lower=1)[0]
+        V[:, 1:] = dtrtrs(L, AM.T, lower=1, trans=1)[0]
+    Rinv, info = dpotri(L, lower=1, overwrite_c=1)
+    if info != 0:
+        raise SingularCorrelationError(params.phi, level=data.index)
+    H = dsyrk(1.0, V, beta=-1.0, c=Rinv, lower=1, overwrite_c=1)
+    # the lower triangle of the Fortran-order H holds the pair (i, j),
+    # i < j, at the flat position i n + j of its C-order transpose
+    m = ws.upper.size
+    np.take(H.T.reshape(-1), ws.upper, out=ws.gpairs[:m], mode="clip")
+    return xi_gradient(ws, params, out)
 
 
 def tail_probe(data, spec, a_t, phi_grid):

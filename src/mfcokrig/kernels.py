@@ -31,6 +31,12 @@ so those families keep one next to the packed stack when derivatives are
 needed; the Matern 3/2 and 5/2 ratios come from the polynomial passes over
 the pairs and are gathered.  The rectangular ``cross_corr`` keeps a full
 ``(d, n1, n2)`` stack.
+
+The xi-gradients of range estimation contract the derivatives with one
+weight per pair, so ``xi_gradient`` needs no ``(d, n, n)`` stack: one gemv
+of the pair stack for power-exponential and Matern 1/2, and of the
+derivative ratios the polynomial passes write for Matern 3/2 and 5/2.  Ranges so small that their
+multipliers ``phi^-alpha`` overflow raise ``RangeOverflowError``.
 """
 
 import math
@@ -38,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, real_array
+from .exceptions import InvalidArgumentError, RangeOverflowError, real_array
 
 POWER_EXPONENTIAL = "power_exponential"
 MATERN = "matern"
@@ -47,9 +53,8 @@ _MATERN_SHAPES = (0.5, 1.5, 2.5)
 MAX_NUGGET = 1e-4
 DEFAULT_NUGGET = 1e-10
 
-# cap on the per-dimension multipliers of the distance stack: phi^-alpha
-# overflows for phi below about 1e-162, and inf * 0 at coincident points
-# would give nan where the correlation factor is exactly 1
+# cap on the constants of the linear derivative ratios, alpha phi^-alpha / phi
+# and phi^-2, which overflow for ranges whose weights do not
 _MAX_WEIGHT = np.finfo(np.float64).max
 # cross-correlations are assembled in column blocks whose distance stack
 # stays below this many bytes
@@ -169,12 +174,36 @@ def _check_design(X, dims, name="X"):
     return X
 
 
+def _power(spec):
+    """Exponent of the range in the weights: ``alpha``, or 1 for Matern."""
+    return spec.shape if spec.family == POWER_EXPONENTIAL else 1.0
+
+
+def _weights(phi, spec):
+    """Multipliers of the distance stack, ``phi^-alpha`` or ``1 / phi``.
+
+    Raises ``RangeOverflowError``, an ``InvalidArgumentError``, for ranges
+    whose multiplier overflows: below ``MAX^(-1/alpha)`` (about 1e-162 for
+    power-exponential 1.9), with a relative margin of 1e-12 for the
+    rounding of both powers.  Their exponents cannot be formed, and a
+    capped multiplier would read a correlation of 1 where the true one is
+    ``exp(-1e96)``.
+    """
+    power = _power(spec)
+    if not phi.min() >= _MAX_WEIGHT ** (-1.0 / power) * (1.0 + 1e-12):
+        raise RangeOverflowError(
+            f"ranges {phi} are too small: their weights phi^-{power:g} overflow"
+        )
+    return phi**-power
+
+
 def _check_params(params, spec):
+    """The ranges ``phi`` and their ``_weights``."""
     if params.dims != spec.dims:
         raise InvalidArgumentError(
             f"params have {params.dims} ranges but the kernel expects {spec.dims}"
         )
-    return params.phi
+    return params.phi, _weights(params.phi, spec)
 
 
 
@@ -222,18 +251,13 @@ def _gather_index(n):
     return index.reshape(-1)
 
 
-def _weights(phi, spec):
-    """Per-dimension multipliers of the distance stack, ``phi^-alpha`` or
-    ``1 / phi``, capped."""
-    power = spec.shape if spec.family == POWER_EXPONENTIAL else 1.0
-    return np.minimum(phi**-power, _MAX_WEIGHT)
-
-
-def _correlate(T, w, spec, R, scratch=None, dR=None):
+def _correlate(T, w, spec, R, scratch=None, dR=None, ratios=None):
     """Correlation (no nugget) over the trailing axes of the distance stack
     ``T`` with weights ``w``, written into ``R``, which it returns.  For
     Matern 3/2 and 5/2, ``dR``, when given, receives ``dR/dphi_k`` from
-    the same polynomial passes.
+    the same polynomial passes, and ``ratios`` receives the cheaper
+    ``-(dr/dxi_k) / r`` of the xi-gradient, times 3 for 5/2: ``u^2 / poly``
+    or ``u^2 (1 + u) / poly``, zero where the correlation underflowed.
 
     Every pass writes into a buffer, since fresh temporaries of the size of
     ``R`` cost page faults: the ``zero``, ``u`` and ``poly`` of the
@@ -273,9 +297,18 @@ def _correlate(T, w, spec, R, scratch=None, dR=None):
                 u *= 1.0 / 3.0
                 ratio *= u
             ratio *= w[k]
+        if ratios is not None:
+            ratio = ratios[k]
+            np.multiply(u, u, out=ratio)
+            if spec.shape == 2.5:
+                u += 1.0
+                ratio *= u
+            ratio /= poly
     if zero is not None:
         # a polynomial factor overflows only where exp(-sum u) is 0
         np.copyto(R, 0.0, where=zero)
+        if ratios is not None:
+            np.copyto(ratios, 0.0, where=zero)
     if dR is not None:
         dR *= R
         # the ratio can overflow where the correlation underflowed to
@@ -351,12 +384,21 @@ class Workspace:
     ``n x n`` underflow mask ``full_zero``.  It then holds too the trace
     operands ``W`` and their slice transposes ``WT`` (each ``(d, n, n)``),
     and the ``n x n`` scratch ``P`` and ``G``, in Fortran order so that
-    LAPACK solves into ``P`` in place, and ``S``.  Whatever is built on a
-    workspace, a factorization included, is overwritten by the next
-    evaluation on it.
+    LAPACK solves into ``P`` in place, and ``S``.  With ``grad`` instead
+    (the objectives fitted by gradient) it holds no ``(d, n, n)`` array
+    either, but the weights ``gpairs`` of the xi-gradient over the pairs,
+    zero from slot ``m`` on, the flat positions ``upper`` of the pairs in
+    an ``n x n`` matrix, and for Matern 3/2 and 5/2 the ``(d, width)``
+    derivative ratios ``ratios`` of ``_correlate``, which every build then
+    fills.  Whatever is built on a workspace, a factorization included, is
+    overwritten by the next evaluation on it.
     """
 
-    def __init__(self, X, spec, derivs=False):
+    def __init__(self, X, spec, derivs=False, grad=False):
+        if derivs and grad:
+            raise InvalidArgumentError(
+                "a workspace holds the derivative buffers or the gradient's, not both"
+            )
         self.X = _check_design(X, spec.dims)
         self.spec = spec
         n, d = self.X.shape
@@ -373,6 +415,13 @@ class Workspace:
         self.R = np.empty((n, n))
         self.dpairs = self.full_stack = self.full_zero = None
         self.dR = self.W = self.WT = self.P = self.G = self.S = None
+        self.gpairs = self.upper = self.ratios = None
+        if grad:
+            self.gpairs = np.zeros(width)
+            i, j = np.triu_indices(n, 1)
+            self.upper = i * n + j
+            if polynomial:
+                self.ratios = np.empty((d, width))
         if derivs:
             if polynomial:
                 # the ratios need the pair loop's polynomial factors
@@ -414,11 +463,10 @@ def _build(X, params, spec, ws, derivs):
     ``derivs``, into the workspace ``ws`` (or a fresh one), which it
     returns: ``R`` is computed over the distinct pairs and gathered."""
     ws = _workspace(X, spec, ws, derivs)
-    phi = _check_params(params, spec)
-    # out-of-range weights and ratios are capped or zeroed
+    phi, w = _check_params(params, spec)
+    # out-of-range ratios are capped or zeroed
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _weights(phi, spec)
-        _correlate(ws.stack, w, spec, ws.pairs, ws, ws.dpairs if derivs else None)
+        _correlate(ws.stack, w, spec, ws.pairs, ws, ws.dpairs if derivs else None, ws.ratios)
         # slot m has zero distances, so its correlation came out 1 and its
         # derivatives 0; the diagonal is read from it
         ws.pairs[ws.index[0]] = 1.0 + spec.nugget
@@ -448,13 +496,13 @@ def cross_corr(X1, X2, params, spec):
     """Cross-correlation matrix between two designs (no nugget)."""
     X1 = _check_design(X1, spec.dims, "X1")
     X2 = _check_design(X2, spec.dims, "X2")
-    phi = _check_params(params, spec)
+    w = _check_params(params, spec)[1]
     n1, n2 = X1.shape[0], X2.shape[0]
 
     def block_corr(X2_block):
         T = _stack(X1, X2_block, spec)
         with np.errstate(over="ignore", invalid="ignore"):
-            return _correlate(T, _weights(phi, spec), spec, np.empty(T.shape[1:]))
+            return _correlate(T, w, spec, np.empty(T.shape[1:]))
 
     block = max(1, _CROSS_BLOCK_BYTES // (8 * spec.dims * n1))
     if n2 <= block:
@@ -482,3 +530,28 @@ def corr_matrix_with_derivs(X, params, spec, ws=None):
     """
     ws = _build(X, params, spec, ws, True)
     return ws.R, ws.dR
+
+
+def xi_gradient(ws, params, out):
+    """``sum_p dR_k[p] g[p]`` over the distinct pairs, taken in
+    ``xi_k = -log(phi_k)``, into ``out``, shape ``(d,)``.
+
+    ``ws`` is a ``Workspace`` built with ``grad``, holding the last build
+    at ``params`` and the weights ``g`` in ``ws.gpairs`` (zero from slot
+    ``n(n-1)/2`` on), which this multiplies by the pair correlations.
+    ``dR_k`` is the pair correlation times ``(dr/dxi_k) / r``: for
+    power-exponential and Matern 1/2 that ratio is
+    ``-alpha phi_k^-alpha T_k`` (alpha 1 for Matern), so the whole gradient
+    is one gemv of the pair stack; Matern 3/2 and 5/2 read the ``ratios``
+    their build wrote.  No ``(d, n, n)`` array is formed.
+    """
+    spec = ws.spec
+    g = ws.gpairs
+    g *= ws.pairs
+    if ws.ratios is None:
+        np.matmul(ws.stack, g, out=out)
+        out *= -_power(spec) * _check_params(params, spec)[1]
+    else:
+        np.matmul(ws.ratios, g, out=out)
+        out *= -1.0 / 3.0 if spec.shape == 2.5 else -1.0
+    return out

@@ -1,33 +1,93 @@
-"""Derivative-free simplex maximization.
+"""Budgeted maximization from one start: a derivative-free simplex, and
+L-BFGS-B for objectives with an analytic gradient.
 
-A small Nelder-Mead implementation is used instead of an off-the-shelf one
-because the stop rule here is the function-value spread of the simplex
-alone (plus an evaluation budget); common library implementations insist on
-a joint parameter-and-value tolerance, which never triggers on the flat
-ridges these objectives develop at extreme range parameters.
+``nelder_mead_max`` is a small Nelder-Mead implementation instead of an
+off-the-shelf one because its stop rule is the function-value spread of
+the simplex alone (plus an evaluation budget); common library
+implementations insist on a joint parameter-and-value tolerance, which
+never triggers on the flat ridges these objectives develop at extreme range
+parameters.  Coefficients: reflection 1, expansion 2, contraction 0.5,
+shrink 0.5.
 
-Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
+``lbfgs_max`` runs scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) without
+bounds on the negated objective and its gradient, and enforces the
+evaluation budget itself, since scipy's ``maxfun`` is checked only between
+iterations and a line search can overrun it.
+
+Both return the best point ever evaluated and both treat a very large
+negative value as a sentinel of an infeasible region: the simplex is
+repelled from it, and L-BFGS-B's line search retreats from a sentinel that
+comes with a zero gradient.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .exceptions import InvalidArgumentError
+
+# L-BFGS-B's relative-reduction stop, tight enough that the gradient test
+# ends a run: (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= this
+_LBFGS_FTOL = 1e-13
 
 
 @dataclass(frozen=True)
 class OptimResult:
-    """Outcome of one simplex run.
+    """Outcome of one optimizer run from one start.
 
     ``x`` and ``fun`` are the best point ever evaluated, which is not
-    necessarily a vertex of the final simplex.
+    necessarily the simplex's last vertex or L-BFGS-B's last iterate.
+    ``converged`` is the optimizer's own stop test: for the simplex, the
+    value spread of its vertices fell below ``tol``; for L-BFGS-B, the
+    largest gradient component fell below ``tol`` or the relative
+    reduction of the value below ``_LBFGS_FTOL``.  A run that ends on its
+    evaluation budget, or whose line search fails, is not converged.
     """
 
     x: np.ndarray
     fun: float
     n_evals: int
     converged: bool
+
+
+class _BudgetExhausted(Exception):
+    pass
+
+
+class _Budget:
+    """The evaluation budget of one run, and its best point so far."""
+
+    def __init__(self, x0, max_evals):
+        x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
+        if x0.ndim != 1 or not np.all(np.isfinite(x0)):
+            raise InvalidArgumentError("starting point must be a finite 1-d vector")
+        self.x0 = x0
+        self.max_evals = 500 * (x0.size + 1) if max_evals is None else max_evals
+        self.n_evals = 0
+        self.best_x = None
+        self.best_f = -np.inf
+
+    def evaluate(self, value_of, x):
+        """``value_of(x)`` as a float, counted and kept when it is the best;
+        raises ``_BudgetExhausted`` when no evaluation is left."""
+        if self.n_evals >= self.max_evals:
+            raise _BudgetExhausted
+        self.n_evals += 1
+        f = float(value_of(x))
+        if f > self.best_f:
+            self.best_f = f
+            self.best_x = x.copy()
+        return f
+
+    def result(self, converged):
+        if self.best_x is None:
+            raise InvalidArgumentError(
+                f"evaluation budget {self.max_evals} is too small for the first evaluation"
+            )
+        return OptimResult(
+            x=self.best_x, fun=self.best_f, n_evals=self.n_evals, converged=converged
+        )
 
 
 def nelder_mead_max(func, x0, initial_step=0.5, tol=1e-8, max_evals=None):
@@ -46,35 +106,16 @@ def nelder_mead_max(func, x0, initial_step=0.5, tol=1e-8, max_evals=None):
     max_evals : int, optional
         Evaluation budget; defaults to ``500 * (len(x0) + 1)``.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    if x0.ndim != 1 or not np.all(np.isfinite(x0)):
-        raise InvalidArgumentError("starting point must be a finite 1-d vector")
-    d = x0.size
-    if max_evals is None:
-        max_evals = 500 * (d + 1)
-
-    n_evals = 0
-    best_x = None
-    best_f = -np.inf
-
-    class _BudgetExhausted(Exception):
-        pass
+    budget = _Budget(x0, max_evals)
+    d = budget.x0.size
 
     def evaluate(x):
-        nonlocal n_evals, best_x, best_f
-        if n_evals >= max_evals:
-            raise _BudgetExhausted
-        n_evals += 1
-        f = float(func(x))
-        if f > best_f:
-            best_f = f
-            best_x = x.copy()
-        return f
+        return budget.evaluate(func, x)
 
     simplex = np.empty((d + 1, d))
-    simplex[0] = x0
+    simplex[0] = budget.x0
     for k in range(d):
-        simplex[k + 1] = x0
+        simplex[k + 1] = budget.x0
         simplex[k + 1, k] += initial_step
 
     converged = False
@@ -127,9 +168,52 @@ def nelder_mead_max(func, x0, initial_step=0.5, tol=1e-8, max_evals=None):
     # simplex that tightened on its last moves still reports convergence
     if fvals is not None and not converged and fvals.max() - fvals.min() < tol:
         converged = True
-    if best_x is None:
-        raise InvalidArgumentError(
-            f"evaluation budget {max_evals} is too small to evaluate the "
-            f"initial simplex ({d + 1} points)"
+    return budget.result(converged)
+
+
+def lbfgs_max(func, x0, tol=1e-8, max_evals=None):
+    """Maximize ``func`` from ``x0`` with L-BFGS-B and an analytic gradient.
+
+    Parameters
+    ----------
+    func : callable
+        ``func(x, grad)`` returns the value at the 1-d point ``x`` as a
+        float and writes its gradient into the array ``grad``.  A very
+        large negative sentinel with a zero gradient marks an infeasible
+        point, from which the line search retreats.
+    x0 : array_like
+        Starting point.
+    tol : float
+        L-BFGS-B's ``gtol``: stop when the largest gradient component
+        drops to this.
+    max_evals : int, optional
+        Evaluation budget, never exceeded; defaults to
+        ``500 * (len(x0) + 1)``.
+    """
+    budget = _Budget(x0, max_evals)
+    grad = np.empty(budget.x0.size)
+
+    def value(x):
+        return func(x, grad)
+
+    def negated(x):
+        return -budget.evaluate(value, x), -grad
+
+    converged = False
+    try:
+        res = minimize(
+            negated,
+            budget.x0,
+            jac=True,
+            method="L-BFGS-B",
+            options={
+                "maxfun": budget.max_evals,
+                "maxiter": budget.max_evals,
+                "ftol": _LBFGS_FTOL,
+                "gtol": tol,
+            },
         )
-    return OptimResult(x=best_x, fun=best_f, n_evals=n_evals, converged=converged)
+        converged = bool(res.success)
+    except _BudgetExhausted:
+        pass
+    return budget.result(converged)

@@ -206,14 +206,10 @@ def jr_defaults(n_obs, input_ranges):
     return 0.5 - d, 1.0, C
 
 
-def log_jr_prior(params, prior, n_obs=None, input_ranges=None):
-    """Log jointly robust prior on the inverse ranges ``B_k = 1/phi_k``:
-
-        a0 * log(sum C_k B_k) - b0 * sum(C_k B_k),
-
-    up to the normalizing constant.  Hyperparameters left unset on the
-    PriorSpec are filled from ``n_obs`` and ``input_ranges``.
-    """
+def _jr_terms(params, prior, n_obs, input_ranges):
+    """``(a0, b0, C, total)`` of the jointly robust prior at ``params``,
+    with ``total = sum C_k / phi_k``; hyperparameters left unset on the
+    PriorSpec are filled from ``n_obs`` and ``input_ranges``."""
     d = params.dims
     if prior.jr_C is not None:
         C = prior.jr_C
@@ -237,6 +233,18 @@ def log_jr_prior(params, prior, n_obs=None, input_ranges=None):
         raise PriorEvaluationError(
             "jointly robust penalty sum is not finite and positive", phi=params.phi
         )
+    return a0, b0, C, total
+
+
+def log_jr_prior(params, prior, n_obs=None, input_ranges=None):
+    """Log jointly robust prior on the inverse ranges ``B_k = 1/phi_k``:
+
+        a0 * log(sum C_k B_k) - b0 * sum(C_k B_k),
+
+    up to the normalizing constant.  Hyperparameters left unset on the
+    PriorSpec are filled from ``n_obs`` and ``input_ranges``.
+    """
+    a0, b0, _, total = _jr_terms(params, prior, n_obs, input_ranges)
     return a0 * math.log(total) - b0 * total
 
 
@@ -262,6 +270,25 @@ def log_prior(data, params, spec, prior, fact=None):
         if prior.kind == JEFFREYS2:
             value += 0.5 * fact.logdet_M
         return value
-    inputs = data.inputs
-    ranges = inputs.max(axis=0) - inputs.min(axis=0)
-    return log_jr_prior(params, prior, n_obs=data.n, input_ranges=ranges)
+    return log_jr_prior(params, prior, n_obs=data.n, input_ranges=_input_ranges(data))
+
+
+def _input_ranges(data):
+    """Per-dimension spans of the level's design, for the jointly robust
+    defaults."""
+    return data.inputs.max(axis=0) - data.inputs.min(axis=0)
+
+
+def log_prior_xi_grad(data, params, prior):
+    """Gradient of ``log_prior`` in ``xi = -log(phi)`` for the kinds without
+    Fisher information: 0 for ``flat``, 1 in every coordinate for
+    ``inverse_range`` and ``(a0 / sum(C/phi) - b0) C_k / phi_k`` for
+    ``jointly_robust``.  The Fisher kinds have no closed form here."""
+    if prior.kind in FISHER_KINDS:
+        raise InvalidArgumentError(f"no closed-form xi-gradient for the {prior.kind} prior")
+    if prior.kind == FLAT:
+        return np.zeros(params.dims)
+    if prior.kind == INVERSE_RANGE:
+        return np.ones(params.dims)
+    a0, b0, C, total = _jr_terms(params, prior, data.n, _input_ranges(data))
+    return (a0 / total - b0) * (C / params.phi)

@@ -48,7 +48,7 @@ from mfcokrig.kernels import (
 )
 from mfcokrig.modelio import read_record, record
 from mfcokrig.priors import FISHER_KINDS, JOINTLY_ROBUST, PRIOR_KINDS, PriorSpec, log_prior
-from oracles import coincident_rows_loop, dense_objective
+from oracles import coincident_rows_loop, dense_objective, dense_xi_gradient
 
 
 def _nested_pair(rng, n1=14, n2=7, d=2, gamma=1.6):
@@ -285,6 +285,90 @@ class TestObjectiveAgainstDenseOracle:
         assert worst <= self.RTOL
 
 
+_GRAD_KERNELS = ((POWER_EXPONENTIAL, 1.9), (MATERN, 0.5), (MATERN, 1.5), (MATERN, 2.5))
+_GRAD_CRITERIA = ("plugin", "flat", "inverse_range", "jointly_robust")
+
+
+def _value_and_grad(lv, xi, spec, kind, ws):
+    """The objective fitted by L-BFGS-B under ``kind`` ("plugin" or a prior
+    kind), with and without its gradient: ``(value, grad, float_only)``."""
+    grad = np.empty(lv.dims)
+    if kind == "plugin":
+        return (_plugin_objective(lv, xi, spec, ws, grad), grad,
+                _plugin_objective(lv, xi, spec))
+    prior = PriorSpec(kind=kind)
+    return objective(lv, xi, spec, prior, ws, grad), grad, objective(lv, xi, spec, prior)
+
+
+def _five_point(f, xi, k, h=1e-2):
+    """Fourth-order central difference of ``f`` along coordinate ``k``; at
+    level 2 a two-point quotient with a small step is dominated by the
+    rounding of the objective, whose error grows as 1/h."""
+    e = np.zeros_like(xi)
+    e[k] = h
+    return (f(xi - 2 * e) - 8 * f(xi - e) + 8 * f(xi + e) - f(xi + 2 * e)) / (12 * h)
+
+
+class TestGradient:
+    """The xi-gradient of the plug-in criterion and of the posterior under
+    the kinds without Fisher information, on both borehole levels."""
+
+    @pytest.mark.parametrize("kernel", _GRAD_KERNELS)
+    @pytest.mark.parametrize("kind", _GRAD_CRITERIA)
+    @settings(max_examples=6, deadline=None)
+    @given(level=st.sampled_from([0, 1]),
+           xi=st.lists(st.floats(-2.0, 1.0), min_size=8, max_size=8))
+    def test_matches_the_dense_oracle_and_a_difference_quotient(self, kernel, kind, level, xi):
+        family, shape = kernel
+        spec = KernelSpec(family=family, shape=shape, dims=8)
+        lv = _borehole_levels()[level]
+        xi = np.array(xi)
+        value, grad, float_only = _value_and_grad(
+            lv, xi, spec, kind, Workspace(lv.inputs, spec, grad=True))
+        assert value > SENTINEL_THRESHOLD
+        # the gradient leaves the value untouched, bit for bit
+        assert value == float_only
+        scale = max(1.0, np.abs(grad).max())
+        want = dense_xi_gradient(lv, xi, spec, kind)
+        np.testing.assert_allclose(grad, want, rtol=0.0, atol=1e-6 * scale)
+        f = lambda x: _value_and_grad(lv, x, spec, kind, None)[2]
+        fd = np.array([_five_point(f, xi, k) for k in range(8)])
+        np.testing.assert_allclose(grad, fd, rtol=0.0, atol=1e-5 * scale)
+
+    def test_without_a_gradient_workspace_it_builds_its_own(self):
+        lv = _borehole_levels()[1]
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=8)
+        xi = np.linspace(-1.0, 0.5, 8)
+        want = _value_and_grad(lv, xi, spec, "jointly_robust", Workspace(lv.inputs, spec, grad=True))
+        for ws in (None, Workspace(lv.inputs, spec)):
+            got = _value_and_grad(lv, xi, spec, "jointly_robust", ws)
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_a_workspace_holds_one_kind_of_derivative_buffers(self):
+        lv = _borehole_levels()[1]
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=8)
+        with pytest.raises(InvalidArgumentError, match="not both"):
+            Workspace(lv.inputs, spec, derivs=True, grad=True)
+        # a gradient workspace holds no (d, n, n) array
+        ws = Workspace(lv.inputs, spec, grad=True)
+        assert all(v.ndim < 3 for v in vars(ws).values() if isinstance(v, np.ndarray))
+
+    @pytest.mark.parametrize("kind", _GRAD_CRITERIA)
+    def test_sentinel_comes_with_a_zero_gradient(self, kind):
+        rng = np.random.default_rng(11)
+        (X1, y1), _ = _nested_pair(rng)
+        lv = assemble([(X1, y1)]).levels[0]
+        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2, nugget=0.0)
+        # singular R (see test_sentinel_on_singular_correlation), and ranges
+        # too small for their weights phi^-alpha
+        for xi in (np.full(2, -20.0), np.array([0.0, 400.0])):
+            value, grad, float_only = _value_and_grad(
+                lv, xi, spec, kind, Workspace(lv.inputs, spec, grad=True))
+            assert value == float_only == SENTINEL
+            np.testing.assert_array_equal(grad, np.zeros(2))
+
+
 def _allocating_objective(lv, xi, spec, prior, method):
     """The objective composed from the allocating path: ``gls_fit`` without
     a workspace, the criterion, and ``log_prior`` building its own
@@ -385,6 +469,28 @@ class TestWorkspace:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             value = _plugin_objective(lv, np.full(8, 0.5), spec, ws)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert value > SENTINEL_THRESHOLD
+        assert peak < lv.n**2 * 8
+
+
+    @pytest.mark.parametrize("family, shape", [(MATERN, 2.5), (POWER_EXPONENTIAL, 1.9)])
+    def test_gradient_evaluation_allocates_less_than_one_matrix(self, family, shape):
+        """A plug-in evaluation with its gradient at n=200 on a warm
+        gradient workspace allocates less than one n x n array in all: the
+        gradient runs over the pairs, with R^-1 formed in place."""
+        lv = _borehole_levels(200, 60)[0]
+        spec = KernelSpec(family=family, shape=shape, dims=8)
+        ws = Workspace(lv.inputs, spec, grad=True)
+        grad = np.empty(8)
+        assert _plugin_objective(lv, np.zeros(8), spec, ws, grad) > SENTINEL_THRESHOLD
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            value = _plugin_objective(lv, np.full(8, 0.5), spec, ws, grad)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -497,10 +603,39 @@ class TestFitLevel:
         X = rng.uniform(size=(8, 1))
         data = assemble([(X, np.sin(4.0 * X[:, 0]))])
         spec = KernelSpec(family=MATERN, shape=2.5, dims=1)
-        # tol=0 never converges, so each start spends its whole budget
+        # tol=0 never stops the simplex, which the reference prior runs, so
+        # each start spends its whole budget
         opts = OptimOptions(n_starts=2, tol=0.0)
-        lf = fit_level(data.levels[0], spec, PriorSpec(kind="flat"), opts)
+        lf = fit_level(data.levels[0], spec, PriorSpec(kind="reference"), opts)
         assert lf.n_evals == 2 * 500 * (1 + 1)
+
+    @pytest.mark.parametrize("method", [PLUGIN, POSTERIOR])
+    def test_starts_of_sentinels_only_count_as_failed(self, monkeypatch, method):
+        """Objectives fitted by L-BFGS-B: a start whose every evaluation is
+        a sentinel (with its zero gradient) counts in n_failed_starts."""
+        rng = np.random.default_rng(35)
+        (X1, y1), _ = _nested_pair(rng)
+        lv = assemble([(X1, y1)]).levels[0]
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+        name = "_plugin_objective" if method == PLUGIN else "objective"
+        real = getattr(estimate_module, name)
+
+        def feasible_near_zero(*args):
+            # the sentinel wherever some |xi_k| > 1; the gradient comes last
+            if np.abs(args[1]).max() > 1.0:
+                args[-1].fill(0.0)
+                return SENTINEL
+            return real(*args)
+
+        monkeypatch.setattr(estimate_module, name, feasible_near_zero)
+        # every start but xi = 0 is drawn from [1.5, 3]^2
+        opts = OptimOptions(seed=3, n_starts=4, start_low=1.5, start_high=3.0)
+        lf = fit_level(lv, spec, PriorSpec(kind="flat"), opts, method=method)
+        assert lf.n_failed_starts == 3
+        assert lf.best_start == 0
+        assert lf.start_values[1:] == (SENTINEL,) * 3
+        assert lf.objective_value > SENTINEL_THRESHOLD
+        assert np.abs(lf.xi).max() <= 1.0
 
     def test_minimum_degrees_of_freedom(self):
         rng = np.random.default_rng(32)

@@ -477,7 +477,8 @@ class TestPackedBuild:
         assert all(v.ndim < 3 for v in vars(ws).values() if isinstance(v, np.ndarray))
 
     # the smallest ranges overflow Matern's polynomial factors; below
-    # about 1e-162 the weights phi^-alpha would overflow and be capped
+    # about 1e-162 the weights phi^-alpha overflow and the ranges are
+    # rejected (see test_ranges_whose_weights_overflow_are_rejected)
     @settings(max_examples=150, deadline=None)
     @given(_packed_case(1e-160, 1e-2))
     def test_underflowed_pairs_are_exactly_zero(self, case):
@@ -490,6 +491,27 @@ class TestPackedBuild:
         assert (R[far] == 0.0).all()
         assert (dR[:, R == 0.0] == 0.0).all()
         np.testing.assert_array_equal(corr_matrix(X, params, spec), R)
+
+    def test_ranges_whose_weights_overflow_are_rejected(self):
+        # phi^-1.9 overflows at phi = 1e-300; a capped weight met
+        # |dx|^1.9 = 0 (underflowed) and read R[0, 1] = 1, where the true
+        # correlation is exp(-(8.8e-250 / 1e-300)^1.9) = 0
+        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=1)
+        X = np.array([[8.8e-250], [0.0]])
+        params = RangeParams([1e-300])
+        for build in (
+            lambda: corr_matrix(X, params, spec),
+            lambda: corr_matrix(X, params, spec, ws=Workspace(X, spec, grad=True)),
+            lambda: corr_matrix_with_derivs(X, params, spec),
+            lambda: cross_corr(X, X, params, spec),
+        ):
+            with pytest.raises(InvalidArgumentError, match="too small"):
+                build()
+        # Matern's weight 1 / phi overflows only at subnormal ranges
+        matern = KernelSpec(family=MATERN, shape=2.5, dims=1)
+        assert corr_matrix(X, params, matern)[0, 1] == 0.0
+        with pytest.raises(InvalidArgumentError, match="too small"):
+            corr_matrix(X, RangeParams([1e-310]), matern)
 
     @pytest.mark.parametrize("family, shape", _SPEC_CHOICES)
     def test_one_row_design(self, family, shape):

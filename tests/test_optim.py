@@ -1,11 +1,11 @@
-"""Simplex maximizer: convergence on smooth objectives, budget handling,
-and sentinel repulsion."""
+"""Simplex and L-BFGS-B maximizers: convergence on smooth objectives,
+budget handling, and sentinel repulsion."""
 
 import numpy as np
 import pytest
 
 from mfcokrig.exceptions import InvalidArgumentError
-from mfcokrig.optim import nelder_mead_max
+from mfcokrig.optim import lbfgs_max, nelder_mead_max
 
 
 class TestNelderMeadMax:
@@ -93,3 +93,107 @@ class TestNelderMeadMax:
         np.testing.assert_array_equal(a.x, b.x)
         assert a.fun == b.fun
         assert a.n_evals == b.n_evals
+
+
+def _rosenbrock(x, grad):
+    """Negated Rosenbrock function, maximized at (1, 1), and its gradient."""
+    a, b = x
+    grad[0] = 2.0 * (1.0 - a) + 400.0 * a * (b - a * a)
+    grad[1] = -200.0 * (b - a * a)
+    return -((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2)
+
+
+class TestLbfgsMax:
+    def test_quadratic_bowl(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            d = int(rng.integers(1, 5))
+            target = rng.uniform(-2.0, 2.0, size=d)
+
+            def func(x, grad):
+                grad[:] = -2.0 * (x - target)
+                return -float(np.sum((x - target) ** 2))
+
+            res = lbfgs_max(func, np.zeros(d), tol=1e-10)
+            assert res.converged
+            np.testing.assert_allclose(res.x, target, atol=1e-8)
+
+    def test_anisotropic_objective(self):
+        res = lbfgs_max(_rosenbrock, np.array([-1.2, 1.0]), tol=1e-10)
+        assert res.converged
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-6)
+
+    def test_budget_is_never_exceeded(self):
+        # scipy checks its own maxfun only between iterations, so a line
+        # search could overrun it; the wrapper stops at the budget exactly
+        for max_evals in range(1, 40):
+            calls = 0
+
+            def func(x, grad):
+                nonlocal calls
+                calls += 1
+                return _rosenbrock(x, grad)
+
+            res = lbfgs_max(func, np.array([-1.2, 1.0]), tol=0.0, max_evals=max_evals)
+            assert calls == res.n_evals <= max_evals
+            # the Rosenbrock run needs more evaluations than that
+            assert not res.converged
+
+    def test_budget_of_one_returns_the_start(self):
+        points = []
+
+        def func(x, grad):
+            points.append(x.copy())
+            return _rosenbrock(x, grad)
+
+        res = lbfgs_max(func, np.array([2.0, 3.0]), max_evals=1)
+        assert res.n_evals == 1 and len(points) == 1
+        np.testing.assert_array_equal(res.x, [2.0, 3.0])
+        assert res.fun == _rosenbrock(np.array([2.0, 3.0]), np.empty(2))
+        assert not res.converged
+
+    def test_returns_best_ever_point(self):
+        seen = []
+
+        def func(x, grad):
+            v = _rosenbrock(x, grad)
+            seen.append(v)
+            return v
+
+        res = lbfgs_max(func, np.array([-1.2, 1.0]), max_evals=25)
+        assert res.fun == max(seen)
+
+    def test_sentinel_regions_are_retreated_from(self):
+        # a half-space of sentinels with a zero gradient; the optimum sits
+        # at the feasible peak next to it
+        def func(x, grad):
+            if x[0] > 1.0:
+                grad[:] = 0.0
+                return -1e300
+            grad[:] = [-2.0 * (x[0] - 0.5), -2.0 * x[1]]
+            return -float((x[0] - 0.5) ** 2 + x[1] ** 2)
+
+        res = lbfgs_max(func, np.array([0.9, 0.2]), tol=1e-10)
+        assert res.fun > -1e299
+        np.testing.assert_allclose(res.x, [0.5, 0.0], atol=1e-6)
+
+    def test_all_sentinel_start_returns_the_sentinel(self):
+        def func(x, grad):
+            grad[:] = 0.0
+            return -1e300
+
+        res = lbfgs_max(func, np.array([0.3, -0.2]))
+        assert res.fun == -1e300
+        assert res.n_evals >= 1
+
+    def test_rejects_bad_start(self):
+        with pytest.raises(InvalidArgumentError):
+            lbfgs_max(_rosenbrock, np.array([np.nan, 1.0]))
+        with pytest.raises(InvalidArgumentError):
+            lbfgs_max(_rosenbrock, np.zeros((2, 2)))
+
+    def test_deterministic(self):
+        a = lbfgs_max(_rosenbrock, np.array([-1.2, 1.0]))
+        b = lbfgs_max(_rosenbrock, np.array([-1.2, 1.0]))
+        np.testing.assert_array_equal(a.x, b.x)
+        assert a.fun == b.fun and a.n_evals == b.n_evals
