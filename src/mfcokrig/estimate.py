@@ -291,6 +291,8 @@ def _evaluate(data_t, xi, spec, ws, derivs, criterion, grad=None):
     Maps ``xi`` to ranges, factorizes the level once (with the derivative
     stack when ``derivs``) and returns ``criterion(params, fact, xi)``,
     which also writes the xi-gradient into ``grad`` when that is given.
+    With no ``ws`` it builds the one the call needs: with the derivative
+    buffers when ``derivs``, and the gradient's when ``grad`` is given.
     Returns a large negative sentinel, with a zero ``grad``, instead of
     raising when the ranges are infeasible, the correlation matrix is
     singular, the data degenerate, the prior unevaluable, or the value or
@@ -300,6 +302,8 @@ def _evaluate(data_t, xi, spec, ws, derivs, criterion, grad=None):
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     if xi.ndim != 1 or not np.isfinite(xi).all():
         raise InvalidArgumentError("xi must be a finite 1-d vector")
+    if ws is None:
+        ws = Workspace(data_t.inputs, spec, derivs=derivs, grad=grad is not None)
     # ranges that overflow to inf or underflow to 0 are infeasible, and
     # RangeParams rejects exactly those; so are ranges whose kernel weights
     # phi^-alpha overflow
@@ -342,9 +346,10 @@ def objective(data_t, xi, spec, prior, ws=None, grad=None):
     whose buffers the evaluation writes.
 
     ``grad``, an optional float array of shape ``(d,)`` for the kinds
-    outside ``FISHER_KINDS``, receives the xi-gradient of the same value;
-    without a ``ws`` built with ``grad=True`` the gradient builds R a
-    second time.  The value is the same bit for bit with or without it.
+    outside ``FISHER_KINDS``, receives the xi-gradient of the same value,
+    bit for bit.  It needs a ``ws`` built with ``grad=True``, or none; any
+    other ``ws``, or a kind in ``FISHER_KINDS``, raises
+    ``InvalidArgumentError``.
     """
     jacobian_sign = 1.0 if prior.kind == JOINTLY_ROBUST else -1.0
     a_t = prior.a_t(data_t.q)
@@ -385,8 +390,8 @@ def _plugin_objective(data_t, xi, spec, ws=None, grad=None):
     """xi-space wrapper of the plug-in criterion with sentinel retreat.
 
     No Jacobian term: the maximized object is a likelihood, not a density.
-    ``ws`` is an optional ``Workspace(data_t.inputs, spec)``; ``grad``, as
-    for ``objective``, receives the xi-gradient.
+    ``ws``, an optional ``Workspace(data_t.inputs, spec)``, and ``grad`` are
+    as for ``objective``.
     """
 
     def plugin(params, fact, xi):

@@ -151,9 +151,10 @@ class LevelFactorization:
     products against them realize ``R^{-1}`` quadratic forms.  ``dR`` is the
     stack of ``dR/dphi_k`` at the same ranges when the factorization was
     built for a Fisher-information prior, else ``None``.  ``ws`` is the
-    ``kernels.Workspace`` that holds ``chol_R`` and ``dR`` when the
-    factorization was built on one; they are valid only until the next
-    evaluation on it.
+    ``kernels.Workspace`` that holds ``chol_R`` and ``dR``; they are valid
+    only until the next evaluation on it.  A factorization with ``dR``
+    always has one; a value-only one built without keeps none, so a model
+    holds no evaluation buffers.
     """
 
     chol_R: np.ndarray
@@ -188,7 +189,8 @@ def gls_fit(data, params, spec, ws=None, derivs=False):
         result's ``chol_R`` and ``dR`` live in them until the next call.
     derivs : bool
         Also build the derivative stack ``dR`` (from the same kernel pass)
-        for the Fisher-information priors.
+        for the Fisher-information priors; without ``ws``, into a fresh
+        derivative workspace, which the result keeps.
 
     Raises
     ------
@@ -198,6 +200,8 @@ def gls_fit(data, params, spec, ws=None, derivs=False):
         If ``M`` fails its Cholesky factorization.
     """
     if derivs:
+        if ws is None:
+            ws = Workspace(data.inputs, spec, derivs=True)
         R, dR = corr_matrix_with_derivs(data.inputs, params, spec, ws=ws)
     else:
         R, dR = corr_matrix(data.inputs, params, spec, ws=ws), None
@@ -300,15 +304,13 @@ def log_likelihood_xi_grad(data, params, spec, fact, exponent, out, projected=Tr
     ``dpotri`` in place on the factor, one ``dsyrk`` adds the rank-(q+1)
     term ``[B, sqrt(2c/S2) u]`` to its negation, and the pairs are gathered
     into the workspace's ``gpairs`` for ``kernels.xi_gradient``.  ``fact``
-    is a factorization at ``params``, whose ``chol_R`` this consumes; when
-    it lives in a ``kernels.Workspace`` built with ``grad``, the gradient
-    reads that build, and otherwise it builds the pairs again in a fresh
-    one.
+    is a factorization at ``params`` in a ``kernels.Workspace`` built with
+    ``grad``, whose build the gradient reads and whose ``chol_R`` it
+    consumes; any other raises ``InvalidArgumentError``.
     """
     ws = fact.ws
     if ws is None or ws.gpairs is None:
-        ws = Workspace(data.inputs, spec, grad=True)
-        corr_matrix(data.inputs, params, spec, ws=ws)
+        raise InvalidArgumentError("the xi-gradient needs a workspace with gradient buffers")
     L = fact.chol_R
     q = fact.chol_M.shape[0] if projected else 0
     V = np.empty((fact.n, q + 1), order="F")

@@ -22,21 +22,20 @@ over a packed stack of the ``n(n-1)/2`` distinct row pairs, shape
 ``(d, n(n-1)/2)``, and one gather expands the result into the full matrix
 with the diagonal ``1 + nugget``; ``corr_matrix`` and
 ``corr_matrix_with_derivs`` share that path and give the same ``R`` bit for
-bit.  Derivative matrices with respect to ``phi_k`` are ``R`` times the
-ratio ``(dr/dphi_k) / r``, which stays finite wherever ``r > 0``; they are
-full ``(d, n, n)`` stacks, since the Fisher products read whole slices.
-Where the ratio is the distance times a constant (power-exponential and
-Matern 1/2), one pass over a full distance stack costs less than a gather,
-so those families keep one next to the packed stack when derivatives are
-needed; the Matern 3/2 and 5/2 ratios come from the polynomial passes over
-the pairs and are gathered.  The rectangular ``cross_corr`` keeps a full
-``(d, n1, n2)`` stack.
+bit.  The rectangular ``cross_corr`` keeps a full ``(d, n1, n2)`` stack.
 
-The xi-gradients of range estimation contract the derivatives with one
-weight per pair, so ``xi_gradient`` needs no ``(d, n, n)`` stack: one gemv
-of the pair stack for power-exponential and Matern 1/2, and of the
-derivative ratios the polynomial passes write for Matern 3/2 and 5/2.  Ranges so small that their
-multipliers ``phi^-alpha`` overflow raise ``RangeOverflowError``.
+Every range derivative has one representation over the pairs, rows ``A``
+and constants ``c`` with ``c[k] A[k] = -(dr/dxi_k) / r``
+(``_derivative_rows``): the pair stack for power-exponential and Matern
+1/2, and the ratios the polynomial passes of the build write for Matern
+3/2 and 5/2.  So ``xi_gradient``, which contracts the derivatives with one
+weight per pair, is one gemv of ``A``.  The Fisher products read whole
+slices of ``dR/dphi_k``, so those are full ``(d, n, n)`` stacks: Matern 3/2
+and 5/2 gather ``A`` scaled by ``c / phi`` and the pair correlations, and
+power-exponential and Matern 1/2 multiply a full distance stack by a
+constant and the gathered ``R``, which costs less than a gather.  Ranges
+so small that their multipliers ``phi^-alpha`` overflow raise
+``RangeOverflowError``.
 """
 
 import math
@@ -232,8 +231,10 @@ def _stack(X1, X2, spec):
 
 
 def _pair_stack(X, spec, width):
-    """``distance_stack`` of the checked design ``X`` in the leading
-    columns of a ``(d, width)`` array whose other columns are zero."""
+    """Transformed distances of the row pairs ``(i, j)``, ``i < j``, of the
+    checked design ``X``, in the row-major order of the strict upper
+    triangle, in the leading columns of a ``(d, width)`` array whose other
+    columns are zero."""
     i, j = np.triu_indices(X.shape[0], 1)
     T = np.zeros((X.shape[1], width))
     for k, x in enumerate(X.T):
@@ -251,31 +252,38 @@ def _gather_index(n):
     return index.reshape(-1)
 
 
-def _correlate(T, w, spec, R, scratch=None, dR=None, ratios=None):
+def _polynomial(spec):
+    """Whether the family has a polynomial factor: Matern 3/2 and 5/2."""
+    return spec.family == MATERN and spec.shape != 0.5
+
+
+def _correlate(T, w, spec, R, ws=None):
     """Correlation (no nugget) over the trailing axes of the distance stack
     ``T`` with weights ``w``, written into ``R``, which it returns.  For
-    Matern 3/2 and 5/2, ``dR``, when given, receives ``dR/dphi_k`` from
-    the same polynomial passes, and ``ratios`` receives the cheaper
-    ``-(dr/dxi_k) / r`` of the xi-gradient, times 3 for 5/2: ``u^2 / poly``
-    or ``u^2 (1 + u) / poly``, zero where the correlation underflowed.
+    Matern 3/2 and 5/2 on a workspace ``ws`` with ``ratios``, the same
+    polynomial passes write there the rows ``A`` of ``_derivative_rows``:
+    ``u^2 / poly`` or ``u^2 (1 + u) / poly``, zero where the correlation
+    underflowed.
 
     Every pass writes into a buffer, since fresh temporaries of the size of
-    ``R`` cost page faults: the ``zero``, ``u`` and ``poly`` of the
-    ``Workspace`` ``scratch``, or, without one, buffers allocated once per
-    call.  Callers ignore floating-point overflow and invalid operations:
-    out-of-range exponents, factors and ratios are zeroed here.
+    ``R`` cost page faults: the ``zero``, ``u`` and ``poly`` of ``ws``, or,
+    without one (``cross_corr``), buffers allocated once per call.  Callers
+    ignore floating-point overflow and invalid operations: out-of-range
+    exponents, factors and ratios are zeroed here.
     """
     d = T.shape[0]
     # -w gives the exponent -(w @ T) exactly: rounding is symmetric
     np.matmul(-w, T.reshape(d, -1), out=R.reshape(-1))
     np.exp(R, out=R)
-    if spec.family == POWER_EXPONENTIAL or spec.shape == 0.5:
+    if not _polynomial(spec):
         return R
-    fresh = scratch is None
-    u, poly = (np.empty_like(R), np.empty_like(R)) if fresh else (scratch.u, scratch.poly)
+    if ws is None:
+        u, poly, ratios = np.empty_like(R), np.empty_like(R), None
+    else:
+        u, poly, ratios = ws.u, ws.poly, ws.ratios
     zero = None
     if not R.all():
-        zero = np.equal(R, 0.0, out=None if fresh else scratch.zero)
+        zero = np.equal(R, 0.0, out=None if ws is None else ws.zero)
     for k in range(d):
         np.multiply(T[k], w[k], out=u)
         # poly = 1 + u, or 1 + u (1 + u / 3)
@@ -287,16 +295,6 @@ def _correlate(T, w, spec, R, scratch=None, dR=None, ratios=None):
             poly *= u
             poly += 1.0
         R *= poly
-        if dR is not None:
-            # (dr/dphi) / r = u^2 / (phi poly), times (1 + u) / 3 for 5/2
-            ratio = dR[k]
-            np.multiply(u, u, out=ratio)
-            ratio /= poly
-            if spec.shape == 2.5:
-                u += 1.0
-                u *= 1.0 / 3.0
-                ratio *= u
-            ratio *= w[k]
         if ratios is not None:
             ratio = ratios[k]
             np.multiply(u, u, out=ratio)
@@ -305,17 +303,27 @@ def _correlate(T, w, spec, R, scratch=None, dR=None, ratios=None):
                 ratio *= u
             ratio /= poly
     if zero is not None:
-        # a polynomial factor overflows only where exp(-sum u) is 0
+        # a polynomial factor overflows only where exp(-sum u) is 0, and
+        # the ratio there too; those entries have exactly zero derivative
         np.copyto(R, 0.0, where=zero)
         if ratios is not None:
             np.copyto(ratios, 0.0, where=zero)
-    if dR is not None:
-        dR *= R
-        # the ratio can overflow where the correlation underflowed to
-        # zero; those entries have exactly zero derivative
-        if zero is not None:
-            np.copyto(dR, 0.0, where=zero)
     return R
+
+
+def _derivative_rows(ws, phi):
+    """The range derivatives of the last build on the workspace ``ws``, at
+    ranges ``phi``, as rows ``A`` over its pairs (a buffer of ``ws``) and
+    per-dimension constants ``c``: ``c[k] A[k] = -(dr/dxi_k) / r``, with
+    ``xi_k = -log(phi_k)``.  For power-exponential and Matern 1/2, ``A`` is
+    the pair stack and ``c = alpha phi^-alpha`` (alpha 1 for Matern); for
+    Matern 3/2 and 5/2, ``A`` is the build's ``ratios`` and ``c`` is 1 or
+    1/3, one float for every dimension.
+    """
+    spec = ws.spec
+    if not _polynomial(spec):
+        return ws.stack, _power(spec) * _weights(phi, spec)
+    return ws.ratios, 1.0 if spec.shape == 1.5 else 1.0 / 3.0
 
 
 def _linear_derivatives(phi, w, spec, ws):
@@ -323,7 +331,15 @@ def _linear_derivatives(phi, w, spec, ws):
     whose ratio ``(dr/dphi_k) / r`` is the distance ``T_k`` times a
     constant: one pass over each slice of ``ws.full_stack``, times the
     gathered ``ws.R``, and exactly zero where ``R`` underflowed.  Like
-    ``_correlate``, it runs with overflow ignored."""
+    ``_correlate``, it runs with overflow ignored.  The constant is the
+    ``c / phi`` of ``_derivative_rows``, formed as ``w * w`` for Matern 1/2,
+    which rounds apart from ``w / phi`` in about a quarter of the ranges.
+
+    Gathering the pair derivatives instead, as Matern 3/2 and 5/2 do, made
+    the build of ``R`` and ``dR`` 1.7-2x slower at n=80, d=8 (0.09 -> 0.16
+    and 0.11 -> 0.21 ms in two measurements, 1 OpenBLAS thread), so these
+    families keep the full stack.
+    """
     if spec.family == POWER_EXPONENTIAL:
         # (dr/dphi) / r = alpha h^alpha / phi^(alpha + 1)
         c = np.minimum(spec.shape * w / phi, _MAX_WEIGHT)
@@ -342,22 +358,6 @@ def _linear_derivatives(phi, w, spec, ws):
 # ---------------------------------------------------------------------------
 
 
-def distance_stack(X, spec):
-    """Transformed coordinate distances of the distinct row pairs of a
-    design, shape ``(d, n(n-1)/2)``.
-
-    Column ``p`` holds the ``p``-th pair ``(i, j)``, ``i < j``, of the
-    strict upper triangle in row-major order, and ``T[k, p]`` is
-    ``|x_ik - x_jk|^alpha`` for power-exponential and
-    ``sqrt(2 nu) |x_ik - x_jk|`` for Matern.  It does not depend on the
-    ranges: a ``Workspace`` holds it, padded with zero columns, for
-    evaluating many ranges on one design.
-    """
-    X = _check_design(X, spec.dims)
-    n = X.shape[0]
-    return _pair_stack(X, spec, n * (n - 1) // 2)
-
-
 class Workspace:
     """Buffers that many evaluations of ranges on one design reuse.
 
@@ -369,29 +369,31 @@ class Workspace:
     A build runs over the ``m = n(n-1)/2`` distinct row pairs, which hold
     every off-diagonal value of the symmetric ``R``, and one gather through
     ``index`` then expands them into the full matrix.  The workspace holds
-    the pair stack ``stack``, ``distance_stack`` padded with zero columns
-    to a width above ``m``; over that width, the correlations ``pairs``,
-    whose slot ``m`` holds the diagonal ``1 + nugget``, and for Matern 3/2
-    and 5/2 their underflow mask ``zero`` and the temporaries ``u`` and
-    ``poly``; and the gathered ``R``.  Without ``derivs`` it holds no
-    ``(d, n, n)`` array.  With ``derivs`` (the Fisher-information priors)
-    it also holds the derivative stack ``dR``, full because the Fisher
-    products read whole slices of it: for Matern 3/2 and 5/2 it is gathered
-    from ``dpairs``, the ``(d, width)`` derivatives over the pairs, and for
-    power-exponential and Matern 1/2, whose ratio ``(dr/dphi_k) / r`` is
-    linear in the distance, it is the full ``(d, n, n)`` distance stack
-    ``full_stack`` times that constant and the gathered ``R``, with the
+    the pair stack ``stack``, padded with zero columns to a width above
+    ``m``; over that width, the correlations ``pairs``, whose slot ``m``
+    holds the diagonal ``1 + nugget``, and for Matern 3/2 and 5/2 their
+    underflow mask ``zero`` and the temporaries ``u`` and ``poly``; and the
+    gathered ``R``.
+
+    With ``derivs`` or ``grad``, Matern 3/2 and 5/2 also hold the
+    ``(d, width)`` derivative rows ``ratios`` (``_derivative_rows``), which
+    every build then fills; a value-only workspace holds none, since
+    filling them took a model build (``CokrigingModel``, n=200/60, Matern
+    5/2) from 6.0 to 7.5 ms.  With ``grad`` (the objectives fitted by
+    gradient) it holds no ``(d, n, n)`` array, but the weights ``gpairs``
+    of the xi-gradient over the pairs, zero from slot ``m`` on, and the
+    flat positions ``upper`` of the pairs in an ``n x n`` matrix.  With
+    ``derivs`` (the Fisher-information priors) it holds the derivative
+    stack ``dR``, full because the Fisher products read whole slices of
+    it: gathered from the scaled ``ratios`` for Matern 3/2 and 5/2, and for
+    power-exponential and Matern 1/2 the full ``(d, n, n)`` distance stack
+    ``full_stack`` times a constant and the gathered ``R``, with the
     ``n x n`` underflow mask ``full_zero``.  It then holds too the trace
     operands ``W`` and their slice transposes ``WT`` (each ``(d, n, n)``),
     and the ``n x n`` scratch ``P`` and ``G``, in Fortran order so that
-    LAPACK solves into ``P`` in place, and ``S``.  With ``grad`` instead
-    (the objectives fitted by gradient) it holds no ``(d, n, n)`` array
-    either, but the weights ``gpairs`` of the xi-gradient over the pairs,
-    zero from slot ``m`` on, the flat positions ``upper`` of the pairs in
-    an ``n x n`` matrix, and for Matern 3/2 and 5/2 the ``(d, width)``
-    derivative ratios ``ratios`` of ``_correlate``, which every build then
-    fills.  Whatever is built on a workspace, a factorization included, is
-    overwritten by the next evaluation on it.
+    LAPACK solves into ``P`` in place, and ``S``.  Whatever is built on a
+    workspace, a factorization included, is overwritten by the next
+    evaluation on it.
     """
 
     def __init__(self, X, spec, derivs=False, grad=False):
@@ -406,29 +408,24 @@ class Workspace:
         self.stack = _pair_stack(self.X, spec, width)
         self.index = _gather_index(n)
         self.pairs = np.empty(width)
-        polynomial = spec.family == MATERN and spec.shape != 0.5
+        polynomial = _polynomial(spec)
         self.zero = self.u = self.poly = None
         if polynomial:
             self.zero = np.empty(width, dtype=bool)
             self.u = np.empty(width)
             self.poly = np.empty(width)
         self.R = np.empty((n, n))
-        self.dpairs = self.full_stack = self.full_zero = None
+        self.full_stack = self.full_zero = None
         self.dR = self.W = self.WT = self.P = self.G = self.S = None
         self.gpairs = self.upper = self.ratios = None
         if grad:
             self.gpairs = np.zeros(width)
             i, j = np.triu_indices(n, 1)
             self.upper = i * n + j
-            if polynomial:
-                self.ratios = np.empty((d, width))
+        if polynomial and (grad or derivs):
+            self.ratios = np.empty((d, width))
         if derivs:
-            if polynomial:
-                # the ratios need the pair loop's polynomial factors
-                self.dpairs = np.empty((d, width))
-            else:
-                # a ratio linear in the distance costs less over whole
-                # slices than a gather of it
+            if not polynomial:
                 self.full_stack = _stack(self.X, self.X, spec)
                 self.full_zero = np.empty((n, n), dtype=bool)
             self.dR = np.empty((d, n, n))
@@ -466,17 +463,21 @@ def _build(X, params, spec, ws, derivs):
     phi, w = _check_params(params, spec)
     # out-of-range ratios are capped or zeroed
     with np.errstate(over="ignore", invalid="ignore"):
-        _correlate(ws.stack, w, spec, ws.pairs, ws, ws.dpairs if derivs else None, ws.ratios)
+        _correlate(ws.stack, w, spec, ws.pairs, ws)
         # slot m has zero distances, so its correlation came out 1 and its
-        # derivatives 0; the diagonal is read from it
+        # derivative rows 0; the diagonal is read from it
         ws.pairs[ws.index[0]] = 1.0 + spec.nugget
         # mode="clip" gathers straight into the output; the default "raise"
         # buffers the whole output first (every index is in range either way)
         np.take(ws.pairs, ws.index, out=ws.R.reshape(-1), mode="clip")
-        if derivs and ws.dpairs is None:
+        if derivs and not _polynomial(spec):
             _linear_derivatives(phi, w, spec, ws)
         elif derivs:
-            np.take(ws.dpairs, ws.index, axis=1, out=ws.dR.reshape(spec.dims, -1), mode="clip")
+            # dR_k / dphi_k = r c_k A_k / phi_k
+            A, c = _derivative_rows(ws, phi)
+            A *= (c / phi)[:, None]
+            A *= ws.pairs
+            np.take(A, ws.index, axis=1, out=ws.dR.reshape(spec.dims, -1), mode="clip")
     return ws
 
 
@@ -538,20 +539,13 @@ def xi_gradient(ws, params, out):
 
     ``ws`` is a ``Workspace`` built with ``grad``, holding the last build
     at ``params`` and the weights ``g`` in ``ws.gpairs`` (zero from slot
-    ``n(n-1)/2`` on), which this multiplies by the pair correlations.
-    ``dR_k`` is the pair correlation times ``(dr/dxi_k) / r``: for
-    power-exponential and Matern 1/2 that ratio is
-    ``-alpha phi_k^-alpha T_k`` (alpha 1 for Matern), so the whole gradient
-    is one gemv of the pair stack; Matern 3/2 and 5/2 read the ``ratios``
-    their build wrote.  No ``(d, n, n)`` array is formed.
+    ``n(n-1)/2`` on), which this multiplies by the pair correlations.  Over
+    the pairs ``dR_k`` is ``-r c_k A_k`` (``_derivative_rows``), so the
+    whole gradient is one gemv of ``A``; no ``(d, n, n)`` array is formed.
     """
-    spec = ws.spec
+    A, c = _derivative_rows(ws, params.phi)
     g = ws.gpairs
     g *= ws.pairs
-    if ws.ratios is None:
-        np.matmul(ws.stack, g, out=out)
-        out *= -_power(spec) * _check_params(params, spec)[1]
-    else:
-        np.matmul(ws.ratios, g, out=out)
-        out *= -1.0 / 3.0 if spec.shape == 2.5 else -1.0
+    np.matmul(A, g, out=out)
+    out *= -c
     return out

@@ -8,10 +8,10 @@ optimizer lives in the estimation module, not here.
 The reference and Jeffreys priors read the Cholesky factor and the
 derivative stack of a ``gp.gls_fit(..., derivs=True)`` factorization; pass
 the one the likelihood already uses as ``fact`` so that an evaluation
-builds and factorizes the correlation matrix once.  When that
-factorization lives in a ``kernels.Workspace``, the trace operands are
-written into its buffers, and LAPACK (``dpotrs``, ``dpotrf``) is called
-directly, so an evaluation allocates no ``n x n`` array.
+builds and factorizes the correlation matrix once.  Such a factorization
+lives in a ``kernels.Workspace`` with derivative buffers, the trace
+operands are written into them, and LAPACK (``dpotrs``, ``dpotrf``) is
+called directly, so an evaluation allocates no ``n x n`` array.
 
 Supported kinds:
 
@@ -101,7 +101,7 @@ class PriorSpec:
 
 def _with_derivs(data, params, spec, fact):
     """``fact`` when it carries the derivative stack, else a fresh
-    factorization that does."""
+    factorization that does, in a fresh derivative workspace."""
     if fact is None or fact.dR is None:
         fact = gls_fit(data, params, spec, derivs=True)
     return fact
@@ -122,25 +122,22 @@ def _fisher_info(data, params, spec, fact, corner, projected):
     the GLS projector ``R^{-1} - R^{-1} X M^{-1} X^T R^{-1}``
     (``projected``), or ``P = R^{-1}``.
 
-    The operands are formed in the buffers of the workspace holding
-    ``fact``, or in fresh ones when it has none: ``R^{-1}`` is solved in
-    place into ``P`` and the projector is formed in ``S``.  No ufunc mixes
-    the Fortran order of ``P`` with C order, since numpy would copy an
-    operand for it: the correction term passes from ``S`` to ``G`` (Fortran
-    order), and ``P`` comes back through ``S``.  ``WT`` receives the slice
+    The operands are formed in the buffers of the derivative workspace
+    holding ``fact`` (``gls_fit`` builds one when it is given none):
+    ``R^{-1}`` is solved in place into ``P`` and the projector is formed
+    in ``S``.  No ufunc mixes the Fortran order of ``P`` with C order,
+    since numpy would copy an operand for it: the correction term passes
+    from ``S`` to ``G`` (Fortran order), and ``P`` comes back through
+    ``S``.  ``WT`` receives the slice
     transposes of ``W``.  The products stay d per-slice gemms: as one
     ``(d n, n)`` gemm they cost over ten times as much at two OpenBLAS
     threads.
     """
     fact = _with_derivs(data, params, spec, fact)
-    ws, n = fact.ws, fact.n
-    if ws is None:
-        P, S, G = np.eye(n, order="F"), np.empty((n, n)), np.empty((n, n), order="F")
-        W, WT = np.empty_like(fact.dR), np.empty_like(fact.dR)
-    else:
-        P, S, G, W, WT = ws.P, ws.S, ws.G, ws.W, ws.WT
-        P.fill(0.0)
-        np.fill_diagonal(P, 1.0)
+    ws = fact.ws
+    P, S, G, W, WT = ws.P, ws.S, ws.G, ws.W, ws.WT
+    P.fill(0.0)
+    np.fill_diagonal(P, 1.0)
     P = _solve(fact.chol_R, P, params, overwrite_b=1)
     if projected:
         B = P @ data.design

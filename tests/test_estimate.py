@@ -335,15 +335,21 @@ class TestGradient:
         fd = np.array([_five_point(f, xi, k) for k in range(8)])
         np.testing.assert_allclose(grad, fd, rtol=0.0, atol=1e-5 * scale)
 
-    def test_without_a_gradient_workspace_it_builds_its_own(self):
+    def test_the_gradient_needs_a_gradient_workspace(self):
         lv = _borehole_levels()[1]
         spec = KernelSpec(family=MATERN, shape=2.5, dims=8)
         xi = np.linspace(-1.0, 0.5, 8)
         want = _value_and_grad(lv, xi, spec, "jointly_robust", Workspace(lv.inputs, spec, grad=True))
-        for ws in (None, Workspace(lv.inputs, spec)):
-            got = _value_and_grad(lv, xi, spec, "jointly_robust", ws)
-            assert got[0] == want[0]
-            np.testing.assert_array_equal(got[1], want[1])
+        # without one, the evaluation builds its own
+        got = _value_and_grad(lv, xi, spec, "jointly_robust", None)
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
+        # a value-only workspace raises instead of building R again
+        with pytest.raises(InvalidArgumentError, match="gradient buffers"):
+            _value_and_grad(lv, xi, spec, "jointly_robust", Workspace(lv.inputs, spec))
+        # so does a Fisher kind, before anything is built
+        with pytest.raises(InvalidArgumentError, match="not both"):
+            objective(lv, xi, spec, PriorSpec(kind="reference"), grad=np.empty(8))
 
     def test_a_workspace_holds_one_kind_of_derivative_buffers(self):
         lv = _borehole_levels()[1]
@@ -431,17 +437,22 @@ class TestWorkspace:
         with_ws = [fit_level(lv, spec, prior, opts, method=method) for lv in data.levels]
 
         def allocating(data, params, spec, ws=None, derivs=False):
-            return gls_fit(data, params, spec, derivs=derivs)
+            # a fresh workspace of the kind the fit built, on every call
+            fresh = Workspace(data.inputs, spec, derivs=ws.dR is not None,
+                              grad=ws.gpairs is not None)
+            return gls_fit(data, params, spec, ws=fresh, derivs=derivs)
 
         monkeypatch.setattr(estimate_module, "gls_fit", allocating)
         without = [fit_level(lv, spec, prior, opts, method=method) for lv in data.levels]
         assert [record(f) for f in with_ws] == [record(f) for f in without]
 
-    def test_evaluation_allocates_less_than_one_derivative_stack(self):
+    @pytest.mark.parametrize("family, shape", [
+        (POWER_EXPONENTIAL, 1.9), (MATERN, 1.5), (MATERN, 2.5)])
+    def test_evaluation_allocates_less_than_one_derivative_stack(self, family, shape):
         """A reference-prior evaluation at n=80, d=8 on a warm workspace
         allocates less than one (d, n, n) stack in all."""
         lv = _borehole_levels()[0]
-        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=8)
+        spec = KernelSpec(family=family, shape=shape, dims=8)
         prior = PriorSpec(kind="reference")
         ws = Workspace(lv.inputs, spec, derivs=True)
         assert objective(lv, np.zeros(8), spec, prior, ws) > SENTINEL_THRESHOLD

@@ -23,7 +23,6 @@ from mfcokrig.kernels import (
     corr_matrix,
     corr_matrix_with_derivs,
     cross_corr,
-    distance_stack,
 )
 from mfcokrig.modelio import read_record, record
 from oracles import corr1d, corr_matrix_loop, corr_matrix_with_derivs_loop, cross_corr_loop
@@ -534,7 +533,7 @@ _ENTRY_POINTS = {
     "corr_matrix_with_derivs": (lambda v: corr_matrix_with_derivs(v, _UNIT2, _SPEC2), "X"),
     "cross_corr-X1": (lambda v: cross_corr(v, np.zeros((1, 2)), _UNIT2, _SPEC2), "X1"),
     "cross_corr-X2": (lambda v: cross_corr(np.zeros((1, 2)), v, _UNIT2, _SPEC2), "X2"),
-    "distance_stack": (lambda v: distance_stack(v, _SPEC2), "X"),
+    "Workspace": (lambda v: Workspace(v, _SPEC2), "X"),
     "borehole_low": (borehole_low, "x"),
     "borehole_high": (borehole_high, "x"),
     "scale_to_box": (scale_to_box, "U"),
