@@ -31,6 +31,7 @@ from .exceptions import (
     InvalidArgumentError,
     NestingError,
     PriorEvaluationError,
+    RangeOverflowError,
     SingularCorrelationError,
     VarianceUndefinedError,
 )
@@ -310,6 +311,8 @@ def cmd_tailprobe(args):
     elif args.n_grid == 0:
         grid = np.empty(0)
     else:
+        if args.n_grid < 0:
+            raise ConfigError(f"--n-grid must be >= 0, got {args.n_grid}")
         if args.phi_min <= 0 or args.phi_max <= args.phi_min:
             raise ConfigError("need 0 < --phi-min < --phi-max")
         grid = np.geomspace(args.phi_min, args.phi_max, args.n_grid)
@@ -319,7 +322,12 @@ def cmd_tailprobe(args):
     for i, g in enumerate(grid):
         try:
             logprior[i] = log_prior(lv, RangeParams(np.full(lv.dims, g)), spec, prior)
-        except (SingularCorrelationError, PriorEvaluationError, DesignRankError):
+        except (
+            RangeOverflowError,
+            SingularCorrelationError,
+            PriorEvaluationError,
+            DesignRankError,
+        ):
             logprior[i] = np.nan
     logpost = loglik + logprior
     path = os.path.join(out, f"tailprobe_level{args.level_index}.csv")

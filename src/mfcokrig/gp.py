@@ -7,9 +7,11 @@ least squares problem, and evaluates the integrated log-likelihood obtained
 by marginalizing the trend coefficients and the process variance.
 
 All solves go through Cholesky factors and triangular back-substitution.
-The one explicit inverse is the ``R^{-1}`` of the xi-gradient
-(``log_likelihood_xi_grad``), whose trace term reads every entry of it;
-LAPACK ``dpotri`` forms it from the factor.  ``gls_fit`` calls LAPACK
+The one explicit inverse is ``gls_projector``'s: LAPACK ``dpotri`` forms
+``R^{-1}`` in place on the factor, and one ``dsyrk`` turns it into the GLS
+projector.  It serves both consumers that read every entry of it, the
+xi-gradient (``log_likelihood_xi_grad``) and the Fisher information of
+the reference and Jeffreys priors (``priors``).  ``gls_fit`` calls LAPACK
 (``dpotrf``, ``dtrtrs``) directly, the routines ``scipy.linalg.cholesky``
 and ``solve_triangular`` wrap, so its results are theirs bit for bit
 without their per-call checks.  It factorizes the correlation matrix in
@@ -30,6 +32,7 @@ from .exceptions import (
     DegenerateDataError,
     DesignRankError,
     InvalidArgumentError,
+    RangeOverflowError,
     SingularCorrelationError,
 )
 from .kernels import (
@@ -152,7 +155,9 @@ class LevelFactorization:
     stack of ``dR/dphi_k`` at the same ranges when the factorization was
     built for a Fisher-information prior, else ``None``.  ``ws`` is the
     ``kernels.Workspace`` that holds ``chol_R`` and ``dR``; they are valid
-    only until the next evaluation on it.  A factorization with ``dR``
+    only until the next evaluation on it, and ``gls_projector`` (the
+    xi-gradient, the Fisher information) overwrites ``chol_R`` with the
+    projector.  A factorization with ``dR``
     always has one; a value-only one built without keeps none, so a model
     holds no evaluation buffers.
     """
@@ -291,18 +296,41 @@ def log_S2_exponent(data, a_t):
     return exponent
 
 
+def gls_projector(data, params, fact, projected=True, resid_scale=0.0):
+    """The GLS projector ``Q = R^{-1} - B B^T``, ``B = L^-T A Lm^-T``
+    (``projected``), or ``R^{-1}``, less ``s^2 u u^T`` with
+    ``u = R^{-1}(y - X b_hat) = L^-T e`` and ``s`` the ``resid_scale``, in
+    the lower triangle of an ``n x n`` Fortran-order array.
+
+    LAPACK ``dpotri`` forms ``R^{-1}`` in place on the factor and one
+    ``dsyrk`` subtracts the rank-(q+1) term ``V V^T``, ``V = [s u, B]``
+    (``V = s u`` unprojected), so the result is ``fact.chol_R`` itself and
+    the factorization is consumed.  The upper triangle holds none of it.
+    """
+    L = fact.chol_R
+    q = fact.chol_M.shape[0] if projected else 0
+    V = np.empty((fact.n, q + 1), order="F")
+    V[:, 0] = dtrtrs(L, fact.white_resid, lower=1, trans=1)[0]
+    V[:, 0] *= resid_scale
+    if projected:
+        AM = dtrtrs(fact.chol_M, fact.white_design.T, lower=1)[0]
+        V[:, 1:] = dtrtrs(L, AM.T, lower=1, trans=1)[0]
+    Rinv, info = dpotri(L, lower=1, overwrite_c=1)
+    if info != 0:
+        raise SingularCorrelationError(params.phi, level=data.index)
+    return dsyrk(-1.0, V, beta=1.0, c=Rinv, lower=1, overwrite_c=1)
+
+
 def log_likelihood_xi_grad(data, params, spec, fact, exponent, out, projected=True):
     """Gradient in ``xi = -log(phi)`` of
     ``-1/2 log|R| - 1/2 log|X^T R^{-1} X| - exponent log S2`` (``projected``)
     or of ``-1/2 log|R| - exponent log S2``, into ``out``.
 
-    With ``u = R^{-1}(y - X b_hat) = L^-T e`` (``e`` the whitened residual)
-    and ``c`` the exponent, the ``phi_k`` derivative is
-    ``sum_{i<j} dR_k[i, j] (-G[i, j] + (2c / S2) u_i u_j)``, with ``G`` the
-    GLS projector ``Q = R^{-1} - B B^T``, ``B = L^-T A Lm^-T``, when
-    ``projected`` and ``R^{-1}`` otherwise.  ``R^{-1}`` is formed by LAPACK
-    ``dpotri`` in place on the factor, one ``dsyrk`` adds the rank-(q+1)
-    term ``[B, sqrt(2c/S2) u]`` to its negation, and the pairs are gathered
+    With ``u = R^{-1}(y - X b_hat)`` and ``c`` the exponent, the ``phi_k``
+    derivative is ``sum_{i<j} dR_k[i, j] (-G[i, j] + (2c / S2) u_i u_j)``,
+    with ``G`` the GLS projector ``Q`` when ``projected`` and ``R^{-1}``
+    otherwise: the negation of the lower triangle that ``gls_projector``
+    forms with ``resid_scale = sqrt(2c / S2)``.  Its pairs are gathered
     into the workspace's ``gpairs`` for ``kernels.xi_gradient``.  ``fact``
     is a factorization at ``params`` in a ``kernels.Workspace`` built with
     ``grad``, whose build the gradient reads and whose ``chol_R`` it
@@ -311,32 +339,22 @@ def log_likelihood_xi_grad(data, params, spec, fact, exponent, out, projected=Tr
     ws = fact.ws
     if ws is None or ws.gpairs is None:
         raise InvalidArgumentError("the xi-gradient needs a workspace with gradient buffers")
-    L = fact.chol_R
-    q = fact.chol_M.shape[0] if projected else 0
-    V = np.empty((fact.n, q + 1), order="F")
-    V[:, 0] = dtrtrs(L, fact.white_resid, lower=1, trans=1)[0]
-    V[:, 0] *= math.sqrt(2.0 * exponent / fact.S2)
-    if projected:
-        AM = dtrtrs(fact.chol_M, fact.white_design.T, lower=1)[0]
-        V[:, 1:] = dtrtrs(L, AM.T, lower=1, trans=1)[0]
-    Rinv, info = dpotri(L, lower=1, overwrite_c=1)
-    if info != 0:
-        raise SingularCorrelationError(params.phi, level=data.index)
-    H = dsyrk(1.0, V, beta=-1.0, c=Rinv, lower=1, overwrite_c=1)
+    H = gls_projector(data, params, fact, projected, math.sqrt(2.0 * exponent / fact.S2))
     # the lower triangle of the Fortran-order H holds the pair (i, j),
     # i < j, at the flat position i n + j of its C-order transpose
     m = ws.upper.size
     np.take(H.T.reshape(-1), ws.upper, out=ws.gpairs[:m], mode="clip")
-    return xi_gradient(ws, params, out)
+    return np.negative(xi_gradient(ws, params, out), out=out)
 
 
 def tail_probe(data, spec, a_t, phi_grid):
     """Integrated log-likelihood along an isotropic range ray.
 
     Evaluates ``integrated_log_likelihood`` at ``phi = (g, ..., g)`` for
-    each grid value ``g``; grid points where the correlation matrix is
-    singular or the data degenerate yield ``nan`` rather than aborting the
-    sweep.  Used to diagnose non-decaying likelihood tails.
+    each grid value ``g``; grid points where the ranges are too small for
+    their kernel weights, the correlation matrix is singular or the data
+    degenerate yield ``nan`` rather than aborting the sweep.  Used to
+    diagnose non-decaying likelihood tails.
     """
     grid = np.asarray(phi_grid, dtype=np.float64).ravel()
     if grid.size == 0:
@@ -348,7 +366,7 @@ def tail_probe(data, spec, a_t, phi_grid):
         params = RangeParams(np.full(data.dims, g))
         try:
             out[i] = integrated_log_likelihood(data, params, spec, a_t)
-        except (SingularCorrelationError, DegenerateDataError):
+        except (RangeOverflowError, SingularCorrelationError, DegenerateDataError):
             out[i] = np.nan
     return out
 

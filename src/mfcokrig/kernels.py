@@ -379,21 +379,21 @@ class Workspace:
     ``(d, width)`` derivative rows ``ratios`` (``_derivative_rows``), which
     every build then fills; a value-only workspace holds none, since
     filling them took a model build (``CokrigingModel``, n=200/60, Matern
-    5/2) from 6.0 to 7.5 ms.  With ``grad`` (the objectives fitted by
-    gradient) it holds no ``(d, n, n)`` array, but the weights ``gpairs``
-    of the xi-gradient over the pairs, zero from slot ``m`` on, and the
-    flat positions ``upper`` of the pairs in an ``n x n`` matrix.  With
-    ``derivs`` (the Fisher-information priors) it holds the derivative
-    stack ``dR``, full because the Fisher products read whole slices of
-    it: gathered from the scaled ``ratios`` for Matern 3/2 and 5/2, and for
-    power-exponential and Matern 1/2 the full ``(d, n, n)`` distance stack
-    ``full_stack`` times a constant and the gathered ``R``, with the
-    ``n x n`` underflow mask ``full_zero``.  It then holds too the trace
-    operands ``W`` and their slice transposes ``WT`` (each ``(d, n, n)``),
-    and the ``n x n`` scratch ``P`` and ``G``, in Fortran order so that
-    LAPACK solves into ``P`` in place, and ``S``.  Whatever is built on a
-    workspace, a factorization included, is overwritten by the next
-    evaluation on it.
+    5/2) from 6.0 to 7.5 ms.  Both ``grad`` and ``derivs`` hold the flat
+    positions ``upper`` of the pairs ``(i, j)``, ``i < j``, in an ``n x n``
+    matrix, where ``gp.gls_projector``'s triangle is read.  With ``grad``
+    (the objectives fitted by gradient) it holds no ``(d, n, n)`` array,
+    but the weights ``gpairs`` of the xi-gradient over the pairs, zero from
+    slot ``m`` on.  With ``derivs`` (the Fisher-information priors) it
+    holds the derivative stack ``dR``, full because the Fisher products
+    read whole slices of it: gathered from the scaled ``ratios`` for Matern
+    3/2 and 5/2, and for power-exponential and Matern 1/2 the full
+    ``(d, n, n)`` distance stack ``full_stack`` times a constant and the
+    gathered ``R``, with the ``n x n`` underflow mask ``full_zero``.  It
+    then holds too the trace operands ``W`` and their slice transposes
+    ``WT`` (each ``(d, n, n)``), and the mirrored positions ``lower`` of
+    the pairs, ``(j, i)``.  Whatever is built on a workspace, a
+    factorization included, is overwritten by the next evaluation on it.
     """
 
     def __init__(self, X, spec, derivs=False, grad=False):
@@ -416,12 +416,13 @@ class Workspace:
             self.poly = np.empty(width)
         self.R = np.empty((n, n))
         self.full_stack = self.full_zero = None
-        self.dR = self.W = self.WT = self.P = self.G = self.S = None
-        self.gpairs = self.upper = self.ratios = None
-        if grad:
-            self.gpairs = np.zeros(width)
+        self.dR = self.W = self.WT = None
+        self.gpairs = self.upper = self.lower = self.ratios = None
+        if grad or derivs:
             i, j = np.triu_indices(n, 1)
             self.upper = i * n + j
+        if grad:
+            self.gpairs = np.zeros(width)
         if polynomial and (grad or derivs):
             self.ratios = np.empty((d, width))
         if derivs:
@@ -431,9 +432,7 @@ class Workspace:
             self.dR = np.empty((d, n, n))
             self.W = np.empty((d, n, n))
             self.WT = np.empty((d, n, n))
-            self.P = np.empty((n, n), order="F")
-            self.G = np.empty((n, n), order="F")
-            self.S = np.empty((n, n))
+            self.lower = j * n + i
 
 
 def _workspace(X, spec, ws, derivs):

@@ -9,9 +9,11 @@ The reference and Jeffreys priors read the Cholesky factor and the
 derivative stack of a ``gp.gls_fit(..., derivs=True)`` factorization; pass
 the one the likelihood already uses as ``fact`` so that an evaluation
 builds and factorizes the correlation matrix once.  Such a factorization
-lives in a ``kernels.Workspace`` with derivative buffers, the trace
-operands are written into them, and LAPACK (``dpotrs``, ``dpotrf``) is
-called directly, so an evaluation allocates no ``n x n`` array.
+lives in a ``kernels.Workspace`` with derivative buffers.  The inverse or
+the GLS projector comes from ``gp.gls_projector``, in place on the factor,
+the trace operands are written into the workspace's buffers, and LAPACK
+``dpotrf`` is called directly, so an evaluation allocates no ``n x n``
+array.
 
 Supported kinds:
 
@@ -30,10 +32,10 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf
 
 from .exceptions import InvalidArgumentError, PriorEvaluationError
-from .gp import gls_fit
+from .gp import gls_fit, gls_projector
 
 # bound here as well for tools that wrap the kernel layer under this module
 # (perfbench/tracing.py); the build itself happens inside ``gls_fit``
@@ -107,48 +109,34 @@ def _with_derivs(data, params, spec, fact):
     return fact
 
 
-def _solve(L, B, params, overwrite_b=0):
-    """``(L L^T)^{-1} B`` by LAPACK ``dpotrs``; with ``overwrite_b`` and a
-    Fortran-order ``B`` the solution replaces ``B``."""
-    x, info = dpotrs(L, B, lower=1, overwrite_b=overwrite_b)
-    if info != 0:
-        raise PriorEvaluationError(f"dpotrs reported info={info}", phi=params.phi)
-    return x
-
-
 def _fisher_info(data, params, spec, fact, corner, projected):
     """Fisher-style matrix [corner, tr(W_k); tr(W_k), tr(W_k W_j)],
     symmetrized, from the trace operands ``W_k = dR_k P`` with ``P = Q``,
     the GLS projector ``R^{-1} - R^{-1} X M^{-1} X^T R^{-1}``
     (``projected``), or ``P = R^{-1}``.
 
-    The operands are formed in the buffers of the derivative workspace
-    holding ``fact`` (``gls_fit`` builds one when it is given none):
-    ``R^{-1}`` is solved in place into ``P`` and the projector is formed
-    in ``S``.  No ufunc mixes the Fortran order of ``P`` with C order,
-    since numpy would copy an operand for it: the correction term passes
-    from ``S`` to ``G`` (Fortran order), and ``P`` comes back through
-    ``S``.  ``WT`` receives the slice
-    transposes of ``W``.  The products stay d per-slice gemms: as one
-    ``(d n, n)`` gemm they cost over ten times as much at two OpenBLAS
-    threads.
+    ``gp.gls_projector`` forms the lower triangle of ``P`` in place on the
+    factor of ``fact``, which is consumed (``gls_fit`` builds a
+    factorization in a fresh derivative workspace when it is given none),
+    and one take and one put over the workspace's pair positions ``upper``
+    and ``lower`` fill the other triangle.  ``W`` and its slice transposes
+    ``WT`` are buffers of that workspace.  The products stay d per-slice
+    gemms: as one ``(d n, n)`` gemm they cost over ten times as much at two
+    OpenBLAS threads, and d per-slice ``dsymm`` calls on the one triangle
+    took 1.6 and 2x as long as the fill and the gemms at n=80 and n=30
+    (d=8, 1 OpenBLAS thread).
     """
     fact = _with_derivs(data, params, spec, fact)
     ws = fact.ws
-    P, S, G, W, WT = ws.P, ws.S, ws.G, ws.W, ws.WT
-    P.fill(0.0)
-    np.fill_diagonal(P, 1.0)
-    P = _solve(fact.chol_R, P, params, overwrite_b=1)
-    if projected:
-        B = P @ data.design
-        np.matmul(B, _solve(fact.chol_M, B.T, params), out=S)
-        np.copyto(G, S)
-        np.subtract(P, G, out=P)
-        np.copyto(S, P)
-        np.add(S, P.T, out=S)
-        S *= 0.5
-        P = S
-    np.matmul(fact.dR, P, out=W)
+    dR, W, WT = ws.dR, ws.W, ws.WT
+    # P's lower triangle is the upper one of its C-order transpose, which
+    # is mirrored through WT, free until the slice transposes
+    P = gls_projector(data, params, fact, projected).T
+    flat = P.reshape(-1)
+    pairs = WT.reshape(-1)[: ws.upper.size]
+    np.take(flat, ws.upper, out=pairs, mode="clip")
+    np.put(flat, ws.lower, pairs, mode="clip")
+    np.matmul(dR, P, out=W)
     d = W.shape[0]
     info = np.empty((d + 1, d + 1))
     info[0, 0] = corner
@@ -166,14 +154,16 @@ def fisher_info_reference(data, params, spec, fact=None):
     The trend is projected out: with ``Q`` the GLS projector and
     ``W_k = dR_k Q``, the matrix has corner ``n - q``, first row/column
     ``tr(W_k)``, and body ``tr(W_k W_j)``.  ``fact`` is an optional
-    ``gls_fit(..., derivs=True)`` factorization at ``params``.
+    ``gls_fit(..., derivs=True)`` factorization at ``params``; like the
+    xi-gradient, this consumes its ``chol_R``.
     """
     return _fisher_info(data, params, spec, fact, data.n - data.q, True)
 
 
 def fisher_info_jeffreys(data, params, spec, fact=None):
     """Fisher information of (variance, ranges) with the trend held fixed:
-    corner ``n``, operands ``U_k = dR_k R^{-1}``."""
+    corner ``n``, operands ``U_k = dR_k R^{-1}``.  ``fact`` is as for
+    ``fisher_info_reference``, and its ``chol_R`` is consumed too."""
     return _fisher_info(data, params, spec, fact, data.n, False)
 
 
@@ -251,7 +241,8 @@ def log_prior(data, params, spec, prior, fact=None):
     ``reference`` is ``1/2 log det I_R``; ``jeffreys1`` is
     ``1/2 log det I_J``, and ``jeffreys2`` adds ``1/2 log|X^T R^{-1} X|``.
     ``fact`` is an optional ``gls_fit(..., derivs=True)`` factorization at
-    ``params``, reused by the kinds in ``FISHER_KINDS``.
+    ``params``, reused by the kinds in ``FISHER_KINDS``, which consume its
+    ``chol_R``: read the likelihood from it first.
     """
     if prior.kind == FLAT:
         return 0.0

@@ -358,6 +358,46 @@ class TestTailprobeCommand:
         lines = (out / "tailprobe_level1.csv").read_text().splitlines()
         assert lines == ["phi,log_likelihood,log_prior,log_posterior"]
 
+    def test_ranges_whose_weights_overflow_give_nan_rows(self, tmp_path):
+        p1, p2, _, _ = _write_levels(tmp_path)
+        out = tmp_path / "probe"
+        code = main(
+            [
+                "tailprobe",
+                "--level",
+                p1,
+                "--level",
+                p2,
+                "--phi-grid",
+                "1e-200,1",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        lines = (out / "tailprobe_level1.csv").read_text().splitlines()
+        assert lines[1] == "1e-200,nan,nan,nan"
+        row = [float(v) for v in lines[2].split(",")]
+        assert row[0] == 1.0 and np.isfinite(row[1:]).all()
+
+    def test_negative_grid_size_exits_two(self, tmp_path, capsys):
+        p1, p2, _, _ = _write_levels(tmp_path)
+        code = main(
+            [
+                "tailprobe",
+                "--level",
+                p1,
+                "--level",
+                p2,
+                "--n-grid",
+                "-1",
+                "--out",
+                str(tmp_path / "probe"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "--n-grid" in capsys.readouterr().err
+
     def test_level_index_validation(self, tmp_path, capsys):
         p1, p2, _, _ = _write_levels(tmp_path)
         code = main(["tailprobe", "--level", p1, "--level", p2, "--level-index", "5"])

@@ -212,6 +212,21 @@ class TestTailProbe:
             )
             assert out[i] == want
 
+    def test_ranges_whose_weights_overflow_give_nan(self):
+        """Ranges below about 1e-162 are infeasible for power-exponential
+        1.9; such a grid point is nan and the sweep goes on."""
+        rng = np.random.default_rng(33)
+        lv = _toy_level(rng, n=10)
+        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2)
+        grid = np.array([1e-200, 1e-3, 1.0])
+        out = tail_probe(lv, spec, 1.0, grid)
+        assert np.isnan(out[0])
+        for i, g in enumerate(grid[1:], start=1):
+            want = integrated_log_likelihood(
+                lv, RangeParams(np.array([g, g])), spec, 1.0
+            )
+            assert out[i] == want
+
     def test_empty_grid(self):
         rng = np.random.default_rng(31)
         lv = _toy_level(rng)

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from mfcokrig.exceptions import InvalidArgumentError
-from mfcokrig.gp import LevelData, constant_basis
+from mfcokrig.gp import LevelData, constant_basis, gls_fit, integrated_log_likelihood
 from mfcokrig.kernels import (
     MATERN,
     POWER_EXPONENTIAL,
     KernelSpec,
     RangeParams,
+    Workspace,
     corr_matrix,
 )
 from mfcokrig.modelio import read_record, record
@@ -31,6 +32,7 @@ from mfcokrig.priors import (
     log_jr_prior,
     log_prior,
 )
+from oracles import corr_matrix_with_derivs_loop
 
 
 def _toy_level(rng, n=10, d=2, with_lower=False):
@@ -47,26 +49,16 @@ def _toy_level(rng, n=10, d=2, with_lower=False):
     )
 
 
-def _fd_dR(X, phi, spec, k, step=1e-7):
-    hi = phi.copy()
-    lo = phi.copy()
-    hi[k] += step * phi[k]
-    lo[k] -= step * phi[k]
-    return (
-        corr_matrix(X, RangeParams(hi), spec) - corr_matrix(X, RangeParams(lo), spec)
-    ) / (2.0 * step * phi[k])
-
-
 def _reference_info_oracle(lv, phi, spec):
-    """Dense reference: projector via explicit inverses, derivatives via
-    central differences."""
-    R = corr_matrix(lv.inputs, RangeParams(phi), spec)
+    """Dense reference: projector via explicit inverses, correlations and
+    derivatives entry by entry (``tests/oracles.py``)."""
+    R, dR = corr_matrix_with_derivs_loop(lv.inputs, phi, spec)
     Rinv = np.linalg.inv(R)
     X = lv.design
     M = X.T @ Rinv @ X
     Q = Rinv - Rinv @ X @ np.linalg.inv(M) @ X.T @ Rinv
     d = phi.size
-    W = [_fd_dR(lv.inputs, phi, spec, k) @ Q for k in range(d)]
+    W = [dR[k] @ Q for k in range(d)]
     info = np.empty((d + 1, d + 1))
     info[0, 0] = lv.n - lv.q
     for k in range(d):
@@ -77,10 +69,10 @@ def _reference_info_oracle(lv, phi, spec):
 
 
 def _jeffreys_info_oracle(lv, phi, spec):
-    R = corr_matrix(lv.inputs, RangeParams(phi), spec)
+    R, dR = corr_matrix_with_derivs_loop(lv.inputs, phi, spec)
     Rinv = np.linalg.inv(R)
     d = phi.size
-    U = [_fd_dR(lv.inputs, phi, spec, k) @ Rinv for k in range(d)]
+    U = [dR[k] @ Rinv for k in range(d)]
     info = np.empty((d + 1, d + 1))
     info[0, 0] = lv.n
     for k in range(d):
@@ -90,28 +82,70 @@ def _jeffreys_info_oracle(lv, phi, spec):
     return info
 
 
-class TestFisherInformation:
-    def test_reference_matches_dense_oracle(self):
-        rng = np.random.default_rng(50)
-        for spec in (
-            KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2),
-            KernelSpec(family=MATERN, shape=2.5, dims=2),
-        ):
-            for with_lower in (False, True):
-                lv = _toy_level(rng, with_lower=with_lower)
-                phi = rng.uniform(0.4, 1.5, size=2)
-                got = fisher_info_reference(lv, RangeParams(phi), spec)
-                want = _reference_info_oracle(lv, phi, spec)
-                np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
+_FOUR_KERNELS = (
+    KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2),
+    KernelSpec(family=MATERN, shape=0.5, dims=2),
+    KernelSpec(family=MATERN, shape=1.5, dims=2),
+    KernelSpec(family=MATERN, shape=2.5, dims=2),
+)
+_KERNEL_IDS = ("powexp1.9", "matern0.5", "matern1.5", "matern2.5")
 
-    def test_jeffreys_matches_dense_oracle(self):
-        rng = np.random.default_rng(51)
-        spec = KernelSpec(family=MATERN, shape=1.5, dims=2)
-        lv = _toy_level(rng)
+
+def _likelihood_fact(lv, params, spec):
+    """The factorization ``objective`` hands the prior: built in a
+    derivative workspace, with the likelihood already read from it."""
+    ws = Workspace(lv.inputs, spec, derivs=True)
+    fact = gls_fit(lv, params, spec, ws=ws, derivs=True)
+    integrated_log_likelihood(lv, params, spec, 1.0, fact=fact)
+    return fact
+
+
+def _each_kernel_and_level(test):
+    """Every kernel, with and without a lower level."""
+    test = pytest.mark.parametrize("spec", _FOUR_KERNELS, ids=_KERNEL_IDS)(test)
+    return pytest.mark.parametrize(
+        "with_lower", (False, True), ids=("level1", "level2"))(test)
+
+
+# the factorization is a fresh one or the one the likelihood has just read
+_reuse = pytest.mark.parametrize("reuse", (False, True), ids=("fresh", "likelihood_fact"))
+
+
+class TestFisherInformation:
+    @_each_kernel_and_level
+    @_reuse
+    def test_reference_matches_dense_oracle(self, spec, with_lower, reuse):
+        rng = np.random.default_rng(50)
+        lv = _toy_level(rng, with_lower=with_lower)
         phi = rng.uniform(0.4, 1.5, size=2)
-        got = fisher_info_jeffreys(lv, RangeParams(phi), spec)
+        params = RangeParams(phi)
+        fact = _likelihood_fact(lv, params, spec) if reuse else None
+        got = fisher_info_reference(lv, params, spec, fact)
+        want = _reference_info_oracle(lv, phi, spec)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-10)
+
+    @_each_kernel_and_level
+    @_reuse
+    def test_jeffreys_matches_dense_oracle(self, spec, with_lower, reuse):
+        rng = np.random.default_rng(51)
+        lv = _toy_level(rng, with_lower=with_lower)
+        phi = rng.uniform(0.4, 1.5, size=2)
+        params = RangeParams(phi)
+        fact = _likelihood_fact(lv, params, spec) if reuse else None
+        got = fisher_info_jeffreys(lv, params, spec, fact)
         want = _jeffreys_info_oracle(lv, phi, spec)
-        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-10)
+
+    @_each_kernel_and_level
+    @pytest.mark.parametrize("kind", (REFERENCE, JEFFREYS1, JEFFREYS2))
+    def test_log_prior_is_the_same_with_the_likelihood_fact(self, spec, with_lower, kind):
+        rng = np.random.default_rng(54)
+        lv = _toy_level(rng, with_lower=with_lower)
+        params = RangeParams(rng.uniform(0.4, 1.5, size=2))
+        prior = PriorSpec(kind=kind)
+        got = log_prior(lv, params, spec, prior, fact=_likelihood_fact(lv, params, spec))
+        want = log_prior(lv, params, spec, prior)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
     def test_symmetric_positive_definite(self):
         rng = np.random.default_rng(52)
