@@ -4,12 +4,8 @@
 regression structures; ``fit`` maximizes, independently per level, either
 the integrated posterior of the log-inverse ranges (``method="posterior"``)
 or the concentrated restricted likelihood baseline (``method="plugin"``),
-from several starts.  The optimizer follows from the objective: the
-plug-in criterion and the posterior under ``flat``, ``inverse_range`` and
-``jointly_robust`` have an analytic xi-gradient and run L-BFGS-B
-(``optim.lbfgs_max``); the posterior under the Fisher-information priors
-(``reference``, ``jeffreys1``, ``jeffreys2``) runs Nelder-Mead
-(``optim.nelder_mead_max``).
+from several starts.  Every objective has an analytic xi-gradient, and
+every start runs L-BFGS-B (``optim.lbfgs_max``) on it.
 
 The optimizer works in ``xi = log(1/phi)``.  For the posterior method the
 maximized objective includes the Jacobian of the map from ``xi`` to the
@@ -22,13 +18,17 @@ so no Jacobian enters there.
 
 A fit builds one ``kernels.Workspace`` per level: the packed distance
 stack of the level's distinct row pairs and every buffer an evaluation
-writes (R, and for the Fisher-information priors the derivative stack and
-the trace operands, or for the gradient objectives the pair weights of the
-gradient).  Each point then costs one correlation build and one in-place
-Cholesky factorization, shared by the likelihood and the prior, with
-LAPACK called directly and no allocation of an ``n x n`` or larger array.
-The gradient adds ``R^-1``, formed in place on the factor, and one pass
-over the pairs (``gp.log_likelihood_xi_grad``).
+writes (R and the pair weights of the gradient, and for the
+Fisher-information priors the derivative stack, the trace operands and the
+gradient's two ``n x n`` scratch matrices).  Each point then costs one
+correlation build and one in-place Cholesky factorization, shared by the
+likelihood and the prior, with LAPACK called directly and no allocation of
+an ``n x n`` or larger array.  The gradient adds ``R^-1`` or the GLS
+projector, formed in place on the factor, and one gemv over the pairs
+(``gp.log_likelihood_xi_grad``); under the reference and Jeffreys priors
+the projector is the one the Fisher information reads, and the prior's
+gradient adds about ``2d + 1`` gemms to its ``d``
+(``priors.log_prior``).
 """
 
 import math
@@ -56,17 +56,16 @@ from .gp import (
     gls_fit,
     integrated_log_likelihood,
     location_scale_estimates,
+    likelihood_columns,
     log_likelihood_xi_grad,
     log_S2,
     log_S2_exponent,
 )
 from .kernels import RangeParams, Workspace
-from .priors import FISHER_KINDS, JOINTLY_ROBUST, log_prior, log_prior_xi_grad
+# the sentinel of infeasible range parameters, at or below the threshold
+from .optim import SENTINEL, SENTINEL_THRESHOLD
+from .priors import FISHER_KINDS, JEFFREYS1, JOINTLY_ROBUST, log_prior
 
-# objective sentinel marking infeasible range parameters; anything at or
-# below the threshold is treated as a failed evaluation
-SENTINEL = -1e300
-SENTINEL_THRESHOLD = -1e299
 
 # coordinates closer than this are the same design point
 MATCH_TOL = 1e-12
@@ -90,13 +89,11 @@ def _is_real(value):
 class OptimOptions:
     """Multi-start optimizer configuration.
 
-    Each start runs the optimizer ``fit_level`` picks for the objective:
-    L-BFGS-B for the gradient objectives, Nelder-Mead for the
-    Fisher-information priors.  ``tol`` is the simplex's value spread at
-    which it stops, and L-BFGS-B's ``gtol`` (the largest gradient
-    component at which it stops); ``initial_step`` is the simplex's edge
-    and only the simplex reads it.  ``max_evals`` caps each start's
-    evaluations for both, and ``None`` means ``500 * (d + 1)``.  The first
+    Each start runs L-BFGS-B.  ``tol`` is its ``gtol``, the largest
+    gradient component at which it stops, and ``max_evals`` caps each
+    start's evaluations, ``None`` meaning ``500 * (d + 1)``.
+    ``initial_step`` is the edge of ``optim.nelder_mead_max``'s simplex,
+    which no fit runs any more: ``fit`` does not read it.  The first
     start is always ``xi = 0``; the remaining ``n_starts - 1`` are drawn
     uniformly from ``[start_low, start_high]^d`` with a stream seeded by
     ``(seed, level, start)`` so runs are reproducible and levels
@@ -345,26 +342,42 @@ def objective(data_t, xi, spec, prior, ws=None, grad=None):
     ``Workspace(data_t.inputs, spec, derivs=prior.kind in FISHER_KINDS)``
     whose buffers the evaluation writes.
 
-    ``grad``, an optional float array of shape ``(d,)`` for the kinds
-    outside ``FISHER_KINDS``, receives the xi-gradient of the same value,
-    bit for bit.  It needs a ``ws`` built with ``grad=True``, or none; any
-    other ``ws``, or a kind in ``FISHER_KINDS``, raises
-    ``InvalidArgumentError``.
+    ``grad``, an optional float array of shape ``(d,)``, receives the
+    xi-gradient of the same value, which is bit for bit the value without
+    it.  It needs a ``ws`` built with ``grad=True`` or, for the kinds in
+    ``FISHER_KINDS``, with ``derivs=True``, or none; any other ``ws``
+    raises ``InvalidArgumentError``.  For those kinds one projector serves
+    both gradients: the prior's ``Q`` or ``R^{-1}``, less the outer
+    product of the likelihood's columns, which are taken from the factor
+    first, is the likelihood's.  Under ``jeffreys2`` the prior's
+    ``|X^T R^{-1} X|^{1/2}`` cancels the likelihood's, so that projector
+    is ``R^{-1}`` less the residual term.
     """
     jacobian_sign = 1.0 if prior.kind == JOINTLY_ROBUST else -1.0
     a_t = prior.a_t(data_t.q)
+    fisher = prior.kind in FISHER_KINDS
 
     def posterior(params, fact, xi):
         value = integrated_log_likelihood(data_t, params, spec, a_t, fact=fact)
-        value += log_prior(data_t, params, spec, prior, fact=fact)
-        value += jacobian_sign * float(xi.sum())
+        prior_grad = columns = None
         if grad is not None:
             exponent = log_S2_exponent(data_t, a_t)
-            log_likelihood_xi_grad(data_t, params, spec, fact, exponent, grad)
-            grad[:] += log_prior_xi_grad(data_t, params, prior) + jacobian_sign
+            prior_grad = np.empty(grad.size)
+            if fisher:
+                # read before the prior consumes the factor: its projector
+                # less their outer product is the likelihood's, for which
+                # only jeffreys1's P = R^-1 needs the trend block too
+                columns = likelihood_columns(fact, exponent, prior.kind == JEFFREYS1)
+        value += log_prior(data_t, params, spec, prior, fact=fact, grad=prior_grad)
+        value += jacobian_sign * float(xi.sum())
+        if grad is not None:
+            log_likelihood_xi_grad(
+                data_t, params, spec, fact, exponent, grad, columns=columns
+            )
+            grad[:] += prior_grad + jacobian_sign
         return value
 
-    return _evaluate(data_t, xi, spec, ws, prior.kind in FISHER_KINDS, posterior, grad)
+    return _evaluate(data_t, xi, spec, ws, fisher, posterior, grad)
 
 
 def concentrated_restricted_likelihood(data_t, params, spec, fact=None):
@@ -464,14 +477,10 @@ class FitResult:
 
 def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
     """Estimate the range parameters of one level by multi-start
-    maximization in xi-space.  Deterministic given ``opts.seed``.
-
-    Objectives with an analytic xi-gradient (the plug-in criterion, and
-    the posterior under every kind outside ``FISHER_KINDS``) run
-    ``optim.lbfgs_max``; the reference and Jeffreys posteriors run
-    ``optim.nelder_mead_max``.
+    maximization in xi-space with ``optim.lbfgs_max`` and the analytic
+    xi-gradient of the objective.  Deterministic given ``opts.seed``.
     """
-    from .optim import lbfgs_max, nelder_mead_max
+    from .optim import lbfgs_max
 
     if method not in _METHODS:
         raise InvalidArgumentError(f"method must be one of {_METHODS}, got {method!r}")
@@ -485,15 +494,15 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
     d = data_t.dims
     # one set of evaluation buffers for the whole fit; freed when it returns
     derivs = method == POSTERIOR and prior.kind in FISHER_KINDS
-    ws = Workspace(data_t.inputs, spec, derivs=derivs, grad=not derivs)
+    ws = Workspace(data_t.inputs, spec, derivs=derivs, grad=True)
 
     # both objectives are looked up at call time, so wrappers installed on
     # this module see every evaluation
     if method == POSTERIOR:
-        def func(xi, grad=None):
+        def func(xi, grad):
             return objective(data_t, xi, spec, prior, ws, grad)
     else:
-        def func(xi, grad=None):
+        def func(xi, grad):
             return _plugin_objective(data_t, xi, spec, ws, grad)
 
     best = None
@@ -509,16 +518,7 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
                 np.random.SeedSequence(entropy=opts.seed, spawn_key=(data_t.index, j))
             )
             x0 = rng.uniform(opts.start_low, opts.start_high, size=d)
-        if derivs:
-            res = nelder_mead_max(
-                func,
-                x0,
-                initial_step=opts.initial_step,
-                tol=opts.tol,
-                max_evals=opts.max_evals,
-            )
-        else:
-            res = lbfgs_max(func, x0, tol=opts.tol, max_evals=opts.max_evals)
+        res = lbfgs_max(func, x0, tol=opts.tol, max_evals=opts.max_evals)
         total_evals += res.n_evals
         start_values.append(res.fun)
         if res.fun <= SENTINEL_THRESHOLD:

@@ -11,7 +11,10 @@ The one explicit inverse is ``gls_projector``'s: LAPACK ``dpotri`` forms
 ``R^{-1}`` in place on the factor, and one ``dsyrk`` turns it into the GLS
 projector.  It serves both consumers that read every entry of it, the
 xi-gradient (``log_likelihood_xi_grad``) and the Fisher information of
-the reference and Jeffreys priors (``priors``).  ``gls_fit`` calls LAPACK
+the reference and Jeffreys priors (``priors``), with one call per
+evaluation: under those priors the likelihood's gradient reads the
+prior's projector less the outer product of its ``likelihood_columns``,
+taken from the factor first.  ``gls_fit`` calls LAPACK
 (``dpotrf``, ``dtrtrs``) directly, the routines ``scipy.linalg.cholesky``
 and ``solve_triangular`` wrap, so its results are theirs bit for bit
 without their per-call checks.  It factorizes the correlation matrix in
@@ -296,17 +299,13 @@ def log_S2_exponent(data, a_t):
     return exponent
 
 
-def gls_projector(data, params, fact, projected=True, resid_scale=0.0):
-    """The GLS projector ``Q = R^{-1} - B B^T``, ``B = L^-T A Lm^-T``
-    (``projected``), or ``R^{-1}``, less ``s^2 u u^T`` with
-    ``u = R^{-1}(y - X b_hat) = L^-T e`` and ``s`` the ``resid_scale``, in
-    the lower triangle of an ``n x n`` Fortran-order array.
-
-    LAPACK ``dpotri`` forms ``R^{-1}`` in place on the factor and one
-    ``dsyrk`` subtracts the rank-(q+1) term ``V V^T``, ``V = [s u, B]``
-    (``V = s u`` unprojected), so the result is ``fact.chol_R`` itself and
-    the factorization is consumed.  The upper triangle holds none of it.
-    """
+def projector_columns(fact, projected=True, resid_scale=0.0):
+    """The columns ``V = [s u, B]`` (``projected``) or ``V = [s u]`` whose
+    outer product ``gls_projector`` takes off ``R^{-1}``: ``u = L^-T e =
+    R^{-1}(y - X b_hat)``, ``s`` the ``resid_scale`` and
+    ``B = L^-T A Lm^-T``, as an ``n x (q+1)`` or ``n x 1`` Fortran-order
+    array.  They are read from the factor, so a caller that needs them
+    after the factor is consumed takes them first."""
     L = fact.chol_R
     q = fact.chol_M.shape[0] if projected else 0
     V = np.empty((fact.n, q + 1), order="F")
@@ -315,13 +314,35 @@ def gls_projector(data, params, fact, projected=True, resid_scale=0.0):
     if projected:
         AM = dtrtrs(fact.chol_M, fact.white_design.T, lower=1)[0]
         V[:, 1:] = dtrtrs(L, AM.T, lower=1, trans=1)[0]
-    Rinv, info = dpotri(L, lower=1, overwrite_c=1)
+    return V
+
+
+def gls_projector(data, params, fact, projected=True, resid_scale=0.0):
+    """The GLS projector ``Q = R^{-1} - B B^T``, ``B = L^-T A Lm^-T``
+    (``projected``), or ``R^{-1}``, less ``s^2 u u^T`` with
+    ``u = R^{-1}(y - X b_hat) = L^-T e`` and ``s`` the ``resid_scale``, in
+    the lower triangle of an ``n x n`` Fortran-order array.
+
+    LAPACK ``dpotri`` forms ``R^{-1}`` in place on the factor and one
+    ``dsyrk`` subtracts the rank-(q+1) term ``V V^T`` of
+    ``projector_columns``, so the result is ``fact.chol_R`` itself and the
+    factorization is consumed.  The upper triangle holds none of it.
+    """
+    V = projector_columns(fact, projected, resid_scale)
+    Rinv, info = dpotri(fact.chol_R, lower=1, overwrite_c=1)
     if info != 0:
         raise SingularCorrelationError(params.phi, level=data.index)
     return dsyrk(-1.0, V, beta=1.0, c=Rinv, lower=1, overwrite_c=1)
 
 
-def log_likelihood_xi_grad(data, params, spec, fact, exponent, out, projected=True):
+def likelihood_columns(fact, exponent, projected=True):
+    """``projector_columns`` with the residual scale ``sqrt(2 c / S2)`` of
+    the likelihood's gradient, ``c`` the ``exponent`` on ``log S2``."""
+    return projector_columns(fact, projected, math.sqrt(2.0 * exponent / fact.S2))
+
+
+def log_likelihood_xi_grad(data, params, spec, fact, exponent, out, projected=True,
+                           columns=None):
     """Gradient in ``xi = -log(phi)`` of
     ``-1/2 log|R| - 1/2 log|X^T R^{-1} X| - exponent log S2`` (``projected``)
     or of ``-1/2 log|R| - exponent log S2``, into ``out``.
@@ -330,20 +351,32 @@ def log_likelihood_xi_grad(data, params, spec, fact, exponent, out, projected=Tr
     derivative is ``sum_{i<j} dR_k[i, j] (-G[i, j] + (2c / S2) u_i u_j)``,
     with ``G`` the GLS projector ``Q`` when ``projected`` and ``R^{-1}``
     otherwise: the negation of the lower triangle that ``gls_projector``
-    forms with ``resid_scale = sqrt(2c / S2)``.  Its pairs are gathered
-    into the workspace's ``gpairs`` for ``kernels.xi_gradient``.  ``fact``
-    is a factorization at ``params`` in a ``kernels.Workspace`` built with
-    ``grad``, whose build the gradient reads and whose ``chol_R`` it
-    consumes; any other raises ``InvalidArgumentError``.
+    forms with ``resid_scale = sqrt(2c / S2)``.  Its pairs, times the pair
+    correlations, are gathered into the workspace's ``gpairs`` for
+    ``kernels.xi_gradient``.  ``fact`` is a factorization at ``params`` in
+    a ``kernels.Workspace`` built with ``grad`` or ``derivs``, whose build
+    the gradient reads and whose ``chol_R`` it consumes; any other raises
+    ``InvalidArgumentError``.
+
+    ``columns``, when given, are the ``likelihood_columns`` of ``fact``,
+    taken before a Fisher-information prior replaced its factor with that
+    prior's projector ``P`` (``Q`` or ``R^{-1}``, both triangles); the
+    triangle is then ``P - V V^T``, one ``dsyrk`` in place on ``P``, and
+    ``projected`` is not read.
     """
     ws = fact.ws
     if ws is None or ws.gpairs is None:
         raise InvalidArgumentError("the xi-gradient needs a workspace with gradient buffers")
-    H = gls_projector(data, params, fact, projected, math.sqrt(2.0 * exponent / fact.S2))
+    if columns is None:
+        H = gls_projector(data, params, fact, projected, math.sqrt(2.0 * exponent / fact.S2))
+    else:
+        H = dsyrk(-1.0, columns, beta=1.0, c=fact.chol_R, lower=1, overwrite_c=1)
     # the lower triangle of the Fortran-order H holds the pair (i, j),
     # i < j, at the flat position i n + j of its C-order transpose
     m = ws.upper.size
-    np.take(H.T.reshape(-1), ws.upper, out=ws.gpairs[:m], mode="clip")
+    g = ws.gpairs[:m]
+    np.take(H.T.reshape(-1), ws.upper, out=g, mode="clip")
+    g *= ws.pairs[:m]
     return np.negative(xi_gradient(ws, params, out), out=out)
 
 

@@ -31,10 +31,13 @@ and constants ``c`` with ``c[k] A[k] = -(dr/dxi_k) / r``
 3/2 and 5/2.  So ``xi_gradient``, which contracts the derivatives with one
 weight per pair, is one gemv of ``A``.  The Fisher products read whole
 slices of ``dR/dphi_k``, so those are full ``(d, n, n)`` stacks: Matern 3/2
-and 5/2 gather ``A`` scaled by ``c / phi`` and the pair correlations, and
+and 5/2 gather ``A`` and scale it by ``c / phi`` and ``R``, and
 power-exponential and Matern 1/2 multiply a full distance stack by a
-constant and the gathered ``R``, which costs less than a gather.  Ranges
-so small that their multipliers ``phi^-alpha`` overflow raise
+constant and ``R``, which costs less than a gather.  The kernel is a
+product, so its second derivatives follow from the first and from one
+ratio per dimension, ``m_k`` of ``curvature_dot``: a constant, or for
+Matern 3/2 and 5/2 one more polynomial pass over the pairs.  Ranges so
+small that their multipliers ``phi^-alpha`` overflow raise
 ``RangeOverflowError``.
 """
 
@@ -346,8 +349,10 @@ def _linear_derivatives(phi, w, spec, ws):
     else:
         # (dr/dphi) / r = u / phi = T / phi^2
         c = np.minimum(w * w, _MAX_WEIGHT)
-    np.multiply(ws.full_stack, c[:, None, None], out=ws.dR)
-    ws.dR *= ws.R
+    # slice by slice: a broadcast product allocates an iteration buffer
+    for T_k, c_k, dR_k in zip(ws.full_stack, c, ws.dR):
+        np.multiply(T_k, c_k, out=dR_k)
+        dR_k *= ws.R
     # the ratio can overflow where the correlation underflowed to zero
     if not ws.pairs.all():
         np.copyto(ws.dR, 0.0, where=np.equal(ws.R, 0.0, out=ws.full_zero))
@@ -379,28 +384,27 @@ class Workspace:
     ``(d, width)`` derivative rows ``ratios`` (``_derivative_rows``), which
     every build then fills; a value-only workspace holds none, since
     filling them took a model build (``CokrigingModel``, n=200/60, Matern
-    5/2) from 6.0 to 7.5 ms.  Both ``grad`` and ``derivs`` hold the flat
-    positions ``upper`` of the pairs ``(i, j)``, ``i < j``, in an ``n x n``
-    matrix, where ``gp.gls_projector``'s triangle is read.  With ``grad``
-    (the objectives fitted by gradient) it holds no ``(d, n, n)`` array,
-    but the weights ``gpairs`` of the xi-gradient over the pairs, zero from
-    slot ``m`` on.  With ``derivs`` (the Fisher-information priors) it
-    holds the derivative stack ``dR``, full because the Fisher products
-    read whole slices of it: gathered from the scaled ``ratios`` for Matern
-    3/2 and 5/2, and for power-exponential and Matern 1/2 the full
-    ``(d, n, n)`` distance stack ``full_stack`` times a constant and the
-    gathered ``R``, with the ``n x n`` underflow mask ``full_zero``.  It
-    then holds too the trace operands ``W`` and their slice transposes
-    ``WT`` (each ``(d, n, n)``), and the mirrored positions ``lower`` of
-    the pairs, ``(j, i)``.  Whatever is built on a workspace, a
-    factorization included, is overwritten by the next evaluation on it.
+    5/2) from 6.0 to 7.5 ms.  Both also hold the flat positions ``upper``
+    of the pairs ``(i, j)``, ``i < j``, in an ``n x n`` matrix, where
+    ``gp.gls_projector``'s triangle is read, and the weights ``gpairs`` of
+    the xi-gradient over the pairs, zero from slot ``m`` on.  With
+    ``grad`` alone (the objectives without a Fisher-information prior) it
+    holds no ``(d, n, n)`` array.  With ``derivs`` (the Fisher-information
+    priors, whose gradient it serves too) it holds the derivative stack
+    ``dR``, full because the Fisher products read whole slices of it:
+    gathered from the ``ratios`` and scaled for Matern 3/2 and 5/2, and for
+    power-exponential and Matern 1/2 the full ``(d, n, n)`` distance stack
+    ``full_stack`` times a constant and the gathered ``R``, with the
+    ``n x n`` underflow mask ``full_zero``.  It then holds too the trace
+    operands ``W`` and their slice transposes ``WT`` (each ``(d, n, n)``),
+    the mirrored positions ``lower`` of the pairs, ``(j, i)``, and the
+    Fisher gradient's ``n x n`` matrix ``scratch`` and two rows over the
+    pairs, ``pair_scratch``.  Whatever is
+    built on a workspace, a factorization included, is overwritten by the
+    next evaluation on it.
     """
 
     def __init__(self, X, spec, derivs=False, grad=False):
-        if derivs and grad:
-            raise InvalidArgumentError(
-                "a workspace holds the derivative buffers or the gradient's, not both"
-            )
         self.X = _check_design(X, spec.dims)
         self.spec = spec
         n, d = self.X.shape
@@ -416,12 +420,11 @@ class Workspace:
             self.poly = np.empty(width)
         self.R = np.empty((n, n))
         self.full_stack = self.full_zero = None
-        self.dR = self.W = self.WT = None
+        self.dR = self.W = self.WT = self.scratch = self.pair_scratch = None
         self.gpairs = self.upper = self.lower = self.ratios = None
         if grad or derivs:
             i, j = np.triu_indices(n, 1)
             self.upper = i * n + j
-        if grad:
             self.gpairs = np.zeros(width)
         if polynomial and (grad or derivs):
             self.ratios = np.empty((d, width))
@@ -432,6 +435,8 @@ class Workspace:
             self.dR = np.empty((d, n, n))
             self.W = np.empty((d, n, n))
             self.WT = np.empty((d, n, n))
+            self.scratch = np.empty((n, n))
+            self.pair_scratch = np.empty((2, width))
             self.lower = j * n + i
 
 
@@ -472,11 +477,14 @@ def _build(X, params, spec, ws, derivs):
         if derivs and not _polynomial(spec):
             _linear_derivatives(phi, w, spec, ws)
         elif derivs:
-            # dR_k / dphi_k = r c_k A_k / phi_k
+            # dR_k / dphi_k = r c_k A_k / phi_k, gathered from the rows A,
+            # which stay as they are for the xi-gradient; scaled slice by
+            # slice, as a broadcast product allocates an iteration buffer
             A, c = _derivative_rows(ws, phi)
-            A *= (c / phi)[:, None]
-            A *= ws.pairs
             np.take(A, ws.index, axis=1, out=ws.dR.reshape(spec.dims, -1), mode="clip")
+            for k, dR_k in enumerate(ws.dR):
+                dR_k *= c / phi[k]
+                dR_k *= ws.R
     return ws
 
 
@@ -533,18 +541,51 @@ def corr_matrix_with_derivs(X, params, spec, ws=None):
 
 
 def xi_gradient(ws, params, out):
-    """``sum_p dR_k[p] g[p]`` over the distinct pairs, taken in
-    ``xi_k = -log(phi_k)``, into ``out``, shape ``(d,)``.
+    """``sum_p (dr_k/dxi_k)[p] g[p] / r[p]`` over the distinct pairs, with
+    ``xi_k = -log(phi_k)``, into ``out``, shape ``(d,)``: the derivatives
+    of ``log r_k`` contracted with the weights ``g`` in ``ws.gpairs``
+    (zero from slot ``n(n-1)/2`` on).
 
-    ``ws`` is a ``Workspace`` built with ``grad``, holding the last build
-    at ``params`` and the weights ``g`` in ``ws.gpairs`` (zero from slot
-    ``n(n-1)/2`` on), which this multiplies by the pair correlations.  Over
-    the pairs ``dR_k`` is ``-r c_k A_k`` (``_derivative_rows``), so the
-    whole gradient is one gemv of ``A``; no ``(d, n, n)`` array is formed.
+    ``ws`` is a ``Workspace`` built with ``grad`` or ``derivs``, holding
+    the last build at ``params``.  A caller that contracts ``dR_k`` with
+    weights ``h`` passes ``g = r h``.  Over the pairs ``d log r_k / dxi_k``
+    is ``-c_k A_k`` (``_derivative_rows``), so the whole gradient is one
+    gemv of ``A``; no ``(d, n, n)`` array is formed.
     """
     A, c = _derivative_rows(ws, params.phi)
-    g = ws.gpairs
-    g *= ws.pairs
-    np.matmul(A, g, out=out)
+    np.matmul(A, ws.gpairs, out=out)
     out *= -c
     return out
+
+
+def curvature_dot(ws, params, k, x):
+    """``sum_p x[p] m_k[p]`` over the first ``len(x)`` pairs, where ``m_k``
+    is the ratio of the second to the first xi-derivative of ``log r_k``:
+    ``d^2 R / dxi_k^2 = (dR/dxi_k)^2 / R + m_k dR/dxi_k``.
+
+    ``m_k`` is the constant ``alpha`` for power-exponential (1 for Matern
+    1/2), and ``1 + e(u_k)`` for Matern 3/2 and 5/2, with
+    ``e = 1 / (1 + u)`` and ``e = (2 - 1 / poly) / (1 + u)``, which stay
+    finite for every ``u``; those are formed in the workspace's ``u`` and
+    ``poly`` from the last build's pair stack at ``params``.
+    """
+    spec = ws.spec
+    if not _polynomial(spec):
+        return _power(spec) * float(x.sum())
+    m = x.size
+    u, poly = ws.u[:m], ws.poly[:m]
+    np.multiply(ws.stack[k, :m], _weights(params.phi, spec)[k], out=u)
+    with np.errstate(over="ignore"):
+        if spec.shape == 2.5:
+            # 2 - 1 / (1 + u (1 + u / 3))
+            np.multiply(u, 1.0 / 3.0, out=poly)
+            poly += 1.0
+            poly *= u
+            poly += 1.0
+            np.reciprocal(poly, out=poly)
+            np.subtract(2.0, poly, out=poly)
+        u += 1.0
+        np.reciprocal(u, out=u)
+        if spec.shape == 2.5:
+            u *= poly
+    return float(x.sum()) + float(x @ u)

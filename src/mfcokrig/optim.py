@@ -1,5 +1,5 @@
-"""Budgeted maximization from one start: a derivative-free simplex, and
-L-BFGS-B for objectives with an analytic gradient.
+"""Budgeted maximization from one start: L-BFGS-B for objectives with an
+analytic gradient, which every fit runs, and a derivative-free simplex.
 
 ``nelder_mead_max`` is a small Nelder-Mead implementation instead of an
 off-the-shelf one because its stop rule is the function-value spread of
@@ -12,12 +12,14 @@ shrink 0.5.
 ``lbfgs_max`` runs scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) without
 bounds on the negated objective and its gradient, and enforces the
 evaluation budget itself, since scipy's ``maxfun`` is checked only between
-iterations and a line search can overrun it.
+iterations and a line search can overrun it.  No fit runs the simplex
+any more; the benchmark's tracer (``perfbench/tracing.py``) still hooks
+it, so it goes with the next change to that harness.
 
-Both return the best point ever evaluated and both treat a very large
-negative value as a sentinel of an infeasible region: the simplex is
-repelled from it, and L-BFGS-B's line search retreats from a sentinel that
-comes with a zero gradient.
+Both return the best point ever evaluated and both treat a value at or
+below ``SENTINEL_THRESHOLD`` as a sentinel of an infeasible region: the
+simplex is repelled from it, and L-BFGS-B's line search retreats from a
+sentinel that comes with a zero gradient.
 """
 
 from dataclasses import dataclass
@@ -26,6 +28,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .exceptions import InvalidArgumentError
+
+# objective sentinel marking infeasible points; anything at or below the
+# threshold is treated as a failed evaluation
+SENTINEL = -1e300
+SENTINEL_THRESHOLD = -1e299
 
 # L-BFGS-B's relative-reduction stop, tight enough that the gradient test
 # ends a run: (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= this
@@ -39,10 +46,14 @@ class OptimResult:
     ``x`` and ``fun`` are the best point ever evaluated, which is not
     necessarily the simplex's last vertex or L-BFGS-B's last iterate.
     ``converged`` is the optimizer's own stop test: for the simplex, the
-    value spread of its vertices fell below ``tol``; for L-BFGS-B, the
-    largest gradient component fell below ``tol`` or the relative
-    reduction of the value below ``_LBFGS_FTOL``.  A run that ends on its
-    evaluation budget, or whose line search fails, is not converged.
+    value spread of its vertices fell below ``tol``.  For L-BFGS-B, the
+    largest gradient component fell to ``tol``; or the run stopped where
+    the objective's rounding ends all progress, on the relative reduction
+    of the value falling below ``_LBFGS_FTOL`` or on a line search that
+    found no decrease, unless that last line search met a sentinel: its
+    step then collapsed at an infeasible region.  A run that ends on its
+    evaluation budget, or whose best value is a sentinel, is not
+    converged.
     """
 
     x: np.ndarray
@@ -178,9 +189,9 @@ def lbfgs_max(func, x0, tol=1e-8, max_evals=None):
     ----------
     func : callable
         ``func(x, grad)`` returns the value at the 1-d point ``x`` as a
-        float and writes its gradient into the array ``grad``.  A very
-        large negative sentinel with a zero gradient marks an infeasible
-        point, from which the line search retreats.
+        float and writes its gradient into the array ``grad``.  A value at
+        or below ``SENTINEL_THRESHOLD``, with a zero gradient, marks an
+        infeasible point, from which the line search retreats.
     x0 : array_like
         Starting point.
     tol : float
@@ -192,12 +203,23 @@ def lbfgs_max(func, x0, tol=1e-8, max_evals=None):
     """
     budget = _Budget(x0, max_evals)
     grad = np.empty(budget.x0.size)
+    # evaluation counts at the end of each iteration, and at the last
+    # sentinel: the final line search is what came after the last but one
+    ends = [0]
+    last_sentinel = 0
+
+    def negated(x):
+        nonlocal last_sentinel
+        f = budget.evaluate(value, x)
+        if f <= SENTINEL_THRESHOLD:
+            last_sentinel = budget.n_evals
+        return -f, -grad
 
     def value(x):
         return func(x, grad)
 
-    def negated(x):
-        return -budget.evaluate(value, x), -grad
+    def iteration_end(xk):
+        ends.append(budget.n_evals)
 
     converged = False
     try:
@@ -206,6 +228,7 @@ def lbfgs_max(func, x0, tol=1e-8, max_evals=None):
             budget.x0,
             jac=True,
             method="L-BFGS-B",
+            callback=iteration_end,
             options={
                 "maxfun": budget.max_evals,
                 "maxiter": budget.max_evals,
@@ -213,7 +236,18 @@ def lbfgs_max(func, x0, tol=1e-8, max_evals=None):
                 "gtol": tol,
             },
         )
-        converged = bool(res.success)
+        # past the gradient test, L-BFGS-B stops where the objective's
+        # rounding ends all progress: on its relative-reduction test, or
+        # on a line search that finds no decrease even downhill (status
+        # 2); but where that last search met a sentinel and fell back, the
+        # step collapsed at an infeasible region instead
+        gradient_test = res.status == 0 and float(np.abs(res.jac).max()) <= tol
+        last_search = ends[-2] if len(ends) > 1 else 0
+        converged = (
+            res.status != 1
+            and budget.best_f > SENTINEL_THRESHOLD
+            and (gradient_test or last_sentinel <= last_search)
+        )
     except _BudgetExhausted:
         pass
     return budget.result(converged)

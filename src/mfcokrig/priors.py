@@ -13,7 +13,9 @@ lives in a ``kernels.Workspace`` with derivative buffers.  The inverse or
 the GLS projector comes from ``gp.gls_projector``, in place on the factor,
 the trace operands are written into the workspace's buffers, and LAPACK
 ``dpotrf`` is called directly, so an evaluation allocates no ``n x n``
-array.
+array.  ``log_prior`` also gives the xi-gradient of every kind; for these
+three it is read from the same projector and trace operands, at about
+``2d + 1`` gemms of ``n x n`` on top of the information's ``d``.
 
 Supported kinds:
 
@@ -32,10 +34,11 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .exceptions import InvalidArgumentError, PriorEvaluationError
 from .gp import gls_fit, gls_projector
+from .kernels import curvature_dot, xi_gradient
 
 # bound here as well for tools that wrap the kernel layer under this module
 # (perfbench/tracing.py); the build itself happens inside ``gls_fit``
@@ -167,15 +170,91 @@ def fisher_info_jeffreys(data, params, spec, fact=None):
     return _fisher_info(data, params, spec, fact, data.n, False)
 
 
-def _half_logdet_psd(info, params, what):
-    """Half the log determinant of a symmetric ``info`` (its lower triangle
-    is read)."""
+def _info_factor(info, params, what):
+    """Lower Cholesky factor of a symmetric ``info`` (its lower triangle is
+    read); half its log determinant is the sum of the logs of the factor's
+    diagonal."""
     L, status = dpotrf(info, lower=1)
     if status != 0:
         raise PriorEvaluationError(
             f"{what} information matrix is not positive definite", phi=params.phi
         )
-    return float(np.log(L.diagonal()).sum())
+    return L
+
+
+def _half_logdet_xi_grad(fact, params, L, out):
+    """Gradient in ``xi = -log(phi)`` of ``1/2 log det I``, from the
+    operands ``_fisher_info`` left in the workspace of ``fact``: the
+    projector ``P`` (``Q`` or ``R^{-1}``, both triangles) in its
+    ``chol_R``, ``W_k = dR_k P`` and the factor ``L`` of ``I``.
+
+    With ``D_k = dR/dxi_k``, ``V_k = (I^-1)_0k Id + sum_l (I^-1)_kl W_l``
+    and ``dW_k/dxi_j = D_kj P - D_k P D_j P``, the derivative is
+    ``sum_k tr(dW_k/dxi_j V_k)``.  The kernel is a product, so
+    ``D_kj = D_k D_j / R`` for ``k != j`` and ``D_jj = D_j^2 / R + m_j D_j``
+    (``kernels.curvature_dot``); with the symmetric ``X_k = P V_k``,
+    ``S = sum_k D_k X_k`` (elementwise) and ``Z = sum_k X_k D_k P``, it is
+    ``<D_j, S / R - Z> + <m_j D_j, X_j>``.  Both inner products are sums
+    over the pairs, the first one gemv of the derivative rows
+    (``kernels.xi_gradient``) against ``2 (S - R Z)``.
+
+    The code reads the phi-derivatives ``dR_k`` of the workspace and ``I``
+    taken in phi, as ``_fisher_info`` builds it.  With
+    ``D_k = -phi_k dR_k``, ``X_k`` in xi is ``-X_k / phi_k`` in phi, so
+    ``D_k X_k``, ``S`` and ``Z`` are the same in both; and since
+    ``1/2 log det I`` in xi is that in phi less ``sum(xi)``, 1 is added
+    to each coordinate of its gradient.
+
+    ``X_k`` and ``Z`` are symmetric, but their gemms round the two
+    triangles apart, and where ``R`` is ill-conditioned that difference
+    is as large as the gradient (2.7e-4 against a central difference at a
+    Matern 5/2 optimum with cond(R) 2e9, and 3e-6 with both triangles), so
+    every sum over the pairs adds both triangles.
+
+    ``V_k`` goes into ``WT``, free once the traces are formed, ``X_k`` into
+    the workspace's ``scratch`` matrix and the pair sums into its
+    ``pair_scratch`` rows and ``gpairs``; the products stay d per-slice
+    gemms, as ``_fisher_info``'s do.
+    """
+    ws = fact.ws
+    dR, W, WT = ws.dR, ws.W, ws.WT
+    d, n = W.shape[:2]
+    m = ws.upper.size
+    P = fact.chol_R.T
+    X = ws.scratch
+    flat = X.reshape(-1)
+    x, other, S = ws.gpairs[:m], ws.pair_scratch[0, :m], ws.pair_scratch[1, :m]
+
+    def pair_sums():
+        """``x[p] = X[i, j] + X[j, i]`` over the pairs ``p = (i, j)``."""
+        np.take(flat, ws.upper, out=x, mode="clip")
+        np.take(flat, ws.lower, out=other, mode="clip")
+        np.add(x, other, out=x)
+
+    inv, _ = dpotri(L, lower=1)
+    inv = np.tril(inv) + np.tril(inv, -1).T
+    np.matmul(inv[1:, 1:], W.reshape(d, -1), out=WT.reshape(d, -1))
+    WT.reshape(d, -1)[:, :: n + 1] += inv[1:, :1]
+    curvature = np.empty(d)
+    for k in range(d):
+        np.matmul(P, WT[k], out=X)
+        np.matmul(X, W[k], out=WT[k])
+        X *= dR[k]
+        pair_sums()
+        curvature[k] = curvature_dot(ws, params, k, x)
+        if k == 0:
+            np.copyto(S, x)
+        else:
+            S += x
+    WT.sum(axis=0, out=X)
+    pair_sums()
+    x *= ws.pairs[:m]
+    x -= S
+    np.negative(x, out=x)
+    xi_gradient(ws, params, out)
+    out += curvature
+    out += 1.0
+    return out
 
 
 def jr_defaults(n_obs, input_ranges):
@@ -235,7 +314,7 @@ def log_jr_prior(params, prior, n_obs=None, input_ranges=None):
     return a0 * math.log(total) - b0 * total
 
 
-def log_prior(data, params, spec, prior, fact=None):
+def log_prior(data, params, spec, prior, fact=None, grad=None):
     """Per-level log prior density of the configured kind.
 
     ``reference`` is ``1/2 log det I_R``; ``jeffreys1`` is
@@ -243,40 +322,50 @@ def log_prior(data, params, spec, prior, fact=None):
     ``fact`` is an optional ``gls_fit(..., derivs=True)`` factorization at
     ``params``, reused by the kinds in ``FISHER_KINDS``, which consume its
     ``chol_R``: read the likelihood from it first.
+
+    ``grad``, an optional float array of shape ``(d,)``, receives the
+    gradient of the value in ``xi = -log(phi)``: 0 for ``flat``, 1 in
+    every coordinate for ``inverse_range``,
+    ``(a0 / sum(C/phi) - b0) C_k / phi_k`` for ``jointly_robust``, and for
+    the kinds in ``FISHER_KINDS`` that of ``1/2 log det I``
+    (``_half_logdet_xi_grad``).  ``jeffreys2``'s
+    ``1/2 log|X^T R^{-1} X|`` is left out of it: it cancels the
+    likelihood's, and the caller takes the two together, from the factor
+    before this consumes it.
     """
-    if prior.kind == FLAT:
-        return 0.0
-    if prior.kind == INVERSE_RANGE:
-        return -float(np.sum(np.log(params.phi)))
-    if prior.kind == REFERENCE:
-        info = fisher_info_reference(data, params, spec, fact)
-        return _half_logdet_psd(info, params, "reference-prior")
-    if prior.kind in (JEFFREYS1, JEFFREYS2):
+    if prior.kind in FISHER_KINDS:
         fact = _with_derivs(data, params, spec, fact)
-        info = fisher_info_jeffreys(data, params, spec, fact)
-        value = _half_logdet_psd(info, params, "Jeffreys-prior")
+        if prior.kind == REFERENCE:
+            info = fisher_info_reference(data, params, spec, fact)
+            what = "reference-prior"
+        else:
+            info = fisher_info_jeffreys(data, params, spec, fact)
+            what = "Jeffreys-prior"
+        L = _info_factor(info, params, what)
+        value = float(np.log(L.diagonal()).sum())
         if prior.kind == JEFFREYS2:
             value += 0.5 * fact.logdet_M
+        if grad is not None:
+            _half_logdet_xi_grad(fact, params, L, grad)
         return value
-    return log_jr_prior(params, prior, n_obs=data.n, input_ranges=_input_ranges(data))
+    if prior.kind == FLAT:
+        value = 0.0
+        if grad is not None:
+            grad.fill(0.0)
+    elif prior.kind == INVERSE_RANGE:
+        value = -float(np.sum(np.log(params.phi)))
+        if grad is not None:
+            grad.fill(1.0)
+    else:
+        ranges = _input_ranges(data)
+        value = log_jr_prior(params, prior, n_obs=data.n, input_ranges=ranges)
+        if grad is not None:
+            a0, b0, C, total = _jr_terms(params, prior, data.n, ranges)
+            grad[:] = (a0 / total - b0) * (C / params.phi)
+    return value
 
 
 def _input_ranges(data):
     """Per-dimension spans of the level's design, for the jointly robust
     defaults."""
     return data.inputs.max(axis=0) - data.inputs.min(axis=0)
-
-
-def log_prior_xi_grad(data, params, prior):
-    """Gradient of ``log_prior`` in ``xi = -log(phi)`` for the kinds without
-    Fisher information: 0 for ``flat``, 1 in every coordinate for
-    ``inverse_range`` and ``(a0 / sum(C/phi) - b0) C_k / phi_k`` for
-    ``jointly_robust``.  The Fisher kinds have no closed form here."""
-    if prior.kind in FISHER_KINDS:
-        raise InvalidArgumentError(f"no closed-form xi-gradient for the {prior.kind} prior")
-    if prior.kind == FLAT:
-        return np.zeros(params.dims)
-    if prior.kind == INVERSE_RANGE:
-        return np.ones(params.dims)
-    a0, b0, C, total = _jr_terms(params, prior, data.n, _input_ranges(data))
-    return (a0 / total - b0) * (C / params.phi)

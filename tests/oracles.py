@@ -8,7 +8,9 @@ matrix is built twice (once for the likelihood, once with its derivatives
 for the prior), ``R^{-1}`` is formed explicitly and the prior's trace terms
 come from ``einsum``.  ``dense_xi_gradient`` is the xi-gradient of the
 objectives fitted by L-BFGS-B, from the full derivative stack, an explicit
-inverse and the trace formula.
+inverse and the trace formula; ``dense_fisher_xi_gradient`` is that of
+the reference and Jeffreys posteriors, from the full second-derivative
+stack and ``1/2 tr(I^-1 dI)``.
 
 ``coincident_rows_loop`` is the row-by-row design-point test and
 ``point_draws`` the per-point sampling path: one cross-correlation column,
@@ -198,6 +200,82 @@ def dense_xi_gradient(lv, xi, spec, kind):
         CB = n ** (-1.0 / d) * span / phi
         grad += ((0.5 - d) / CB.sum() - 1.0) * CB + 1.0
     return grad
+
+
+def d2corr_ratio(h, phi, spec):
+    """``(d^2 r / dphi^2) / r`` for one dimension; elementwise over array
+    ``h``."""
+    if spec.family == POWER_EXPONENTIAL or spec.shape == 0.5:
+        a = spec.shape if spec.family == POWER_EXPONENTIAL else 1.0
+        t = h**a
+        return (a * t / phi ** (a + 1.0)) ** 2 - a * (a + 1.0) * t / phi ** (a + 2.0)
+    u = math.sqrt(2.0 * spec.shape) * (h / phi)
+    if spec.shape == 1.5:
+        # r'' = (u^3 - 3 u^2) e^-u / phi^2 and r = (1 + u) e^-u
+        return (u**3 - 3.0 * u**2) / ((1.0 + u) * phi * phi)
+    # r'' = (u^4 - 3 u^3 - 3 u^2) e^-u / (3 phi^2), r = (1 + u + u^2/3) e^-u
+    return (u**4 - 3.0 * u**3 - 3.0 * u**2) / (3.0 * phi * phi * (1.0 + u + u * u / 3.0))
+
+
+def dense_fisher_xi_gradient(lv, xi, spec, kind):
+    """xi-gradient of the posterior under a kind in ``FISHER_KINDS``,
+    computed the long way: the full second-derivative stack entry by entry
+    (``d2R[k, j] = R rho_k rho_j`` off the diagonal of ``(k, j)`` and
+    ``R r_k'' / r_k`` on it, with ``rho = (dr/dphi) / r``),
+    ``np.linalg.inv``, and ``1/2 tr(I^-1 dI/dphi_j)`` with
+    ``dI_0k = tr(dW_k)`` and ``dI_kl = tr(dW_k W_l + W_k dW_l)``,
+    ``dW_k = d2R[k, j] P - dR_k P dR_j P``.  The likelihood's part is
+    ``-1/2 tr(Q dR_j) + c u^T dR_j u / S2``, ``jeffreys2`` adds
+    ``-1/2 tr(M^-1 X^T R^-1 dR_j R^-1 X)``, and then
+    ``d/dxi_j = -phi_j d/dphi_j`` less the Jacobian's 1.
+    """
+    phi = np.exp(-xi)
+    n, d, q, X, y = lv.n, lv.dims, lv.q, lv.design, lv.outputs
+    H = np.abs(lv.inputs[:, None, :] - lv.inputs[None, :, :])
+    R0 = np.ones((n, n))
+    for k in range(d):
+        R0 *= corr1d(H[:, :, k], phi[k], spec)
+    R = R0.copy()
+    np.fill_diagonal(R, 1.0 + spec.nugget)
+    live = R0 != 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.array([dcorr_ratio(H[:, :, k], phi[k], spec) for k in range(d)])
+        second = np.array([d2corr_ratio(H[:, :, k], phi[k], spec) for k in range(d)])
+    dR = np.where(live, R0 * rho, 0.0)
+    d2R = np.empty((d, d, n, n))
+    for k in range(d):
+        for j in range(d):
+            ratio = second[k] if k == j else rho[k] * rho[j]
+            d2R[k, j] = np.where(live, R0 * ratio, 0.0)
+
+    Rinv = np.linalg.inv(R)
+    RX = Rinv @ X
+    M = X.T @ RX
+    Minv = np.linalg.inv(M)
+    Q = Rinv - RX @ Minv @ RX.T
+    P = Q if kind == "reference" else Rinv
+    W = dR @ P
+    info = _trace_form(n - q if kind == "reference" else n, W)
+    info_inv = np.linalg.inv(info)
+    prior = np.empty(d)
+    for j in range(d):
+        dP = -P @ dR[j] @ P
+        dW = d2R[:, j] @ P + dR @ dP
+        dinfo = np.zeros((d + 1, d + 1))
+        dinfo[0, 1:] = dinfo[1:, 0] = np.einsum("kii->k", dW)
+        body = np.einsum("kab,lba->kl", dW, W)
+        dinfo[1:, 1:] = body + body.T
+        prior[j] = 0.5 * np.trace(info_inv @ dinfo)
+        if kind == "jeffreys2":
+            prior[j] -= 0.5 * np.trace(Minv @ RX.T @ dR[j] @ RX)
+
+    resid = y - X @ (Minv @ (RX.T @ y))
+    u = Rinv @ resid
+    S2 = float(resid @ u)
+    a_t = 1.0 + 0.5 * q if kind == "jeffreys2" else 1.0
+    c = 0.5 * (n - q) + a_t - 1.0
+    lik = np.array([-0.5 * np.trace(Q @ dR_j) + c * (u @ dR_j @ u) / S2 for dR_j in dR])
+    return -phi * (lik + prior) - 1.0
 
 
 def coincident_rows_loop(A, B, tol):

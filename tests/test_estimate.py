@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcokrig import estimate as estimate_module
+from mfcokrig import optim as optim_module
 from mfcokrig.bench import borehole_high, borehole_low, replicate_design, scale_to_box
 from mfcokrig.estimate import (
     MATCH_TOL,
@@ -48,7 +49,12 @@ from mfcokrig.kernels import (
 )
 from mfcokrig.modelio import read_record, record
 from mfcokrig.priors import FISHER_KINDS, JOINTLY_ROBUST, PRIOR_KINDS, PriorSpec, log_prior
-from oracles import coincident_rows_loop, dense_objective, dense_xi_gradient
+from oracles import (
+    coincident_rows_loop,
+    dense_fisher_xi_gradient,
+    dense_objective,
+    dense_xi_gradient,
+)
 
 
 def _nested_pair(rng, n1=14, n2=7, d=2, gamma=1.6):
@@ -286,7 +292,13 @@ class TestObjectiveAgainstDenseOracle:
 
 
 _GRAD_KERNELS = ((POWER_EXPONENTIAL, 1.9), (MATERN, 0.5), (MATERN, 1.5), (MATERN, 2.5))
-_GRAD_CRITERIA = ("plugin", "flat", "inverse_range", "jointly_robust")
+_GRAD_CRITERIA = ("plugin", "flat", "inverse_range", "jointly_robust") + FISHER_KINDS
+
+
+def _grad_workspace(lv, spec, kind):
+    """The workspace a fit under ``kind`` builds: with the derivative
+    buffers for the kinds in ``FISHER_KINDS``."""
+    return Workspace(lv.inputs, spec, derivs=kind in FISHER_KINDS, grad=True)
 
 
 def _value_and_grad(lv, xi, spec, kind, ws):
@@ -311,7 +323,7 @@ def _five_point(f, xi, k, h=1e-2):
 
 class TestGradient:
     """The xi-gradient of the plug-in criterion and of the posterior under
-    the kinds without Fisher information, on both borehole levels."""
+    every prior kind, on both borehole levels."""
 
     @pytest.mark.parametrize("kernel", _GRAD_KERNELS)
     @pytest.mark.parametrize("kind", _GRAD_CRITERIA)
@@ -324,41 +336,65 @@ class TestGradient:
         lv = _borehole_levels()[level]
         xi = np.array(xi)
         value, grad, float_only = _value_and_grad(
-            lv, xi, spec, kind, Workspace(lv.inputs, spec, grad=True))
+            lv, xi, spec, kind, _grad_workspace(lv, spec, kind))
         assert value > SENTINEL_THRESHOLD
         # the gradient leaves the value untouched, bit for bit
         assert value == float_only
         scale = max(1.0, np.abs(grad).max())
-        want = dense_xi_gradient(lv, xi, spec, kind)
+        if kind in FISHER_KINDS:
+            want = dense_fisher_xi_gradient(lv, xi, spec, kind)
+        else:
+            want = dense_xi_gradient(lv, xi, spec, kind)
         np.testing.assert_allclose(grad, want, rtol=0.0, atol=1e-6 * scale)
         f = lambda x: _value_and_grad(lv, x, spec, kind, None)[2]
         fd = np.array([_five_point(f, xi, k) for k in range(8)])
         np.testing.assert_allclose(grad, fd, rtol=0.0, atol=1e-5 * scale)
 
+    @pytest.mark.parametrize("kernel", [(MATERN, 2.5), (POWER_EXPONENTIAL, 1.9)])
+    @pytest.mark.parametrize("kind", FISHER_KINDS)
+    def test_fisher_gradient_where_R_is_ill_conditioned(self, kernel, kind):
+        """Four ranges near e^8 make R ill-conditioned, and the products of
+        the Fisher gradient round their two triangles apart by about the
+        gradient itself; summed over both triangles it still matches the
+        oracle (one triangle missed it by 2e-4 to 6e-4 for Matern 5/2)."""
+        family, shape = kernel
+        spec = KernelSpec(family=family, shape=shape, dims=8)
+        lv = _borehole_levels()[0]
+        xi = np.array([-0.8, -8.0, -7.8, -1.9, -7.0, -1.8, -1.5, -2.4])
+        _, grad, _ = _value_and_grad(lv, xi, spec, kind, None)
+        scale = max(1.0, np.abs(grad).max())
+        want = dense_fisher_xi_gradient(lv, xi, spec, kind)
+        np.testing.assert_allclose(grad, want, rtol=0.0, atol=1e-6 * scale)
+
     def test_the_gradient_needs_a_gradient_workspace(self):
         lv = _borehole_levels()[1]
         spec = KernelSpec(family=MATERN, shape=2.5, dims=8)
         xi = np.linspace(-1.0, 0.5, 8)
-        want = _value_and_grad(lv, xi, spec, "jointly_robust", Workspace(lv.inputs, spec, grad=True))
-        # without one, the evaluation builds its own
-        got = _value_and_grad(lv, xi, spec, "jointly_robust", None)
-        assert got[0] == want[0]
-        np.testing.assert_array_equal(got[1], want[1])
+        for kind in ("jointly_robust", "reference"):
+            want = _value_and_grad(lv, xi, spec, kind, _grad_workspace(lv, spec, kind))
+            # without one, the evaluation builds its own
+            got = _value_and_grad(lv, xi, spec, kind, None)
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(got[1], want[1])
         # a value-only workspace raises instead of building R again
         with pytest.raises(InvalidArgumentError, match="gradient buffers"):
             _value_and_grad(lv, xi, spec, "jointly_robust", Workspace(lv.inputs, spec))
-        # so does a Fisher kind, before anything is built
-        with pytest.raises(InvalidArgumentError, match="not both"):
-            objective(lv, xi, spec, PriorSpec(kind="reference"), grad=np.empty(8))
+        # and a Fisher kind needs the derivative buffers, which serve its
+        # gradient too
+        with pytest.raises(InvalidArgumentError, match="derivative buffers"):
+            _value_and_grad(lv, xi, spec, "reference", Workspace(lv.inputs, spec, grad=True))
 
-    def test_a_workspace_holds_one_kind_of_derivative_buffers(self):
+    def test_only_the_fisher_kinds_hold_a_derivative_stack(self):
         lv = _borehole_levels()[1]
         spec = KernelSpec(family=MATERN, shape=2.5, dims=8)
-        with pytest.raises(InvalidArgumentError, match="not both"):
-            Workspace(lv.inputs, spec, derivs=True, grad=True)
         # a gradient workspace holds no (d, n, n) array
         ws = Workspace(lv.inputs, spec, grad=True)
         assert all(v.ndim < 3 for v in vars(ws).values() if isinstance(v, np.ndarray))
+        # a derivative workspace holds the gradient's buffers as well, with
+        # or without grad
+        for grad in (False, True):
+            ws = Workspace(lv.inputs, spec, derivs=True, grad=grad)
+            assert ws.dR.shape == (8, lv.n, lv.n) and ws.gpairs is not None
 
     @pytest.mark.parametrize("kind", _GRAD_CRITERIA)
     def test_sentinel_comes_with_a_zero_gradient(self, kind):
@@ -370,7 +406,7 @@ class TestGradient:
         # too small for their weights phi^-alpha
         for xi in (np.full(2, -20.0), np.array([0.0, 400.0])):
             value, grad, float_only = _value_and_grad(
-                lv, xi, spec, kind, Workspace(lv.inputs, spec, grad=True))
+                lv, xi, spec, kind, _grad_workspace(lv, spec, kind))
             assert value == float_only == SENTINEL
             np.testing.assert_array_equal(grad, np.zeros(2))
 
@@ -446,21 +482,26 @@ class TestWorkspace:
         without = [fit_level(lv, spec, prior, opts, method=method) for lv in data.levels]
         assert [record(f) for f in with_ws] == [record(f) for f in without]
 
-    @pytest.mark.parametrize("family, shape", [
-        (POWER_EXPONENTIAL, 1.9), (MATERN, 1.5), (MATERN, 2.5)])
-    def test_evaluation_allocates_less_than_one_derivative_stack(self, family, shape):
-        """A reference-prior evaluation at n=80, d=8 on a warm workspace
-        allocates less than one (d, n, n) stack in all."""
+    @pytest.mark.parametrize("family, shape, with_grad", [
+        (POWER_EXPONENTIAL, 1.9, False), (MATERN, 1.5, False), (MATERN, 2.5, False),
+        (POWER_EXPONENTIAL, 1.9, True), (MATERN, 2.5, True)])
+    def test_evaluation_allocates_less_than_one_derivative_stack(self, family, shape,
+                                                                 with_grad):
+        """A reference-prior evaluation at n=80, d=8 on a warm workspace,
+        with or without its gradient, allocates less than one (d, n, n)
+        stack in all: the gradient's products go into the workspace's
+        buffers too."""
         lv = _borehole_levels()[0]
         spec = KernelSpec(family=family, shape=shape, dims=8)
         prior = PriorSpec(kind="reference")
         ws = Workspace(lv.inputs, spec, derivs=True)
-        assert objective(lv, np.zeros(8), spec, prior, ws) > SENTINEL_THRESHOLD
+        grad = np.empty(8) if with_grad else None
+        assert objective(lv, np.zeros(8), spec, prior, ws, grad) > SENTINEL_THRESHOLD
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            value = objective(lv, np.full(8, 0.5), spec, prior, ws)
+            value = objective(lv, np.full(8, 0.5), spec, prior, ws, grad)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -609,16 +650,49 @@ class TestFitLevel:
                 xi[k] += delta
                 assert objective(lv, xi, spec, prior) <= lf.objective_value + 1e-9
 
-    def test_default_budget_is_the_optimizer_default(self):
+    def test_default_budget_is_the_optimizer_default(self, monkeypatch):
+        """Without ``max_evals`` every start runs on the optimizer's default
+        budget of ``500 (d + 1)`` evaluations, which ``TestLbfgsMax`` checks
+        that a start never stopped by L-BFGS-B spends in full."""
         rng = np.random.default_rng(34)
         X = rng.uniform(size=(8, 1))
         data = assemble([(X, np.sin(4.0 * X[:, 0]))])
         spec = KernelSpec(family=MATERN, shape=2.5, dims=1)
-        # tol=0 never stops the simplex, which the reference prior runs, so
-        # each start spends its whole budget
+        real = optim_module.lbfgs_max
+        budgets = []
+
+        def recorded(func, x0, tol, max_evals):
+            budgets.append(max_evals)
+            return real(func, x0, tol=tol, max_evals=max_evals)
+
+        monkeypatch.setattr(optim_module, "lbfgs_max", recorded)
         opts = OptimOptions(n_starts=2, tol=0.0)
-        lf = fit_level(data.levels[0], spec, PriorSpec(kind="reference"), opts)
-        assert lf.n_evals == 2 * 500 * (1 + 1)
+        fit_level(data.levels[0], spec, PriorSpec(kind="reference"), opts)
+        assert budgets == [None, None]
+
+    @pytest.mark.parametrize("method", [POSTERIOR, PLUGIN])
+    @pytest.mark.parametrize("kind", PRIOR_KINDS)
+    def test_every_evaluation_goes_through_the_module_objective(
+            self, monkeypatch, kind, method):
+        """Wrappers installed on ``estimate.objective`` or
+        ``estimate._plugin_objective`` (a benchmark clock, a tracer) see
+        every evaluation of a fit."""
+        rng = np.random.default_rng(36)
+        (X1, y1), _ = _nested_pair(rng)
+        lv = assemble([(X1, y1)]).levels[0]
+        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2)
+        calls = {"objective": 0, "_plugin_objective": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(estimate_module, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(estimate_module, name, counted)
+        opts = OptimOptions(seed=2, n_starts=2, max_evals=60)
+        lf = fit_level(lv, spec, PriorSpec(kind=kind), opts, method=method)
+        used = "_plugin_objective" if method == PLUGIN else "objective"
+        assert calls[used] == lf.n_evals > 0
+        assert sum(calls.values()) == lf.n_evals
 
     @pytest.mark.parametrize("method", [PLUGIN, POSTERIOR])
     def test_starts_of_sentinels_only_count_as_failed(self, monkeypatch, method):

@@ -1,6 +1,8 @@
 """Simplex and L-BFGS-B maximizers: convergence on smooth objectives,
 budget handling, and sentinel repulsion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,17 @@ class TestLbfgsMax:
             # the Rosenbrock run needs more evaluations than that
             assert not res.converged
 
+    def test_default_budget_is_spent_in_full_by_a_start_that_never_stops(self):
+        # a slope that never levels off: no stop test ends the run
+        for d in (1, 3):
+            def func(x, grad):
+                grad.fill(1.0)
+                return float(x.sum())
+
+            res = lbfgs_max(func, np.zeros(d), tol=0.0)
+            assert res.n_evals == 500 * (d + 1)
+            assert not res.converged
+
     def test_budget_of_one_returns_the_start(self):
         points = []
 
@@ -176,6 +189,36 @@ class TestLbfgsMax:
         res = lbfgs_max(func, np.array([0.9, 0.2]), tol=1e-10)
         assert res.fun > -1e299
         np.testing.assert_allclose(res.x, [0.5, 0.0], atol=1e-6)
+        # it stopped on the gradient test, having left the sentinels behind
+        assert res.converged
+
+    def test_a_step_that_collapses_at_a_sentinel_is_not_converged(self):
+        # uphill runs into a half-space of sentinels: the first line search
+        # meets one and falls back to the start, and the relative-reduction
+        # test then stops a run whose gradient is still 8 to 10
+        def func(x, grad):
+            if x[0] >= 1.0:
+                grad[:] = 0.0
+                return -1e300
+            grad[:] = -2.0 * (x - 5.0)
+            return -float((x[0] - 5.0) ** 2)
+
+        res = lbfgs_max(func, np.zeros(1))
+        assert res.fun > -1e299 and res.x[0] < 1.0
+        assert not res.converged
+
+    def test_a_stop_at_the_rounding_noise_is_converged(self):
+        # noise of 1e-4 in the value: the run ends on a line search that
+        # finds no decrease, a rounding-noise distance from the optimum
+        def func(x, grad):
+            _rosenbrock(x, grad)
+            a, b = x
+            noise = 1e-4 * math.sin(1e9 * a + 3e8 * b)
+            return -((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2) + noise
+
+        res = lbfgs_max(func, np.array([-1.2, 1.0]), tol=1e-12)
+        assert res.converged
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=2e-2)
 
     def test_all_sentinel_start_returns_the_sentinel(self):
         def func(x, grad):
@@ -185,6 +228,7 @@ class TestLbfgsMax:
         res = lbfgs_max(func, np.array([0.3, -0.2]))
         assert res.fun == -1e300
         assert res.n_evals >= 1
+        assert not res.converged
 
     def test_rejects_bad_start(self):
         with pytest.raises(InvalidArgumentError):
