@@ -22,7 +22,6 @@ from .estimate import (
     OptimOptions,
     PLUGIN,
     POSTERIOR,
-    _is_int,
     assemble,
     fit,
 )
@@ -34,6 +33,7 @@ from .exceptions import (
     EstimationError,
     InvalidArgumentError,
     SingularCorrelationError,
+    is_int,
     real_array,
 )
 from .kernels import KernelSpec
@@ -128,8 +128,8 @@ def scale_to_box(U):
 def lhs_design(n, d, seed=0):
     """Latin hypercube sample on the unit cube: per column, one uniform
     point in each of ``n`` equal strata, in shuffled order."""
-    if n < 1 or d < 1:
-        raise InvalidArgumentError("n and d must be >= 1")
+    if not (is_int(n) and is_int(d) and n >= 1 and d >= 1):
+        raise InvalidArgumentError(f"n and d must be integers >= 1, got {n!r} and {d!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     out = np.empty((n, d))
     for k in range(d):
@@ -255,8 +255,10 @@ def run_borehole_benchmark(
     """
     sizes = {"n_low": n_low, "n_high": n_high, "n_test": n_test, "n_reps": n_reps}
     for name, value in sizes.items():
-        if not _is_int(value) or value < 1:
+        if not is_int(value) or value < 1:
             raise InvalidArgumentError(f"{name} must be an integer >= 1, got {value!r}")
+    if not is_int(seed) or seed < 0:
+        raise InvalidArgumentError(f"seed must be an integer >= 0, got {seed!r}")
     if n_high > n_low:
         raise InvalidArgumentError("n_high must be <= n_low (nested by subsampling)")
     if prior is None:

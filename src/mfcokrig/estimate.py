@@ -32,7 +32,6 @@ gradient adds about ``2d + 1`` gemms to its ``d``
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +47,8 @@ from .exceptions import (
     PriorEvaluationError,
     RangeOverflowError,
     SingularCorrelationError,
+    is_int,
+    is_real,
     real_array,
 )
 from .gp import (
@@ -77,23 +78,13 @@ _METHODS = (POSTERIOR, PLUGIN)
 XI_PARAMETERIZATION = "log_inverse_range_density"
 
 
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class OptimOptions:
     """Multi-start optimizer configuration.
 
     Each start runs L-BFGS-B.  ``tol`` is its ``gtol``, the largest
     gradient component at which it stops, and ``max_evals`` caps each
-    start's evaluations, ``None`` meaning ``500 * (d + 1)``.
-    ``initial_step`` is the edge of ``optim.nelder_mead_max``'s simplex,
-    which no fit runs any more: ``fit`` does not read it.  The first
+    start's evaluations, ``None`` meaning ``500 * (d + 1)``.  The first
     start is always ``xi = 0``; the remaining ``n_starts - 1`` are drawn
     uniformly from ``[start_low, start_high]^d`` with a stream seeded by
     ``(seed, level, start)`` so runs are reproducible and levels
@@ -106,30 +97,25 @@ class OptimOptions:
     max_evals: int = None
     start_low: float = -3.0
     start_high: float = 3.0
-    initial_step: float = 0.5
 
     def __post_init__(self):
-        if not _is_int(self.seed) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise InvalidArgumentError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not _is_int(self.n_starts) or self.n_starts < 1:
+        if not is_int(self.n_starts) or self.n_starts < 1:
             raise InvalidArgumentError(
                 f"n_starts must be an integer >= 1, got {self.n_starts!r}"
             )
         if self.max_evals is not None and (
-            not _is_int(self.max_evals) or self.max_evals < 1
+            not is_int(self.max_evals) or self.max_evals < 1
         ):
             raise InvalidArgumentError(
                 f"max_evals must be an integer >= 1 when given, got {self.max_evals!r}"
             )
-        if not _is_real(self.tol) or not 0.0 <= self.tol < math.inf:
+        if not is_real(self.tol) or not 0.0 <= self.tol < math.inf:
             raise InvalidArgumentError(f"tol must be finite and >= 0, got {self.tol!r}")
-        if not _is_real(self.initial_step) or not 0.0 < self.initial_step < math.inf:
-            raise InvalidArgumentError(
-                f"initial_step must be finite and > 0, got {self.initial_step!r}"
-            )
         if not (
-            _is_real(self.start_low)
-            and _is_real(self.start_high)
+            is_real(self.start_low)
+            and is_real(self.start_high)
             and -math.inf < self.start_low < self.start_high < math.inf
         ):
             raise InvalidArgumentError("start_low must be < start_high, both finite")
@@ -208,7 +194,12 @@ def _resolve_basis(basis, s):
         return [constant_basis] * s
     if callable(basis):
         return [basis] * s
-    fns = list(basis)
+    try:
+        fns = list(basis)
+    except TypeError as exc:
+        raise InvalidArgumentError(
+            f"basis must be 'constant', a callable or a sequence of callables, got {basis!r}"
+        ) from exc
     if len(fns) != s:
         raise InvalidArgumentError(
             f"got {len(fns)} basis callables for {s} levels"
@@ -371,9 +362,7 @@ def objective(data_t, xi, spec, prior, ws=None, grad=None):
         value += log_prior(data_t, params, spec, prior, fact=fact, grad=prior_grad)
         value += jacobian_sign * float(xi.sum())
         if grad is not None:
-            log_likelihood_xi_grad(
-                data_t, params, spec, fact, exponent, grad, columns=columns
-            )
+            log_likelihood_xi_grad(data_t, params, fact, exponent, grad, columns=columns)
             grad[:] += prior_grad + jacobian_sign
         return value
 
@@ -411,9 +400,7 @@ def _plugin_objective(data_t, xi, spec, ws=None, grad=None):
         value = concentrated_restricted_likelihood(data_t, params, spec, fact=fact)
         if grad is not None:
             exponent = 0.5 * (data_t.n - data_t.q)
-            log_likelihood_xi_grad(
-                data_t, params, spec, fact, exponent, grad, projected=False
-            )
+            log_likelihood_xi_grad(data_t, params, fact, exponent, grad, projected=False)
         return value
 
     return _evaluate(data_t, xi, spec, ws, False, plugin, grad)

@@ -2,9 +2,12 @@
 
 Every failure mode callers are expected to branch on has its own class;
 plain ``ValueError``/``TypeError`` are reserved for programming mistakes.
-``real_array`` is the one conversion of array arguments, so every entry
-point rejects non-numeric input with the same typed error.
+``real_array`` is the one conversion of array arguments, and ``is_int``
+and ``is_real`` the one test of scalar ones, so every entry point rejects
+non-numeric input with the same typed error.
 """
+
+import numbers
 
 import numpy as np
 
@@ -99,3 +102,13 @@ def real_array(value, name):
             f"{name} must hold real numbers, got dtype {arr.dtype}"
         )
     return np.ascontiguousarray(arr, dtype=np.float64)
+
+
+def is_int(value):
+    """Whether ``value`` is an integer (Python or numpy), not a boolean."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value):
+    """Whether ``value`` is a real number (Python or numpy), not a boolean."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

@@ -341,8 +341,7 @@ def likelihood_columns(fact, exponent, projected=True):
     return projector_columns(fact, projected, math.sqrt(2.0 * exponent / fact.S2))
 
 
-def log_likelihood_xi_grad(data, params, spec, fact, exponent, out, projected=True,
-                           columns=None):
+def log_likelihood_xi_grad(data, params, fact, exponent, out, projected=True, columns=None):
     """Gradient in ``xi = -log(phi)`` of
     ``-1/2 log|R| - 1/2 log|X^T R^{-1} X| - exponent log S2`` (``projected``)
     or of ``-1/2 log|R| - exponent log S2``, into ``out``.

@@ -29,16 +29,14 @@ and constants ``c`` with ``c[k] A[k] = -(dr/dxi_k) / r``
 (``_derivative_rows``): the pair stack for power-exponential and Matern
 1/2, and the ratios the polynomial passes of the build write for Matern
 3/2 and 5/2.  So ``xi_gradient``, which contracts the derivatives with one
-weight per pair, is one gemv of ``A``.  The Fisher products read whole
-slices of ``dR/dphi_k``, so those are full ``(d, n, n)`` stacks: Matern 3/2
-and 5/2 gather ``A`` and scale it by ``c / phi`` and ``R``, and
-power-exponential and Matern 1/2 multiply a full distance stack by a
-constant and ``R``, which costs less than a gather.  The kernel is a
-product, so its second derivatives follow from the first and from one
-ratio per dimension, ``m_k`` of ``curvature_dot``: a constant, or for
-Matern 3/2 and 5/2 one more polynomial pass over the pairs.  Ranges so
-small that their multipliers ``phi^-alpha`` overflow raise
-``RangeOverflowError``.
+weight per pair, is one gemv of ``A``, and the derivative stack
+``dR/dphi_k`` that the Fisher products read in whole slices is ``A`` scaled
+by ``c / phi`` and by the pair correlations, then gathered into full
+``(d, n, n)`` slices like ``R``.  The kernel is a product, so its second
+derivatives follow from the first and from one ratio per dimension,
+``m_k`` of ``curvature_dot``: a constant, or for Matern 3/2 and 5/2 one
+more polynomial pass over the pairs.  Ranges so small that their
+multipliers ``phi^-alpha`` overflow raise ``RangeOverflowError``.
 """
 
 import math
@@ -46,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, RangeOverflowError, real_array
+from .exceptions import InvalidArgumentError, RangeOverflowError, is_int, is_real, real_array
 
 POWER_EXPONENTIAL = "power_exponential"
 MATERN = "matern"
@@ -55,8 +53,8 @@ _MATERN_SHAPES = (0.5, 1.5, 2.5)
 MAX_NUGGET = 1e-4
 DEFAULT_NUGGET = 1e-10
 
-# cap on the constants of the linear derivative ratios, alpha phi^-alpha / phi
-# and phi^-2, which overflow for ranges whose weights do not
+# cap on the derivative scales c / phi (alpha phi^-alpha / phi for
+# power-exponential), which overflow for ranges whose weights do not
 _MAX_WEIGHT = np.finfo(np.float64).max
 # cross-correlations are assembled in column blocks whose distance stack
 # stays below this many bytes
@@ -100,10 +98,10 @@ class KernelSpec:
             object.__setattr__(
                 self, "shape", 1.9 if self.family == POWER_EXPONENTIAL else 2.5
             )
+        if not is_real(self.shape) or not math.isfinite(self.shape):
+            raise InvalidArgumentError(f"kernel shape must be a finite number, got {self.shape!r}")
         shape = float(self.shape)
         object.__setattr__(self, "shape", shape)
-        if not math.isfinite(shape):
-            raise InvalidArgumentError("kernel shape must be finite")
         if self.family == POWER_EXPONENTIAL:
             if not 0.0 < shape < 2.0:
                 raise InvalidArgumentError(
@@ -114,15 +112,14 @@ class KernelSpec:
                 raise InvalidArgumentError(
                     f"Matern smoothness must be one of {_MATERN_SHAPES}, got {shape}"
                 )
-        if not isinstance(self.dims, (int, np.integer)) or self.dims < 1:
-            raise InvalidArgumentError(f"dims must be a positive integer, got {self.dims}")
+        if not is_int(self.dims) or self.dims < 1:
+            raise InvalidArgumentError(f"dims must be a positive integer, got {self.dims!r}")
         object.__setattr__(self, "dims", int(self.dims))
-        nugget = float(self.nugget)
-        object.__setattr__(self, "nugget", nugget)
-        if not (0.0 <= nugget <= MAX_NUGGET):
+        if not (is_real(self.nugget) and 0.0 <= self.nugget <= MAX_NUGGET):
             raise InvalidArgumentError(
-                f"nugget must lie in [0, {MAX_NUGGET}], got {nugget}"
+                f"nugget must be a number in [0, {MAX_NUGGET}], got {self.nugget!r}"
             )
+        object.__setattr__(self, "nugget", float(self.nugget))
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,35 +326,6 @@ def _derivative_rows(ws, phi):
     return ws.ratios, 1.0 if spec.shape == 1.5 else 1.0 / 3.0
 
 
-def _linear_derivatives(phi, w, spec, ws):
-    """``dR/dphi_k`` into ``ws.dR`` for power-exponential and Matern 1/2,
-    whose ratio ``(dr/dphi_k) / r`` is the distance ``T_k`` times a
-    constant: one pass over each slice of ``ws.full_stack``, times the
-    gathered ``ws.R``, and exactly zero where ``R`` underflowed.  Like
-    ``_correlate``, it runs with overflow ignored.  The constant is the
-    ``c / phi`` of ``_derivative_rows``, formed as ``w * w`` for Matern 1/2,
-    which rounds apart from ``w / phi`` in about a quarter of the ranges.
-
-    Gathering the pair derivatives instead, as Matern 3/2 and 5/2 do, made
-    the build of ``R`` and ``dR`` 1.7-2x slower at n=80, d=8 (0.09 -> 0.16
-    and 0.11 -> 0.21 ms in two measurements, 1 OpenBLAS thread), so these
-    families keep the full stack.
-    """
-    if spec.family == POWER_EXPONENTIAL:
-        # (dr/dphi) / r = alpha h^alpha / phi^(alpha + 1)
-        c = np.minimum(spec.shape * w / phi, _MAX_WEIGHT)
-    else:
-        # (dr/dphi) / r = u / phi = T / phi^2
-        c = np.minimum(w * w, _MAX_WEIGHT)
-    # slice by slice: a broadcast product allocates an iteration buffer
-    for T_k, c_k, dR_k in zip(ws.full_stack, c, ws.dR):
-        np.multiply(T_k, c_k, out=dR_k)
-        dR_k *= ws.R
-    # the ratio can overflow where the correlation underflowed to zero
-    if not ws.pairs.all():
-        np.copyto(ws.dR, 0.0, where=np.equal(ws.R, 0.0, out=ws.full_zero))
-
-
 # ---------------------------------------------------------------------------
 # public API
 # ---------------------------------------------------------------------------
@@ -376,9 +344,9 @@ class Workspace:
     ``index`` then expands them into the full matrix.  The workspace holds
     the pair stack ``stack``, padded with zero columns to a width above
     ``m``; over that width, the correlations ``pairs``, whose slot ``m``
-    holds the diagonal ``1 + nugget``, and for Matern 3/2 and 5/2 their
-    underflow mask ``zero`` and the temporaries ``u`` and ``poly``; and the
-    gathered ``R``.
+    holds the diagonal ``1 + nugget``, their underflow mask ``zero`` (for
+    Matern 3/2 and 5/2, or with ``derivs``) and, for Matern 3/2 and 5/2,
+    the temporaries ``u`` and ``poly``; and the gathered ``R``.
 
     With ``derivs`` or ``grad``, Matern 3/2 and 5/2 also hold the
     ``(d, width)`` derivative rows ``ratios`` (``_derivative_rows``), which
@@ -391,17 +359,15 @@ class Workspace:
     ``grad`` alone (the objectives without a Fisher-information prior) it
     holds no ``(d, n, n)`` array.  With ``derivs`` (the Fisher-information
     priors, whose gradient it serves too) it holds the derivative stack
-    ``dR``, full because the Fisher products read whole slices of it:
-    gathered from the ``ratios`` and scaled for Matern 3/2 and 5/2, and for
-    power-exponential and Matern 1/2 the full ``(d, n, n)`` distance stack
-    ``full_stack`` times a constant and the gathered ``R``, with the
-    ``n x n`` underflow mask ``full_zero``.  It then holds too the trace
-    operands ``W`` and their slice transposes ``WT`` (each ``(d, n, n)``),
-    the mirrored positions ``lower`` of the pairs, ``(j, i)``, and the
-    Fisher gradient's ``n x n`` matrix ``scratch`` and two rows over the
-    pairs, ``pair_scratch``.  Whatever is
-    built on a workspace, a factorization included, is overwritten by the
-    next evaluation on it.
+    ``dR``, full because the Fisher products read whole slices of it, and
+    for every family the ``(d, width)`` pair derivatives ``dpairs`` that a
+    build scales from the rows ``A`` and gathers into it.  It then holds
+    too the trace operands ``W`` and their slice transposes ``WT`` (each
+    ``(d, n, n)``), the mirrored positions ``lower`` of the pairs,
+    ``(j, i)``, and the Fisher gradient's ``n x n`` matrix ``scratch`` and
+    two rows over the pairs, ``pair_scratch``.  Whatever is built on a
+    workspace, a factorization included, is overwritten by the next
+    evaluation on it.
     """
 
     def __init__(self, X, spec, derivs=False, grad=False):
@@ -414,13 +380,14 @@ class Workspace:
         self.pairs = np.empty(width)
         polynomial = _polynomial(spec)
         self.zero = self.u = self.poly = None
-        if polynomial:
+        if polynomial or derivs:
             self.zero = np.empty(width, dtype=bool)
+        if polynomial:
             self.u = np.empty(width)
             self.poly = np.empty(width)
         self.R = np.empty((n, n))
-        self.full_stack = self.full_zero = None
-        self.dR = self.W = self.WT = self.scratch = self.pair_scratch = None
+        self.dpairs = self.dR = self.W = self.WT = None
+        self.scratch = self.pair_scratch = None
         self.gpairs = self.upper = self.lower = self.ratios = None
         if grad or derivs:
             i, j = np.triu_indices(n, 1)
@@ -429,9 +396,7 @@ class Workspace:
         if polynomial and (grad or derivs):
             self.ratios = np.empty((d, width))
         if derivs:
-            if not polynomial:
-                self.full_stack = _stack(self.X, self.X, spec)
-                self.full_zero = np.empty((n, n), dtype=bool)
+            self.dpairs = np.empty((d, width))
             self.dR = np.empty((d, n, n))
             self.W = np.empty((d, n, n))
             self.WT = np.empty((d, n, n))
@@ -474,17 +439,19 @@ def _build(X, params, spec, ws, derivs):
         # mode="clip" gathers straight into the output; the default "raise"
         # buffers the whole output first (every index is in range either way)
         np.take(ws.pairs, ws.index, out=ws.R.reshape(-1), mode="clip")
-        if derivs and not _polynomial(spec):
-            _linear_derivatives(phi, w, spec, ws)
-        elif derivs:
-            # dR_k / dphi_k = r c_k A_k / phi_k, gathered from the rows A,
-            # which stay as they are for the xi-gradient; scaled slice by
-            # slice, as a broadcast product allocates an iteration buffer
+        if derivs:
+            # dR_k / dphi_k = r c_k A_k / phi_k over the pairs, slice by
+            # slice, as a broadcast product allocates an iteration buffer;
+            # A stays as it is for the xi-gradient
             A, c = _derivative_rows(ws, phi)
-            np.take(A, ws.index, axis=1, out=ws.dR.reshape(spec.dims, -1), mode="clip")
-            for k, dR_k in enumerate(ws.dR):
-                dR_k *= c / phi[k]
-                dR_k *= ws.R
+            scale = np.minimum(c / phi, _MAX_WEIGHT)
+            for A_k, s_k, D_k in zip(A, scale, ws.dpairs):
+                np.multiply(A_k, s_k, out=D_k)
+                D_k *= ws.pairs
+            # the ratio can overflow where the correlation underflowed to 0
+            if not ws.pairs.all():
+                np.copyto(ws.dpairs, 0.0, where=np.equal(ws.pairs, 0.0, out=ws.zero))
+            np.take(ws.dpairs, ws.index, axis=1, out=ws.dR.reshape(spec.dims, -1), mode="clip")
     return ws
 
 

@@ -30,11 +30,9 @@ from .estimate import (
     FitResult,
     LevelFit,
     OptimOptions,
-    _is_int,
-    _is_real,
     assemble,
 )
-from .exceptions import ConfigError, InvalidArgumentError, MfcokrigError
+from .exceptions import ConfigError, InvalidArgumentError, is_int, is_real
 from .kernels import KernelSpec
 from .priors import PriorSpec
 
@@ -93,8 +91,9 @@ def read_record(cls, payload, where, partial=False):
 
     A model document must hold every field; a config section
     (``partial``) may leave out the fields that have a default.  Raises
-    ``ConfigError`` naming ``where.key`` for a non-object, an unknown key,
-    a missing key or a value of the wrong type.
+    ``ConfigError`` naming ``where.key`` for a non-object, an unknown key
+    or a missing key, and naming ``where`` for a value that the record
+    refuses.
     """
     fields = dataclasses.fields(cls)
     required = [
@@ -104,17 +103,15 @@ def read_record(cls, payload, where, partial=False):
     try:
         return cls(**payload)
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, MfcokrigError):
-            raise
-        raise ConfigError(f"'{where}' holds a value of the wrong type ({exc})") from exc
+        raise ConfigError(f"'{where}' holds an invalid value ({exc})") from exc
 
 
 def _check_level_fit(lf, where, level):
     """Raise ``ConfigError`` unless the loaded fit of one-based ``level``
     says it is that level and each scalar field holds its declared type."""
     checks = {
-        int: (_is_int, "an integer"),
-        float: (_is_real, "a number"),
+        int: (is_int, "an integer"),
+        float: (is_real, "a number"),
         bool: (lambda v: isinstance(v, bool), "a boolean"),
     }
     for f in dataclasses.fields(lf):
@@ -198,7 +195,12 @@ def load_model(path):
             raise ConfigError(f"'{key}' must be one of {list(allowed)}, got {doc[key]!r}")
     spec = read_record(KernelSpec, doc["kernel"], "kernel")
     prior = read_record(PriorSpec, doc["prior"], "prior")
-    opts = read_record(OptimOptions, doc["optimizer"], "optimizer")
+    optimizer = doc["optimizer"]
+    if isinstance(optimizer, dict):
+        # documents written before OptimOptions dropped its unused
+        # initial_step still carry it
+        optimizer = {k: v for k, v in optimizer.items() if k != "initial_step"}
+    opts = read_record(OptimOptions, optimizer, "optimizer")
     if not isinstance(doc["levels"], list):
         raise ConfigError("'levels' must be a JSON array")
     raw_levels = []

@@ -49,14 +49,14 @@ from scipy.stats import t as student_t
 from .estimate import (
     CokrigingData,
     FitResult,
-    _is_int,
-    _is_real,
     coincident_rows,
 )
 from .exceptions import (
     DesignRankError,
     InvalidArgumentError,
     VarianceUndefinedError,
+    is_int,
+    is_real,
     real_array,
 )
 from .gp import gls_fit
@@ -292,9 +292,9 @@ class CokrigingModel:
         x0 = self._check_queries(x0)
         if x0.shape[0] != 1:
             raise InvalidArgumentError("sampling takes a single query point")
-        if not _is_int(n_draws) or n_draws < 1:
+        if not is_int(n_draws) or n_draws < 1:
             raise InvalidArgumentError(f"n_draws must be an integer >= 1, got {n_draws!r}")
-        if not _is_int(seed) or seed < 0:
+        if not is_int(seed) or seed < 0:
             raise InvalidArgumentError(f"seed must be an integer >= 0, got {seed!r}")
         rng = np.random.default_rng(seed)
         draws = np.empty((n_draws, self.s))
@@ -316,7 +316,7 @@ class CokrigingModel:
         quadrature CDF of the module docstring for each bound, so the
         result is deterministic and takes no draws.
         """
-        if not _is_real(prob) or not 0.0 < prob < 1.0:
+        if not is_real(prob) or not 0.0 < prob < 1.0:
             raise InvalidArgumentError(f"prob must lie in (0, 1), got {prob!r}")
         X0 = self._check_queries(X0)
         m, s = X0.shape[0], self.s
@@ -336,7 +336,7 @@ class CokrigingModel:
 
         The entry ``[0, level - 1]`` of ``credible_intervals`` at ``x0``.
         """
-        if not _is_int(level) or not 1 <= level <= self.s:
+        if not is_int(level) or not 1 <= level <= self.s:
             raise InvalidArgumentError(
                 f"level must be an integer in [1, {self.s}], got {level!r}"
             )

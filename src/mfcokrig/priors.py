@@ -30,13 +30,12 @@ Supported kinds:
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from .exceptions import InvalidArgumentError, PriorEvaluationError
+from .exceptions import InvalidArgumentError, PriorEvaluationError, is_real, real_array
 from .gp import gls_fit, gls_projector
 from .kernels import curvature_dot, xi_gradient
 
@@ -86,13 +85,15 @@ class PriorSpec:
         # only the jointly robust kind reads jr_b0, so only it needs one
         b0 = self.jr_b0
         if b0 is not None or self.kind == JOINTLY_ROBUST:
-            is_real = isinstance(b0, numbers.Real) and not isinstance(b0, bool)
-            if not (is_real and 0.0 < b0 < math.inf):
+            if not (is_real(b0) and 0.0 < b0 < math.inf):
                 raise InvalidArgumentError(
                     f"jr_b0 must be a finite number > 0, got {b0!r}"
                 )
+        a0 = self.jr_a0
+        if a0 is not None and not (is_real(a0) and math.isfinite(a0)):
+            raise InvalidArgumentError(f"jr_a0 must be a finite number, got {a0!r}")
         if self.jr_C is not None:
-            C = np.asarray(self.jr_C, dtype=np.float64).ravel()
+            C = real_array(self.jr_C, "jr_C").ravel()
             if not np.all(np.isfinite(C)) or np.any(C <= 0.0):
                 raise InvalidArgumentError("jr_C entries must be finite and > 0")
             object.__setattr__(self, "jr_C", C)
@@ -302,15 +303,19 @@ def _jr_terms(params, prior, n_obs, input_ranges):
     return a0, b0, C, total
 
 
-def log_jr_prior(params, prior, n_obs=None, input_ranges=None):
+def log_jr_prior(params, prior, n_obs=None, input_ranges=None, grad=None):
     """Log jointly robust prior on the inverse ranges ``B_k = 1/phi_k``:
 
         a0 * log(sum C_k B_k) - b0 * sum(C_k B_k),
 
     up to the normalizing constant.  Hyperparameters left unset on the
-    PriorSpec are filled from ``n_obs`` and ``input_ranges``.
+    PriorSpec are filled from ``n_obs`` and ``input_ranges``.  ``grad``,
+    an optional float array of shape ``(d,)``, receives the gradient in
+    ``xi = -log(phi)``, ``(a0 / sum(C/phi) - b0) C_k / phi_k``.
     """
-    a0, b0, _, total = _jr_terms(params, prior, n_obs, input_ranges)
+    a0, b0, C, total = _jr_terms(params, prior, n_obs, input_ranges)
+    if grad is not None:
+        grad[:] = (a0 / total - b0) * (C / params.phi)
     return a0 * math.log(total) - b0 * total
 
 
@@ -325,10 +330,9 @@ def log_prior(data, params, spec, prior, fact=None, grad=None):
 
     ``grad``, an optional float array of shape ``(d,)``, receives the
     gradient of the value in ``xi = -log(phi)``: 0 for ``flat``, 1 in
-    every coordinate for ``inverse_range``,
-    ``(a0 / sum(C/phi) - b0) C_k / phi_k`` for ``jointly_robust``, and for
-    the kinds in ``FISHER_KINDS`` that of ``1/2 log det I``
-    (``_half_logdet_xi_grad``).  ``jeffreys2``'s
+    every coordinate for ``inverse_range``, that of ``log_jr_prior`` for
+    ``jointly_robust``, and for the kinds in ``FISHER_KINDS`` that of
+    ``1/2 log det I`` (``_half_logdet_xi_grad``).  ``jeffreys2``'s
     ``1/2 log|X^T R^{-1} X|`` is left out of it: it cancels the
     likelihood's, and the caller takes the two together, from the factor
     before this consumes it.
@@ -357,11 +361,7 @@ def log_prior(data, params, spec, prior, fact=None, grad=None):
         if grad is not None:
             grad.fill(1.0)
     else:
-        ranges = _input_ranges(data)
-        value = log_jr_prior(params, prior, n_obs=data.n, input_ranges=ranges)
-        if grad is not None:
-            a0, b0, C, total = _jr_terms(params, prior, data.n, ranges)
-            grad[:] = (a0 / total - b0) * (C / params.phi)
+        value = log_jr_prior(params, prior, data.n, _input_ranges(data), grad)
     return value
 
 

@@ -96,10 +96,9 @@ class TestLhsDesign:
         np.testing.assert_array_equal(a, c)
 
     def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            lhs_design(0, 3)
-        with pytest.raises(InvalidArgumentError):
-            lhs_design(5, 0)
+        for n, d in ((0, 3), (5, 0), (2.5, 3), ("3", 2), (True, 2)):
+            with pytest.raises(InvalidArgumentError):
+                lhs_design(n, d)
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +142,9 @@ class TestBenchmarkLoop:
             run_borehole_benchmark(spec=KernelSpec(family="matern", shape=2.5, dims=3))
         with pytest.raises(InvalidArgumentError):
             run_borehole_benchmark(method="bogus")
+        for seed in (-1, "a"):
+            with pytest.raises(InvalidArgumentError, match="seed"):
+                run_borehole_benchmark(seed=seed)
 
     @pytest.mark.parametrize(
         "name, value",

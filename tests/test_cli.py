@@ -454,6 +454,7 @@ class TestExitCodes:
             ("kernel", "famly"),
             ("prior", "knd"),
             ("optimizer", "n_start"),
+            ("optimizer", "initial_step"),
             ("benchmark", "n_lo"),
         ],
     )

@@ -118,6 +118,9 @@ class TestKernelSpec:
             KernelSpec(family=MATERN, shape=2.0)
         with pytest.raises(InvalidArgumentError):
             KernelSpec(family=MATERN, dims=0)
+        for bad in ({"shape": "abc"}, {"shape": "2.5"}, {"dims": True}, {"nugget": None}):
+            with pytest.raises(InvalidArgumentError):
+                KernelSpec(family=MATERN, **bad)
         with pytest.raises(InvalidArgumentError):
             KernelSpec(family=MATERN, nugget=2e-4)
         with pytest.raises(InvalidArgumentError):
@@ -269,16 +272,36 @@ class TestDerivatives:
         for k in range(3):
             np.testing.assert_array_equal(np.diag(dR[k]), np.zeros(5))
 
-    def test_underflowed_correlation_has_zero_derivative(self):
+    @pytest.mark.parametrize("spec", _specs(), ids=lambda s: f"{s.family}-{s.shape}")
+    def test_underflowed_correlation_has_zero_derivative(self, spec):
         # distances huge relative to phi drive r to exactly 0; the ratio
         # formula would overflow there, so the derivative must be 0, not nan
-        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=1)
         X = np.array([[0.0], [500.0]])
         params = RangeParams(np.array([1e-3]))
         R, dR = corr_matrix_with_derivs(X, params, spec)
         assert R[0, 1] == 0.0
         assert dR[0][0, 1] == 0.0
         assert np.all(np.isfinite(dR))
+
+    @pytest.mark.parametrize("spec", _specs(dims=2), ids=lambda s: f"{s.family}-{s.shape}")
+    def test_partly_underflowed_correlation(self, spec):
+        """Three clusters of four rows: pairs across clusters underflow, and
+        those with a row of the last cluster overflow their derivative
+        ratios too; pairs within a cluster keep the oracle's derivatives."""
+        X = np.random.default_rng(35).uniform(0.0, 1.0, size=(12, 2))
+        X[4:8, 0] += 100.0
+        X[8:, 0] += 1e307
+        phi = np.array([0.1, 0.5])
+        # at 1e307 apart |dx|^1.9 overflows already in the distance stack
+        with np.errstate(over="ignore", invalid="ignore"):
+            R, dR = corr_matrix_with_derivs(X, RangeParams(phi), spec)
+            _, dR_or = corr_matrix_with_derivs_loop(X, phi, spec)
+        cluster = np.arange(12) // 4
+        across = cluster[:, None] != cluster[None, :]
+        assert np.all(R[across] == 0.0) and np.all(R[~across] > 0.0)
+        assert np.all(np.isfinite(dR))
+        assert np.all(dR[:, across] == 0.0)
+        np.testing.assert_allclose(dR[:, ~across], dR_or[:, ~across], rtol=1e-13, atol=1e-15)
 
 
 class TestOracleAgreement:

@@ -91,6 +91,22 @@ class TestModelRoundTrip:
         with pytest.raises(ConfigError, match="fingerprint"):
             load_model(path)
 
+    def test_loads_document_with_retired_initial_step(self, tmp_path):
+        # version-1 documents written before OptimOptions lost its unused
+        # initial_step carry it in their optimizer record
+        data, result = _fitted()
+        path = tmp_path / "model.json"
+        save_model(path, data, result)
+        current = path.read_bytes()
+        doc = json.loads(current)
+        assert "initial_step" not in doc["optimizer"]
+        doc["optimizer"]["initial_step"] = 0.5
+        path.write_text(json.dumps(doc))
+        data2, result2 = load_model(path)
+        assert result2.opts == result.opts
+        save_model(path, data2, result2)
+        assert path.read_bytes() == current
+
     def test_missing_and_malformed_files(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_model(tmp_path / "absent.json")
@@ -144,7 +160,6 @@ optim_options = st.builds(
     max_evals=st.none() | st.integers(1, 10**6),
     start_low=st.floats(-10.0, -0.5),
     start_high=st.floats(0.5, 10.0),
-    initial_step=positive,
 )
 level_fits = st.builds(
     LevelFit,

@@ -252,6 +252,10 @@ class TestPriorSpec:
             PriorSpec(kind=JOINTLY_ROBUST, jr_b0=0.0)
         with pytest.raises(InvalidArgumentError):
             PriorSpec(kind=JOINTLY_ROBUST, jr_C=[1.0, -1.0])
+        with pytest.raises(InvalidArgumentError, match="jr_C"):
+            PriorSpec(kind=REFERENCE, jr_C="a")
+        with pytest.raises(InvalidArgumentError, match="jr_a0"):
+            PriorSpec(kind=JOINTLY_ROBUST, jr_a0="x")
 
     def test_jointly_robust_needs_b0(self):
         for b0 in (None, float("nan"), float("inf"), "1.0", True):
