@@ -402,7 +402,8 @@ def build_parser():
         metavar="STARTS",
         type=int,
         default=None,
-        help="optimizer multi-start count",
+        help="most optimizer starts per level; a level stops once two starts "
+        "agree on its best value",
     )
     p_fit.add_argument(
         "--method",

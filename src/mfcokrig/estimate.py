@@ -62,10 +62,10 @@ from .gp import (
     log_S2,
     log_S2_exponent,
 )
-from .kernels import RangeParams, Workspace
+from .kernels import KernelSpec, RangeParams, Workspace, corr_matrix
 # the sentinel of infeasible range parameters, at or below the threshold
 from .optim import SENTINEL, SENTINEL_THRESHOLD
-from .priors import FISHER_KINDS, JEFFREYS1, JOINTLY_ROBUST, log_prior
+from .priors import FISHER_KINDS, JEFFREYS1, JOINTLY_ROBUST, PriorSpec, log_prior
 
 
 # coordinates closer than this are the same design point
@@ -77,6 +77,10 @@ _METHODS = (POSTERIOR, PLUGIN)
 
 XI_PARAMETERIZATION = "log_inverse_range_density"
 
+# two starts agree on the best value when within this much of it,
+# relative to max(1, |best|)
+_AGREE_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class OptimOptions:
@@ -84,11 +88,13 @@ class OptimOptions:
 
     Each start runs L-BFGS-B.  ``tol`` is its ``gtol``, the largest
     gradient component at which it stops, and ``max_evals`` caps each
-    start's evaluations, ``None`` meaning ``500 * (d + 1)``.  The first
-    start is always ``xi = 0``; the remaining ``n_starts - 1`` are drawn
-    uniformly from ``[start_low, start_high]^d`` with a stream seeded by
-    ``(seed, level, start)`` so runs are reproducible and levels
-    independent.
+    start's evaluations, ``None`` meaning ``500 * (d + 1)``.  ``n_starts``
+    is the most starts a level runs: a level stops after the start at
+    which two starts that did not fail (see ``fit_level``) have reached
+    its best value so far, to ``1e-6 * max(1, |best|)``.  The first start is always ``xi = 0``; the
+    others are drawn uniformly from ``[start_low, start_high]^d`` with a
+    stream seeded by ``(seed, level, start)`` so runs are reproducible and
+    levels independent.
     """
 
     seed: int = 0
@@ -462,10 +468,28 @@ class FitResult:
         return self.levels[t - 1]
 
 
+def _uncorrelated(data_t, xi, spec, ws):
+    """Whether every correlation between distinct rows underflows to 0 at
+    ``xi``.  The objective is then flat and its gradient exactly 0, so an
+    L-BFGS-B start that ends there stopped on its gradient test having
+    fitted nothing."""
+    corr_matrix(data_t.inputs, RangeParams.from_xi(xi), spec, ws)
+    return not ws.pairs[: data_t.n * (data_t.n - 1) // 2].any()
+
+
 def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
     """Estimate the range parameters of one level by multi-start
     maximization in xi-space with ``optim.lbfgs_max`` and the analytic
     xi-gradient of the objective.  Deterministic given ``opts.seed``.
+
+    The starts run in order, and the level stops after the start at which
+    two of them have reached its best value so far, within
+    ``1e-6 * max(1, |best|)``, or after ``opts.n_starts`` starts.  A start
+    whose best value is the sentinel, or whose best point leaves every
+    pair of rows uncorrelated (every correlation underflowed, so the
+    gradient there is exactly 0), has failed: it counts in
+    ``n_failed_starts`` and never toward agreement.  ``start_values`` and
+    ``n_evals`` cover the starts that ran.
     """
     from .optim import lbfgs_max
 
@@ -473,6 +497,13 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
         raise InvalidArgumentError(f"method must be one of {_METHODS}, got {method!r}")
     if opts is None:
         opts = OptimOptions()
+    for name, value, cls in (
+        ("spec", spec, KernelSpec),
+        ("prior", prior, PriorSpec),
+        ("opts", opts, OptimOptions),
+    ):
+        if not isinstance(value, cls):
+            raise InvalidArgumentError(f"{name} must be a {cls.__name__}, got {value!r}")
     if data_t.n - data_t.q < 2:
         raise InvalidArgumentError(
             f"level {data_t.index} needs n - q >= 2 to estimate ranges, "
@@ -497,6 +528,7 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
     total_evals = 0
     n_failed = 0
     start_values = []
+    usable = []
     for j in range(opts.n_starts):
         if j == 0:
             x0 = np.zeros(d)
@@ -508,16 +540,21 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
         res = lbfgs_max(func, x0, tol=opts.tol, max_evals=opts.max_evals)
         total_evals += res.n_evals
         start_values.append(res.fun)
-        if res.fun <= SENTINEL_THRESHOLD:
+        if res.fun <= SENTINEL_THRESHOLD or _uncorrelated(data_t, res.x, spec, ws):
             n_failed += 1
             continue
         if best is None or res.fun > best.fun:
             best = res
             best_start = j
+        usable.append(res.fun)
+        floor = best.fun - _AGREE_RTOL * max(1.0, abs(best.fun))
+        if sum(v >= floor for v in usable) >= 2:
+            break
     if best is None:
         raise EstimationError(
             f"all {opts.n_starts} optimizer starts failed at level "
-            f"{data_t.index} (singular correlation or degenerate data throughout)"
+            f"{data_t.index} (singular correlation, degenerate data or every "
+            "correlation underflowed throughout)"
         )
     xi_hat = best.x
     params = RangeParams.from_xi(xi_hat)
@@ -546,6 +583,10 @@ def fit(data, spec, prior, opts=None, method=POSTERIOR):
     Levels never see data from above; level ``t`` reads level ``t-1`` only
     through the matched lower-output column fixed at assembly.
     """
+    if not isinstance(data, CokrigingData):
+        raise InvalidArgumentError(
+            f"data must be a CokrigingData (see assemble), got {type(data).__name__}"
+        )
     if opts is None:
         opts = OptimOptions()
     fits = []

@@ -36,7 +36,8 @@ by ``c / phi`` and by the pair correlations, then gathered into full
 derivatives follow from the first and from one ratio per dimension,
 ``m_k`` of ``curvature_dot``: a constant, or for Matern 3/2 and 5/2 one
 more polynomial pass over the pairs.  Ranges so small that their
-multipliers ``phi^-alpha`` overflow raise ``RangeOverflowError``.
+multipliers ``phi^-alpha``, or for the derivative stack the scales
+``c / phi``, overflow raise ``RangeOverflowError``.
 """
 
 import math
@@ -53,8 +54,8 @@ _MATERN_SHAPES = (0.5, 1.5, 2.5)
 MAX_NUGGET = 1e-4
 DEFAULT_NUGGET = 1e-10
 
-# cap on the derivative scales c / phi (alpha phi^-alpha / phi for
-# power-exponential), which overflow for ranges whose weights do not
+# the largest kernel weight phi^-alpha; ranges whose weights, or whose
+# derivative scales c / phi, exceed it raise RangeOverflowError
 _MAX_WEIGHT = np.finfo(np.float64).max
 # cross-correlations are assembled in column blocks whose distance stack
 # stays below this many bytes
@@ -430,7 +431,7 @@ def _build(X, params, spec, ws, derivs):
     returns: ``R`` is computed over the distinct pairs and gathered."""
     ws = _workspace(X, spec, ws, derivs)
     phi, w = _check_params(params, spec)
-    # out-of-range ratios are capped or zeroed
+    # out-of-range ratios are zeroed
     with np.errstate(over="ignore", invalid="ignore"):
         _correlate(ws.stack, w, spec, ws.pairs, ws)
         # slot m has zero distances, so its correlation came out 1 and its
@@ -444,7 +445,11 @@ def _build(X, params, spec, ws, derivs):
             # slice, as a broadcast product allocates an iteration buffer;
             # A stays as it is for the xi-gradient
             A, c = _derivative_rows(ws, phi)
-            scale = np.minimum(c / phi, _MAX_WEIGHT)
+            scale = c / phi
+            if not np.isfinite(scale).all():
+                raise RangeOverflowError(
+                    f"ranges {phi} are too small: their derivative scales overflow"
+                )
             for A_k, s_k, D_k in zip(A, scale, ws.dpairs):
                 np.multiply(A_k, s_k, out=D_k)
                 D_k *= ws.pairs

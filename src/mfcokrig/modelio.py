@@ -32,7 +32,7 @@ from .estimate import (
     OptimOptions,
     assemble,
 )
-from .exceptions import ConfigError, InvalidArgumentError, is_int, is_real
+from .exceptions import ConfigError, InvalidArgumentError, is_int, is_real, real_array
 from .kernels import KernelSpec
 from .priors import PriorSpec
 
@@ -152,9 +152,12 @@ def dump_json(payload, path):
     """Write a canonical JSON document: sorted keys, two-space indent,
     trailing newline, shortest round-trip floats."""
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot write {path} ({exc.strerror})") from exc
 
 
 def save_model(path, data, fit_result):
@@ -174,6 +177,8 @@ def load_model(path):
             doc = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"model file not found: {path}") from exc
+    except IsADirectoryError as exc:
+        raise ConfigError(f"model path is a directory: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"model file is not valid JSON: {path} ({exc})") from exc
     if not isinstance(doc, dict):
@@ -277,8 +282,15 @@ def load_level_csv(path, y_optional=False):
 
 
 def write_level_csv(path, inputs, outputs):
-    inputs = np.asarray(inputs, dtype=np.float64)
-    outputs = np.asarray(outputs, dtype=np.float64)
+    """Write one level's ``x1..xd,y`` file: one row per input row and
+    output, so ``inputs`` must be a 2-d matrix with one row per output."""
+    inputs = real_array(inputs, "inputs")
+    outputs = real_array(outputs, "outputs").ravel()
+    if inputs.ndim != 2 or inputs.shape[0] != outputs.size:
+        raise InvalidArgumentError(
+            f"inputs of shape {inputs.shape} need one output each, got outputs "
+            f"of shape {outputs.shape}"
+        )
     d = inputs.shape[1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

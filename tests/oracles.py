@@ -12,6 +12,9 @@ inverse and the trace formula; ``dense_fisher_xi_gradient`` is that of
 the reference and Jeffreys posteriors, from the full second-derivative
 stack and ``1/2 tr(I^-1 dI)``.
 
+``every_start`` runs ``optim.lbfgs_max`` from each start point a level's
+multi-start documents, with no stopping rule.
+
 ``coincident_rows_loop`` is the row-by-row design-point test and
 ``point_draws`` the per-point sampling path: one cross-correlation column,
 one triangular solve and one set of seeded draws per query point, with the
@@ -28,6 +31,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.special import stdtr, stdtrit
 
 from mfcokrig.kernels import POWER_EXPONENTIAL, cross_corr
+from mfcokrig.optim import lbfgs_max
 
 
 def corr1d(h, phi, spec):
@@ -416,3 +420,19 @@ def point_cdf(model, pieces, level, z):
         )
 
     return integrate(0, mu1, s1, df1)
+
+
+def every_start(func, d, opts, level):
+    """One ``optim.lbfgs_max`` result per start of level ``level`` under
+    the ``OptimOptions`` ``opts``, all ``opts.n_starts`` of them: from
+    ``xi = 0``, then from uniform draws on ``[start_low, start_high]^d``
+    seeded by ``(seed, level, start)``.  ``func(xi, grad)`` is the
+    objective with its gradient."""
+    runs = []
+    for j in range(opts.n_starts):
+        x0 = np.zeros(d)
+        if j > 0:
+            seq = np.random.SeedSequence(entropy=opts.seed, spawn_key=(level, j))
+            x0 = np.random.default_rng(seq).uniform(opts.start_low, opts.start_high, size=d)
+        runs.append(lbfgs_max(func, x0, tol=opts.tol, max_evals=opts.max_evals))
+    return runs

@@ -54,6 +54,7 @@ from oracles import (
     dense_fisher_xi_gradient,
     dense_objective,
     dense_xi_gradient,
+    every_start,
 )
 
 
@@ -736,7 +737,122 @@ class TestFitLevel:
             fit_level(data.levels[0], spec, PriorSpec(kind="flat"), OptimOptions(n_starts=2))
 
 
+def _fitted_objective(lv, spec, kind):
+    """``func(xi, grad)`` of the objective a fit under ``kind`` ("plugin"
+    or a prior kind) maximizes, on the workspace such a fit builds."""
+    ws = _grad_workspace(lv, spec, kind)
+    if kind == "plugin":
+        return lambda xi, grad: _plugin_objective(lv, xi, spec, ws, grad)
+    prior = PriorSpec(kind=kind)
+    return lambda xi, grad: objective(lv, xi, spec, prior, ws, grad)
+
+
+def _fit_kind(lv, spec, kind, opts):
+    if kind == "plugin":
+        return fit_level(lv, spec, PriorSpec(kind="flat"), opts, method=PLUGIN)
+    return fit_level(lv, spec, PriorSpec(kind=kind), opts)
+
+
+def _agree(a, b):
+    return abs(a - b) <= 1e-6 * max(1.0, abs(a), abs(b))
+
+
+class TestStoppingRule:
+    """A level stops after the start at which two usable starts have
+    reached its best value so far; ``every_start`` runs them all."""
+
+    SPEC = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2)
+
+    def test_agreeing_starts_stop_at_two(self):
+        lv = assemble(_nested_pair(np.random.default_rng(38))).levels[1]
+        opts = OptimOptions(seed=4, n_starts=6)
+        lf = fit_level(lv, self.SPEC, PriorSpec(kind="reference"), opts)
+        runs = every_start(_fitted_objective(lv, self.SPEC, "reference"), 2, opts, 2)
+        assert _agree(runs[0].fun, runs[1].fun)
+        assert lf.start_values == (runs[0].fun, runs[1].fun)
+        assert lf.n_evals == runs[0].n_evals + runs[1].n_evals
+        assert lf.n_failed_starts == 0
+
+    def test_a_lone_best_start_does_not_stop_the_level(self):
+        """Three starts agree on a lower value and one start alone on the
+        best: every start runs, and the best wins."""
+        lv = assemble(_nested_pair(np.random.default_rng(38))).levels[0]
+        opts = OptimOptions(seed=4, n_starts=6)
+        lf = fit_level(lv, self.SPEC, PriorSpec(kind="inverse_range"), opts)
+        runs = every_start(_fitted_objective(lv, self.SPEC, "inverse_range"), 2, opts, 1)
+        assert sum(_agree(r.fun, lf.objective_value) for r in runs) == 1
+        assert lf.start_values == tuple(r.fun for r in runs)
+        assert lf.objective_value == runs[lf.best_start].fun == max(lf.start_values)
+
+    @pytest.mark.parametrize("n_starts", [1, 2])
+    @pytest.mark.parametrize("kind", ("plugin",) + PRIOR_KINDS)
+    def test_one_or_two_starts_all_run(self, kind, n_starts):
+        lv = assemble(_nested_pair(np.random.default_rng(37))).levels[0]
+        opts = OptimOptions(seed=4, n_starts=n_starts)
+        lf = _fit_kind(lv, self.SPEC, kind, opts)
+        runs = every_start(_fitted_objective(lv, self.SPEC, kind), 2, opts, 1)
+        assert lf.start_values == tuple(r.fun for r in runs)
+        assert lf.n_evals == sum(r.n_evals for r in runs)
+        best = max(range(n_starts), key=lambda j: runs[j].fun)
+        assert lf.best_start == best
+        np.testing.assert_array_equal(lf.xi, runs[best].x)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("seed", [37, 38])
+    @pytest.mark.parametrize("kind", ("plugin",) + PRIOR_KINDS)
+    def test_best_value_is_that_of_every_start(self, kind, seed, level):
+        lv = assemble(_nested_pair(np.random.default_rng(seed))).levels[level]
+        opts = OptimOptions(seed=4, n_starts=6)
+        lf = _fit_kind(lv, self.SPEC, kind, opts)
+        runs = every_start(_fitted_objective(lv, self.SPEC, kind), 2, opts, lv.index)
+        best = max(r.fun for r in runs if r.fun > SENTINEL_THRESHOLD)
+        assert lf.objective_value >= best - 1e-6 * max(1.0, abs(best))
+
+    def test_uncorrelated_starts_count_as_failed(self):
+        """Starts drawn where every correlation underflows stop at once on
+        a zero gradient, on one value of the plug-in criterion; they fail,
+        and their agreement never stops the level."""
+        lv = assemble(_nested_pair(np.random.default_rng(37))).levels[0]
+        opts = OptimOptions(seed=3, n_starts=4, start_low=20.0, start_high=25.0)
+        runs = every_start(_fitted_objective(lv, self.SPEC, "plugin"), 2, opts, 1)
+        assert all(r.n_evals == 1 and r.converged for r in runs[1:])
+        assert runs[1].fun == runs[2].fun == runs[3].fun
+        lf = _fit_kind(lv, self.SPEC, "plugin", opts)
+        assert lf.start_values == tuple(r.fun for r in runs)
+        assert lf.n_failed_starts == 3
+        assert lf.best_start == 0
+
+    def test_physical_unit_borehole_starts_all_fail(self):
+        """Borehole inputs in physical units (spans 0.099 to 5.2e4): from
+        every start of the default box, with phi between 0.05 and 20, every
+        correlation underflows, so each plug-in start stops after one
+        evaluation on a zero gradient, and the level has no fit."""
+        U, low, _, _ = replicate_design(0, 1, 80, 30, 20)
+        X = scale_to_box(U)[low]
+        lv = assemble([(X, np.array([borehole_low(x) for x in X]))]).levels[0]
+        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=8)
+        opts = OptimOptions(seed=5, n_starts=4)
+        runs = every_start(_fitted_objective(lv, spec, "plugin"), 8, opts, 1)
+        assert all(r.n_evals == 1 and r.converged for r in runs)
+        with pytest.raises(EstimationError, match="all 4 optimizer starts failed"):
+            _fit_kind(lv, spec, "plugin", opts)
+
+
 class TestFit:
+    def test_rejects_wrong_typed_arguments(self):
+        pair = _nested_pair(np.random.default_rng(44))[0]
+        data = assemble([pair])
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+        prior = PriorSpec(kind="reference")
+        for args, name in (
+            ((data, spec, "reference"), "prior"),
+            ((data, None, prior), "spec"),
+            (([pair], spec, prior), "data"),
+            ((data, spec, prior, 5), "opts"),
+        ):
+            with pytest.raises(InvalidArgumentError, match=f"^{name} must be"):
+                fit(*args)
+
     def test_two_level_fit_recovers_scale_link(self):
         rng = np.random.default_rng(40)
         pair1, pair2 = _nested_pair(rng, gamma=1.6)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mfcokrig.bench import borehole_high, borehole_low, scale_to_box
-from mfcokrig.exceptions import InvalidArgumentError
+from mfcokrig.exceptions import InvalidArgumentError, RangeOverflowError
 from mfcokrig.kernels import (
     DEFAULT_NUGGET,
     MATERN,
@@ -411,6 +411,20 @@ def _exponent(X1, X2, phi, spec):
 
 # below the smallest normal float, precision is absolute rather than relative
 TINY = np.finfo(np.float64).tiny
+LOG_MAX = math.log(np.finfo(np.float64).max)
+
+
+def _log_derivative_scale(phi, spec):
+    """``log(c / phi)`` per dimension, with ``c / phi`` the scale of
+    ``dR / dphi`` over ``r`` times the pair rows: ``alpha phi^-alpha / phi``
+    (alpha 1 for Matern 1/2), and ``1 / phi`` or ``1 / (3 phi)`` for
+    Matern 3/2 and 5/2."""
+    log_phi = np.log(phi)
+    if spec.family == POWER_EXPONENTIAL:
+        return math.log(spec.shape) - (spec.shape + 1.0) * log_phi
+    if spec.shape == 0.5:
+        return -2.0 * log_phi
+    return (0.0 if spec.shape == 1.5 else -math.log(3.0)) - log_phi
 
 
 def _assert_close_in_exponent(got, want, S, d, extra_ulp=0.0):
@@ -500,19 +514,48 @@ class TestPackedBuild:
 
     # the smallest ranges overflow Matern's polynomial factors; below
     # about 1e-162 the weights phi^-alpha overflow and the ranges are
-    # rejected (see test_ranges_whose_weights_overflow_are_rejected)
+    # rejected (see test_ranges_whose_weights_overflow_are_rejected), and
+    # so are those whose derivative scales overflow, for the derivative
+    # stack (see test_ranges_whose_derivative_scales_overflow_are_rejected)
     @settings(max_examples=150, deadline=None)
     @given(_packed_case(1e-160, 1e-2))
     def test_underflowed_pairs_are_exactly_zero(self, case):
         spec, X, phi = case
         params = RangeParams(phi)
-        R, dR = corr_matrix_with_derivs(X, params, spec, ws=Workspace(X, spec, derivs=True))
-        assert np.isfinite(R).all() and np.isfinite(dR).all()
+        R = corr_matrix(X, params, spec, ws=Workspace(X, spec))
+        assert np.isfinite(R).all()
         with np.errstate(over="ignore"):
             far = _exponent(X, X, phi, spec) > 800.0
         assert (R[far] == 0.0).all()
+        log_scale = _log_derivative_scale(phi, spec).max()
+        try:
+            R_d, dR = corr_matrix_with_derivs(
+                X, params, spec, ws=Workspace(X, spec, derivs=True)
+            )
+        except RangeOverflowError:
+            assert log_scale > LOG_MAX - 1e-9
+            return
+        assert log_scale < LOG_MAX + 1e-9
+        assert np.isfinite(dR).all()
         assert (dR[:, R == 0.0] == 0.0).all()
-        np.testing.assert_array_equal(corr_matrix(X, params, spec), R)
+        np.testing.assert_array_equal(R_d, R)
+
+    def test_ranges_whose_derivative_scales_overflow_are_rejected(self):
+        # r = exp(-0.1) is positive, but dr/dphi = r (h / phi) / phi is
+        # 9.05e158, which the derivative scale 1 / phi^2 = 1e320 cannot
+        # reach: a capped scale gave 1.63e147
+        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.0, dims=1)
+        X = np.array([[0.0], [1e-161]])
+        params = RangeParams([1e-160])
+        assert corr_matrix(X, params, spec)[0, 1] == pytest.approx(math.exp(-0.1), rel=1e-15)
+        for ws in (None, Workspace(X, spec, derivs=True)):
+            with pytest.raises(RangeOverflowError, match="derivative scales overflow"):
+                corr_matrix_with_derivs(X, params, spec, ws=ws)
+        # the same pair 1e10 times larger keeps its scale finite and gets
+        # the exact derivative
+        X = X * 1e10
+        _, dR = corr_matrix_with_derivs(X, RangeParams([1e-150]), spec)
+        assert dR[0, 0, 1] == pytest.approx(math.exp(-0.1) * 1e-151 / 1e-300, rel=1e-14)
 
     def test_ranges_whose_weights_overflow_are_rejected(self):
         # phi^-1.9 overflows at phi = 1e-300; a capped weight met

@@ -114,6 +114,13 @@ class TestModelRoundTrip:
         bad.write_text("{not json")
         with pytest.raises(ConfigError, match="valid JSON"):
             load_model(bad)
+        with pytest.raises(ConfigError, match="is a directory"):
+            load_model(tmp_path)
+
+    def test_save_into_a_missing_directory(self, tmp_path):
+        data, result = _fitted()
+        with pytest.raises(ConfigError, match="cannot write"):
+            save_model(tmp_path / "absent" / "model.json", data, result)
 
     def test_non_constant_basis_not_serializable(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -357,6 +364,18 @@ class TestMalformedDocuments:
 
 
 class TestLevelCsv:
+    def test_write_rejects_mismatched_and_non_numeric_arrays(self, tmp_path):
+        path = tmp_path / "level1.csv"
+        with pytest.raises(InvalidArgumentError, match="one output each"):
+            write_level_csv(path, np.zeros((3, 2)), [1.0])
+        with pytest.raises(InvalidArgumentError, match="one output each"):
+            write_level_csv(path, np.zeros(3), np.zeros(3))
+        with pytest.raises(InvalidArgumentError, match="inputs must hold real numbers"):
+            write_level_csv(path, [["a", "b"]], [1.0])
+        with pytest.raises(InvalidArgumentError, match="outputs must hold real numbers"):
+            write_level_csv(path, [[0.0, 1.0]], ["y"])
+        assert not path.exists()
+
     def test_full_precision_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
         X = rng.uniform(size=(9, 3))
