@@ -214,9 +214,8 @@ def _replicate_metrics(rep, seed, n_low, n_high, n_test, spec, prior, method, op
     result = fit(data, spec, prior, opts, method=method)
     model = CokrigingModel(data, result)
 
-    pred = model.predict(U[test_idx])
+    pred, intervals = model._read(U[test_idx], 0.95)
     means = pred.means[:, -1]
-    intervals = model.credible_intervals(U[test_idx], prob=0.95)
     lo, hi = intervals[:, data.s - 1, 0], intervals[:, data.s - 1, 1]
     rmspe = float(np.sqrt(np.mean((means - y_truth) ** 2)))
     covered = (y_truth >= lo) & (y_truth <= hi)

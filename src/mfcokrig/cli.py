@@ -229,8 +229,7 @@ def cmd_predict(args):
             f"{grid_path} has {X0.shape[1]} input columns but the model "
             f"expects {data.dims}"
         )
-    pred = model.predict(X0)
-    intervals = model.credible_intervals(X0, prob=0.95)
+    pred, intervals = model._read(X0, 0.95)
     pred_path = os.path.join(out, "predictions.csv")
     write_predictions_csv(pred_path, X0, pred, intervals)
     _echo_config(out, "predict", {"model": args.model, "grid": grid_path})

@@ -281,6 +281,19 @@ def load_level_csv(path, y_optional=False):
     return values[:, :d], values[:, d] if has_y else None
 
 
+def _line(values):
+    """One CSV row of Python floats, each written as ``_format`` writes it;
+    ``ndarray.tolist()`` gives such rows."""
+    return ",".join(map(repr, values))
+
+
+def _write_text(path, header, lines):
+    """Write a header row and the ``lines`` (newline-terminated) in one
+    ``write``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n" + "".join(lines))
+
+
 def write_level_csv(path, inputs, outputs):
     """Write one level's ``x1..xd,y`` file: one row per input row and
     output, so ``inputs`` must be a 2-d matrix with one row per output."""
@@ -291,61 +304,50 @@ def write_level_csv(path, inputs, outputs):
             f"inputs of shape {inputs.shape} need one output each, got outputs "
             f"of shape {outputs.shape}"
         )
-    d = inputs.shape[1]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{k + 1}" for k in range(d)] + ["y"])
-        for row, y in zip(inputs, outputs):
-            writer.writerow([_format(v) for v in row] + [_format(y)])
+    header = [f"x{k + 1}" for k in range(inputs.shape[1])] + ["y"]
+    rows = np.column_stack([inputs, outputs]).tolist()
+    _write_text(path, header, [_line(row) + "\n" for row in rows])
 
 
 def write_predictions_csv(path, X0, prediction, intervals):
     """Prediction table: one row per (query, level) with mean, variance,
     and the 95% interval bounds."""
     X0 = np.asarray(X0, dtype=np.float64)
-    d = X0.shape[1]
-    header = [f"x{k + 1}" for k in range(d)] + [
+    header = [f"x{k + 1}" for k in range(X0.shape[1])] + [
         "level",
         "mean",
         "variance",
         "lo95",
         "hi95",
     ]
-    # one .tolist() per array gives Python floats, whose repr is _format's;
     # a query's inputs are formatted once for all of its levels
     intervals = np.asarray(intervals, dtype=np.float64)
     values = np.stack(
         [prediction.means, prediction.variances, intervals[..., 0], intervals[..., 1]],
         axis=-1,
     ).tolist()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for x, levels in zip(X0.tolist(), values):
-            cells = [repr(v) for v in x]
-            writer.writerows(
-                cells + [str(t)] + [repr(v) for v in row] for t, row in enumerate(levels, start=1)
-            )
+    lines = []
+    for x, levels in zip(X0.tolist(), values):
+        cells = _line(x)
+        lines.extend(f"{cells},{t},{_line(row)}\n" for t, row in enumerate(levels, start=1))
+    _write_text(path, header, lines)
 
 
 def write_draws_csv(path, draws):
     """Sample table: one row per draw, one ``level{t}`` column per level."""
     draws = np.asarray(draws, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"level{t + 1}" for t in range(draws.shape[1])])
-        for row in draws:
-            writer.writerow([_format(v) for v in row])
+    header = [f"level{t + 1}" for t in range(draws.shape[1])]
+    _write_text(path, header, [_line(row) + "\n" for row in draws.tolist()])
 
 
 def write_tailprobe_csv(path, phi_grid, loglik, logprior, logpost):
     """Diagnostic table along an isotropic range ray; empty grid gives a
     header-only file."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["phi", "log_likelihood", "log_prior", "log_posterior"])
-        for g, ll, lp, lpost in zip(phi_grid, loglik, logprior, logpost):
-            writer.writerow([_format(g), _format(ll), _format(lp), _format(lpost)])
+    rows = np.column_stack(
+        [np.asarray(a, dtype=np.float64) for a in (phi_grid, loglik, logprior, logpost)]
+    ).tolist()
+    header = ["phi", "log_likelihood", "log_prior", "log_posterior"]
+    _write_text(path, header, [_line(row) + "\n" for row in rows])
 
 
 def write_replicates_csv(path, report):

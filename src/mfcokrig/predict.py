@@ -44,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln, stdtr, stdtrit
-from scipy.stats import t as student_t
 
 from .estimate import (
     CokrigingData,
@@ -90,7 +89,8 @@ MAX_REFINE = 2
 
 # interval bounds are solved for a block of query rows at a time, sized so
 # one node array of the block holds at most this many bytes; the solve keeps
-# a few dozen such arrays alive
+# a few dozen such arrays alive.  The rules are built once per refinement
+# for all blocks, so a block costs only its rows' nodes
 QUAD_BLOCK_BYTES = 1 << 15
 
 # Newton steps, with bisection and bracket expansion as the safeguard,
@@ -217,8 +217,10 @@ class CokrigingModel:
 
     def _pieces(self, X0):
         """Per level, the centred piece ``(mu, Q0, yc)`` of every row of
-        ``X0`` (module docstring): one cross-correlation block and one
-        triangular solve against each of ``chol_R`` and ``chol_M``.
+        ``X0`` (module docstring), and the ``(m, s)`` mask of the rows that
+        coincide with a design point of each level: one cross-correlation
+        block and one triangular solve against each of ``chol_R`` and
+        ``chol_M``.
 
         With ``U = F - W^T L_R^-1 C``, whose basis rows ``F`` are the basis
         at ``X0`` and whose link row is zero, and ``Z = L_M^-1 U``, the
@@ -226,9 +228,16 @@ class CokrigingModel:
         enters only the last entry of ``Z``, as ``y / L_qq``.  So ``Q0``,
         the least scale over ``y``, drops that entry, and ``yc`` is the
         value that attains it.
+
+        ``c_base = (1 + g) - |L_R^-1 c|^2``, with ``g`` the nugget, cancels
+        to about ``2g`` at a design row ``x_i``.  There ``c = R e_i - g e_i``
+        exactly, so it takes its closed form ``2g - g^2 (R^-1)_ii``, which
+        does not depend on the other rows of the solve.
         """
+        g = self.spec.nugget
+        at_design = np.empty((X0.shape[0], self.s), dtype=bool)
         out = []
-        for st in self._states:
+        for st, at in zip(self._states, at_design.T):
             lv, fact, L = st.data, st.fact, st.fact.chol_M
             C = cross_corr(lv.inputs, X0, st.params, self.spec)
             Sw = solve_triangular(fact.chol_R, C, lower=True, check_finite=False)
@@ -238,35 +247,34 @@ class CokrigingModel:
             U = -(fact.white_design.T @ Sw)
             U[:k] += H0.T
             Z = solve_triangular(L, U, lower=True, check_finite=False)
-            Q0 = (1.0 + self.spec.nugget) - np.einsum("ij,ij->j", Sw, Sw)
-            Q0 += np.einsum("ij,ij->j", Z[:k], Z[:k])
-            out.append((mu, Q0, None if lv.index == 1 else -Z[-1] * L[-1, -1]))
-            # the (n, m) blocks go before the next level builds its own
+            c_base = (1.0 + g) - np.einsum("ij,ij->j", Sw, Sw)
+            # the (n, m) blocks go before the design-row match and the next
+            # level build blocks of their own
             del C, Sw
-        return out
+            hits = coincident_rows(X0, lv.inputs)
+            at[:] = hits.any(axis=1)
+            if at.any():
+                # (R^-1)_ii = |L_R^-1 e_i|^2
+                E = np.zeros((lv.n, int(at.sum())))
+                E[hits[at].argmax(axis=1), np.arange(E.shape[1])] = 1.0
+                E = solve_triangular(fact.chol_R, E, lower=True, check_finite=False)
+                c_base[at] = g * (2.0 - g * np.einsum("ij,ij->j", E, E))
+            Q0 = c_base + np.einsum("ij,ij->j", Z[:k], Z[:k])
+            out.append((mu, Q0, None if lv.index == 1 else -Z[-1] * L[-1, -1]))
+        return out, at_design
 
-    def predict(self, X0, mean_only=False):
-        """Predictive means and variances at every level for each query row.
-
-        Requires ``n - q > 2`` at every level unless ``mean_only``, which
-        must be a bool.
-        """
-        if not isinstance(mean_only, (bool, np.bool_)):
-            raise InvalidArgumentError(f"mean_only must be a bool, got {mean_only!r}")
-        X0 = self._check_queries(X0)
-        m = X0.shape[0]
-        s = self.s
+    def _moments(self, pieces, at_design, mean_only):
+        """``predict``'s ``Prediction`` from the ``_pieces`` output."""
+        m, s = at_design.shape
         means = np.empty((m, s))
         variances = None if mean_only else np.empty((m, s))
-        at_design = np.empty((m, s), dtype=bool)
         y = v = 0.0
-        for t, (st, (mu, Q0, yc)) in enumerate(zip(self._states, self._pieces(X0))):
+        for t, (st, (mu, Q0, yc)) in enumerate(zip(self._states, pieces)):
             if not mean_only and st.df <= 2:
                 raise VarianceUndefinedError(
                     f"level {st.data.index} has n - q = {st.df} <= 2; variances "
                     "are undefined (request mean_only for means)"
                 )
-            at_design[:, t] = coincident_rows(X0, st.data.inputs).any(axis=1)
             if yc is not None:
                 mu = mu + st.gamma * y
                 Q0 = Q0 + st.minv_qq * ((y - yc) ** 2 + v)
@@ -278,6 +286,38 @@ class CokrigingModel:
         return Prediction(
             means=means, variances=variances, dfs=self.dfs, at_design=at_design
         )
+
+    def _intervals(self, pieces, prob):
+        """``credible_intervals``' bounds from the ``_pieces`` output."""
+        m, s = pieces[0][0].size, self.s
+        tails = np.array([0.5 * (1.0 - prob), 0.5 * (1.0 + prob)])
+        out = np.empty((m, s, 2))
+        st = self._states[0]
+        mu, Q0, _ = pieces[0]
+        scale = np.sqrt(st.sigma2_pred * np.maximum(Q0, 0.0))
+        out[:, 0, :] = mu[:, None] + scale[:, None] * stdtrit(st.df, tails)
+        rule_sets = {}
+        for t in range(1, s):
+            out[:, t, :] = _quantiles(self._states, pieces, t, tails, rule_sets)
+        return out
+
+    def _read(self, X0, prob):
+        """``(predict(X0), credible_intervals(X0, prob))`` from one pass
+        over ``X0``: the pieces both start from are formed once."""
+        X0 = self._check_queries(X0)
+        pieces, at_design = self._pieces(X0)
+        return self._moments(pieces, at_design, False), self._intervals(pieces, prob)
+
+    def predict(self, X0, mean_only=False):
+        """Predictive means and variances at every level for each query row.
+
+        Requires ``n - q > 2`` at every level unless ``mean_only``, which
+        must be a bool.
+        """
+        if not isinstance(mean_only, (bool, np.bool_)):
+            raise InvalidArgumentError(f"mean_only must be a bool, got {mean_only!r}")
+        X0 = self._check_queries(X0)
+        return self._moments(*self._pieces(X0), mean_only)
 
     def sample_predictive(self, x0, n_draws, seed=0):
         """Draws from the joint predictive distribution at one point.
@@ -299,7 +339,7 @@ class CokrigingModel:
         rng = np.random.default_rng(seed)
         draws = np.empty((n_draws, self.s))
         y = 0.0
-        for st, (mu, Q0, yc), level in zip(self._states, self._pieces(x0), draws.T):
+        for st, (mu, Q0, yc), level in zip(self._states, self._pieces(x0)[0], draws.T):
             if yc is not None:
                 mu = mu + st.gamma * y
                 Q0 = Q0 + st.minv_qq * (y - yc) ** 2
@@ -319,17 +359,7 @@ class CokrigingModel:
         if not is_real(prob) or not 0.0 < prob < 1.0:
             raise InvalidArgumentError(f"prob must lie in (0, 1), got {prob!r}")
         X0 = self._check_queries(X0)
-        m, s = X0.shape[0], self.s
-        tails = np.array([0.5 * (1.0 - prob), 0.5 * (1.0 + prob)])
-        pieces = self._pieces(X0)
-        out = np.empty((m, s, 2))
-        st = self._states[0]
-        mu, Q0, _ = pieces[0]
-        scale = np.sqrt(st.sigma2_pred * np.maximum(Q0, 0.0))
-        out[:, 0, :] = mu[:, None] + scale[:, None] * student_t.ppf(tails, st.df)
-        for t in range(1, s):
-            out[:, t, :] = _quantiles(self._states, pieces, t, tails)
-        return out
+        return self._intervals(self._pieces(X0)[0], prob)
 
     def credible_interval(self, x0, level, prob=0.95):
         """Equal-tail predictive interval at one point and level.
@@ -347,22 +377,28 @@ class CokrigingModel:
         return float(lo), float(hi)
 
 
-def _quantiles(states, pieces, t, probs):
+def _quantiles(states, pieces, t, probs, rule_sets):
     """Level ``t + 1`` quantiles ``(rows, len(probs))`` of the rows of the
     ``CokrigingModel._pieces`` output ``pieces``, solved in blocks of rows;
     a row whose error estimate exceeds ``QUAD_TOL`` is solved again with
-    finer rules."""
-    states, pieces = states[: t + 1], pieces[: t + 1]
+    finer rules.  ``rule_sets`` maps a refinement to its ``_Rules``, built
+    here on first use, so one dict serves every level and block of a
+    ``credible_intervals`` call."""
     out = np.empty((pieces[0][0].size, probs.size))
     rows = np.arange(out.shape[0])
     for refine in range(MAX_REFINE + 1):
-        nodes = int(np.prod([_rule_size(st.df, refine) for st in states[1:]]))
+        if refine not in rule_sets:
+            rule_sets[refine] = _Rules(states, refine)
+        rules = rule_sets[refine]
+        nodes = int(np.prod([rules.full[k][0].size for k in range(1, t + 1)]))
         block = max(1, QUAD_BLOCK_BYTES // (8 * probs.size * nodes))
         err = np.empty((rows.size, probs.size))
         for start in range(0, rows.size, block):
             part = rows[start:start + block]
             quad = _Quadrature(
-                states, [[None if a is None else a[part] for a in pc] for pc in pieces], refine
+                states[: t + 1],
+                [[None if a is None else a[part] for a in pc] for pc in pieces[: t + 1]],
+                rules,
             )
             out[part], err[start:start + block] = quad.quantiles(t, probs)
         rows = rows[(err > QUAD_TOL).any(axis=1)]
@@ -386,10 +422,6 @@ def _tanh_sinh(step):
 
 def _step(df, refine):
     return QUAD_STEP * min(1.0, np.sqrt(df / STEP_DF)) / 2**refine
-
-
-def _rule_size(df, refine):
-    return 2 * int(round(QUAD_HALF_WIDTH / _step(df, refine))) + 1
 
 
 def _central_rule(df, step, e_star=np.inf):
@@ -438,6 +470,29 @@ def _by_row(a, r, ndim):
     return a[r].reshape((-1,) + (1,) * (ndim - 1))
 
 
+class _Rules:
+    """The tanh-sinh rules of every level at one refinement: per level the
+    full central rule, the central rule up to ``e_star`` and the tail rule
+    in its own variable.  They depend only on the level's degrees of
+    freedom, step and ``e_star``, so one set serves every block of rows;
+    its arrays are read-only."""
+
+    def __init__(self, states, refine):
+        self.dfs = [st.df for st in states]
+        # |e| beyond which the leading coefficient gamma^2 - e^2 S q of
+        # the event's quadratic turns negative
+        self.e_star = [np.inf] + [
+            abs(st.gamma) / np.sqrt(st.sigma2_pred * st.minv_qq) for st in states[1:]
+        ]
+        steps = [_step(df, refine) for df in self.dfs]
+        self.full = [_central_rule(df, h) for df, h in zip(self.dfs, steps)]
+        self.mid = [_central_rule(df, h, e) for df, h, e in zip(self.dfs, steps, self.e_star)]
+        self.tail = [_tanh_sinh(h) for h in steps]
+        for rule in self.full + self.mid + self.tail:
+            for a in rule:
+                a.flags.writeable = False
+
+
 class _Quadrature:
     """Predictive CDFs and densities of a block of query rows, and the
     quantile solve on them.
@@ -454,29 +509,21 @@ class _Quadrature:
       (``_cdf_over_lower``).
 
     Every rule is tanh-sinh in a Student-t CDF scale, which keeps the
-    heavy tails at the ends of the rule, with its steps halved ``refine``
-    times.  Each CDF comes with an error estimate: its distance from the
+    heavy tails at the ends of the rule.  The rules come from ``rules``, a
+    ``_Rules`` at one refinement that every block of a
+    ``credible_intervals`` call shares; the block adds only its rows'
+    nodes.  Each CDF comes with an error estimate: its distance from the
     same sum over every other node, plus the estimates of the lower CDFs
     it sums.
     """
 
-    def __init__(self, states, pieces, refine=0):
+    def __init__(self, states, pieces, rules):
         self.states = states
-        self.dfs = [st.df for st in states]
+        self.dfs, self.e_star = rules.dfs, rules.e_star
+        self.full_rules, self.mid_rules, self.tail_rules = rules.full, rules.mid, rules.tail
         self.mu = [mu for mu, _, _ in pieces]
         self.Q0 = [np.maximum(Q0, 0.0) for _, Q0, _ in pieces]
         self.yc = [yc for _, _, yc in pieces]
-        # |e| beyond which the leading coefficient gamma^2 - e^2 S q of
-        # the event's quadratic turns negative
-        self.e_star = [np.inf] + [
-            abs(st.gamma) / np.sqrt(st.sigma2_pred * st.minv_qq) for st in states[1:]
-        ]
-        steps = [_step(df, refine) for df in self.dfs]
-        self.full_rules = [_central_rule(df, h) for df, h in zip(self.dfs, steps)]
-        self.mid_rules = [
-            _central_rule(df, h, e) for df, h, e in zip(self.dfs, steps, self.e_star)
-        ]
-        self.tail_rules = [_tanh_sinh(h) for h in steps]
         # location and scale of each level: predict's mean and variance
         # recursion without the Student-t variance factors
         self.loc = [self.mu[0]]
@@ -665,7 +712,7 @@ class _Quadrature:
         r = np.repeat(np.arange(n), probs.size)
         p = np.tile(probs, n)
         loc, spread = self.loc[t][r], self.spread[t][r]
-        z = loc + spread * student_t.ppf(p, self.start_df[t][r])
+        z = loc + spread * stdtrit(self.start_df[t][r], p)
         err = np.zeros(z.shape)
         lo = np.full(z.shape, -np.inf)
         hi = np.full(z.shape, np.inf)

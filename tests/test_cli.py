@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mfcokrig import cli
+from mfcokrig import predict as predict_module
 from mfcokrig.cli import EXIT_CONFIG, EXIT_ESTIMATION, EXIT_OK, main
 from mfcokrig.exceptions import BenchmarkError
 from mfcokrig.modelio import _format, load_model, write_level_csv
@@ -193,6 +194,23 @@ class TestPredictCommand:
             assert row[3] == _format(pred.means[i, t])
             assert row[4] == _format(pred.variances[i, t])
             assert row[5:] == [_format(v) for v in intervals[i, t]]
+
+    def test_one_cross_correlation_per_level(self, tmp_path, monkeypatch):
+        """The moments and the intervals share one pass over the grid."""
+        out, _, _ = _fit(tmp_path)
+        grid = tmp_path / "grid.csv"
+        grid.write_text("x1,x2\n0.1,0.2\n0.7,0.4\n")
+        calls = []
+        cross_corr = predict_module.cross_corr
+        monkeypatch.setattr(
+            predict_module, "cross_corr", lambda *a: calls.append(1) or cross_corr(*a)
+        )
+        code = main(
+            ["predict", "--model", str(out / "model.json"), "--grid", str(grid),
+             "--out", str(tmp_path / "pm")]
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 2
 
     def test_intervals_take_no_draws_flag(self, tmp_path, capsys):
         out, _, _ = _fit(tmp_path)

@@ -445,17 +445,42 @@ def _predictions_csv_per_cell(X0, prediction, intervals):
     return "\n".join(lines) + "\n"
 
 
+def _level_csv_per_cell(inputs, outputs):
+    """A level file's text written one cell at a time, each number
+    formatted as ``repr(float(v))``."""
+    lines = [",".join([f"x{k + 1}" for k in range(inputs.shape[1])] + ["y"])]
+    for row, y in zip(inputs, outputs):
+        lines.append(",".join([repr(float(v)) for v in row] + [repr(float(y))]))
+    return "\n".join(lines) + "\n"
+
+
+def _special_values(rng, shape):
+    """Normals over 40 decades, with -0.0, 1e-300, +-1e300, 0.1 and 1/3
+    placed at random entries."""
+    special = np.array([-0.0, 1e-300, 1e300, -1e300, 0.1, 1.0 / 3.0])
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+    flat = v.reshape(-1)
+    flat[rng.choice(flat.size, size=special.size, replace=False)] = special
+    return v
+
+
 class TestAuxiliaryWriters:
+    def test_level_csv_matches_per_cell_formatting(self, tmp_path):
+        rng = np.random.default_rng(171)
+        inputs, outputs = _special_values(rng, (30, 3)), _special_values(rng, 30)
+        path = tmp_path / "level.csv"
+        write_level_csv(path, inputs, outputs)
+        assert path.read_bytes() == _level_csv_per_cell(inputs, outputs).encode()
+        ints = np.arange(6).reshape(3, 2)
+        write_level_csv(path, ints, [7, 8, 9])
+        assert path.read_bytes() == _level_csv_per_cell(ints, [7, 8, 9]).encode()
+
     def test_predictions_csv_matches_per_cell_formatting(self, tmp_path):
         rng = np.random.default_rng(170)
         m, d, s = 40, 3, 2
-        special = np.array([-0.0, 1e-300, 1e300, -1e300, 0.1, 1.0 / 3.0])
 
         def values(shape):
-            v = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, size=shape)
-            flat = v.reshape(-1)
-            flat[rng.choice(flat.size, size=special.size, replace=False)] = special
-            return v
+            return _special_values(rng, shape)
 
         X0 = values((m, d))
         pred = Prediction(

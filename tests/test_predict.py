@@ -34,7 +34,7 @@ from mfcokrig.kernels import (
     cross_corr,
 )
 from mfcokrig import predict as predict_module
-from mfcokrig.predict import TAIL_MASS, CokrigingModel, _Quadrature, _quantiles
+from mfcokrig.predict import TAIL_MASS, CokrigingModel, _Quadrature, _quantiles, _Rules
 from mfcokrig.priors import PriorSpec
 from oracles import coincident_rows_loop, point_cdf, point_draws
 
@@ -190,19 +190,18 @@ class TestPredictionAgainstDenseReference:
             np.testing.assert_allclose(
                 single.variances[0], batch.variances[i], rtol=1e-10
             )
-        # the interval models, intervals included.  A design row's level-one
-        # scale cancels to about twice the nugget, whose rounding depends on
-        # the other rows of the solve and moves its variances and bounds in
-        # the 7th digit
+        # the interval models, intervals included.  A design row's scale
+        # takes its closed form, so it does not depend on the other rows of
+        # the solve either
         for model, X0 in _interval_cases():
             batch, bounds = model.predict(X0), model.credible_intervals(X0)
             sd = np.sqrt(batch.variances)
             for i in range(X0.shape[0]):
                 single = model.predict(X0[i])
                 np.testing.assert_allclose(single.means[0], batch.means[i], rtol=1e-10)
-                np.testing.assert_allclose(single.variances[0], batch.variances[i], rtol=1e-5)
+                np.testing.assert_allclose(single.variances[0], batch.variances[i], rtol=1e-10)
                 gap = np.abs(model.credible_intervals(X0[i])[0] - bounds[i])
-                assert np.all(gap <= 1e-5 * sd[i][:, None]), (i, gap)
+                assert np.all(gap <= 1e-8 * sd[i][:, None]), (i, gap)
 
 
 class TestInterpolation:
@@ -514,7 +513,7 @@ def _oracle_pieces(model, X0):
     """The model's centred pieces ``(mu, Q0, yc)`` in the oracle's ``(mu, c0,
     c1)`` form: ``c0 = Q0 + q yc^2`` and ``c1 = -2 q yc``."""
     out = []
-    for st, (mu, Q0, yc) in zip(model._states, model._pieces(X0)):
+    for st, (mu, Q0, yc) in zip(model._states, model._pieces(X0)[0]):
         if yc is None:
             yc = np.zeros_like(Q0)
         out.append((mu, Q0 + st.minv_qq * yc**2, -2.0 * st.minv_qq * yc))
@@ -543,7 +542,7 @@ class TestBatchedIntervals:
         top = (0, 12, X0.shape[0] - 1) if case else range(X0.shape[0])
         _assert_tail_probabilities(model, X0, got, (0.05, 0.95), range(X0.shape[0]), [2])
         _assert_tail_probabilities(model, X0, got, (0.05, 0.95), top, range(3, model.s + 1))
-        quad = _Quadrature(model._states, model._pieces(X0))
+        quad = _Quadrature(model._states, model._pieces(X0)[0], _Rules(model._states, 0))
         assert any(stdtr(df, -e) > TAIL_MASS for df, e in zip(quad.dfs, quad.e_star))
         tol = 1e-9 * np.abs(model.predict(X0).means)
         for i in (0, 13, X0.shape[0] - 1):
@@ -564,6 +563,24 @@ class TestBatchedIntervals:
         whole = model.credible_intervals(X0)
         monkeypatch.setattr(predict_module, "QUAD_BLOCK_BYTES", 1)
         np.testing.assert_array_equal(model.credible_intervals(X0), whole)
+
+    def test_rules_are_built_once_per_call(self, monkeypatch):
+        """The rules depend only on the model, so every block of a call
+        shares them: one row per block, and three times the rows, build
+        as many."""
+        model, X0 = _interval_cases()[0]
+        monkeypatch.setattr(predict_module, "QUAD_BLOCK_BYTES", 1)
+        builds = []
+        tanh_sinh = predict_module._tanh_sinh
+        monkeypatch.setattr(
+            predict_module, "_tanh_sinh", lambda step: builds.append(step) or tanh_sinh(step)
+        )
+        counts = []
+        for reps in (1, 3):
+            builds.clear()
+            model.credible_intervals(np.tile(X0, (reps, 1)))
+            counts.append(len(builds))
+        assert counts[0] == counts[1] > 0
 
     def test_negative_scale_link(self):
         """A fitted model whose level-two output falls as level one rises."""
@@ -611,10 +628,10 @@ class TestQuadratureCases:
         states = [self._state(11, 1, 1.0), self._state(8, 2, 1.0, gamma, minv_qq)]
         pieces = [(np.array([0.0]), np.array([1.0]), None),
                   (np.array([0.3]), np.array([Q0]), np.array([yc]))]
-        quad_cdf = _Quadrature(states, pieces)
+        quad_cdf = _Quadrature(states, pieces, _Rules(states, 0))
         assert bool(quad_cdf.over_lower[1][0]) is not innovation
         probs = np.array([0.001, 0.025, 0.3, 0.5, 0.975, 0.999])
-        bounds = _quantiles(states, pieces, 1, probs)[0]
+        bounds = _quantiles(states, pieces, 1, probs, {})[0]
         # the sampler's form of the same row: c0 + c1 y + q y^2
         row = [(0.0, 1.0, 0.0), (0.3, Q0 + minv_qq * yc**2, -2.0 * minv_qq * yc)]
         model = SimpleNamespace(_states=states, s=2)

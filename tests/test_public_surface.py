@@ -2,7 +2,9 @@
 benchmark harness wraps or ticks still resolves where it looks it up."""
 
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +53,15 @@ def test_every_benchmark_hook_exists(perfbench):
     hooks += list(workload.FIT_TICKS) + list(workload.QUERY_TICKS)
     for owner, attr in hooks:
         assert hasattr(owner, attr), f"{owner!r} has no {attr!r}"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` takes about as long to import as the rest of the
+    package; prediction needs only ``scipy.special``."""
+    src = str(Path(mfcokrig.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, mfcokrig; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
