@@ -88,13 +88,16 @@ class OptimOptions:
 
     Each start runs L-BFGS-B.  ``tol`` is its ``gtol``, the largest
     gradient component at which it stops, and ``max_evals`` caps each
-    start's evaluations, ``None`` meaning ``500 * (d + 1)``.  ``n_starts``
-    is the most starts a level runs: a level stops after the start at
-    which two starts that did not fail (see ``fit_level``) have reached
-    its best value so far, to ``1e-6 * max(1, |best|)``.  The first start is always ``xi = 0``; the
-    others are drawn uniformly from ``[start_low, start_high]^d`` with a
-    stream seeded by ``(seed, level, start)`` so runs are reproducible and
-    levels independent.
+    start's evaluations, ``None`` meaning ``500 * (d + 1)``; a point a
+    start evaluated before is served again from its memo, and is no
+    evaluation.  ``n_starts`` is the most starts a level runs: a level
+    stops after the start at which two starts that did not fail (see
+    ``fit_level``) have reached its best value so far, to
+    ``1e-6 * max(1, |best|)``, and a start after the first usable one ends
+    once its own best agrees so.  The first start is always ``xi = 0``;
+    the others are drawn uniformly from ``[start_low, start_high]^d`` with
+    a stream seeded by ``(seed, level, start)`` so runs are reproducible
+    and levels independent.
     """
 
     seed: int = 0
@@ -227,7 +230,9 @@ def assemble(raw_levels, basis="constant"):
     Parameters
     ----------
     raw_levels : sequence of (inputs, outputs)
-        One pair per level.
+        One pair per level: an ``(n, d)`` input matrix and its ``n``
+        outputs, as a vector of shape ``(n,)`` or a column ``(n, 1)``.
+        Outputs of any other shape raise ``InvalidArgumentError``.
     basis : "constant", callable, or sequence of callables
         Regression basis; the default is a single intercept column.
     """
@@ -244,9 +249,16 @@ def assemble(raw_levels, basis="constant"):
         except (TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"level {t} must be an (inputs, outputs) pair") from exc
         inputs = real_array(inputs, f"level {t} inputs")
-        outputs = real_array(outputs, f"level {t} outputs").ravel()
+        outputs = real_array(outputs, f"level {t} outputs")
         if inputs.ndim != 2:
             raise InvalidArgumentError(f"level {t} inputs must be a 2-d matrix")
+        n = inputs.shape[0]
+        if outputs.shape not in ((n,), (n, 1)):
+            raise InvalidArgumentError(
+                f"level {t} outputs must have shape ({n},) or ({n}, 1) for its "
+                f"{n} input rows, got {outputs.shape}"
+            )
+        outputs = outputs.reshape(n)
         if t > 1 and inputs.shape[1] != prev_inputs.shape[1]:
             raise InvalidArgumentError(
                 "all levels must share one input dimension; "
@@ -484,12 +496,19 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
 
     The starts run in order, and the level stops after the start at which
     two of them have reached its best value so far, within
-    ``1e-6 * max(1, |best|)``, or after ``opts.n_starts`` starts.  A start
-    whose best value is the sentinel, or whose best point leaves every
-    pair of rows uncorrelated (every correlation underflowed, so the
-    gradient there is exactly 0), has failed: it counts in
-    ``n_failed_starts`` and never toward agreement.  ``start_values`` and
-    ``n_evals`` cover the starts that ran.
+    ``1e-6 * max(1, |best|)``, or after ``opts.n_starts`` starts.  Every
+    start after the first usable one gets that agreement band,
+    ``[best - 1e-6 * max(1, |best|), best]``, and ends at its first
+    evaluation whose running best lies in it; a start whose running best
+    rises above ``best`` runs to its own stop, so the winning start always
+    ran to its own stop.  A start whose best value is the sentinel, or
+    whose best point leaves every pair of rows uncorrelated (every
+    correlation underflowed, so the gradient there is exactly 0), has
+    failed: it counts in ``n_failed_starts`` and never toward agreement.
+    ``start_values`` and ``n_evals`` cover the starts that ran:
+    ``start_values`` holds each start's best value when it ended, and
+    ``n_evals`` the objective's calls, which points served again from a
+    start's memo (``optim.lbfgs_max``) are not.
     """
     from .optim import lbfgs_max
 
@@ -529,6 +548,9 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
     n_failed = 0
     start_values = []
     usable = []
+    # the values that agree with the best so far; every start after the
+    # first usable one ends once its own best lies in it
+    band = None
     for j in range(opts.n_starts):
         if j == 0:
             x0 = np.zeros(d)
@@ -537,7 +559,7 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
                 np.random.SeedSequence(entropy=opts.seed, spawn_key=(data_t.index, j))
             )
             x0 = rng.uniform(opts.start_low, opts.start_high, size=d)
-        res = lbfgs_max(func, x0, tol=opts.tol, max_evals=opts.max_evals)
+        res = lbfgs_max(func, x0, tol=opts.tol, max_evals=opts.max_evals, band=band)
         total_evals += res.n_evals
         start_values.append(res.fun)
         if res.fun <= SENTINEL_THRESHOLD or _uncorrelated(data_t, res.x, spec, ws):
@@ -547,8 +569,8 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
             best = res
             best_start = j
         usable.append(res.fun)
-        floor = best.fun - _AGREE_RTOL * max(1.0, abs(best.fun))
-        if sum(v >= floor for v in usable) >= 2:
+        band = (best.fun - _AGREE_RTOL * max(1.0, abs(best.fun)), best.fun)
+        if sum(v >= band[0] for v in usable) >= 2:
             break
     if best is None:
         raise EstimationError(

@@ -217,7 +217,9 @@ def _transform(T, spec):
     in place."""
     np.abs(T, out=T)
     if spec.family == POWER_EXPONENTIAL:
-        np.power(T, spec.shape, out=T)
+        # a distance that overflows reads inf, and its correlation 0
+        with np.errstate(over="ignore"):
+            np.power(T, spec.shape, out=T)
     else:
         T *= math.sqrt(2.0 * spec.shape)
     return T
@@ -525,7 +527,14 @@ def xi_gradient(ws, params, out):
     gemv of ``A``; no ``(d, n, n)`` array is formed.
     """
     A, c = _derivative_rows(ws, params.phi)
-    np.matmul(A, ws.gpairs, out=out)
+    with np.errstate(invalid="ignore"):
+        np.matmul(A, ws.gpairs, out=out)
+    if not np.isfinite(out).all():
+        # coordinates about 1e162 or more apart overflow the pair stack to
+        # inf (power-exponential 1.9); the pair's correlation is then 0,
+        # and so is its weight, so the pair adds 0, not inf * 0
+        live = ws.gpairs != 0.0
+        np.matmul(A[:, live], ws.gpairs[live], out=out)
     out *= -c
     return out
 

@@ -10,11 +10,17 @@ parameters.  Coefficients: reflection 1, expansion 2, contraction 0.5,
 shrink 0.5.
 
 ``lbfgs_max`` runs scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) without
-bounds on the negated objective and its gradient, and enforces the
-evaluation budget itself, since scipy's ``maxfun`` is checked only between
-iterations and a line search can overrun it.  No fit runs the simplex
-any more; the benchmark's tracer (``perfbench/tracing.py``) still hooks
-it, so it goes with the next change to that harness.
+bounds on the negated objective and its gradient.  It evaluates each
+distinct point once: L-BFGS-B's failing final line searches return to
+points the run has already evaluated, most often its best one, and those
+are served from a memo of the run, keyed by the bytes of the point,
+without calling the objective and without counting as evaluations.  It
+enforces the evaluation budget itself, since scipy's ``maxfun`` is checked
+only between iterations, where a line search can overrun it, and counts
+the served points too.  Given an agreement band, it ends the run at the
+first evaluation whose running best lies in the band.  No fit runs the
+simplex any more; the benchmark's tracer (``perfbench/tracing.py``) still
+hooks it, so it goes with the next change to that harness.
 
 Both return the best point ever evaluated and both treat a value at or
 below ``SENTINEL_THRESHOLD`` as a sentinel of an infeasible region: the
@@ -37,6 +43,8 @@ SENTINEL_THRESHOLD = -1e299
 # L-BFGS-B's relative-reduction stop, tight enough that the gradient test
 # ends a run: (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= this
 _LBFGS_FTOL = 1e-13
+# scipy's maxfun when the budget is enforced here instead
+_NO_LIMIT = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -52,8 +60,9 @@ class OptimResult:
     of the value falling below ``_LBFGS_FTOL`` or on a line search that
     found no decrease, unless that last line search met a sentinel: its
     step then collapsed at an infeasible region.  A run that ends on its
-    evaluation budget, or whose best value is a sentinel, is not
-    converged.
+    evaluation budget or on its agreement band, or whose best value is a
+    sentinel, is not converged.  ``n_evals`` counts the objective's calls;
+    a point served again from the run's memo is not one.
     """
 
     x: np.ndarray
@@ -64,6 +73,10 @@ class OptimResult:
 
 class _BudgetExhausted(Exception):
     pass
+
+
+class _Agreed(Exception):
+    """The run's best value fell inside its agreement band."""
 
 
 class _Budget:
@@ -182,7 +195,7 @@ def nelder_mead_max(func, x0, initial_step=0.5, tol=1e-8, max_evals=None):
     return budget.result(converged)
 
 
-def lbfgs_max(func, x0, tol=1e-8, max_evals=None):
+def lbfgs_max(func, x0, tol=1e-8, max_evals=None, band=None):
     """Maximize ``func`` from ``x0`` with L-BFGS-B and an analytic gradient.
 
     Parameters
@@ -191,35 +204,55 @@ def lbfgs_max(func, x0, tol=1e-8, max_evals=None):
         ``func(x, grad)`` returns the value at the 1-d point ``x`` as a
         float and writes its gradient into the array ``grad``.  A value at
         or below ``SENTINEL_THRESHOLD``, with a zero gradient, marks an
-        infeasible point, from which the line search retreats.
+        infeasible point, from which the line search retreats.  It is
+        called once per distinct point: a point the run evaluated before
+        gets the value and gradient it had then.
     x0 : array_like
         Starting point.
     tol : float
         L-BFGS-B's ``gtol``: stop when the largest gradient component
         drops to this.
     max_evals : int, optional
-        Evaluation budget, never exceeded; defaults to
-        ``500 * (len(x0) + 1)``.
+        Budget of calls to ``func``, never exceeded; defaults to
+        ``500 * (len(x0) + 1)``.  Points served from the memo are free.
+    band : (float, float), optional
+        Agreement band ``(low, high)``: the run ends, not converged, at
+        the first call to ``func`` after which its best value lies in
+        ``[low, high]``.  A run whose best value rises above ``high`` runs
+        to its own stop.
     """
     budget = _Budget(x0, max_evals)
     grad = np.empty(budget.x0.size)
-    # evaluation counts at the end of each iteration, and at the last
-    # sentinel: the final line search is what came after the last but one
+    # value and gradient of every point evaluated, by the point's bytes
+    memo = {}
+    # calls from L-BFGS-B, served ones included, at the end of each
+    # iteration and at the last sentinel: the final line search is what
+    # came after the last but one
+    calls = 0
     ends = [0]
     last_sentinel = 0
 
     def negated(x):
-        nonlocal last_sentinel
-        f = budget.evaluate(value, x)
+        nonlocal calls, last_sentinel
+        calls += 1
+        key = x.tobytes()
+        if key in memo:
+            f, g = memo[key]
+        else:
+            f = budget.evaluate(value, x)
+            g = grad.copy()
+            memo[key] = f, g
+            if band is not None and band[0] <= budget.best_f <= band[1]:
+                raise _Agreed
         if f <= SENTINEL_THRESHOLD:
-            last_sentinel = budget.n_evals
-        return -f, -grad
+            last_sentinel = calls
+        return -f, -g
 
     def value(x):
         return func(x, grad)
 
     def iteration_end(xk):
-        ends.append(budget.n_evals)
+        ends.append(calls)
 
     converged = False
     try:
@@ -230,7 +263,8 @@ def lbfgs_max(func, x0, tol=1e-8, max_evals=None):
             method="L-BFGS-B",
             callback=iteration_end,
             options={
-                "maxfun": budget.max_evals,
+                # the budget binds, never scipy's count of calls
+                "maxfun": _NO_LIMIT,
                 "maxiter": budget.max_evals,
                 "ftol": _LBFGS_FTOL,
                 "gtol": tol,
@@ -248,6 +282,6 @@ def lbfgs_max(func, x0, tol=1e-8, max_evals=None):
             and budget.best_f > SENTINEL_THRESHOLD
             and (gradient_test or last_sentinel <= last_search)
         )
-    except _BudgetExhausted:
+    except (_BudgetExhausted, _Agreed):
         pass
     return budget.result(converged)

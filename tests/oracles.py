@@ -13,7 +13,12 @@ the reference and Jeffreys posteriors, from the full second-derivative
 stack and ``1/2 tr(I^-1 dI)``.
 
 ``every_start`` runs ``optim.lbfgs_max`` from each start point a level's
-multi-start documents, with no stopping rule.
+multi-start documents, with no stopping rule, and ``stopping_rule``
+replays the rule ``fit_level`` documents from such full runs, cutting each
+start after the first at the first evaluation whose running best agrees
+with the best so far.  ``plain_lbfgs_max`` is L-BFGS-B as
+``optim.lbfgs_max`` documents it without the memo of evaluated points:
+every call scipy makes evaluates the objective.
 
 ``coincident_rows_loop`` is the row-by-row design-point test and
 ``point_draws`` the per-point sampling path: one cross-correlation column,
@@ -28,10 +33,11 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.optimize import minimize
 from scipy.special import stdtr, stdtrit
 
 from mfcokrig.kernels import POWER_EXPONENTIAL, cross_corr
-from mfcokrig.optim import lbfgs_max
+from mfcokrig.optim import _LBFGS_FTOL, SENTINEL_THRESHOLD, OptimResult, lbfgs_max
 
 
 def corr1d(h, phi, spec):
@@ -422,17 +428,122 @@ def point_cdf(model, pieces, level, z):
     return integrate(0, mu1, s1, df1)
 
 
+def _start_points(d, opts, level):
+    """The start points of level ``level`` under ``opts``: ``xi = 0``,
+    then uniform draws on ``[start_low, start_high]^d`` seeded by
+    ``(seed, level, start)``."""
+    yield np.zeros(d)
+    for j in range(1, opts.n_starts):
+        seq = np.random.SeedSequence(entropy=opts.seed, spawn_key=(level, j))
+        yield np.random.default_rng(seq).uniform(opts.start_low, opts.start_high, size=d)
+
+
 def every_start(func, d, opts, level):
     """One ``optim.lbfgs_max`` result per start of level ``level`` under
-    the ``OptimOptions`` ``opts``, all ``opts.n_starts`` of them: from
-    ``xi = 0``, then from uniform draws on ``[start_low, start_high]^d``
-    seeded by ``(seed, level, start)``.  ``func(xi, grad)`` is the
-    objective with its gradient."""
-    runs = []
-    for j in range(opts.n_starts):
-        x0 = np.zeros(d)
-        if j > 0:
-            seq = np.random.SeedSequence(entropy=opts.seed, spawn_key=(level, j))
-            x0 = np.random.default_rng(seq).uniform(opts.start_low, opts.start_high, size=d)
-        runs.append(lbfgs_max(func, x0, tol=opts.tol, max_evals=opts.max_evals))
-    return runs
+    the ``OptimOptions`` ``opts``, all ``opts.n_starts`` of them, each run
+    to its own stop.  ``func(xi, grad)`` is the objective with its
+    gradient."""
+    return [
+        lbfgs_max(func, x0, tol=opts.tol, max_evals=opts.max_evals)
+        for x0 in _start_points(d, opts, level)
+    ]
+
+
+def stopping_rule(func, d, opts, level):
+    """``(start_values, n_evals, best_start, xi)`` of the multi-start
+    ``fit_level`` documents, replayed from full runs of every start.
+
+    Each start runs to its own stop with its evaluations logged.  A start
+    after the first usable one is then cut at the first evaluation whose
+    running best lies in ``[best - 1e-6 max(1, |best|), best]``, ``best``
+    being the best value so far: its value is that running best, its
+    evaluations those up to the cut and its point the first one that
+    reached it.  Starts whose value is a sentinel fail; the level stops
+    once two usable starts are within the band of its best.  Starts that
+    fail by leaving every pair uncorrelated are not replayed.
+    """
+    start_values, n_evals = [], 0
+    best = best_start = xi = None
+    usable = []
+    for j, x0 in enumerate(_start_points(d, opts, level)):
+        points, values = [], []
+
+        def logged(x, grad):
+            value = func(x, grad)
+            points.append(x.copy())
+            values.append(value)
+            return value
+
+        run = lbfgs_max(logged, x0, tol=opts.tol, max_evals=opts.max_evals)
+        assert run.n_evals == len(values)
+        value, n, x = run.fun, run.n_evals, run.x
+        if best is not None:
+            running = np.maximum.accumulate(values)
+            low = best - 1e-6 * max(1.0, abs(best))
+            inside = np.flatnonzero((running >= low) & (running <= best))
+            if inside.size:
+                n = int(inside[0]) + 1
+                first = int(np.argmax(values[:n]))
+                value, x = values[first], points[first]
+        start_values.append(value)
+        n_evals += n
+        if value <= SENTINEL_THRESHOLD:
+            continue
+        if best is None or value > best:
+            best, best_start, xi = value, j, x
+        usable.append(value)
+        if sum(v >= best - 1e-6 * max(1.0, abs(best)) for v in usable) >= 2:
+            break
+    return tuple(start_values), n_evals, best_start, xi
+
+
+def plain_lbfgs_max(func, x0, tol=1e-8, max_evals=None):
+    """``optim.lbfgs_max`` without its memo, and the points it evaluated.
+
+    Every call scipy's L-BFGS-B makes evaluates ``func`` and counts toward
+    ``n_evals`` and the budget, repeats included.  The result is the
+    ``OptimResult`` ``lbfgs_max`` documents: the first best point, and
+    ``converged`` from scipy's gradient test, or from its other stops
+    unless the last line search met a sentinel; not on the budget, nor at
+    a sentinel best.  Returns the result and every point evaluated, in
+    order.
+    """
+    x0 = np.asarray(x0, dtype=np.float64)
+    budget = 500 * (x0.size + 1) if max_evals is None else max_evals
+    grad = np.empty(x0.size)
+    points, values = [], []
+    ends = [0]
+    last_sentinel = 0
+
+    class OutOfBudget(Exception):
+        pass
+
+    def negated(x):
+        nonlocal last_sentinel
+        if len(values) == budget:
+            raise OutOfBudget
+        value = float(func(x, grad))
+        points.append(x.copy())
+        values.append(value)
+        if value <= SENTINEL_THRESHOLD:
+            last_sentinel = len(values)
+        return -value, -grad
+
+    converged = False
+    try:
+        res = minimize(
+            negated, x0, jac=True, method="L-BFGS-B",
+            callback=lambda xk: ends.append(len(values)),
+            options={"maxfun": budget, "maxiter": budget, "ftol": _LBFGS_FTOL, "gtol": tol},
+        )
+        gradient_test = res.status == 0 and np.abs(res.jac).max() <= tol
+        last_search = ends[-2] if len(ends) > 1 else 0
+        converged = (
+            res.status != 1
+            and max(values) > SENTINEL_THRESHOLD
+            and (gradient_test or last_sentinel <= last_search)
+        )
+    except OutOfBudget:
+        pass
+    best = int(np.argmax(values))
+    return OptimResult(points[best], values[best], len(values), converged), points

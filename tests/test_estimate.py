@@ -55,6 +55,8 @@ from oracles import (
     dense_objective,
     dense_xi_gradient,
     every_start,
+    plain_lbfgs_max,
+    stopping_rule,
 )
 
 
@@ -208,6 +210,23 @@ class TestAssemble:
             assemble([(X1, y1), (X2, y2)], basis=[linear_basis])
         with pytest.raises(InvalidArgumentError, match="basis"):
             assemble([(X1, y1), (X2, y2)], basis=5)
+
+    def test_outputs_are_a_vector_or_a_column(self):
+        """``(n,)`` and ``(n, 1)`` outputs assemble to the same level; a row,
+        a matrix, a scalar or a wrong length raise naming the level."""
+        rng = np.random.default_rng(40)
+        (X1, y1), (X2, y2) = _nested_pair(rng)
+        want = assemble([(X1, y1), (X2, y2)])
+        got = assemble([(X1, y1[:, None]), (X2, y2[:, None])])
+        for a, b in zip(want.levels, got.levels):
+            np.testing.assert_array_equal(a.outputs, b.outputs)
+            assert b.outputs.shape == (a.n,)
+        np.testing.assert_array_equal(want.levels[1].lower_output, got.levels[1].lower_output)
+        n2 = X2.shape[0]
+        for bad in (y2[None, :], np.column_stack([y2, y2]), np.float64(y2[0]),
+                    y2[:-1], y2[:-1, None], y2.reshape(n2, 1, 1)):
+            with pytest.raises(InvalidArgumentError, match=r"level 2 outputs must have shape"):
+                assemble([(X1, y1), (X2, bad)])
 
     def test_requires_at_least_one_level(self):
         with pytest.raises(InvalidArgumentError):
@@ -368,6 +387,25 @@ class TestGradient:
         scale = max(1.0, np.abs(grad).max())
         want = dense_fisher_xi_gradient(lv, xi, spec, kind)
         np.testing.assert_allclose(grad, want, rtol=0.0, atol=1e-6 * scale)
+
+    @pytest.mark.parametrize("kind", _GRAD_CRITERIA)
+    def test_coordinates_1e200_apart(self, kind):
+        """Two clusters of rows 1e200 apart under power-exponential 1.9:
+        ``|dx|^alpha`` overflows the pair stack to inf at pairs whose
+        correlation is 0.  The gradient is finite wherever the value is,
+        and matches a central difference."""
+        rng = np.random.default_rng(41)
+        x = np.concatenate([rng.uniform(size=5), 1e200 * (1.0 + 1e-3 * np.arange(5))])
+        lv = assemble([(x[:, None], np.sin(np.arange(10.0)))]).levels[0]
+        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=1)
+        ws = _grad_workspace(lv, spec, kind)
+        assert np.isinf(ws.stack).any()
+        for xi in (-2.0, 0.0, 1.0):
+            xi = np.array([xi])
+            value, grad, float_only = _value_and_grad(lv, xi, spec, kind, ws)
+            assert value == float_only > SENTINEL_THRESHOLD
+            f = lambda x: _value_and_grad(lv, x, spec, kind, None)[2]
+            np.testing.assert_allclose(grad, [_five_point(f, xi, 0)], rtol=1e-6)
 
     def test_the_gradient_needs_a_gradient_workspace(self):
         lv = _borehole_levels()[1]
@@ -658,9 +696,9 @@ class TestFitLevel:
         real = optim_module.lbfgs_max
         budgets = []
 
-        def recorded(func, x0, tol, max_evals):
+        def recorded(func, x0, tol, max_evals, **kwargs):
             budgets.append(max_evals)
-            return real(func, x0, tol=tol, max_evals=max_evals)
+            return real(func, x0, tol=tol, max_evals=max_evals, **kwargs)
 
         monkeypatch.setattr(optim_module, "lbfgs_max", recorded)
         opts = OptimOptions(n_starts=2, tol=0.0)
@@ -759,19 +797,33 @@ def _agree(a, b):
 
 class TestStoppingRule:
     """A level stops after the start at which two usable starts have
-    reached its best value so far; ``every_start`` runs them all."""
+    reached its best value so far, and every start after the first usable
+    one ends once its running best agrees with that value;
+    ``every_start`` runs them all to their own stops, and
+    ``stopping_rule`` replays the rule from such runs."""
 
     SPEC = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2)
 
+    @staticmethod
+    def _assert_the_rule(lf, func, opts, level):
+        start_values, n_evals, best_start, xi = stopping_rule(func, 2, opts, level)
+        assert lf.start_values == start_values
+        assert lf.n_evals == n_evals
+        assert lf.best_start == best_start
+        np.testing.assert_array_equal(lf.xi, xi)
+
     def test_agreeing_starts_stop_at_two(self):
+        """The second start agrees with the first, ends as its running
+        best reaches the first's value, and stops the level."""
         lv = assemble(_nested_pair(np.random.default_rng(38))).levels[1]
         opts = OptimOptions(seed=4, n_starts=6)
         lf = fit_level(lv, self.SPEC, PriorSpec(kind="reference"), opts)
-        runs = every_start(_fitted_objective(lv, self.SPEC, "reference"), 2, opts, 2)
+        func = _fitted_objective(lv, self.SPEC, "reference")
+        self._assert_the_rule(lf, func, opts, 2)
+        runs = every_start(func, 2, opts, 2)
         assert _agree(runs[0].fun, runs[1].fun)
-        assert lf.start_values == (runs[0].fun, runs[1].fun)
-        assert lf.n_evals == runs[0].n_evals + runs[1].n_evals
-        assert lf.n_failed_starts == 0
+        assert len(lf.start_values) == 2 and lf.n_failed_starts == 0
+        assert lf.n_evals < runs[0].n_evals + runs[1].n_evals
 
     def test_a_lone_best_start_does_not_stop_the_level(self):
         """Three starts agree on a lower value and one start alone on the
@@ -787,15 +839,33 @@ class TestStoppingRule:
     @pytest.mark.parametrize("n_starts", [1, 2])
     @pytest.mark.parametrize("kind", ("plugin",) + PRIOR_KINDS)
     def test_one_or_two_starts_all_run(self, kind, n_starts):
+        """Every start runs: the first to its own stop, and the second
+        until its running best agrees with the first's value, or to its
+        own stop."""
         lv = assemble(_nested_pair(np.random.default_rng(37))).levels[0]
         opts = OptimOptions(seed=4, n_starts=n_starts)
         lf = _fit_kind(lv, self.SPEC, kind, opts)
-        runs = every_start(_fitted_objective(lv, self.SPEC, kind), 2, opts, 1)
-        assert lf.start_values == tuple(r.fun for r in runs)
-        assert lf.n_evals == sum(r.n_evals for r in runs)
-        best = max(range(n_starts), key=lambda j: runs[j].fun)
-        assert lf.best_start == best
-        np.testing.assert_array_equal(lf.xi, runs[best].x)
+        self._assert_the_rule(lf, _fitted_objective(lv, self.SPEC, kind), opts, 1)
+        assert len(lf.start_values) == n_starts
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("kind", ("plugin",) + PRIOR_KINDS)
+    def test_one_start_is_the_plain_run_less_its_repeats(self, kind, level):
+        """A one-start fit is the plain, unmemoized L-BFGS-B run from
+        ``xi = 0`` in every field but ``n_evals``, which counts that run's
+        distinct points."""
+        lv = assemble(_nested_pair(np.random.default_rng(38))).levels[level]
+        opts = OptimOptions(seed=4, n_starts=1)
+        lf = _fit_kind(lv, self.SPEC, kind, opts)
+        func = _fitted_objective(lv, self.SPEC, kind)
+        plain, points = plain_lbfgs_max(func, np.zeros(2), tol=opts.tol)
+        np.testing.assert_array_equal(lf.xi, plain.x)
+        np.testing.assert_array_equal(lf.phi, RangeParams.from_xi(plain.x).phi)
+        assert lf.objective_value == plain.fun
+        assert lf.start_values == (plain.fun,)
+        assert lf.converged == plain.converged
+        assert (lf.best_start, lf.n_failed_starts) == (0, 0)
+        assert lf.n_evals == len({p.tobytes() for p in points}) <= plain.n_evals
 
     @pytest.mark.parametrize("level", [0, 1])
     @pytest.mark.parametrize("seed", [37, 38])

@@ -1,13 +1,18 @@
 """Simplex and L-BFGS-B maximizers: convergence on smooth objectives,
-budget handling, and sentinel repulsion."""
+budget handling, sentinel repulsion, and L-BFGS-B's memo of evaluated
+points and agreement band against an unmemoized run."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+import oracles
+from mfcokrig import optim as optim_module
 from mfcokrig.exceptions import InvalidArgumentError
 from mfcokrig.optim import lbfgs_max, nelder_mead_max
+from oracles import plain_lbfgs_max
 
 
 class TestNelderMeadMax:
@@ -103,6 +108,15 @@ def _rosenbrock(x, grad):
     grad[0] = 2.0 * (1.0 - a) + 400.0 * a * (b - a * a)
     grad[1] = -200.0 * (b - a * a)
     return -((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2)
+
+
+def _noisy_rosenbrock(x, grad):
+    """``_rosenbrock`` with noise of 1e-4 in the value: L-BFGS-B ends it on
+    line searches that return to points it has evaluated."""
+    _rosenbrock(x, grad)
+    a, b = x
+    noise = 1e-4 * math.sin(1e9 * a + 3e8 * b)
+    return -((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2) + noise
 
 
 class TestLbfgsMax:
@@ -210,13 +224,7 @@ class TestLbfgsMax:
     def test_a_stop_at_the_rounding_noise_is_converged(self):
         # noise of 1e-4 in the value: the run ends on a line search that
         # finds no decrease, a rounding-noise distance from the optimum
-        def func(x, grad):
-            _rosenbrock(x, grad)
-            a, b = x
-            noise = 1e-4 * math.sin(1e9 * a + 3e8 * b)
-            return -((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2) + noise
-
-        res = lbfgs_max(func, np.array([-1.2, 1.0]), tol=1e-12)
+        res = lbfgs_max(_noisy_rosenbrock, np.array([-1.2, 1.0]), tol=1e-12)
         assert res.converged
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=2e-2)
 
@@ -241,3 +249,169 @@ class TestLbfgsMax:
         b = lbfgs_max(_rosenbrock, np.array([-1.2, 1.0]))
         np.testing.assert_array_equal(a.x, b.x)
         assert a.fun == b.fun and a.n_evals == b.n_evals
+
+
+def _half_space(x, grad):
+    """A half-space of sentinels, with a zero gradient, next to the peak."""
+    if x[0] > 1.0:
+        grad[:] = 0.0
+        return -1e300
+    grad[:] = [-2.0 * (x[0] - 0.5), -2.0 * x[1]]
+    return -float((x[0] - 0.5) ** 2 + x[1] ** 2)
+
+
+def _collapse(x, grad):
+    """Uphill into a half-space of sentinels."""
+    if x[0] >= 1.0:
+        grad[:] = 0.0
+        return -1e300
+    grad[:] = -2.0 * (x - 5.0)
+    return -float((x[0] - 5.0) ** 2)
+
+
+def _bowl(x, grad):
+    grad[:] = -2.0 * (x - 0.7)
+    return -float(np.sum((x - 0.7) ** 2))
+
+
+RUNS = [
+    (_bowl, [0.0, 0.0, 0.0], 1e-10),
+    (_rosenbrock, [-1.2, 1.0], 1e-10),
+    (_noisy_rosenbrock, [-1.2, 1.0], 1e-12),
+    (_noisy_rosenbrock, [0.5, -0.5], 0.0),
+    (_half_space, [0.9, 0.2], 1e-10),
+    (_collapse, [0.0], 1e-8),
+]
+
+
+class TestLbfgsMemo:
+    """``lbfgs_max`` evaluates each distinct point once, and is otherwise
+    the plain, unmemoized L-BFGS-B run of ``oracles.plain_lbfgs_max``."""
+
+    @pytest.mark.parametrize("func, x0, tol", RUNS)
+    def test_is_the_plain_run_less_its_repeats(self, func, x0, tol):
+        plain, points = plain_lbfgs_max(func, np.array(x0), tol=tol)
+        res = lbfgs_max(func, np.array(x0), tol=tol)
+        np.testing.assert_array_equal(res.x, plain.x)
+        assert res.fun == plain.fun
+        assert res.converged == plain.converged
+        assert res.n_evals == len({p.tobytes() for p in points}) <= plain.n_evals
+
+    def test_each_point_is_evaluated_once_and_repeats_are_served_bitwise(self, monkeypatch):
+        """What L-BFGS-B receives at a point it evaluated before is, bit
+        for bit, what it received there the first time."""
+        real = optim_module.minimize
+        received = []
+
+        def logged_minimize(fun, x0, **kwargs):
+            def logged(x):
+                f, g = fun(x)
+                received.append((x.tobytes(), np.float64(f).tobytes(), g.tobytes()))
+                return f, g
+
+            return real(logged, x0, **kwargs)
+
+        monkeypatch.setattr(optim_module, "minimize", logged_minimize)
+        calls = []
+
+        def func(x, grad):
+            calls.append(x.tobytes())
+            return _noisy_rosenbrock(x, grad)
+
+        res = lbfgs_max(func, np.array([-1.2, 1.0]), tol=1e-12)
+        assert len(set(calls)) == len(calls) == res.n_evals
+        # the run's final line searches come back to evaluated points
+        assert len(received) > len(calls)
+        first = {}
+        for key, f, g in received:
+            assert first.setdefault(key, (f, g)) == (f, g)
+        assert list(first) == calls
+
+    def test_served_repeats_are_free(self):
+        """A budget counts calls of the objective only: the run that
+        repeats points goes as far as a plain run with a larger budget."""
+        plain, points = plain_lbfgs_max(_noisy_rosenbrock, np.array([-1.2, 1.0]), tol=1e-12)
+        distinct = len({p.tobytes() for p in points})
+        assert distinct < plain.n_evals
+        res = lbfgs_max(_noisy_rosenbrock, np.array([-1.2, 1.0]), tol=1e-12, max_evals=distinct)
+        np.testing.assert_array_equal(res.x, plain.x)
+        assert res.n_evals == distinct and res.converged == plain.converged
+
+    def test_a_served_sentinel_marks_the_last_line_search(self, monkeypatch):
+        """A line-search driver that comes back to a sentinel point in its
+        final search, after which it reports no decrease: the served
+        sentinel, as an evaluated one in the plain run, means the step
+        collapsed there, so neither run is converged."""
+
+        def scripted(fun, x0, callback, **kwargs):
+            a, b, s = x0 + 0.5, x0 + 0.6, x0 + 2.0
+            for x in (x0, s, a):
+                fun(x)
+            callback(a)
+            fun(b)
+            callback(b)
+            fun(s)
+            f, g = fun(b)
+            return OptimizeResult(x=b, fun=f, jac=g, status=2)
+
+        monkeypatch.setattr(optim_module, "minimize", scripted)
+        monkeypatch.setattr(oracles, "minimize", scripted)
+        calls = []
+
+        def func(x, grad):
+            calls.append(x.copy())
+            return _collapse(x, grad)
+
+        res = lbfgs_max(func, np.zeros(1))
+        assert len(calls) == 4 and _collapse(calls[1], np.empty(1)) == -1e300
+        plain, _ = plain_lbfgs_max(_collapse, np.zeros(1))
+        assert not plain.converged
+        assert res.converged == plain.converged
+        np.testing.assert_array_equal(res.x, plain.x)
+
+
+class TestAgreementBand:
+    """A run given an agreement band ends at the first evaluation whose
+    running best lies in the band; the oracle is the full run's log."""
+
+    @staticmethod
+    def _logged_run(func, x0, tol):
+        values = []
+
+        def logged(x, grad):
+            values.append(func(x, grad))
+            return values[-1]
+
+        return lbfgs_max(logged, x0, tol=tol), np.maximum.accumulate(values)
+
+    @pytest.mark.parametrize("func, x0, tol", RUNS[:4])
+    def test_ends_at_the_first_running_best_inside(self, func, x0, tol):
+        x0 = np.array(x0)
+        _, running = self._logged_run(func, x0, tol)
+        rises = np.flatnonzero(np.diff(running) > 0) + 1
+        for k in rises[:: max(1, rises.size // 6)]:
+            above = np.nextafter(running[k - 1], np.inf)
+            for band in ((running[k], running[k]), (above, running[k] + 1.0)):
+                cut = lbfgs_max(func, x0, tol=tol, band=band)
+                assert cut.n_evals == k + 1
+                assert cut.fun == running[k]
+                assert not cut.converged
+
+    @pytest.mark.parametrize("func, x0, tol", RUNS)
+    def test_a_band_the_running_best_never_enters_changes_nothing(self, func, x0, tol):
+        x0 = np.array(x0)
+        full, running = self._logged_run(func, x0, tol)
+        above = running[-1] + 1.0
+        # below the start's value, above the best, and between two
+        # consecutive running bests
+        bands = [(running[0] - 2.0, running[0] - 1.0), (above, above + 1.0)]
+        gaps = np.flatnonzero(np.diff(running) > 0)
+        if gaps.size:
+            k = gaps[0]
+            bands.append((np.nextafter(running[k], np.inf), np.nextafter(running[k + 1], -np.inf)))
+        for band in bands:
+            res = lbfgs_max(func, x0, tol=tol, band=band)
+            np.testing.assert_array_equal(res.x, full.x)
+            assert (res.fun, res.n_evals, res.converged) == (
+                full.fun, full.n_evals, full.converged
+            )
