@@ -127,9 +127,12 @@ def scale_to_box(U):
 
 def lhs_design(n, d, seed=0):
     """Latin hypercube sample on the unit cube: per column, one uniform
-    point in each of ``n`` equal strata, in shuffled order."""
+    point in each of ``n`` equal strata, in shuffled order.  ``seed`` is a
+    ``np.random.Generator`` or an integer >= 0."""
     if not (is_int(n) and is_int(d) and n >= 1 and d >= 1):
         raise InvalidArgumentError(f"n and d must be integers >= 1, got {n!r} and {d!r}")
+    if not (isinstance(seed, np.random.Generator) or is_int(seed) and seed >= 0):
+        raise InvalidArgumentError(f"seed must be a Generator or an integer >= 0, got {seed!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     out = np.empty((n, d))
     for k in range(d):

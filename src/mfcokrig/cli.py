@@ -10,7 +10,6 @@ or estimation failure.
 """
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .bench import BOREHOLE_DIM, run_borehole_benchmark
-from .estimate import OptimOptions, assemble, fit
+from .estimate import OptimOptions, assemble, fit, tail_probe
 from .exceptions import (
     BenchmarkError,
     ConfigError,
@@ -31,17 +30,16 @@ from .exceptions import (
     InvalidArgumentError,
     NestingError,
     PriorEvaluationError,
-    RangeOverflowError,
     SingularCorrelationError,
     VarianceUndefinedError,
 )
-from .gp import tail_probe
-from .kernels import KernelSpec, RangeParams
+from .kernels import KernelSpec
 from .modelio import (
     check_keys,
     dump_json,
     load_level_csv,
     load_model,
+    read_json_object,
     read_record,
     record,
     save_model,
@@ -51,7 +49,7 @@ from .modelio import (
     write_tailprobe_csv,
 )
 from .predict import CokrigingModel
-from .priors import PRIOR_KINDS, PriorSpec, log_prior
+from .priors import PRIOR_KINDS, PriorSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,15 +97,7 @@ _SECTION_KEYS = {
 def _load_config(path):
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {path} ({exc})") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config file must hold a JSON object")
+    cfg = read_json_object(path, "config file")
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(
@@ -315,19 +305,7 @@ def cmd_tailprobe(args):
         if args.phi_min <= 0 or args.phi_max <= args.phi_min:
             raise ConfigError("need 0 < --phi-min < --phi-max")
         grid = np.geomspace(args.phi_min, args.phi_max, args.n_grid)
-    a_t = prior.a_t(lv.q)
-    loglik = tail_probe(lv, spec, a_t, grid)
-    logprior = np.empty(grid.size)
-    for i, g in enumerate(grid):
-        try:
-            logprior[i] = log_prior(lv, RangeParams(np.full(lv.dims, g)), spec, prior)
-        except (
-            RangeOverflowError,
-            SingularCorrelationError,
-            PriorEvaluationError,
-            DesignRankError,
-        ):
-            logprior[i] = np.nan
+    loglik, logprior = tail_probe(lv, spec, prior, grid)
     logpost = loglik + logprior
     path = os.path.join(out, f"tailprobe_level{args.level_index}.csv")
     write_tailprobe_csv(path, grid, loglik, logprior, logpost)
@@ -346,12 +324,17 @@ def cmd_tailprobe(args):
     return EXIT_OK
 
 
-def _add_common(parser):
+def _add_common(parser, seed=True):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output directory (default: current)")
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
-    # each flag that sets a kernel, prior or optimizer field has that
-    # field's name as its destination
+    if seed:
+        parser.add_argument("--seed", type=int, default=None, help="master seed")
+
+
+def _add_spec_flags(parser):
+    """Kernel and prior flags, for the commands that build a kernel and a
+    prior; ``predict`` and ``sample`` read theirs from the model file.
+    Each flag's destination is the name of the field it sets."""
     parser.add_argument(
         "--prior",
         dest="kind",
@@ -390,6 +373,7 @@ def build_parser():
 
     p_fit = sub.add_parser("fit", help="estimate a model from per-level CSVs")
     _add_common(p_fit)
+    _add_spec_flags(p_fit)
     p_fit.add_argument(
         "--level",
         action="append",
@@ -427,6 +411,7 @@ def build_parser():
 
     p_bench = sub.add_parser("benchmark", help="seeded borehole benchmark")
     _add_common(p_bench)
+    _add_spec_flags(p_bench)
     p_bench.add_argument("--n-low", type=int, default=None)
     p_bench.add_argument("--n-high", type=int, default=None)
     p_bench.add_argument("--n-test", type=int, default=None)
@@ -440,7 +425,8 @@ def build_parser():
     p_tail = sub.add_parser(
         "tailprobe", help="integrated likelihood and prior along a range ray"
     )
-    _add_common(p_tail)
+    _add_common(p_tail, seed=False)
+    _add_spec_flags(p_tail)
     p_tail.add_argument("--level", action="append", help="per-level CSV (repeat)")
     p_tail.add_argument(
         "--level-index", type=int, default=1, help="one-based level to probe"

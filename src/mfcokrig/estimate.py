@@ -5,7 +5,9 @@ regression structures; ``fit`` maximizes, independently per level, either
 the integrated posterior of the log-inverse ranges (``method="posterior"``)
 or the concentrated restricted likelihood baseline (``method="plugin"``),
 from several starts.  Every objective has an analytic xi-gradient, and
-every start runs L-BFGS-B (``optim.lbfgs_max``) on it.
+every start runs L-BFGS-B (``optim.lbfgs_max``) on it.  Both objectives
+score ``gp.log_likelihood`` in ``_evaluate``, and on the errors in
+``INFEASIBLE`` score the sentinel, where ``tail_probe`` reads ``nan``.
 
 The optimizer works in ``xi = log(1/phi)``.  For the posterior method the
 maximized objective includes the Jacobian of the map from ``xi`` to the
@@ -55,11 +57,9 @@ from .gp import (
     LevelData,
     constant_basis,
     gls_fit,
-    integrated_log_likelihood,
-    location_scale_estimates,
     likelihood_columns,
+    log_likelihood,
     log_likelihood_xi_grad,
-    log_S2,
     log_S2_exponent,
 )
 from .kernels import KernelSpec, RangeParams, Workspace, corr_matrix
@@ -80,6 +80,11 @@ XI_PARAMETERIZATION = "log_inverse_range_density"
 # two starts agree on the best value when within this much of it,
 # relative to max(1, |best|)
 _AGREE_RTOL = 1e-6
+
+# the errors that make a range infeasible: an objective evaluation that
+# meets one scores the sentinel, and a tail-probe point nan
+INFEASIBLE = (RangeOverflowError, SingularCorrelationError, DegenerateDataError,
+              PriorEvaluationError, DesignRankError)
 
 
 @dataclass(frozen=True)
@@ -291,46 +296,67 @@ def assemble(raw_levels, basis="constant"):
     return CokrigingData(levels=tuple(levels))
 
 
-def _evaluate(data_t, xi, spec, ws, derivs, criterion, grad=None):
-    """Shared body of the xi-space objectives.
+def _criterion(data_t, prior):
+    """``(exponent, projected)`` of ``gp.log_likelihood``: the integrated
+    likelihood's under ``prior``, the plug-in criterion's under ``None``."""
+    if prior is None:
+        return 0.5 * (data_t.n - data_t.q), False
+    return log_S2_exponent(data_t, prior.a_t(data_t.q)), True
+
+
+def _evaluate(data_t, xi, spec, prior, ws, grad):
+    """The xi-space objective of one level: the log posterior under
+    ``prior``, or the plug-in criterion when ``prior`` is ``None``.
 
     Maps ``xi`` to ranges, factorizes the level once (with the derivative
-    stack when ``derivs``) and returns ``criterion(params, fact, xi)``,
-    which also writes the xi-gradient into ``grad`` when that is given.
+    stack for the kinds in ``FISHER_KINDS``) and scores the likelihood of
+    ``_criterion``, plus, under a prior, the log prior and the Jacobian.
+    ``grad``, when given, receives the xi-gradient of the same value.
     With no ``ws`` it builds the one the call needs: with the derivative
-    buffers when ``derivs``, and the gradient's when ``grad`` is given.
+    buffers for those kinds, and the gradient's when ``grad`` is given.
     Returns a large negative sentinel, with a zero ``grad``, instead of
-    raising when the ranges are infeasible, the correlation matrix is
-    singular, the data degenerate, the prior unevaluable, or the value or
-    the gradient is not finite, so the optimizer retreats rather than
-    crashing.
+    raising when the ranges over- or underflow, an ``INFEASIBLE`` error is
+    raised, or the value or the gradient is not finite, so the optimizer
+    retreats rather than crashing.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     if xi.ndim != 1 or not np.isfinite(xi).all():
         raise InvalidArgumentError("xi must be a finite 1-d vector")
+    exponent, projected = _criterion(data_t, prior)
+    fisher = prior is not None and prior.kind in FISHER_KINDS
     if ws is None:
-        ws = Workspace(data_t.inputs, spec, derivs=derivs, grad=grad is not None)
-    # ranges that overflow to inf or underflow to 0 are infeasible, and
-    # RangeParams rejects exactly those; so are ranges whose kernel weights
-    # phi^-alpha overflow
+        ws = Workspace(data_t.inputs, spec, derivs=fisher, grad=grad is not None)
     with np.errstate(over="ignore"):
         phi = np.exp(-xi)
     value = SENTINEL
+    # ranges that overflow to inf or underflow to 0 are infeasible, and
+    # RangeParams rejects exactly those
     try:
         params = RangeParams(phi)
     except InvalidArgumentError:
         params = None
     if params is not None:
         try:
-            fact = gls_fit(data_t, params, spec, ws=ws, derivs=derivs)
-            value = criterion(params, fact, xi)
-        except (
-            RangeOverflowError,
-            SingularCorrelationError,
-            DegenerateDataError,
-            PriorEvaluationError,
-            DesignRankError,
-        ):
+            fact = gls_fit(data_t, params, spec, ws=ws, derivs=fisher)
+            value = log_likelihood(data_t, fact, exponent, projected)
+            prior_grad = columns = None
+            if prior is not None:
+                jacobian_sign = 1.0 if prior.kind == JOINTLY_ROBUST else -1.0
+                if grad is not None:
+                    prior_grad = np.empty(grad.size)
+                    if fisher:
+                        # read before the prior consumes the factor: its
+                        # projector less their outer product is the
+                        # likelihood's, for which only jeffreys1's
+                        # P = R^-1 needs the trend block too
+                        columns = likelihood_columns(fact, exponent, prior.kind == JEFFREYS1)
+                value += log_prior(data_t, params, spec, prior, fact=fact, grad=prior_grad)
+                value += jacobian_sign * float(xi.sum())
+            if grad is not None:
+                log_likelihood_xi_grad(data_t, params, fact, exponent, grad, projected, columns)
+            if prior_grad is not None:
+                grad[:] += prior_grad + jacobian_sign
+        except INFEASIBLE:
             value = SENTINEL
     failed = value == SENTINEL or not math.isfinite(value)
     if grad is not None and (failed or not np.isfinite(grad).all()):
@@ -362,29 +388,7 @@ def objective(data_t, xi, spec, prior, ws=None, grad=None):
     ``|X^T R^{-1} X|^{1/2}`` cancels the likelihood's, so that projector
     is ``R^{-1}`` less the residual term.
     """
-    jacobian_sign = 1.0 if prior.kind == JOINTLY_ROBUST else -1.0
-    a_t = prior.a_t(data_t.q)
-    fisher = prior.kind in FISHER_KINDS
-
-    def posterior(params, fact, xi):
-        value = integrated_log_likelihood(data_t, params, spec, a_t, fact=fact)
-        prior_grad = columns = None
-        if grad is not None:
-            exponent = log_S2_exponent(data_t, a_t)
-            prior_grad = np.empty(grad.size)
-            if fisher:
-                # read before the prior consumes the factor: its projector
-                # less their outer product is the likelihood's, for which
-                # only jeffreys1's P = R^-1 needs the trend block too
-                columns = likelihood_columns(fact, exponent, prior.kind == JEFFREYS1)
-        value += log_prior(data_t, params, spec, prior, fact=fact, grad=prior_grad)
-        value += jacobian_sign * float(xi.sum())
-        if grad is not None:
-            log_likelihood_xi_grad(data_t, params, fact, exponent, grad, columns=columns)
-            grad[:] += prior_grad + jacobian_sign
-        return value
-
-    return _evaluate(data_t, xi, spec, ws, fisher, posterior, grad)
+    return _evaluate(data_t, xi, spec, prior, ws, grad)
 
 
 def concentrated_restricted_likelihood(data_t, params, spec, fact=None):
@@ -403,7 +407,7 @@ def concentrated_restricted_likelihood(data_t, params, spec, fact=None):
     """
     if fact is None:
         fact = gls_fit(data_t, params, spec)
-    return -0.5 * fact.logdet_R - 0.5 * (data_t.n - data_t.q) * log_S2(fact, data_t)
+    return log_likelihood(data_t, fact, *_criterion(data_t, None))
 
 
 def _plugin_objective(data_t, xi, spec, ws=None, grad=None):
@@ -413,15 +417,37 @@ def _plugin_objective(data_t, xi, spec, ws=None, grad=None):
     ``ws``, an optional ``Workspace(data_t.inputs, spec)``, and ``grad`` are
     as for ``objective``.
     """
+    return _evaluate(data_t, xi, spec, None, ws, grad)
 
-    def plugin(params, fact, xi):
-        value = concentrated_restricted_likelihood(data_t, params, spec, fact=fact)
-        if grad is not None:
-            exponent = 0.5 * (data_t.n - data_t.q)
-            log_likelihood_xi_grad(data_t, params, fact, exponent, grad, projected=False)
-        return value
 
-    return _evaluate(data_t, xi, spec, ws, False, plugin, grad)
+def tail_probe(data_t, spec, prior, phi_grid):
+    """Integrated log-likelihood and log prior along an isotropic range ray.
+
+    Returns ``(loglik, logprior)`` at ``phi = (g, ..., g)`` for each grid
+    value ``g``: the likelihood ``objective`` scores, from a value-only
+    ``gls_fit``, and ``log_prior``, which builds its own factorization for
+    the kinds in ``FISHER_KINDS``.  A point where a column meets an
+    ``INFEASIBLE`` error is ``nan`` there, and the sweep goes on.  Used to
+    diagnose non-decaying posterior tails.
+    """
+    grid = np.asarray(phi_grid, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
+        raise InvalidArgumentError("phi grid must be finite and positive")
+    exponent, projected = _criterion(data_t, prior)
+
+    def column(score):
+        out = np.full(grid.size, np.nan)
+        for i, g in enumerate(grid):
+            try:
+                out[i] = score(RangeParams(np.full(data_t.dims, g)))
+            except INFEASIBLE:
+                pass
+        return out
+
+    return (
+        column(lambda p: log_likelihood(data_t, gls_fit(data_t, p, spec), exponent, projected)),
+        column(lambda p: log_prior(data_t, p, spec, prior)),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,16 +606,16 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
         )
     xi_hat = best.x
     params = RangeParams.from_xi(xi_hat)
-    # the workspace is free again, and b_hat and S2 are copied out of it
+    # the workspace is free again; b_hat is no buffer of it.  The variance
+    # estimate is the marginal posterior mode S2 / (n - q + 2)
     fact = gls_fit(data_t, params, spec, ws=ws)
-    b_hat, sigma2_hat = location_scale_estimates(fact, data_t)
     return LevelFit(
         level=data_t.index,
         phi=params.phi,
         xi=xi_hat.copy(),
         objective_value=best.fun,
-        b_hat=b_hat,
-        sigma2_hat=sigma2_hat,
+        b_hat=fact.b_hat,
+        sigma2_hat=fact.S2 / (data_t.n - data_t.q + 2.0),
         S2=fact.S2,
         converged=best.converged,
         n_evals=total_evals,

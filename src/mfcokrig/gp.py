@@ -3,8 +3,10 @@
 One fidelity level contributes a design, outputs, a regression basis, and
 (above the first level) the lower-level outputs at the shared inputs.  This
 module factorizes the level's correlation matrix, solves the generalized
-least squares problem, and evaluates the integrated log-likelihood obtained
-by marginalizing the trend coefficients and the process variance.
+least squares problem, and evaluates the log-likelihood of the ranges
+(``log_likelihood``) and its xi-gradient (``log_likelihood_xi_grad``):
+the integrated one, the trend coefficients and the process variance
+marginalized, or the plug-in criterion, one form with another exponent.
 
 All solves go through Cholesky factors and triangular back-substitution.
 The one explicit inverse is ``gls_projector``'s: LAPACK ``dpotri`` forms
@@ -35,11 +37,9 @@ from .exceptions import (
     DegenerateDataError,
     DesignRankError,
     InvalidArgumentError,
-    RangeOverflowError,
     SingularCorrelationError,
 )
 from .kernels import (
-    RangeParams,
     Workspace,
     corr_matrix,
     corr_matrix_with_derivs,
@@ -262,25 +262,23 @@ def log_S2(fact, data):
     return math.log(fact.S2)
 
 
-def integrated_log_likelihood(data, params, spec, a_t, fact=None):
-    """Marginal log-likelihood of the range parameters at one level.
+def log_likelihood(data, fact, exponent, projected=True):
+    """Log-likelihood of the range parameters at one level, from a
+    factorization at them:
 
-    The trend coefficients and the process variance are integrated out
-    under a ``(sigma^2)^{-a_t}`` prior, leaving (up to a constant)
+        -1/2 log|R| - 1/2 log|X^T R^{-1} X| - exponent log S2
 
-        -1/2 log|R| - 1/2 log|X^T R^{-1} X| - ((n-q)/2 + a_t - 1) log S2.
-
-    Parameters
-    ----------
-    a_t : float
-        Variance-prior exponent; must satisfy ``(n-q)/2 + a_t - 1 > 0``.
-    fact : LevelFactorization, optional
-        Reuse an existing factorization at ``params`` instead of refitting.
+    (``projected``), or ``-1/2 log|R| - exponent log S2``.  With the
+    exponent ``log_S2_exponent(data, a_t)`` the first is the integrated
+    likelihood, the trend coefficients and the process variance integrated
+    out under a ``(sigma^2)^{-a_t}`` prior; with ``(n-q)/2`` and not
+    ``projected`` the second is the plug-in criterion.
+    ``log_likelihood_xi_grad`` is its gradient.
     """
-    exponent = log_S2_exponent(data, a_t)
-    if fact is None:
-        fact = gls_fit(data, params, spec)
-    return -0.5 * fact.logdet_R - 0.5 * fact.logdet_M - exponent * log_S2(fact, data)
+    value = -0.5 * fact.logdet_R
+    if projected:
+        value -= 0.5 * fact.logdet_M
+    return value - exponent * log_S2(fact, data)
 
 
 def log_S2_exponent(data, a_t):
@@ -317,18 +315,18 @@ def projector_columns(fact, projected=True, resid_scale=0.0):
     return V
 
 
-def gls_projector(data, params, fact, projected=True, resid_scale=0.0):
+def gls_projector(data, params, fact, projected=True, columns=None):
     """The GLS projector ``Q = R^{-1} - B B^T``, ``B = L^-T A Lm^-T``
-    (``projected``), or ``R^{-1}``, less ``s^2 u u^T`` with
-    ``u = R^{-1}(y - X b_hat) = L^-T e`` and ``s`` the ``resid_scale``, in
-    the lower triangle of an ``n x n`` Fortran-order array.
+    (``projected``), or ``R^{-1}``, in the lower triangle of an ``n x n``
+    Fortran-order array; given ``columns``, ``R^{-1} - V V^T`` with ``V``
+    those columns (``likelihood_columns`` of ``fact``) instead.
 
     LAPACK ``dpotri`` forms ``R^{-1}`` in place on the factor and one
-    ``dsyrk`` subtracts the rank-(q+1) term ``V V^T`` of
+    ``dsyrk`` subtracts the rank-(q+1) term ``V V^T``, by default that of
     ``projector_columns``, so the result is ``fact.chol_R`` itself and the
     factorization is consumed.  The upper triangle holds none of it.
     """
-    V = projector_columns(fact, projected, resid_scale)
+    V = projector_columns(fact, projected) if columns is None else columns
     Rinv, info = dpotri(fact.chol_R, lower=1, overwrite_c=1)
     if info != 0:
         raise SingularCorrelationError(params.phi, level=data.index)
@@ -350,8 +348,8 @@ def log_likelihood_xi_grad(data, params, fact, exponent, out, projected=True, co
     derivative is ``sum_{i<j} dR_k[i, j] (-G[i, j] + (2c / S2) u_i u_j)``,
     with ``G`` the GLS projector ``Q`` when ``projected`` and ``R^{-1}``
     otherwise: the negation of the lower triangle that ``gls_projector``
-    forms with ``resid_scale = sqrt(2c / S2)``.  Its pairs, times the pair
-    correlations, are gathered into the workspace's ``gpairs`` for
+    forms with the ``likelihood_columns`` of ``fact``.  Its pairs, times
+    the pair correlations, are gathered into the workspace's ``gpairs`` for
     ``kernels.xi_gradient``.  ``fact`` is a factorization at ``params`` in
     a ``kernels.Workspace`` built with ``grad`` or ``derivs``, whose build
     the gradient reads and whose ``chol_R`` it consumes; any other raises
@@ -367,7 +365,9 @@ def log_likelihood_xi_grad(data, params, fact, exponent, out, projected=True, co
     if ws is None or ws.gpairs is None:
         raise InvalidArgumentError("the xi-gradient needs a workspace with gradient buffers")
     if columns is None:
-        H = gls_projector(data, params, fact, projected, math.sqrt(2.0 * exponent / fact.S2))
+        H = gls_projector(
+            data, params, fact, projected, likelihood_columns(fact, exponent, projected)
+        )
     else:
         H = dsyrk(-1.0, columns, beta=1.0, c=fact.chol_R, lower=1, overwrite_c=1)
     # the lower triangle of the Fortran-order H holds the pair (i, j),
@@ -377,36 +377,3 @@ def log_likelihood_xi_grad(data, params, fact, exponent, out, projected=True, co
     np.take(H.T.reshape(-1), ws.upper, out=g, mode="clip")
     g *= ws.pairs[:m]
     return np.negative(xi_gradient(ws, params, out), out=out)
-
-
-def tail_probe(data, spec, a_t, phi_grid):
-    """Integrated log-likelihood along an isotropic range ray.
-
-    Evaluates ``integrated_log_likelihood`` at ``phi = (g, ..., g)`` for
-    each grid value ``g``; grid points where the ranges are too small for
-    their kernel weights, the correlation matrix is singular or the data
-    degenerate yield ``nan`` rather than aborting the sweep.  Used to
-    diagnose non-decaying likelihood tails.
-    """
-    grid = np.asarray(phi_grid, dtype=np.float64).ravel()
-    if grid.size == 0:
-        return np.empty(0)
-    if not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
-        raise InvalidArgumentError("phi grid must be finite and positive")
-    out = np.empty(grid.size)
-    for i, g in enumerate(grid):
-        params = RangeParams(np.full(data.dims, g))
-        try:
-            out[i] = integrated_log_likelihood(data, params, spec, a_t)
-        except (RangeOverflowError, SingularCorrelationError, DegenerateDataError):
-            out[i] = np.nan
-    return out
-
-
-def location_scale_estimates(fact, data):
-    """Point estimates of the trend coefficients and process variance.
-
-    The variance estimate is the marginal posterior mode
-    ``S2 / (n - q + 2)``.
-    """
-    return fact.b_hat.copy(), fact.S2 / (data.n - data.q + 2.0)

@@ -18,6 +18,7 @@ grid may drop the ``y``); values round-trip at full double precision.
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -148,6 +149,33 @@ def model_document(data, fit_result):
     }
 
 
+def _read_text(path, what):
+    """The text of the UTF-8 file at ``path``, line endings kept; a missing
+    file, a directory or bytes that are not UTF-8 raise ``ConfigError``
+    naming ``what`` and the path."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except (IsADirectoryError, NotADirectoryError) as exc:
+        raise ConfigError(f"{what} {path}: {exc.strerror.lower()}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text ({exc.reason})") from exc
+
+
+def read_json_object(path, what):
+    """The JSON object in the file at ``path``, read by ``_read_text``;
+    ``ConfigError`` when it holds invalid JSON or another JSON value."""
+    try:
+        doc = json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {path} ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return doc
+
+
 def dump_json(payload, path):
     """Write a canonical JSON document: sorted keys, two-space indent,
     trailing newline, shortest round-trip floats."""
@@ -172,17 +200,7 @@ def save_model(path, data, fit_result):
 
 def load_model(path):
     """Rebuild ``(CokrigingData, FitResult)`` from a model document."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"model file not found: {path}") from exc
-    except IsADirectoryError as exc:
-        raise ConfigError(f"model path is a directory: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"model file is not valid JSON: {path} ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"model file {path} must hold a JSON object")
+    doc = read_json_object(path, "model file")
     version = doc.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ConfigError(
@@ -249,16 +267,12 @@ def load_level_csv(path, y_optional=False):
     accepted too and gives outputs of ``None``.  Every row must have one
     cell per header column.
     """
+    reader = csv.reader(io.StringIO(_read_text(path, "data file"), newline=""))
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ConfigError(f"{path} is empty; expected a header row")
-            rows = [(reader.line_num, row) for row in reader if row]
-    except FileNotFoundError as exc:
-        raise ConfigError(f"data file not found: {path}") from exc
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{path} is empty; expected a header row")
+    rows = [(reader.line_num, row) for row in reader if row]
     header = [h.strip() for h in header]
     has_y = header[-1:] == ["y"]
     d = len(header) - has_y

@@ -20,6 +20,10 @@ with the best so far.  ``plain_lbfgs_max`` is L-BFGS-B as
 ``optim.lbfgs_max`` documents it without the memo of evaluated points:
 every call scipy makes evaluates the objective.
 
+``integrated_log_likelihood`` is ``gp.log_likelihood`` with the
+posterior's exponent, from a fresh value-only ``gls_fit`` unless a
+factorization is given.
+
 ``coincident_rows_loop`` is the row-by-row design-point test and
 ``point_draws`` the per-point sampling path: one cross-correlation column,
 one triangular solve and one set of seeded draws per query point, with the
@@ -36,8 +40,17 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
 from scipy.special import stdtr, stdtrit
 
+from mfcokrig.gp import gls_fit, log_likelihood, log_S2_exponent
 from mfcokrig.kernels import POWER_EXPONENTIAL, cross_corr
 from mfcokrig.optim import _LBFGS_FTOL, SENTINEL_THRESHOLD, OptimResult, lbfgs_max
+
+
+def integrated_log_likelihood(lv, params, spec, a_t, fact=None):
+    """``-1/2 log|R| - 1/2 log|X^T R^-1 X| - ((n-q)/2 + a_t - 1) log S2``
+    at ``params``, read from ``fact`` or a fresh ``gls_fit``."""
+    if fact is None:
+        fact = gls_fit(lv, params, spec)
+    return log_likelihood(lv, fact, log_S2_exponent(lv, a_t))
 
 
 def corr1d(h, phi, spec):

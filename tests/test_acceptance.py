@@ -28,8 +28,8 @@ from mfcokrig.estimate import (
     fit_level,
     match_rows,
     objective,
+    tail_probe,
 )
-from mfcokrig.gp import integrated_log_likelihood, tail_probe
 from mfcokrig.kernels import (
     KernelSpec,
     RangeParams,
@@ -45,6 +45,7 @@ from mfcokrig.priors import (
     fisher_info_reference,
     log_prior,
 )
+from oracles import integrated_log_likelihood
 
 
 def _verdict(ok):
@@ -306,12 +307,11 @@ class TestImproprietyDiagnostics:
         # rough kernel keeps every eigenvalue above the jitter across the span
         spec = KernelSpec(family="matern", shape=0.5, dims=1)
         grid = np.array([1e-8, 1e-6, 1e5, 1e7])
-        ll = tail_probe(lv, spec, 1.0, grid)
+        ll, lp = tail_probe(lv, spec, PriorSpec(kind="reference"), grid)
         flat_large = abs(ll[3] - ll[2])
         flat_small = abs(ll[1] - ll[0])
-        ref = PriorSpec(kind="reference")
-        lp5 = log_prior(lv, RangeParams(np.array([1e5])), spec, ref)
-        lp7 = log_prior(lv, RangeParams(np.array([1e7])), spec, ref)
+        # the reference log prior at phi = 1e5 and 1e7
+        lp5, lp7 = lp[2], lp[3]
         drop = (ll[2] + lp5) - (ll[3] + lp7)
         elapsed = time.time() - t0
         ok = (np.isfinite(ll).all() and flat_large < 0.1 and flat_small < 1e-3

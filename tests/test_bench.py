@@ -100,6 +100,14 @@ class TestLhsDesign:
             with pytest.raises(InvalidArgumentError):
                 lhs_design(n, d)
 
+    def test_seed_is_a_generator_or_an_integer_at_least_zero(self):
+        for seed in (-1, 1.5, "x", None, True, np.random.SeedSequence(1)):
+            with pytest.raises(InvalidArgumentError, match="seed"):
+                lhs_design(4, 2, seed=seed)
+        np.testing.assert_array_equal(
+            lhs_design(4, 2, seed=np.int64(3)), lhs_design(4, 2, seed=3)
+        )
+
 
 @pytest.fixture(scope="module")
 def small_report():

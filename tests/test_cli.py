@@ -450,6 +450,41 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    def test_files_that_are_not_utf8_exit_two(self, tmp_path, capsys):
+        """A model, level or config file holding bytes that are not UTF-8
+        is a configuration error naming the file, not a traceback."""
+        p1, p2, _, _ = _write_levels(tmp_path)
+        grid = tmp_path / "grid.csv"
+        grid.write_text("x1,x2\n0.5,0.5\n")
+        binary = tmp_path / "binary.bin"
+        binary.write_bytes(b"\xff\xfe\x00\x01")
+        for argv in (
+            ["predict", "--model", str(binary), "--grid", str(grid)],
+            ["fit", "--level", str(binary), "--level", p2],
+            ["fit", "--config", str(binary), "--level", p1, "--level", p2],
+        ):
+            assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG, argv
+            assert f"{binary} is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [(c, f, v) for c in ("predict", "sample") for f, v in (
+            ("--prior", "flat"), ("--kernel", "matern"), ("--shape", "1.5"),
+            ("--nugget", "1e-8"), ("--jr-a0", "0.2"), ("--jr-b0", "1.0"),
+        )] + [("tailprobe", "--seed", "1")],
+    )
+    def test_flags_the_command_does_not_read_are_refused(self, capsys, command, flag, value):
+        """``predict`` and ``sample`` read the kernel and the prior from the
+        model file, and ``tailprobe`` draws nothing: each refuses the flags
+        it would ignore, with argparse's exit 2 naming the flag."""
+        required = {"predict": ["--model", "m.json"],
+                    "sample": ["--model", "m.json", "--x0", "0.5,0.5"]}
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required.get(command, []), flag, value])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
+
     def test_invalid_config_json(self, tmp_path, capsys):
         p1, p2, _, _ = _write_levels(tmp_path)
         cfg = tmp_path / "cfg.json"

@@ -17,6 +17,7 @@ from mfcokrig.estimate import (
     POSTERIOR,
     SENTINEL,
     SENTINEL_THRESHOLD,
+    INFEASIBLE,
     CokrigingData,
     OptimOptions,
     assemble,
@@ -27,6 +28,7 @@ from mfcokrig.estimate import (
     _plugin_objective,
     match_rows,
     objective,
+    tail_probe,
 )
 from mfcokrig.exceptions import (
     DegenerateDataError,
@@ -36,9 +38,10 @@ from mfcokrig.exceptions import (
     InvalidArgumentError,
     NestingError,
     PriorEvaluationError,
+    RangeOverflowError,
     SingularCorrelationError,
 )
-from mfcokrig.gp import gls_fit, integrated_log_likelihood
+from mfcokrig.gp import gls_fit, log_likelihood, log_S2_exponent
 from mfcokrig.kernels import (
     MATERN,
     POWER_EXPONENTIAL,
@@ -55,6 +58,7 @@ from oracles import (
     dense_objective,
     dense_xi_gradient,
     every_start,
+    integrated_log_likelihood,
     plain_lbfgs_max,
     stopping_rule,
 )
@@ -610,6 +614,177 @@ class TestConcentratedRestrictedLikelihood:
         assert got == pytest.approx(want, rel=1e-10)
 
 
+def _probe_level(rng, n=12, d=2):
+    X = rng.uniform(0.0, 1.0, size=(n, d))
+    y = np.sin(3.0 * X[:, 0]) + 0.5 * X[:, 1] ** 2 + 0.1 * rng.standard_normal(n)
+    return assemble([(X, y)]).levels[0]
+
+
+_FLAT = PriorSpec(kind="flat")
+
+
+def _nan_on_infeasible(f, *args):
+    try:
+        return f(*args)
+    except INFEASIBLE:
+        return np.nan
+
+
+class TestTailProbe:
+    def test_grid_evaluation_with_nan_retreat(self):
+        rng = np.random.default_rng(30)
+        lv = _probe_level(rng, n=10)
+        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2, nugget=0.0)
+        grid = np.array([0.5, 1.0, 1e9])
+        out, _ = tail_probe(lv, spec, _FLAT, grid)
+        assert out.shape == (3,)
+        assert np.isfinite(out[:2]).all()
+        # the near-singular far tail yields nan, not an exception
+        assert np.isnan(out[2])
+        for i, g in enumerate(grid[:2]):
+            want = integrated_log_likelihood(
+                lv, RangeParams(np.array([g, g])), spec, 1.0
+            )
+            assert out[i] == want
+
+    def test_ranges_whose_weights_overflow_give_nan(self):
+        """Ranges below about 1e-162 are infeasible for power-exponential
+        1.9; such a grid point is nan and the sweep goes on."""
+        rng = np.random.default_rng(33)
+        lv = _probe_level(rng, n=10)
+        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2)
+        grid = np.array([1e-200, 1e-3, 1.0])
+        out, _ = tail_probe(lv, spec, _FLAT, grid)
+        assert np.isnan(out[0])
+        for i, g in enumerate(grid[1:], start=1):
+            want = integrated_log_likelihood(
+                lv, RangeParams(np.array([g, g])), spec, 1.0
+            )
+            assert out[i] == want
+
+    def test_empty_grid(self):
+        rng = np.random.default_rng(31)
+        lv = _probe_level(rng)
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+        loglik, logprior = tail_probe(lv, spec, _FLAT, np.empty(0))
+        assert loglik.shape == logprior.shape == (0,)
+
+    def test_invalid_grid(self):
+        rng = np.random.default_rng(32)
+        lv = _probe_level(rng)
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+        with pytest.raises(InvalidArgumentError):
+            tail_probe(lv, spec, _FLAT, np.array([1.0, -2.0]))
+        with pytest.raises(InvalidArgumentError):
+            tail_probe(lv, spec, _FLAT, np.array([np.inf]))
+
+    @pytest.mark.parametrize("kind", PRIOR_KINDS)
+    @pytest.mark.parametrize("family, shape", [(POWER_EXPONENTIAL, 1.9), (MATERN, 2.5)])
+    def test_each_point_is_a_fresh_likelihood_and_log_prior(self, kind, family, shape):
+        """Bit for bit, each column is its own evaluation at each point: the
+        likelihood of a value-only ``gls_fit`` with the posterior's
+        exponent, and ``log_prior`` on its own; nan where that raises an
+        ``INFEASIBLE`` error."""
+        rng = np.random.default_rng(34)
+        (X1, y1), pair2 = _nested_pair(rng)
+        spec = KernelSpec(family=family, shape=shape, dims=2)
+        prior = PriorSpec(kind=kind)
+        grid = np.geomspace(1e-200, 1e9, 23)
+        for lv in assemble([(X1, y1), pair2]).levels:
+            exponent = log_S2_exponent(lv, prior.a_t(lv.q))
+            want_ll, want_lp = [], []
+            for g in grid:
+                params = RangeParams(np.full(2, g))
+                want_ll.append(_nan_on_infeasible(
+                    lambda: log_likelihood(lv, gls_fit(lv, params, spec), exponent)))
+                want_lp.append(_nan_on_infeasible(log_prior, lv, params, spec, prior))
+            loglik, logprior = tail_probe(lv, spec, prior, grid)
+            assert loglik.tobytes() == np.array(want_ll).tobytes()
+            assert logprior.tobytes() == np.array(want_lp).tobytes()
+
+    def test_only_the_fisher_priors_read_nan_at_tiny_ranges(self):
+        """At phi = 1e-200 the weights of power-exponential 1.9 overflow:
+        the likelihood and the Fisher priors, which build R, read nan, and
+        the other priors, which do not, stay finite."""
+        rng = np.random.default_rng(35)
+        lv = _probe_level(rng)
+        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2)
+        for kind in PRIOR_KINDS:
+            loglik, logprior = tail_probe(lv, spec, PriorSpec(kind=kind), [1e-200])
+            assert np.isnan(loglik[0])
+            assert np.isnan(logprior[0]) == (kind in FISHER_KINDS), kind
+
+    def test_likelihood_is_finite_where_only_the_derivative_scales_overflow(self):
+        """At phi = 1e-120 the weights of power-exponential 1.9 are finite
+        but the scales of the derivative stack overflow: the likelihood,
+        built without that stack, is finite, and the Fisher priors nan."""
+        rng = np.random.default_rng(36)
+        lv = _probe_level(rng)
+        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2)
+        for kind in PRIOR_KINDS:
+            loglik, logprior = tail_probe(lv, spec, PriorSpec(kind=kind), [1e-120])
+            assert np.isfinite(loglik[0]), kind
+            assert np.isnan(logprior[0]) == (kind in FISHER_KINDS), kind
+
+
+def _raising(error):
+    """A stand-in for ``gls_fit`` or ``log_prior`` that raises ``error``."""
+    def fail(*args, **kwargs):
+        if error is SingularCorrelationError:
+            raise error(np.ones(2))
+        raise error("injected")
+    return fail
+
+
+class TestInfeasible:
+    def test_the_five_errors(self):
+        assert set(INFEASIBLE) == {
+            RangeOverflowError,
+            SingularCorrelationError,
+            DegenerateDataError,
+            PriorEvaluationError,
+            DesignRankError,
+        }
+
+    @pytest.mark.parametrize("error", INFEASIBLE, ids=lambda e: e.__name__)
+    @pytest.mark.parametrize("kind", ("plugin", "flat", "reference"))
+    def test_factorization_errors_are_the_sentinel(self, monkeypatch, error, kind):
+        rng = np.random.default_rng(37)
+        lv = _probe_level(rng)
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+        ws = _grad_workspace(lv, spec, kind)
+        monkeypatch.setattr(estimate_module, "gls_fit", _raising(error))
+        grad = np.full(2, 7.0)
+        if kind == "plugin":
+            values = [_plugin_objective(lv, np.zeros(2), spec, ws, grad),
+                      _plugin_objective(lv, np.zeros(2), spec)]
+        else:
+            prior = PriorSpec(kind=kind)
+            values = [objective(lv, np.zeros(2), spec, prior, ws, grad),
+                      objective(lv, np.zeros(2), spec, prior)]
+            loglik, logprior = tail_probe(lv, spec, prior, [0.5, 1.0])
+            assert np.isnan(loglik).all()
+            # the prior column builds its own factorization, in priors
+            assert np.isfinite(logprior).all()
+        assert values == [SENTINEL, SENTINEL]
+        np.testing.assert_array_equal(grad, np.zeros(2))
+
+    @pytest.mark.parametrize("error", INFEASIBLE, ids=lambda e: e.__name__)
+    def test_prior_errors_are_the_sentinel(self, monkeypatch, error):
+        rng = np.random.default_rng(38)
+        lv = _probe_level(rng)
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+        prior = PriorSpec(kind="reference")
+        ws = _grad_workspace(lv, spec, "reference")
+        monkeypatch.setattr(estimate_module, "log_prior", _raising(error))
+        grad = np.full(2, 7.0)
+        assert objective(lv, np.zeros(2), spec, prior, ws, grad) == SENTINEL
+        np.testing.assert_array_equal(grad, np.zeros(2))
+        loglik, logprior = tail_probe(lv, spec, prior, [0.5, 1.0])
+        assert np.isfinite(loglik).all()
+        assert np.isnan(logprior).all()
+
+
 class TestOptimOptions:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -684,6 +859,21 @@ class TestFitLevel:
                 xi = lf.xi.copy()
                 xi[k] += delta
                 assert objective(lv, xi, spec, prior) <= lf.objective_value + 1e-9
+
+    def test_variance_uses_posterior_mode_denominator(self):
+        """``b_hat`` and ``S2`` are those of the factorization at the
+        estimate, and ``sigma2_hat`` is the marginal posterior mode
+        ``S2 / (n - q + 2)``."""
+        rng = np.random.default_rng(40)
+        lv = _probe_level(rng, n=14)
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+        lf = fit_level(lv, spec, PriorSpec(kind="reference"), OptimOptions(seed=0, n_starts=2))
+        fact = gls_fit(lv, RangeParams(lf.phi), spec)
+        np.testing.assert_array_equal(lf.b_hat, fact.b_hat)
+        assert lf.S2 == fact.S2
+        assert lf.sigma2_hat == pytest.approx(fact.S2 / (lv.n - lv.q + 2.0), rel=1e-15)
+        # the coefficients own their memory: no view of a workspace buffer
+        assert lf.b_hat.flags.owndata
 
     def test_default_budget_is_the_optimizer_default(self, monkeypatch):
         """Without ``max_evals`` every start runs on the optimizer's default

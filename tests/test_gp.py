@@ -1,5 +1,5 @@
-"""Per-level GLS algebra and the integrated likelihood, checked against
-direct dense-inverse computations."""
+"""Per-level GLS algebra and the log-likelihood of the ranges, checked
+against direct dense-inverse computations."""
 
 import math
 
@@ -16,15 +16,15 @@ from mfcokrig.gp import (
     LevelData,
     constant_basis,
     gls_fit,
-    integrated_log_likelihood,
-    location_scale_estimates,
-    tail_probe,
+    log_likelihood,
+    log_S2_exponent,
 )
 from mfcokrig.kernels import (
     MATERN,
     POWER_EXPONENTIAL,
     KernelSpec,
     RangeParams,
+    Workspace,
     corr_matrix,
 )
 
@@ -132,7 +132,13 @@ class TestGlsFit:
         assert err.value.phi is not None
 
 
-class TestIntegratedLogLikelihood:
+def _integrated(lv, params, spec, a_t):
+    """``log_likelihood`` with the integrated likelihood's exponent, on a
+    fresh ``gls_fit`` factorization."""
+    return log_likelihood(lv, gls_fit(lv, params, spec), log_S2_exponent(lv, a_t))
+
+
+class TestLogLikelihood:
     def test_matches_closed_form(self):
         rng = np.random.default_rng(20)
         spec = KernelSpec(family=MATERN, shape=1.5, dims=2)
@@ -140,30 +146,43 @@ class TestIntegratedLogLikelihood:
             for with_lower in (False, True):
                 lv = _toy_level(rng, index=2 if with_lower else 1, with_lower=with_lower)
                 params = RangeParams(rng.uniform(0.3, 2.0, size=2))
-                got = integrated_log_likelihood(lv, params, spec, a_t)
+                got = _integrated(lv, params, spec, a_t)
                 _, S2, ldR, ldM = _brute_pieces(lv, params, spec)
                 expo = 0.5 * (lv.n - lv.q) + a_t - 1.0
                 want = -0.5 * ldR - 0.5 * ldM - expo * math.log(S2)
                 assert got == pytest.approx(want, rel=1e-9)
 
+    def test_unprojected_form_matches_closed_form(self):
+        """Not ``projected``, with the exponent ``(n-q)/2``, it is the
+        plug-in criterion ``-1/2 log|R| - ((n-q)/2) log S2``."""
+        rng = np.random.default_rng(25)
+        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2)
+        for with_lower in (False, True):
+            lv = _toy_level(rng, index=2 if with_lower else 1, with_lower=with_lower)
+            params = RangeParams(rng.uniform(0.3, 2.0, size=2))
+            expo = 0.5 * (lv.n - lv.q)
+            got = log_likelihood(lv, gls_fit(lv, params, spec), expo, projected=False)
+            _, S2, ldR, _ = _brute_pieces(lv, params, spec)
+            assert got == pytest.approx(-0.5 * ldR - expo * math.log(S2), rel=1e-9)
+
     def test_reuses_factorization(self):
+        """A factorization built in a workspace gives the value of a fresh
+        one, bit for bit."""
         rng = np.random.default_rng(21)
         spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
         lv = _toy_level(rng)
         params = RangeParams(np.array([0.8, 0.6]))
-        fact = gls_fit(lv, params, spec)
-        a = integrated_log_likelihood(lv, params, spec, 1.0)
-        b = integrated_log_likelihood(lv, params, spec, 1.0, fact=fact)
+        fact = gls_fit(lv, params, spec, ws=Workspace(lv.inputs, spec))
+        a = _integrated(lv, params, spec, 1.0)
+        b = log_likelihood(lv, fact, log_S2_exponent(lv, 1.0))
         assert a == b
 
     def test_rejects_nonpositive_exponent(self):
         rng = np.random.default_rng(22)
         lv = _toy_level(rng, n=3, d=2)
-        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
-        params = RangeParams(np.array([1.0, 1.0]))
         # n - q = 2 with a_t = 0 gives exponent 0
         with pytest.raises(InvalidArgumentError):
-            integrated_log_likelihood(lv, params, spec, a_t=0.0)
+            log_S2_exponent(lv, a_t=0.0)
 
     def test_degenerate_outputs_raise(self):
         rng = np.random.default_rng(23)
@@ -173,7 +192,7 @@ class TestIntegratedLogLikelihood:
         )
         spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
         with pytest.raises(DegenerateDataError):
-            integrated_log_likelihood(lv, RangeParams(np.array([1.0, 1.0])), spec, 1.0)
+            _integrated(lv, RangeParams(np.array([1.0, 1.0])), spec, 1.0)
 
 
     @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
@@ -190,69 +209,6 @@ class TestIntegratedLogLikelihood:
             lv = LevelData(index=1, inputs=X, outputs=y, basis=constant_basis(X))
             if degenerate:
                 with pytest.raises(DegenerateDataError):
-                    integrated_log_likelihood(lv, params, spec, 1.0)
+                    _integrated(lv, params, spec, 1.0)
             else:
-                assert math.isfinite(integrated_log_likelihood(lv, params, spec, 1.0))
-
-
-class TestTailProbe:
-    def test_grid_evaluation_with_nan_retreat(self):
-        rng = np.random.default_rng(30)
-        lv = _toy_level(rng, n=10)
-        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2, nugget=0.0)
-        grid = np.array([0.5, 1.0, 1e9])
-        out = tail_probe(lv, spec, 1.0, grid)
-        assert out.shape == (3,)
-        assert np.isfinite(out[:2]).all()
-        # the near-singular far tail yields nan, not an exception
-        assert np.isnan(out[2])
-        for i, g in enumerate(grid[:2]):
-            want = integrated_log_likelihood(
-                lv, RangeParams(np.array([g, g])), spec, 1.0
-            )
-            assert out[i] == want
-
-    def test_ranges_whose_weights_overflow_give_nan(self):
-        """Ranges below about 1e-162 are infeasible for power-exponential
-        1.9; such a grid point is nan and the sweep goes on."""
-        rng = np.random.default_rng(33)
-        lv = _toy_level(rng, n=10)
-        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2)
-        grid = np.array([1e-200, 1e-3, 1.0])
-        out = tail_probe(lv, spec, 1.0, grid)
-        assert np.isnan(out[0])
-        for i, g in enumerate(grid[1:], start=1):
-            want = integrated_log_likelihood(
-                lv, RangeParams(np.array([g, g])), spec, 1.0
-            )
-            assert out[i] == want
-
-    def test_empty_grid(self):
-        rng = np.random.default_rng(31)
-        lv = _toy_level(rng)
-        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
-        out = tail_probe(lv, spec, 1.0, np.empty(0))
-        assert out.shape == (0,)
-
-    def test_invalid_grid(self):
-        rng = np.random.default_rng(32)
-        lv = _toy_level(rng)
-        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
-        with pytest.raises(InvalidArgumentError):
-            tail_probe(lv, spec, 1.0, np.array([1.0, -2.0]))
-        with pytest.raises(InvalidArgumentError):
-            tail_probe(lv, spec, 1.0, np.array([np.inf]))
-
-
-class TestLocationScaleEstimates:
-    def test_variance_uses_posterior_mode_denominator(self):
-        rng = np.random.default_rng(40)
-        lv = _toy_level(rng, n=14)
-        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
-        fact = gls_fit(lv, RangeParams(np.array([0.7, 0.7])), spec)
-        b, s2 = location_scale_estimates(fact, lv)
-        np.testing.assert_array_equal(b, fact.b_hat)
-        assert s2 == pytest.approx(fact.S2 / (lv.n - lv.q + 2.0), rel=1e-15)
-        # returned coefficients are a copy, not a view
-        b[0] += 1.0
-        assert fact.b_hat[0] != b[0]
+                assert math.isfinite(_integrated(lv, params, spec, 1.0))

@@ -117,6 +117,16 @@ class TestModelRoundTrip:
         with pytest.raises(ConfigError, match="is a directory"):
             load_model(tmp_path)
 
+    def test_unreadable_files(self, tmp_path):
+        """Bytes that are not UTF-8 and a path through a file are
+        configuration errors naming the path."""
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe\x00{")
+        with pytest.raises(ConfigError, match="binary.json is not UTF-8 text"):
+            load_model(binary)
+        with pytest.raises(ConfigError, match="not a directory"):
+            load_model(binary / "model.json")
+
     def test_save_into_a_missing_directory(self, tmp_path):
         data, result = _fitted()
         with pytest.raises(ConfigError, match="cannot write"):
@@ -408,6 +418,28 @@ class TestLevelCsv:
             load_level_csv(path)
         with pytest.raises(ConfigError, match="not found"):
             load_level_csv(tmp_path / "absent.csv")
+
+    def test_unreadable_files(self, tmp_path):
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"\xff\xfex1,y\n")
+        with pytest.raises(ConfigError, match="binary.csv is not UTF-8 text"):
+            load_level_csv(binary)
+        with pytest.raises(ConfigError, match="is a directory"):
+            load_level_csv(tmp_path)
+        with pytest.raises(ConfigError, match="not a directory"):
+            load_level_csv(binary / "level.csv")
+
+    def test_line_endings_are_the_csv_reader_s(self, tmp_path):
+        """CRLF and CR line endings read as LF ones do."""
+        rows = ["x1,y", "0.5,1.0", "0.25,2.0", ""]
+        paths = []
+        for name, sep in (("lf.csv", "\n"), ("crlf.csv", "\r\n"), ("cr.csv", "\r")):
+            paths.append(tmp_path / name)
+            paths[-1].write_bytes(sep.join(rows).encode())
+        want = load_level_csv(paths[0])
+        for path in paths[1:]:
+            for a, b in zip(load_level_csv(path), want):
+                np.testing.assert_array_equal(a, b)
 
     def test_rows_must_match_the_header_width(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mfcokrig.exceptions import InvalidArgumentError
-from mfcokrig.gp import LevelData, constant_basis, gls_fit, integrated_log_likelihood
+from mfcokrig.gp import LevelData, constant_basis, gls_fit
 from mfcokrig.kernels import (
     MATERN,
     POWER_EXPONENTIAL,
@@ -32,7 +32,7 @@ from mfcokrig.priors import (
     log_jr_prior,
     log_prior,
 )
-from oracles import corr_matrix_with_derivs_loop
+from oracles import corr_matrix_with_derivs_loop, integrated_log_likelihood
 
 
 def _toy_level(rng, n=10, d=2, with_lower=False):
