@@ -47,6 +47,7 @@ from .modelio import (
     write_predictions_csv,
     write_replicates_csv,
     write_tailprobe_csv,
+    write_text,
 )
 from .predict import CokrigingModel
 from .priors import PRIOR_KINDS, PriorSpec
@@ -198,8 +199,7 @@ def cmd_fit(args):
         if lf.gamma is not None:
             lines[-1] += f" gamma={lf.gamma:.6g}"
     summary = "\n".join(lines) + "\n"
-    with open(os.path.join(out, "fit_summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write(summary)
+    write_text(os.path.join(out, "fit_summary.txt"), summary)
     sys.stdout.write(summary)
     sys.stdout.write(f"model written to {model_path}\n")
     return EXIT_OK

@@ -313,7 +313,8 @@ def _evaluate(data_t, xi, spec, prior, ws, grad):
     ``_criterion``, plus, under a prior, the log prior and the Jacobian.
     ``grad``, when given, receives the xi-gradient of the same value.
     With no ``ws`` it builds the one the call needs: with the derivative
-    buffers for those kinds, and the gradient's when ``grad`` is given.
+    buffers for those kinds, which they refuse a ``ws`` without, and the
+    gradient's when ``grad`` is given.
     Returns a large negative sentinel, with a zero ``grad``, instead of
     raising when the ranges over- or underflow, an ``INFEASIBLE`` error is
     raised, or the value or the gradient is not finite, so the optimizer
@@ -326,6 +327,8 @@ def _evaluate(data_t, xi, spec, prior, ws, grad):
     fisher = prior is not None and prior.kind in FISHER_KINDS
     if ws is None:
         ws = Workspace(data_t.inputs, spec, derivs=fisher, grad=grad is not None)
+    elif fisher and ws.dR is None:
+        raise InvalidArgumentError("the workspace was built without derivative buffers")
     with np.errstate(over="ignore"):
         phi = np.exp(-xi)
     value = SENTINEL
@@ -337,7 +340,7 @@ def _evaluate(data_t, xi, spec, prior, ws, grad):
         params = None
     if params is not None:
         try:
-            fact = gls_fit(data_t, params, spec, ws=ws, derivs=fisher)
+            fact = gls_fit(data_t, params, spec, ws=ws)
             value = log_likelihood(data_t, fact, exponent, projected)
             prior_grad = columns = None
             if prior is not None:
@@ -556,8 +559,8 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
         )
     d = data_t.dims
     # one set of evaluation buffers for the whole fit; freed when it returns
-    derivs = method == POSTERIOR and prior.kind in FISHER_KINDS
-    ws = Workspace(data_t.inputs, spec, derivs=derivs, grad=True)
+    fisher = method == POSTERIOR and prior.kind in FISHER_KINDS
+    ws = Workspace(data_t.inputs, spec, derivs=fisher, grad=True)
 
     # both objectives are looked up at call time, so wrappers installed on
     # this module see every evaluation

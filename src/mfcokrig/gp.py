@@ -39,12 +39,7 @@ from .exceptions import (
     InvalidArgumentError,
     SingularCorrelationError,
 )
-from .kernels import (
-    Workspace,
-    corr_matrix,
-    corr_matrix_with_derivs,
-    xi_gradient,
-)
+from .kernels import corr_matrix, xi_gradient
 
 # S2 at or below this share of y^T R^-1 y is rounding noise: the outputs
 # are interpolated exactly and log(S^2) is meaningless
@@ -154,15 +149,14 @@ class LevelFactorization:
 
     ``chol_R`` is lower-triangular with ``R = L L^T``; ``white_design`` and
     ``white_resid`` are ``L^{-1} X`` and ``L^{-1}(y - X b_hat)``, so inner
-    products against them realize ``R^{-1}`` quadratic forms.  ``dR`` is the
-    stack of ``dR/dphi_k`` at the same ranges when the factorization was
-    built for a Fisher-information prior, else ``None``.  ``ws`` is the
-    ``kernels.Workspace`` that holds ``chol_R`` and ``dR``; they are valid
-    only until the next evaluation on it, and ``gls_projector`` (the
+    products against them realize ``R^{-1}`` quadratic forms.  ``ws`` is
+    the ``kernels.Workspace`` that holds ``chol_R``, and, when it was built
+    with derivative buffers (the Fisher-information priors), the stack
+    ``ws.dR`` of ``dR/dphi_k`` at the same ranges; they are valid only
+    until the next evaluation on it, and ``gls_projector`` (the
     xi-gradient, the Fisher information) overwrites ``chol_R`` with the
-    projector.  A factorization with ``dR``
-    always has one; a value-only one built without keeps none, so a model
-    holds no evaluation buffers.
+    projector.  A value-only factorization built without a workspace keeps
+    none, so a model holds no evaluation buffers.
     """
 
     chol_R: np.ndarray
@@ -174,7 +168,6 @@ class LevelFactorization:
     S2: float
     logdet_R: float
     logdet_M: float
-    dR: np.ndarray = None
     ws: object = None
 
     @property
@@ -182,7 +175,7 @@ class LevelFactorization:
         return self.chol_R.shape[0]
 
 
-def gls_fit(data, params, spec, ws=None, derivs=False):
+def gls_fit(data, params, spec, ws=None):
     """Factorize one level at the given range parameters.
 
     Computes the generalized least squares coefficients
@@ -194,11 +187,9 @@ def gls_fit(data, params, spec, ws=None, derivs=False):
     ----------
     ws : kernels.Workspace, optional
         Buffers built on ``data.inputs``, reused across many ranges; the
-        result's ``chol_R`` and ``dR`` live in them until the next call.
-    derivs : bool
-        Also build the derivative stack ``dR`` (from the same kernel pass)
-        for the Fisher-information priors; without ``ws``, into a fresh
-        derivative workspace, which the result keeps.
+        result's ``chol_R`` lives in them until the next call.  A workspace
+        with derivative buffers also receives the derivative stack ``dR``
+        of the same kernel pass, for the Fisher-information priors.
 
     Raises
     ------
@@ -207,12 +198,7 @@ def gls_fit(data, params, spec, ws=None, derivs=False):
     DesignRankError
         If ``M`` fails its Cholesky factorization.
     """
-    if derivs:
-        if ws is None:
-            ws = Workspace(data.inputs, spec, derivs=True)
-        R, dR = corr_matrix_with_derivs(data.inputs, params, spec, ws=ws)
-    else:
-        R, dR = corr_matrix(data.inputs, params, spec, ws=ws), None
+    R = corr_matrix(data.inputs, params, spec, ws=ws)
     # R is symmetric, so its transpose, a Fortran-order view, is R itself
     # for LAPACK, which factorizes it in place
     L, info = dpotrf(R.T, lower=1, overwrite_a=1)
@@ -244,7 +230,6 @@ def gls_fit(data, params, spec, ws=None, derivs=False):
         S2=S2,
         logdet_R=logdet_R,
         logdet_M=logdet_M,
-        dR=dR,
         ws=ws,
     )
 
@@ -303,12 +288,17 @@ def projector_columns(fact, projected=True, resid_scale=0.0):
     R^{-1}(y - X b_hat)``, ``s`` the ``resid_scale`` and
     ``B = L^-T A Lm^-T``, as an ``n x (q+1)`` or ``n x 1`` Fortran-order
     array.  They are read from the factor, so a caller that needs them
-    after the factor is consumed takes them first."""
+    after the factor is consumed takes them first.  With ``s`` 0 the first
+    column is zeros and ``u`` is not solved for; the column stays, as
+    ``dsyrk`` over ``q + 1`` columns rounds apart from one over ``q``."""
     L = fact.chol_R
     q = fact.chol_M.shape[0] if projected else 0
     V = np.empty((fact.n, q + 1), order="F")
-    V[:, 0] = dtrtrs(L, fact.white_resid, lower=1, trans=1)[0]
-    V[:, 0] *= resid_scale
+    if resid_scale == 0.0:
+        V[:, 0] = 0.0
+    else:
+        V[:, 0] = dtrtrs(L, fact.white_resid, lower=1, trans=1)[0]
+        V[:, 0] *= resid_scale
     if projected:
         AM = dtrtrs(fact.chol_M, fact.white_design.T, lower=1)[0]
         V[:, 1:] = dtrtrs(L, AM.T, lower=1, trans=1)[0]

@@ -20,9 +20,10 @@ estimation) builds the stack once, in a ``Workspace`` that also holds
 every buffer one evaluation writes.  ``R`` is symmetric, so its builds run
 over a packed stack of the ``n(n-1)/2`` distinct row pairs, shape
 ``(d, n(n-1)/2)``, and one gather expands the result into the full matrix
-with the diagonal ``1 + nugget``; ``corr_matrix`` and
-``corr_matrix_with_derivs`` share that path and give the same ``R`` bit for
-bit.  The rectangular ``cross_corr`` keeps a full ``(d, n1, n2)`` stack.
+with the diagonal ``1 + nugget``.  A workspace built with ``derivs`` also
+receives the derivative stack from the same build, all that
+``corr_matrix_with_derivs`` adds to ``corr_matrix``.  The rectangular
+``cross_corr`` keeps a full ``(d, n1, n2)`` stack.
 
 Every range derivative has one representation over the pairs, rows ``A``
 and constants ``c`` with ``c[k] A[k] = -(dr/dxi_k) / r``
@@ -353,24 +354,24 @@ class Workspace:
 
     With ``derivs`` or ``grad``, Matern 3/2 and 5/2 also hold the
     ``(d, width)`` derivative rows ``ratios`` (``_derivative_rows``), which
-    every build then fills; a value-only workspace holds none, since
-    filling them took a model build (``CokrigingModel``, n=200/60, Matern
-    5/2) from 6.0 to 7.5 ms.  Both also hold the flat positions ``upper``
-    of the pairs ``(i, j)``, ``i < j``, in an ``n x n`` matrix, where
+    every build then fills; a value-only workspace holds none, since filling
+    them took a model build (``CokrigingModel``, n=200/60, Matern 5/2) from
+    6.0 to 7.5 ms.  Both also hold the flat positions ``upper`` of the pairs
+    ``(i, j)``, ``i < j``, in an ``n x n`` matrix, where
     ``gp.gls_projector``'s triangle is read, and the weights ``gpairs`` of
-    the xi-gradient over the pairs, zero from slot ``m`` on.  With
-    ``grad`` alone (the objectives without a Fisher-information prior) it
-    holds no ``(d, n, n)`` array.  With ``derivs`` (the Fisher-information
-    priors, whose gradient it serves too) it holds the derivative stack
-    ``dR``, full because the Fisher products read whole slices of it, and
-    for every family the ``(d, width)`` pair derivatives ``dpairs`` that a
-    build scales from the rows ``A`` and gathers into it.  It then holds
-    too the trace operands ``W`` and their slice transposes ``WT`` (each
-    ``(d, n, n)``), the mirrored positions ``lower`` of the pairs,
-    ``(j, i)``, and the Fisher gradient's ``n x n`` matrix ``scratch`` and
-    two rows over the pairs, ``pair_scratch``.  Whatever is built on a
-    workspace, a factorization included, is overwritten by the next
-    evaluation on it.
+    the xi-gradient over the pairs, zero from slot ``m`` on.  With ``grad``
+    alone (the objectives without a Fisher-information prior) it holds no
+    ``(d, n, n)`` array.  With ``derivs`` (the Fisher-information priors,
+    whose gradient it serves too) it holds the derivative stack ``dR``,
+    which every build on it fills, full because the Fisher products read
+    whole slices of it, and for every family the ``(d, width)`` pair
+    derivatives ``dpairs`` that a build scales from the rows ``A`` and
+    gathers into it.  It then holds too the trace operands ``W`` and their
+    slice transposes ``WT`` (each ``(d, n, n)``), the mirrored positions
+    ``lower`` of the pairs, ``(j, i)``, and the Fisher gradient's ``n x n``
+    matrix ``scratch`` and two rows over the pairs, ``pair_scratch``.
+    Whatever is built on a workspace, a factorization included, is
+    overwritten by the next evaluation on it.
     """
 
     def __init__(self, X, spec, derivs=False, grad=False):
@@ -408,13 +409,13 @@ class Workspace:
             self.lower = j * n + i
 
 
-def _workspace(X, spec, ws, derivs):
+def _workspace(X, spec, ws):
     """``ws`` after checking that it was built on the design ``X`` and on
-    ``spec``, with derivative buffers when ``derivs``; a fresh workspace
-    when it is None.  The fit path passes the very design the workspace
-    was built on, which the identity test accepts at no cost."""
+    ``spec``; a fresh value-only workspace when it is None.  The fit path
+    passes the very design the workspace was built on, which the identity
+    test accepts at no cost."""
     if ws is None:
-        return Workspace(X, spec, derivs=derivs)
+        return Workspace(X, spec)
     if spec is not ws.spec and spec != ws.spec:
         raise InvalidArgumentError(f"the workspace was built for {ws.spec}, not for {spec}")
     if X is not ws.X and not np.array_equal(_check_design(X, spec.dims), ws.X):
@@ -422,16 +423,14 @@ def _workspace(X, spec, ws, derivs):
             f"the workspace was built on another design (shape {ws.X.shape}, "
             f"got {np.shape(X)})"
         )
-    if derivs and ws.dR is None:
-        raise InvalidArgumentError("the workspace was built without derivative buffers")
     return ws
 
 
-def _build(X, params, spec, ws, derivs):
-    """Correlation matrix of ``X``, and its derivative stack when
-    ``derivs``, into the workspace ``ws`` (or a fresh one), which it
-    returns: ``R`` is computed over the distinct pairs and gathered."""
-    ws = _workspace(X, spec, ws, derivs)
+def _build(X, params, spec, ws):
+    """Correlation matrix of ``X``, and its derivative stack when ``ws``
+    holds one, into the workspace ``ws`` (or a fresh value-only one), which
+    it returns: ``R`` is computed over the distinct pairs and gathered."""
+    ws = _workspace(X, spec, ws)
     phi, w = _check_params(params, spec)
     # out-of-range ratios are zeroed
     with np.errstate(over="ignore", invalid="ignore"):
@@ -442,7 +441,7 @@ def _build(X, params, spec, ws, derivs):
         # mode="clip" gathers straight into the output; the default "raise"
         # buffers the whole output first (every index is in range either way)
         np.take(ws.pairs, ws.index, out=ws.R.reshape(-1), mode="clip")
-        if derivs:
+        if ws.dR is not None:
             # dR_k / dphi_k = r c_k A_k / phi_k over the pairs, slice by
             # slice, as a broadcast product allocates an iteration buffer;
             # A stays as it is for the xi-gradient
@@ -469,9 +468,9 @@ def corr_matrix(X, params, spec, ws=None):
     coordinate distances; the diagonal is ``1 + nugget``.  It is exactly
     symmetric.  ``ws``, when given, is a ``Workspace`` built on ``X`` and
     ``spec``; ``R`` is then its buffer, which the next call on it
-    overwrites.
+    overwrites, and one built with ``derivs`` also receives ``dR``.
     """
-    return _build(X, params, spec, ws, False).R
+    return _build(X, params, spec, ws).R
 
 
 def cross_corr(X1, X2, params, spec):
@@ -498,9 +497,10 @@ def cross_corr(X1, X2, params, spec):
 def corr_matrix_with_derivs(X, params, spec, ws=None):
     """Correlation matrix together with all range-parameter derivatives.
 
-    ``R`` is bit for bit the matrix ``corr_matrix`` builds.  ``ws``, when
-    given, is a ``Workspace`` built on ``X`` and ``spec`` with ``derivs``,
-    whose buffers then hold the results until the next call on it.
+    ``R`` is bit for bit the matrix ``corr_matrix`` builds, in the same
+    build.  ``ws``, when given, is a ``Workspace`` built on ``X`` and
+    ``spec`` with ``derivs``, whose buffers then hold the results until the
+    next call on it; any other raises ``InvalidArgumentError``.
 
     Returns
     -------
@@ -510,7 +510,11 @@ def corr_matrix_with_derivs(X, params, spec, ws=None):
         ``dR[k] = dR/dphi_k``; symmetric with zero diagonal (the nugget is
         constant in ``phi``).
     """
-    ws = _build(X, params, spec, ws, True)
+    if ws is None:
+        ws = Workspace(X, spec, derivs=True)
+    elif ws.dR is None:
+        raise InvalidArgumentError("the workspace was built without derivative buffers")
+    _build(X, params, spec, ws)
     return ws.R, ws.dR
 
 

@@ -150,11 +150,11 @@ def model_document(data, fit_result):
 
 
 def _read_text(path, what):
-    """The text of the UTF-8 file at ``path``, line endings kept; a missing
-    file, a directory or bytes that are not UTF-8 raise ``ConfigError``
-    naming ``what`` and the path."""
+    """The text of the UTF-8 file at ``path``, line endings kept and a
+    byte-order mark dropped; a missing file, a directory or bytes that are
+    not UTF-8 raise ``ConfigError`` naming ``what`` and the path."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             return fh.read()
     except FileNotFoundError as exc:
         raise ConfigError(f"{what} not found: {path}") from exc
@@ -176,16 +176,22 @@ def read_json_object(path, what):
     return doc
 
 
+def write_text(path, text):
+    """Write ``text`` to the file at ``path`` as UTF-8, line endings as
+    given; a missing directory, a directory or a path through a file raise
+    ``ConfigError`` naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot write {path} ({exc.strerror})") from exc
+
+
 def dump_json(payload, path):
     """Write a canonical JSON document: sorted keys, two-space indent,
     trailing newline, shortest round-trip floats."""
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
-        raise ConfigError(f"cannot write {path} ({exc.strerror})") from exc
+    write_text(path, text + "\n")
 
 
 def save_model(path, data, fit_result):
@@ -301,11 +307,10 @@ def _line(values):
     return ",".join(map(repr, values))
 
 
-def _write_text(path, header, lines):
+def _write_rows(path, header, lines):
     """Write a header row and the ``lines`` (newline-terminated) in one
-    ``write``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n" + "".join(lines))
+    ``write_text``."""
+    write_text(path, ",".join(header) + "\n" + "".join(lines))
 
 
 def write_level_csv(path, inputs, outputs):
@@ -320,7 +325,7 @@ def write_level_csv(path, inputs, outputs):
         )
     header = [f"x{k + 1}" for k in range(inputs.shape[1])] + ["y"]
     rows = np.column_stack([inputs, outputs]).tolist()
-    _write_text(path, header, [_line(row) + "\n" for row in rows])
+    _write_rows(path, header, [_line(row) + "\n" for row in rows])
 
 
 def write_predictions_csv(path, X0, prediction, intervals):
@@ -344,14 +349,14 @@ def write_predictions_csv(path, X0, prediction, intervals):
     for x, levels in zip(X0.tolist(), values):
         cells = _line(x)
         lines.extend(f"{cells},{t},{_line(row)}\n" for t, row in enumerate(levels, start=1))
-    _write_text(path, header, lines)
+    _write_rows(path, header, lines)
 
 
 def write_draws_csv(path, draws):
     """Sample table: one row per draw, one ``level{t}`` column per level."""
     draws = np.asarray(draws, dtype=np.float64)
     header = [f"level{t + 1}" for t in range(draws.shape[1])]
-    _write_text(path, header, [_line(row) + "\n" for row in draws.tolist()])
+    _write_rows(path, header, [_line(row) + "\n" for row in draws.tolist()])
 
 
 def write_tailprobe_csv(path, phi_grid, loglik, logprior, logpost):
@@ -361,23 +366,24 @@ def write_tailprobe_csv(path, phi_grid, loglik, logprior, logpost):
         [np.asarray(a, dtype=np.float64) for a in (phi_grid, loglik, logprior, logpost)]
     ).tolist()
     header = ["phi", "log_likelihood", "log_prior", "log_posterior"]
-    _write_text(path, header, [_line(row) + "\n" for row in rows])
+    _write_rows(path, header, [_line(row) + "\n" for row in rows])
 
 
 def write_replicates_csv(path, report):
-    """Per-replicate benchmark table."""
-    columns = ["replicate", "rmspe", "cvg95", "alci95", "failed", "reason"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for rep in report.replicates:
-            writer.writerow(
-                [
-                    str(rep["replicate"]),
-                    _format(rep["rmspe"]),
-                    _format(rep["cvg95"]),
-                    _format(rep["alci95"]),
-                    str(rep["failed"]),
-                    rep["reason"],
-                ]
-            )
+    """Per-replicate benchmark table; ``csv.writer`` quotes the ``reason``
+    cells."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["replicate", "rmspe", "cvg95", "alci95", "failed", "reason"])
+    for rep in report.replicates:
+        writer.writerow(
+            [
+                str(rep["replicate"]),
+                _format(rep["rmspe"]),
+                _format(rep["cvg95"]),
+                _format(rep["alci95"]),
+                str(rep["failed"]),
+                rep["reason"],
+            ]
+        )
+    write_text(path, buf.getvalue())

@@ -6,14 +6,14 @@ inverse ranges ``B = 1/phi``.  The reparameterization Jacobian used by the
 optimizer lives in the estimation module, not here.
 
 The reference and Jeffreys priors read the Cholesky factor and the
-derivative stack of a ``gp.gls_fit(..., derivs=True)`` factorization; pass
-the one the likelihood already uses as ``fact`` so that an evaluation
-builds and factorizes the correlation matrix once.  Such a factorization
-lives in a ``kernels.Workspace`` with derivative buffers.  The inverse or
-the GLS projector comes from ``gp.gls_projector``, in place on the factor,
-the trace operands are written into the workspace's buffers, and LAPACK
-``dpotrf`` is called directly, so an evaluation allocates no ``n x n``
-array.  ``log_prior`` also gives the xi-gradient of every kind; for these
+derivative stack of a ``gp.gls_fit`` factorization in a
+``kernels.Workspace`` with derivative buffers, whose build fills that
+stack; pass the one the likelihood already uses as ``fact`` so that an
+evaluation builds and factorizes the correlation matrix once.  The
+inverse or the GLS projector comes from ``gp.gls_projector``, in place on
+the factor, the trace operands are written into the workspace's buffers,
+and LAPACK ``dpotrf`` is called directly, so an evaluation allocates no
+``n x n`` array.  ``log_prior`` also gives the xi-gradient of every kind; for these
 three it is read from the same projector and trace operands, at about
 ``2d + 1`` gemms of ``n x n`` on top of the information's ``d``.
 
@@ -37,7 +37,7 @@ from scipy.linalg.lapack import dpotrf, dpotri
 
 from .exceptions import InvalidArgumentError, PriorEvaluationError, is_real, real_array
 from .gp import gls_fit, gls_projector
-from .kernels import curvature_dot, xi_gradient
+from .kernels import Workspace, curvature_dot, xi_gradient
 
 # bound here as well for tools that wrap the kernel layer under this module
 # (perfbench/tracing.py); the build itself happens inside ``gls_fit``
@@ -106,31 +106,30 @@ class PriorSpec:
 
 
 def _with_derivs(data, params, spec, fact):
-    """``fact`` when it carries the derivative stack, else a fresh
-    factorization that does, in a fresh derivative workspace."""
-    if fact is None or fact.dR is None:
-        fact = gls_fit(data, params, spec, derivs=True)
+    """``fact`` when its workspace holds the derivative stack, else a fresh
+    factorization in a fresh derivative workspace."""
+    if fact is None or fact.ws is None or fact.ws.dR is None:
+        fact = gls_fit(data, params, spec, Workspace(data.inputs, spec, derivs=True))
     return fact
 
 
-def _fisher_info(data, params, spec, fact, corner, projected):
+def _fisher_info(data, params, fact, projected):
     """Fisher-style matrix [corner, tr(W_k); tr(W_k), tr(W_k W_j)],
     symmetrized, from the trace operands ``W_k = dR_k P`` with ``P = Q``,
-    the GLS projector ``R^{-1} - R^{-1} X M^{-1} X^T R^{-1}``
-    (``projected``), or ``P = R^{-1}``.
+    the GLS projector ``R^{-1} - R^{-1} X M^{-1} X^T R^{-1}``, and corner
+    ``n - q`` (``projected``), or ``P = R^{-1}`` and corner ``n``.
 
     ``gp.gls_projector`` forms the lower triangle of ``P`` in place on the
-    factor of ``fact``, which is consumed (``gls_fit`` builds a
-    factorization in a fresh derivative workspace when it is given none),
-    and one take and one put over the workspace's pair positions ``upper``
-    and ``lower`` fill the other triangle.  ``W`` and its slice transposes
-    ``WT`` are buffers of that workspace.  The products stay d per-slice
+    factor of ``fact``, a factorization in a derivative workspace
+    (``_with_derivs``), which is consumed, and one take and one put over
+    the workspace's pair positions ``upper`` and ``lower`` fill the other
+    triangle.  ``W`` and its slice transposes ``WT`` are buffers of that
+    workspace.  The products stay d per-slice
     gemms: as one ``(d n, n)`` gemm they cost over ten times as much at two
     OpenBLAS threads, and d per-slice ``dsymm`` calls on the one triangle
     took 1.6 and 2x as long as the fill and the gemms at n=80 and n=30
     (d=8, 1 OpenBLAS thread).
     """
-    fact = _with_derivs(data, params, spec, fact)
     ws = fact.ws
     dR, W, WT = ws.dR, ws.W, ws.WT
     # P's lower triangle is the upper one of its C-order transpose, which
@@ -143,7 +142,7 @@ def _fisher_info(data, params, spec, fact, corner, projected):
     np.matmul(dR, P, out=W)
     d = W.shape[0]
     info = np.empty((d + 1, d + 1))
-    info[0, 0] = corner
+    info[0, 0] = data.n - data.q if projected else data.n
     info[0, 1:] = W.diagonal(axis1=1, axis2=2).sum(axis=1)
     info[1:, 0] = info[0, 1:]
     # tr(W_k W_j) = sum_ab W_k[a, b] W_j[b, a]
@@ -158,17 +157,17 @@ def fisher_info_reference(data, params, spec, fact=None):
     The trend is projected out: with ``Q`` the GLS projector and
     ``W_k = dR_k Q``, the matrix has corner ``n - q``, first row/column
     ``tr(W_k)``, and body ``tr(W_k W_j)``.  ``fact`` is an optional
-    ``gls_fit(..., derivs=True)`` factorization at ``params``; like the
-    xi-gradient, this consumes its ``chol_R``.
+    ``gls_fit`` factorization at ``params`` in a workspace with derivative
+    buffers; like the xi-gradient, this consumes its ``chol_R``.
     """
-    return _fisher_info(data, params, spec, fact, data.n - data.q, True)
+    return _fisher_info(data, params, _with_derivs(data, params, spec, fact), True)
 
 
 def fisher_info_jeffreys(data, params, spec, fact=None):
     """Fisher information of (variance, ranges) with the trend held fixed:
     corner ``n``, operands ``U_k = dR_k R^{-1}``.  ``fact`` is as for
     ``fisher_info_reference``, and its ``chol_R`` is consumed too."""
-    return _fisher_info(data, params, spec, fact, data.n, False)
+    return _fisher_info(data, params, _with_derivs(data, params, spec, fact), False)
 
 
 def _info_factor(info, params, what):
@@ -324,9 +323,9 @@ def log_prior(data, params, spec, prior, fact=None, grad=None):
 
     ``reference`` is ``1/2 log det I_R``; ``jeffreys1`` is
     ``1/2 log det I_J``, and ``jeffreys2`` adds ``1/2 log|X^T R^{-1} X|``.
-    ``fact`` is an optional ``gls_fit(..., derivs=True)`` factorization at
-    ``params``, reused by the kinds in ``FISHER_KINDS``, which consume its
-    ``chol_R``: read the likelihood from it first.
+    ``fact`` is an optional ``gls_fit`` factorization at ``params``, reused
+    by the kinds in ``FISHER_KINDS`` when its workspace holds derivative
+    buffers; they consume its ``chol_R``: read the likelihood from it first.
 
     ``grad``, an optional float array of shape ``(d,)``, receives the
     gradient of the value in ``xi = -log(phi)``: 0 for ``flat``, 1 in
@@ -339,13 +338,9 @@ def log_prior(data, params, spec, prior, fact=None, grad=None):
     """
     if prior.kind in FISHER_KINDS:
         fact = _with_derivs(data, params, spec, fact)
-        if prior.kind == REFERENCE:
-            info = fisher_info_reference(data, params, spec, fact)
-            what = "reference-prior"
-        else:
-            info = fisher_info_jeffreys(data, params, spec, fact)
-            what = "Jeffreys-prior"
-        L = _info_factor(info, params, what)
+        reference = prior.kind == REFERENCE
+        info = _fisher_info(data, params, fact, reference)
+        L = _info_factor(info, params, "reference-prior" if reference else "Jeffreys-prior")
         value = float(np.log(L.diagonal()).sum())
         if prior.kind == JEFFREYS2:
             value += 0.5 * fact.logdet_M

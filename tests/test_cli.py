@@ -466,6 +466,32 @@ class TestExitCodes:
             assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG, argv
             assert f"{binary} is not UTF-8 text" in capsys.readouterr().err
 
+    def test_a_config_file_with_a_byte_order_mark(self, tmp_path):
+        """A config file that starts with a UTF-8 byte-order mark reads as
+        the same file without it."""
+        p1, p2, _, _ = _write_levels(tmp_path)
+        cfg = _write_config(tmp_path)
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "config.json").read_bytes())
+        outs = []
+        for path, name in ((cfg, "plain"), (str(marked), "marked")):
+            outs.append(tmp_path / name)
+            argv = ["fit", "--config", path, "--level", p1, "--level", p2, "--out", str(outs[-1])]
+            assert main(argv) == EXIT_OK
+        for name in ("model.json", "fit_summary.txt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_an_unwritable_fit_summary_exits_two(self, tmp_path, capsys):
+        """A directory where ``fit_summary.txt`` goes is a configuration
+        error naming the path, not a traceback."""
+        p1, p2, _, _ = _write_levels(tmp_path)
+        out = tmp_path / "out"
+        (out / "fit_summary.txt").mkdir(parents=True)
+        argv = ["fit", "--config", _write_config(tmp_path), "--level", p1, "--level", p2,
+                "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"cannot write {out / 'fit_summary.txt'}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, flag, value",
         [(c, f, v) for c in ("predict", "sample") for f, v in (

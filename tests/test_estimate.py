@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcokrig import estimate as estimate_module
+from mfcokrig import gp as gp_module
 from mfcokrig import optim as optim_module
 from mfcokrig.bench import borehole_high, borehole_low, replicate_design, scale_to_box
 from mfcokrig.estimate import (
@@ -517,15 +518,35 @@ class TestWorkspace:
         opts = OptimOptions(seed=5, n_starts=2, max_evals=150)
         with_ws = [fit_level(lv, spec, prior, opts, method=method) for lv in data.levels]
 
-        def allocating(data, params, spec, ws=None, derivs=False):
+        def allocating(data, params, spec, ws=None):
             # a fresh workspace of the kind the fit built, on every call
             fresh = Workspace(data.inputs, spec, derivs=ws.dR is not None,
                               grad=ws.gpairs is not None)
-            return gls_fit(data, params, spec, ws=fresh, derivs=derivs)
+            return gls_fit(data, params, spec, ws=fresh)
 
         monkeypatch.setattr(estimate_module, "gls_fit", allocating)
         without = [fit_level(lv, spec, prior, opts, method=method) for lv in data.levels]
         assert [record(f) for f in with_ws] == [record(f) for f in without]
+
+    def test_every_reference_prior_build_goes_through_corr_matrix(self, monkeypatch):
+        """Each evaluation of a reference-prior fit builds R and its
+        derivative stack in one ``gp.corr_matrix`` call, and the final
+        factorization in one more: ``n_evals + 1`` calls in all."""
+        lv = _borehole_levels()[0]
+        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=8)
+        calls = []
+        build = gp_module.corr_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["ws"].dR is not None)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(gp_module, "corr_matrix", counting)
+        result = fit_level(lv, spec, PriorSpec(kind="reference"),
+                           OptimOptions(seed=1, n_starts=4, max_evals=300))
+        assert result.n_evals > 1
+        assert len(calls) == result.n_evals + 1
+        assert all(calls)
 
     @pytest.mark.parametrize("family, shape, with_grad", [
         (POWER_EXPONENTIAL, 1.9, False), (MATERN, 0.5, False), (MATERN, 1.5, False),

@@ -26,6 +26,7 @@ from mfcokrig.kernels import (
     RangeParams,
     Workspace,
     corr_matrix,
+    corr_matrix_with_derivs,
 )
 
 
@@ -130,6 +131,27 @@ class TestGlsFit:
         with pytest.raises(SingularCorrelationError) as err:
             gls_fit(lv, RangeParams(np.array([1e8, 1e8])), spec)
         assert err.value.phi is not None
+
+    @pytest.mark.parametrize("family, shape", [
+        (POWER_EXPONENTIAL, 1.9), (MATERN, 0.5), (MATERN, 1.5), (MATERN, 2.5)])
+    def test_the_workspace_decides_the_derivative_build(self, family, shape):
+        """On a derivative workspace ``gls_fit``'s one build leaves the
+        stack ``corr_matrix_with_derivs`` gives, bit for bit; on a
+        gradient-only workspace there is none."""
+        rng = np.random.default_rng(12)
+        spec = KernelSpec(family=family, shape=shape, dims=2)
+        lv = _toy_level(rng, with_lower=True, index=2)
+        params = RangeParams(rng.uniform(0.3, 2.0, size=2))
+        ws = Workspace(lv.inputs, spec, derivs=True)
+        fact = gls_fit(lv, params, spec, ws=ws)
+        assert fact.ws is ws
+        R, dR = corr_matrix_with_derivs(lv.inputs, params, spec)
+        np.testing.assert_array_equal(ws.dR, dR)
+        np.testing.assert_array_equal(fact.chol_R, gls_fit(lv, params, spec).chol_R)
+        ws = Workspace(lv.inputs, spec, grad=True)
+        gls_fit(lv, params, spec, ws=ws)
+        assert ws.dR is None
+        np.testing.assert_array_equal(ws.pairs[ws.index].reshape(R.shape), R)
 
 
 def _integrated(lv, params, spec, a_t):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mfcokrig.modelio import (
     write_draws_csv,
     write_level_csv,
     write_predictions_csv,
+    write_replicates_csv,
     write_tailprobe_csv,
 )
 from mfcokrig.predict import CokrigingModel, Prediction
@@ -544,3 +546,80 @@ class TestAuxiliaryWriters:
     def test_dump_json_rejects_nan(self, tmp_path):
         with pytest.raises(ValueError):
             dump_json({"x": float("nan")}, tmp_path / "x.json")
+
+
+def _replicates_report():
+    """A benchmark report holding one replicate whose reason needs quoting."""
+    rows = (
+        {"replicate": 0, "rmspe": 0.5, "cvg95": 1.0, "alci95": 2.25,
+         "failed": False, "reason": ""},
+        {"replicate": 1, "rmspe": float("nan"), "cvg95": float("nan"),
+         "alci95": float("nan"), "failed": True, "reason": 'level 2: "singular", R'},
+    )
+    return SimpleNamespace(replicates=rows)
+
+
+def _each_writer():
+    """Every file writer of the module, as ``(name, write(path))``."""
+    data, result = _fitted()
+    pred = Prediction(means=np.ones((1, 2)), variances=np.ones((1, 2)),
+                      dfs=np.array([10, 5]), at_design=np.zeros((1, 2), dtype=bool))
+    return {
+        "dump_json": lambda path: dump_json({"a": 1.5}, path),
+        "save_model": lambda path: save_model(path, data, result),
+        "write_level_csv": lambda path: write_level_csv(path, [[0.5]], [1.0]),
+        "write_predictions_csv": lambda path: write_predictions_csv(
+            path, [[0.5, 0.25]], pred, np.zeros((1, 2, 2))),
+        "write_draws_csv": lambda path: write_draws_csv(path, [[1.0, 2.0]]),
+        "write_tailprobe_csv": lambda path: write_tailprobe_csv(
+            path, [0.5], [-1.0], [0.0], [-1.0]),
+        "write_replicates_csv": lambda path: write_replicates_csv(path, _replicates_report()),
+    }
+
+
+_WRITERS = sorted(_each_writer())
+
+
+class TestWriterErrors:
+    @pytest.mark.parametrize("name", _WRITERS)
+    def test_unwritable_paths_are_config_errors(self, tmp_path, name):
+        """A missing directory, a directory and a path through a file are
+        configuration errors naming the path, not bare ``OSError``s."""
+        write = _each_writer()[name]
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        for path, reason in ((tmp_path / "absent" / "out", "No such file or directory"),
+                             (tmp_path, "Is a directory"),
+                             (afile / "out", "Not a directory")):
+            with pytest.raises(ConfigError, match="cannot write") as err:
+                write(path)
+            assert str(path) in str(err.value) and reason in str(err.value)
+
+    def test_replicates_csv_quotes_the_reason(self, tmp_path):
+        path = tmp_path / "replicates.csv"
+        write_replicates_csv(path, _replicates_report())
+        assert path.read_bytes() == (
+            b"replicate,rmspe,cvg95,alci95,failed,reason\n"
+            b"0,0.5,1.0,2.25,False,\n"
+            b'1,nan,nan,nan,True,"level 2: ""singular"", R"\n'
+        )
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a file is not part of its
+    text: every reader gives what it gives without the mark."""
+
+    def test_level_csv(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_level_csv(plain, [[0.5, 0.25], [0.125, 1.0]], [1.5, -2.0])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for a, b in zip(load_level_csv(marked), load_level_csv(plain)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_model_file(self, tmp_path):
+        data, result = _fitted()
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        save_model(plain, data, result)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        data2, result2 = load_model(marked)
+        assert model_document(data2, result2) == model_document(*load_model(plain))

@@ -95,7 +95,7 @@ def _likelihood_fact(lv, params, spec):
     """The factorization ``objective`` hands the prior: built in a
     derivative workspace, with the likelihood already read from it."""
     ws = Workspace(lv.inputs, spec, derivs=True)
-    fact = gls_fit(lv, params, spec, ws=ws, derivs=True)
+    fact = gls_fit(lv, params, spec, ws=ws)
     integrated_log_likelihood(lv, params, spec, 1.0, fact=fact)
     return fact
 
