@@ -34,7 +34,7 @@ gradient adds about ``2d + 1`` gemms to its ``d``
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -142,7 +142,14 @@ class CokrigingData:
     levels: tuple
 
     def __post_init__(self):
-        levels = tuple(self.levels)
+        levels = self.levels
+        if not isinstance(levels, (tuple, list)) or not all(
+            isinstance(lv, LevelData) for lv in levels
+        ):
+            raise InvalidArgumentError(
+                f"levels must be a sequence of LevelData (see assemble), got {levels!r}"
+            )
+        levels = tuple(levels)
         if not levels:
             raise InvalidArgumentError("need at least one fidelity level")
         d = levels[0].dims
@@ -204,7 +211,7 @@ def _check_no_duplicates(X, level_index):
 
 def _resolve_basis(basis, s):
     """Normalize the basis argument to one callable per level."""
-    if basis == "constant" or basis is None:
+    if basis is None or isinstance(basis, str) and basis == "constant":
         return [constant_basis] * s
     if callable(basis):
         return [basis] * s
@@ -241,7 +248,12 @@ def assemble(raw_levels, basis="constant"):
     basis : "constant", callable, or sequence of callables
         Regression basis; the default is a single intercept column.
     """
-    raw = list(raw_levels)
+    try:
+        raw = list(raw_levels)
+    except TypeError as exc:
+        raise InvalidArgumentError(
+            f"raw_levels must be a sequence of (inputs, outputs) pairs, got {raw_levels!r}"
+        ) from exc
     if not raw:
         raise InvalidArgumentError("need at least one fidelity level")
     fns = _resolve_basis(basis, len(raw))
@@ -476,6 +488,17 @@ class LevelFit:
     start_values: tuple
 
     def __post_init__(self):
+        checks = {
+            int: (is_int, "an integer"),
+            float: (is_real, "a number"),
+            bool: (lambda v: isinstance(v, bool), "a boolean"),
+        }
+        for f in fields(self):
+            if f.type in checks:
+                ok, kind = checks[f.type]
+                value = getattr(self, f.name)
+                if not ok(value):
+                    raise InvalidArgumentError(f"{f.name} must be {kind}, got {value!r}")
         for name in ("phi", "xi", "b_hat"):
             value = np.asarray(getattr(self, name), dtype=np.float64)
             object.__setattr__(self, name, value)
@@ -541,7 +564,7 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
     """
     from .optim import lbfgs_max
 
-    if method not in _METHODS:
+    if not isinstance(method, str) or method not in _METHODS:
         raise InvalidArgumentError(f"method must be one of {_METHODS}, got {method!r}")
     if opts is None:
         opts = OptimOptions()

@@ -92,7 +92,7 @@ class KernelSpec:
     nugget: float = DEFAULT_NUGGET
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise InvalidArgumentError(
                 f"unknown kernel family {self.family!r}; expected one of {_FAMILIES}"
             )

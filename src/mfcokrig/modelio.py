@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .estimate import (
     OptimOptions,
     assemble,
 )
-from .exceptions import ConfigError, InvalidArgumentError, is_int, is_real, real_array
+from .exceptions import ConfigError, InvalidArgumentError, real_array
 from .kernels import KernelSpec
 from .priors import PriorSpec
 
@@ -93,8 +94,9 @@ def read_record(cls, payload, where, partial=False):
     A model document must hold every field; a config section
     (``partial``) may leave out the fields that have a default.  Raises
     ``ConfigError`` naming ``where.key`` for a non-object, an unknown key
-    or a missing key, and naming ``where`` for a value that the record
-    refuses.
+    or a missing key, and for a value that the record refuses, naming
+    ``where.key`` when the record's message starts with that key and
+    ``where`` otherwise.
     """
     fields = dataclasses.fields(cls)
     required = [
@@ -104,25 +106,9 @@ def read_record(cls, payload, where, partial=False):
     try:
         return cls(**payload)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{where}' holds an invalid value ({exc})") from exc
-
-
-def _check_level_fit(lf, where, level):
-    """Raise ``ConfigError`` unless the loaded fit of one-based ``level``
-    says it is that level and each scalar field holds its declared type."""
-    checks = {
-        int: (is_int, "an integer"),
-        float: (is_real, "a number"),
-        bool: (lambda v: isinstance(v, bool), "a boolean"),
-    }
-    for f in dataclasses.fields(lf):
-        if f.type in checks:
-            ok, kind = checks[f.type]
-            value = getattr(lf, f.name)
-            if not ok(value):
-                raise ConfigError(f"'{where}.{f.name}' must be {kind}, got {value!r}")
-    if lf.level != level:
-        raise ConfigError(f"'{where}.level' must be {level}, got {lf.level}")
+        name = str(exc).split(" ", 1)[0]
+        key = f"{where}.{name}" if name in payload else where
+        raise ConfigError(f"'{key}' holds an invalid value ({exc})") from exc
 
 
 def model_document(data, fit_result):
@@ -149,10 +135,18 @@ def model_document(data, fit_result):
     }
 
 
+def _check_path(path):
+    """``ConfigError`` unless ``path`` is a ``str`` or ``os.PathLike``: an
+    int would be opened as a file descriptor, and closed after."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"a file path must be a str or os.PathLike, got {path!r}")
+
+
 def _read_text(path, what):
     """The text of the UTF-8 file at ``path``, line endings kept and a
     byte-order mark dropped; a missing file, a directory or bytes that are
     not UTF-8 raise ``ConfigError`` naming ``what`` and the path."""
+    _check_path(path)
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             return fh.read()
@@ -180,6 +174,7 @@ def write_text(path, text):
     """Write ``text`` to the file at ``path`` as UTF-8, line endings as
     given; a missing directory, a directory or a path through a file raise
     ``ConfigError`` naming the path."""
+    _check_path(path)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -196,6 +191,9 @@ def dump_json(payload, path):
 
 def save_model(path, data, fit_result):
     """Persist a fitted model; only the constant basis is serializable."""
+    for name, value, cls in (("data", data, CokrigingData), ("fit_result", fit_result, FitResult)):
+        if not isinstance(value, cls):
+            raise InvalidArgumentError(f"{name} must be a {cls.__name__}, got {value!r}")
     for lv in data.levels:
         if lv.basis.shape[1] != 1 or not np.all(lv.basis == 1.0):
             raise InvalidArgumentError(
@@ -248,7 +246,8 @@ def load_model(path):
             raise ConfigError(f"model file {path} fails its data fingerprint check")
         raw_levels.append((inputs, outputs))
         lf = read_record(LevelFit, entry["fit"], f"{where}.fit")
-        _check_level_fit(lf, f"{where}.fit", t + 1)
+        if lf.level != t + 1:
+            raise ConfigError(f"'{where}.fit.level' must be {t + 1}, got {lf.level}")
         fits.append(lf)
     data = assemble(raw_levels, basis=doc["basis"])
     fit_result = FitResult(

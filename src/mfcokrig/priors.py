@@ -64,12 +64,15 @@ class PriorSpec:
         One of ``PRIOR_KINDS``.
     jr_a0 : float, optional
         Polynomial-penalty exponent; must exceed ``-(d+1)``.  Defaults to
-        ``0.5 - d`` at evaluation time when left unset.
+        ``0.5 - d`` when left unset.
     jr_b0 : float
         Exponential-penalty rate, ``> 0``; required by ``jointly_robust``.
     jr_C : array_like, optional
         Per-dimension scale constants.  Defaults to
         ``n^{-1/d} |max(x_k) - min(x_k)|`` of the level being evaluated.
+
+    One function, ``_log_jr_prior``, sets both defaults at evaluation
+    time, from the level it is given.
     """
 
     kind: str
@@ -78,7 +81,7 @@ class PriorSpec:
     jr_C: object = None
 
     def __post_init__(self):
-        if self.kind not in PRIOR_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in PRIOR_KINDS:
             raise InvalidArgumentError(
                 f"unknown prior kind {self.kind!r}; expected one of {PRIOR_KINDS}"
             )
@@ -113,23 +116,29 @@ def _with_derivs(data, params, spec, fact):
     return fact
 
 
-def _fisher_info(data, params, fact, projected):
-    """Fisher-style matrix [corner, tr(W_k); tr(W_k), tr(W_k W_j)],
-    symmetrized, from the trace operands ``W_k = dR_k P`` with ``P = Q``,
-    the GLS projector ``R^{-1} - R^{-1} X M^{-1} X^T R^{-1}``, and corner
-    ``n - q`` (``projected``), or ``P = R^{-1}`` and corner ``n``.
+def fisher_info(data, params, spec, projected, fact=None):
+    """Fisher information of (variance, ranges) at one level: the trend
+    projected out (``projected``, the reference prior's) or held fixed
+    (the Jeffreys priors').
+
+    The matrix is [corner, tr(W_k); tr(W_k), tr(W_k W_j)], symmetrized,
+    with trace operands ``W_k = dR_k P``: projected, ``P = Q``, the GLS
+    projector ``R^{-1} - R^{-1} X M^{-1} X^T R^{-1}``, and corner
+    ``n - q``; otherwise ``P = R^{-1}`` and corner ``n``.  ``fact`` is an
+    optional ``gls_fit`` factorization at ``params`` in a workspace with
+    derivative buffers; like the xi-gradient, this consumes its
+    ``chol_R``.
 
     ``gp.gls_projector`` forms the lower triangle of ``P`` in place on the
-    factor of ``fact``, a factorization in a derivative workspace
-    (``_with_derivs``), which is consumed, and one take and one put over
-    the workspace's pair positions ``upper`` and ``lower`` fill the other
-    triangle.  ``W`` and its slice transposes ``WT`` are buffers of that
-    workspace.  The products stay d per-slice
-    gemms: as one ``(d n, n)`` gemm they cost over ten times as much at two
-    OpenBLAS threads, and d per-slice ``dsymm`` calls on the one triangle
-    took 1.6 and 2x as long as the fill and the gemms at n=80 and n=30
-    (d=8, 1 OpenBLAS thread).
+    factor, and one take and one put over the workspace's pair positions
+    ``upper`` and ``lower`` fill the other triangle.  ``W`` and its slice
+    transposes ``WT`` are buffers of that workspace.  The products stay d
+    per-slice gemms: as one ``(d n, n)`` gemm they cost over ten times as
+    much at two OpenBLAS threads, and d per-slice ``dsymm`` calls on the
+    one triangle took 1.6 and 2x as long as the fill and the gemms at n=80
+    and n=30 (d=8, 1 OpenBLAS thread).
     """
+    fact = _with_derivs(data, params, spec, fact)
     ws = fact.ws
     dR, W, WT = ws.dR, ws.W, ws.WT
     # P's lower triangle is the upper one of its C-order transpose, which
@@ -151,40 +160,9 @@ def _fisher_info(data, params, fact, projected):
     return 0.5 * (info + info.T)
 
 
-def fisher_info_reference(data, params, spec, fact=None):
-    """Profile Fisher information of (variance, ranges) at one level.
-
-    The trend is projected out: with ``Q`` the GLS projector and
-    ``W_k = dR_k Q``, the matrix has corner ``n - q``, first row/column
-    ``tr(W_k)``, and body ``tr(W_k W_j)``.  ``fact`` is an optional
-    ``gls_fit`` factorization at ``params`` in a workspace with derivative
-    buffers; like the xi-gradient, this consumes its ``chol_R``.
-    """
-    return _fisher_info(data, params, _with_derivs(data, params, spec, fact), True)
-
-
-def fisher_info_jeffreys(data, params, spec, fact=None):
-    """Fisher information of (variance, ranges) with the trend held fixed:
-    corner ``n``, operands ``U_k = dR_k R^{-1}``.  ``fact`` is as for
-    ``fisher_info_reference``, and its ``chol_R`` is consumed too."""
-    return _fisher_info(data, params, _with_derivs(data, params, spec, fact), False)
-
-
-def _info_factor(info, params, what):
-    """Lower Cholesky factor of a symmetric ``info`` (its lower triangle is
-    read); half its log determinant is the sum of the logs of the factor's
-    diagonal."""
-    L, status = dpotrf(info, lower=1)
-    if status != 0:
-        raise PriorEvaluationError(
-            f"{what} information matrix is not positive definite", phi=params.phi
-        )
-    return L
-
-
 def _half_logdet_xi_grad(fact, params, L, out):
     """Gradient in ``xi = -log(phi)`` of ``1/2 log det I``, from the
-    operands ``_fisher_info`` left in the workspace of ``fact``: the
+    operands ``fisher_info`` left in the workspace of ``fact``: the
     projector ``P`` (``Q`` or ``R^{-1}``, both triangles) in its
     ``chol_R``, ``W_k = dR_k P`` and the factor ``L`` of ``I``.
 
@@ -199,7 +177,7 @@ def _half_logdet_xi_grad(fact, params, L, out):
     (``kernels.xi_gradient``) against ``2 (S - R Z)``.
 
     The code reads the phi-derivatives ``dR_k`` of the workspace and ``I``
-    taken in phi, as ``_fisher_info`` builds it.  With
+    taken in phi, as ``fisher_info`` builds it.  With
     ``D_k = -phi_k dR_k``, ``X_k`` in xi is ``-X_k / phi_k`` in phi, so
     ``D_k X_k``, ``S`` and ``Z`` are the same in both; and since
     ``1/2 log det I`` in xi is that in phi less ``sum(xi)``, 1 is added
@@ -214,7 +192,7 @@ def _half_logdet_xi_grad(fact, params, L, out):
     ``V_k`` goes into ``WT``, free once the traces are formed, ``X_k`` into
     the workspace's ``scratch`` matrix and the pair sums into its
     ``pair_scratch`` rows and ``gpairs``; the products stay d per-slice
-    gemms, as ``_fisher_info``'s do.
+    gemms, as ``fisher_info``'s do.
     """
     ws = fact.ws
     dR, W, WT = ws.dR, ws.W, ws.WT
@@ -257,40 +235,32 @@ def _half_logdet_xi_grad(fact, params, L, out):
     return out
 
 
-def jr_defaults(n_obs, input_ranges):
-    """Default jointly robust hyperparameters for a level with ``n_obs``
-    runs and per-dimension input ranges: ``a0 = 0.5 - d``, ``b0 = 1``,
-    ``C_k = n^{-1/d} |range_k|``."""
-    ranges = np.asarray(input_ranges, dtype=np.float64).ravel()
-    d = ranges.size
-    if np.any(ranges <= 0.0):
-        raise InvalidArgumentError(
-            "jointly robust defaults need strictly positive input ranges; "
-            "a dimension of the design is constant"
-        )
-    C = float(n_obs) ** (-1.0 / d) * ranges
-    return 0.5 - d, 1.0, C
+def _log_jr_prior(data, params, prior, grad):
+    """Log jointly robust prior on the inverse ranges ``B_k = 1/phi_k``:
 
+        a0 * log(sum C_k B_k) - b0 * sum(C_k B_k),
 
-def _jr_terms(params, prior, n_obs, input_ranges):
-    """``(a0, b0, C, total)`` of the jointly robust prior at ``params``,
-    with ``total = sum C_k / phi_k``; hyperparameters left unset on the
-    PriorSpec are filled from ``n_obs`` and ``input_ranges``."""
+    up to the normalizing constant, with ``b0 = prior.jr_b0``.  This sets
+    the defaults of the hyperparameters the PriorSpec leaves unset:
+    ``a0 = 0.5 - d`` and ``C_k = n^{-1/d} |max(x_k) - min(x_k)|`` over the
+    design of the level ``data``.  ``grad``, when given, receives the
+    gradient in ``xi = -log(phi)``, ``(a0 / sum(C/phi) - b0) C_k / phi_k``.
+    """
     d = params.dims
-    if prior.jr_C is not None:
-        C = prior.jr_C
-        a0_default = 0.5 - d
-    else:
-        if n_obs is None or input_ranges is None:
+    C = prior.jr_C
+    if C is None:
+        ranges = data.inputs.max(axis=0) - data.inputs.min(axis=0)
+        if np.any(ranges <= 0.0):
             raise InvalidArgumentError(
-                "jr_C is unset; provide n_obs and input_ranges for the defaults"
+                "jointly robust defaults need strictly positive input ranges; "
+                "a dimension of the design is constant"
             )
-        a0_default, _, C = jr_defaults(n_obs, input_ranges)
+        C = float(data.n) ** (-1.0 / d) * ranges
     if C.size != d:
         raise InvalidArgumentError(
             f"jr_C has {C.size} entries but there are {d} range parameters"
         )
-    a0 = prior.jr_a0 if prior.jr_a0 is not None else a0_default
+    a0 = 0.5 - d if prior.jr_a0 is None else prior.jr_a0
     if not a0 > -(d + 1):
         raise InvalidArgumentError(f"jr_a0 must exceed -(d+1) = {-(d + 1)}, got {a0}")
     b0 = prior.jr_b0
@@ -299,20 +269,6 @@ def _jr_terms(params, prior, n_obs, input_ranges):
         raise PriorEvaluationError(
             "jointly robust penalty sum is not finite and positive", phi=params.phi
         )
-    return a0, b0, C, total
-
-
-def log_jr_prior(params, prior, n_obs=None, input_ranges=None, grad=None):
-    """Log jointly robust prior on the inverse ranges ``B_k = 1/phi_k``:
-
-        a0 * log(sum C_k B_k) - b0 * sum(C_k B_k),
-
-    up to the normalizing constant.  Hyperparameters left unset on the
-    PriorSpec are filled from ``n_obs`` and ``input_ranges``.  ``grad``,
-    an optional float array of shape ``(d,)``, receives the gradient in
-    ``xi = -log(phi)``, ``(a0 / sum(C/phi) - b0) C_k / phi_k``.
-    """
-    a0, b0, C, total = _jr_terms(params, prior, n_obs, input_ranges)
     if grad is not None:
         grad[:] = (a0 / total - b0) * (C / params.phi)
     return a0 * math.log(total) - b0 * total
@@ -329,7 +285,7 @@ def log_prior(data, params, spec, prior, fact=None, grad=None):
 
     ``grad``, an optional float array of shape ``(d,)``, receives the
     gradient of the value in ``xi = -log(phi)``: 0 for ``flat``, 1 in
-    every coordinate for ``inverse_range``, that of ``log_jr_prior`` for
+    every coordinate for ``inverse_range``, that of ``_log_jr_prior`` for
     ``jointly_robust``, and for the kinds in ``FISHER_KINDS`` that of
     ``1/2 log det I`` (``_half_logdet_xi_grad``).  ``jeffreys2``'s
     ``1/2 log|X^T R^{-1} X|`` is left out of it: it cancels the
@@ -339,8 +295,14 @@ def log_prior(data, params, spec, prior, fact=None, grad=None):
     if prior.kind in FISHER_KINDS:
         fact = _with_derivs(data, params, spec, fact)
         reference = prior.kind == REFERENCE
-        info = _fisher_info(data, params, fact, reference)
-        L = _info_factor(info, params, "reference-prior" if reference else "Jeffreys-prior")
+        info = fisher_info(data, params, spec, reference, fact)
+        # half the log determinant is the sum of the logs of L's diagonal
+        L, status = dpotrf(info, lower=1)
+        if status != 0:
+            what = "reference-prior" if reference else "Jeffreys-prior"
+            raise PriorEvaluationError(
+                f"{what} information matrix is not positive definite", phi=params.phi
+            )
         value = float(np.log(L.diagonal()).sum())
         if prior.kind == JEFFREYS2:
             value += 0.5 * fact.logdet_M
@@ -356,11 +318,5 @@ def log_prior(data, params, spec, prior, fact=None, grad=None):
         if grad is not None:
             grad.fill(1.0)
     else:
-        value = log_jr_prior(params, prior, data.n, _input_ranges(data), grad)
+        value = _log_jr_prior(data, params, prior, grad)
     return value
-
-
-def _input_ranges(data):
-    """Per-dimension spans of the level's design, for the jointly robust
-    defaults."""
-    return data.inputs.max(axis=0) - data.inputs.min(axis=0)

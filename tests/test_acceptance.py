@@ -41,8 +41,7 @@ from mfcokrig.modelio import write_level_csv
 from mfcokrig.predict import CokrigingModel
 from mfcokrig.priors import (
     PriorSpec,
-    fisher_info_jeffreys,
-    fisher_info_reference,
+    fisher_info,
     log_prior,
 )
 from oracles import integrated_log_likelihood
@@ -277,8 +276,8 @@ class TestDerivativeAndFisherChecks:
             y = rng.standard_normal(5)
             lv = assemble([(X, y)]).levels[0]
             params = RangeParams(phi)
-            for info in (fisher_info_reference(lv, params, spec),
-                         fisher_info_jeffreys(lv, params, spec)):
+            for info in (fisher_info(lv, params, spec, True),
+                         fisher_info(lv, params, spec, False)):
                 sym_ok &= bool(np.array_equal(info, info.T))
                 eig = np.linalg.eigvalsh(info)
                 psd_ok &= bool(eig.min() >= -1e-10 * max(eig.max(), 1.0))

@@ -20,6 +20,7 @@ from mfcokrig.estimate import (
     SENTINEL_THRESHOLD,
     INFEASIBLE,
     CokrigingData,
+    LevelFit,
     OptimOptions,
     assemble,
     coincident_rows,
@@ -236,6 +237,38 @@ class TestAssemble:
     def test_requires_at_least_one_level(self):
         with pytest.raises(InvalidArgumentError):
             assemble([])
+
+    @pytest.mark.parametrize(
+        "make",
+        (lambda: assemble(None), lambda: assemble(5), lambda: CokrigingData(levels=[1])),
+        ids=("assemble_None", "assemble_int", "levels_of_ints"),
+    )
+    def test_wrong_typed_containers_are_typed_errors(self, make):
+        with pytest.raises(InvalidArgumentError, match="raw_levels|levels must be"):
+            make()
+
+
+def _fit_with_method(method):
+    data = assemble(list(_nested_pair(np.random.default_rng(9))))
+    return fit(data, KernelSpec(family=MATERN, dims=2), PriorSpec(kind="reference"),
+               method=method)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    (
+        ("family", lambda bad: KernelSpec(family=bad, dims=2)),
+        ("kind", lambda bad: PriorSpec(kind=bad)),
+        ("method", _fit_with_method),
+        ("basis", lambda bad: assemble(list(_nested_pair(np.random.default_rng(9))), basis=bad)),
+    ),
+    ids=("family", "kind", "method", "basis"),
+)
+def test_fixed_choice_arguments_reject_arrays(name, call):
+    """An array in place of one of a fixed set of strings is a typed error
+    naming the argument, not numpy's ambiguous truth value."""
+    with pytest.raises(InvalidArgumentError, match=name):
+        call(np.array(["matern", "reference"]))
 
 
 class TestObjective:
@@ -1117,6 +1150,32 @@ class TestStoppingRule:
         assert all(r.n_evals == 1 and r.converged for r in runs)
         with pytest.raises(EstimationError, match="all 4 optimizer starts failed"):
             _fit_kind(lv, spec, "plugin", opts)
+
+
+def _level_fit(**changes):
+    fields = dict(level=1, phi=[0.5], xi=[0.7], objective_value=-3.0, b_hat=[1.0],
+                  sigma2_hat=0.5, S2=4.0, converged=True, n_evals=12, best_start=0,
+                  n_failed_starts=0, start_values=(-3.0,))
+    fields.update(changes)
+    return LevelFit(**fields)
+
+
+class TestLevelFit:
+    @pytest.mark.parametrize(
+        "field, bad",
+        (("level", "1"), ("objective_value", "big"), ("converged", "yes"), ("n_evals", 3.5),
+         ("best_start", True), ("sigma2_hat", None), ("converged", np.bool_(True))),
+    )
+    def test_scalar_fields_hold_their_declared_types(self, field, bad):
+        with pytest.raises(InvalidArgumentError, match=f"{field} must be"):
+            _level_fit(**{field: bad})
+
+    def test_numpy_scalars_pass(self):
+        """``fit_level`` builds its fit from numpy integers and floats and
+        Python bools."""
+        lf = _level_fit(level=np.int64(2), objective_value=np.float64(-3.0),
+                        n_evals=np.int32(7), converged=False, b_hat=[1.0, 1.3])
+        assert lf.level == 2 and lf.gamma == 1.3
 
 
 class TestFit:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -594,6 +595,31 @@ class TestWriterErrors:
             with pytest.raises(ConfigError, match="cannot write") as err:
                 write(path)
             assert str(path) in str(err.value) and reason in str(err.value)
+
+    def test_save_model_needs_data_and_a_fit(self, tmp_path):
+        data, result = _fitted()
+        for args, name in (((None, result), "data"), ((data, None), "fit_result")):
+            with pytest.raises(InvalidArgumentError, match=f"{name} must be"):
+                save_model(tmp_path / "model.json", *args)
+
+    @pytest.mark.parametrize("name", sorted(_WRITERS + ["load_level_csv", "load_model"]))
+    def test_paths_are_str_or_pathlike(self, name):
+        """Anything else, an int above all, which ``open`` takes for a file
+        descriptor and closes after, is a ``ConfigError`` naming the value;
+        a descriptor passed as a path stays open and nothing is written."""
+        call = {"load_level_csv": load_level_csv, "load_model": load_model,
+                **_each_writer()}[name]
+        for bad in ("fd", -1, True, None, 3.5):
+            r, w = os.pipe()
+            try:
+                path = w if bad == "fd" else bad
+                with pytest.raises(ConfigError, match=f"os.PathLike, got {path!r}"):
+                    call(path)
+                os.fstat(w)
+            finally:
+                os.close(w)
+                assert os.read(r, 1) == b""
+                os.close(r)
 
     def test_replicates_csv_quotes_the_reason(self, tmp_path):
         path = tmp_path / "replicates.csv"

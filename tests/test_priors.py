@@ -26,10 +26,7 @@ from mfcokrig.priors import (
     PRIOR_KINDS,
     REFERENCE,
     PriorSpec,
-    fisher_info_jeffreys,
-    fisher_info_reference,
-    jr_defaults,
-    log_jr_prior,
+    fisher_info,
     log_prior,
 )
 from oracles import corr_matrix_with_derivs_loop, integrated_log_likelihood
@@ -120,7 +117,7 @@ class TestFisherInformation:
         phi = rng.uniform(0.4, 1.5, size=2)
         params = RangeParams(phi)
         fact = _likelihood_fact(lv, params, spec) if reuse else None
-        got = fisher_info_reference(lv, params, spec, fact)
+        got = fisher_info(lv, params, spec, True, fact)
         want = _reference_info_oracle(lv, phi, spec)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-10)
 
@@ -132,7 +129,7 @@ class TestFisherInformation:
         phi = rng.uniform(0.4, 1.5, size=2)
         params = RangeParams(phi)
         fact = _likelihood_fact(lv, params, spec) if reuse else None
-        got = fisher_info_jeffreys(lv, params, spec, fact)
+        got = fisher_info(lv, params, spec, False, fact)
         want = _jeffreys_info_oracle(lv, phi, spec)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-10)
 
@@ -154,8 +151,8 @@ class TestFisherInformation:
             lv = _toy_level(rng, n=12, d=3)
             phi = rng.uniform(0.2, 2.0, size=3)
             for info in (
-                fisher_info_reference(lv, RangeParams(phi), spec),
-                fisher_info_jeffreys(lv, RangeParams(phi), spec),
+                fisher_info(lv, RangeParams(phi), spec, True),
+                fisher_info(lv, RangeParams(phi), spec, False),
             ):
                 np.testing.assert_array_equal(info, info.T)
                 np.linalg.cholesky(info)
@@ -165,8 +162,8 @@ class TestFisherInformation:
         lv = _toy_level(rng, with_lower=True)
         spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
         phi = np.array([0.8, 0.8])
-        ref = fisher_info_reference(lv, RangeParams(phi), spec)
-        jef = fisher_info_jeffreys(lv, RangeParams(phi), spec)
+        ref = fisher_info(lv, RangeParams(phi), spec, True)
+        jef = fisher_info(lv, RangeParams(phi), spec, False)
         assert ref[0, 0] == lv.n - lv.q
         assert jef[0, 0] == lv.n
 
@@ -193,7 +190,7 @@ class TestDeterminantIdentities:
         spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2)
         lv = _toy_level(rng)
         phi = np.array([0.5, 1.2])
-        info = fisher_info_reference(lv, RangeParams(phi), spec)
+        info = fisher_info(lv, RangeParams(phi), spec, True)
         want = 0.5 * np.linalg.slogdet(info)[1]
         got = log_prior(lv, RangeParams(phi), spec, PriorSpec(kind=REFERENCE))
         assert got == pytest.approx(want, rel=1e-12)
@@ -201,27 +198,38 @@ class TestDeterminantIdentities:
 
 class TestJointlyRobust:
     def test_default_hyperparameters(self):
-        a0, b0, C = jr_defaults(25, np.array([1.0, 1.0, 1.0]))
-        assert a0 == 0.5 - 3
-        assert b0 == 1.0
-        np.testing.assert_allclose(C, 25.0 ** (-1.0 / 3.0) * np.ones(3), rtol=1e-15)
+        # 25 runs whose inputs span exactly 1 in each of 3 dimensions
+        rng = np.random.default_rng(71)
+        lv = _toy_level(rng, n=25, d=3)
+        lv.inputs[:2] = [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+        phi = np.array([0.5, 1.0, 2.0])
+        grad = np.empty(3)
+        got = log_prior(lv, RangeParams(phi), None, PriorSpec(kind=JOINTLY_ROBUST), grad=grad)
+        a0, b0, C = 0.5 - 3, 1.0, 25.0 ** (-1.0 / 3.0) * np.ones(3)
+        total = float(C @ (1.0 / phi))
+        assert got == pytest.approx(a0 * math.log(total) - b0 * total, rel=1e-15)
+        np.testing.assert_allclose(grad, (a0 / total - b0) * C / phi, rtol=1e-15)
 
     def test_rejects_constant_dimension(self):
-        with pytest.raises(InvalidArgumentError):
-            jr_defaults(10, np.array([1.0, 0.0]))
+        lv = _toy_level(np.random.default_rng(72))
+        lv.inputs[:, 1] = 0.5
+        with pytest.raises(InvalidArgumentError, match="constant"):
+            log_prior(lv, RangeParams(np.ones(2)), None, PriorSpec(kind=JOINTLY_ROBUST))
 
     def test_closed_form_value(self):
+        lv = _toy_level(np.random.default_rng(73))
         prior = PriorSpec(kind=JOINTLY_ROBUST, jr_a0=0.2, jr_b0=1.5, jr_C=[0.3, 0.6])
         phi = np.array([2.0, 3.0])
         total = 0.3 / 2.0 + 0.6 / 3.0
         want = 0.2 * math.log(total) - 1.5 * total
-        got = log_jr_prior(RangeParams(phi), prior)
+        got = log_prior(lv, RangeParams(phi), None, prior)
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_a0_constraint(self):
+        lv = _toy_level(np.random.default_rng(74))
         prior = PriorSpec(kind=JOINTLY_ROBUST, jr_a0=-4.0, jr_C=[1.0, 1.0])
         with pytest.raises(InvalidArgumentError):
-            log_jr_prior(RangeParams(np.array([1.0, 1.0])), prior)
+            log_prior(lv, RangeParams(np.array([1.0, 1.0])), None, prior)
 
     def test_defaults_pulled_from_data(self):
         rng = np.random.default_rng(70)
@@ -230,7 +238,7 @@ class TestJointlyRobust:
         phi = np.array([0.7, 1.1])
         got = log_prior(lv, RangeParams(phi), None, prior)
         ranges = lv.inputs.max(axis=0) - lv.inputs.min(axis=0)
-        a0, b0, C = jr_defaults(lv.n, ranges)
+        a0, b0, C = 0.5 - 2, 1.0, 16.0 ** (-1.0 / 2.0) * ranges
         total = float(C @ (1.0 / phi))
         want = a0 * math.log(total) - b0 * total
         assert got == pytest.approx(want, rel=1e-12)
