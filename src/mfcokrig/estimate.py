@@ -52,6 +52,7 @@ from .exceptions import (
     is_int,
     is_real,
     real_array,
+    require_types,
 )
 from .gp import (
     LevelData,
@@ -523,6 +524,25 @@ class FitResult:
     opts: OptimOptions
     parameterization: str = XI_PARAMETERIZATION
 
+    def __post_init__(self):
+        levels = self.levels
+        if not (isinstance(levels, tuple) and levels
+                and all(isinstance(lf, LevelFit) for lf in levels)):
+            raise InvalidArgumentError(
+                f"levels must be a non-empty tuple of LevelFit, got {levels!r}"
+            )
+        _check_method(self.method)
+        require_types(
+            ("prior", self.prior, PriorSpec),
+            ("spec", self.spec, KernelSpec),
+            ("opts", self.opts, OptimOptions),
+        )
+        if self.parameterization != XI_PARAMETERIZATION:
+            raise InvalidArgumentError(
+                f"parameterization must be {XI_PARAMETERIZATION!r}, "
+                f"got {self.parameterization!r}"
+            )
+
     @property
     def s(self):
         return len(self.levels)
@@ -530,6 +550,19 @@ class FitResult:
     def level(self, t):
         """LevelFit for one-based level ``t``."""
         return self.levels[t - 1]
+
+
+def check_fit(data, fit_result):
+    """Raise InvalidArgumentError unless ``fit_result`` is a ``FitResult``
+    of the ``CokrigingData`` ``data``, one fit per level."""
+    require_types(("data", data, CokrigingData), ("fit_result", fit_result, FitResult))
+    if fit_result.s != data.s:
+        raise InvalidArgumentError(f"fit has {fit_result.s} levels but data has {data.s}")
+
+
+def _check_method(method):
+    if not isinstance(method, str) or method not in _METHODS:
+        raise InvalidArgumentError(f"method must be one of {_METHODS}, got {method!r}")
 
 
 def _uncorrelated(data_t, xi, spec, ws):
@@ -564,17 +597,12 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
     """
     from .optim import lbfgs_max
 
-    if not isinstance(method, str) or method not in _METHODS:
-        raise InvalidArgumentError(f"method must be one of {_METHODS}, got {method!r}")
+    _check_method(method)
     if opts is None:
         opts = OptimOptions()
-    for name, value, cls in (
-        ("spec", spec, KernelSpec),
-        ("prior", prior, PriorSpec),
-        ("opts", opts, OptimOptions),
-    ):
-        if not isinstance(value, cls):
-            raise InvalidArgumentError(f"{name} must be a {cls.__name__}, got {value!r}")
+    require_types(
+        ("spec", spec, KernelSpec), ("prior", prior, PriorSpec), ("opts", opts, OptimOptions)
+    )
     if data_t.n - data_t.q < 2:
         raise InvalidArgumentError(
             f"level {data_t.index} needs n - q >= 2 to estimate ranges, "

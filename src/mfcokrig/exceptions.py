@@ -104,6 +104,14 @@ def real_array(value, name):
     return np.ascontiguousarray(arr, dtype=np.float64)
 
 
+def require_types(*checks):
+    """Raise InvalidArgumentError naming the first ``(name, value, cls)``
+    of ``checks`` whose value is not an instance of ``cls``."""
+    for name, value, cls in checks:
+        if not isinstance(value, cls):
+            raise InvalidArgumentError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 def is_int(value):
     """Whether ``value`` is an integer (Python or numpy), not a boolean."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)

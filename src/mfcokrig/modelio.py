@@ -33,8 +33,9 @@ from .estimate import (
     LevelFit,
     OptimOptions,
     assemble,
+    check_fit,
 )
-from .exceptions import ConfigError, InvalidArgumentError, real_array
+from .exceptions import ConfigError, InvalidArgumentError, real_array, require_types
 from .kernels import KernelSpec
 from .priors import PriorSpec
 
@@ -191,14 +192,13 @@ def dump_json(payload, path):
 
 def save_model(path, data, fit_result):
     """Persist a fitted model; only the constant basis is serializable."""
-    for name, value, cls in (("data", data, CokrigingData), ("fit_result", fit_result, FitResult)):
-        if not isinstance(value, cls):
-            raise InvalidArgumentError(f"{name} must be a {cls.__name__}, got {value!r}")
+    require_types(("data", data, CokrigingData))
     for lv in data.levels:
         if lv.basis.shape[1] != 1 or not np.all(lv.basis == 1.0):
             raise InvalidArgumentError(
                 "only constant-basis models can be persisted to JSON"
             )
+    check_fit(data, fit_result)
     dump_json(model_document(data, fit_result), path)
 
 
@@ -294,7 +294,8 @@ def load_level_csv(path, y_optional=False):
                 f"the header has {len(header)}"
             )
     try:
-        values = np.array([[float(v) for v in row] for _, row in rows])
+        # numpy parses each cell as float() does, with float()'s message
+        values = np.array([row for _, row in rows], dtype=np.float64)
     except ValueError as exc:
         raise ConfigError(f"{path}: non-numeric cell ({exc})") from exc
     return values[:, :d], values[:, d] if has_y else None
@@ -338,16 +339,23 @@ def write_predictions_csv(path, X0, prediction, intervals):
         "lo95",
         "hi95",
     ]
-    # a query's inputs are formatted once for all of its levels
     intervals = np.asarray(intervals, dtype=np.float64)
     values = np.stack(
         [prediction.means, prediction.variances, intervals[..., 0], intervals[..., 1]],
         axis=-1,
-    ).tolist()
+    )
+    # every float is formatted once, as _format writes it, and a query's
+    # inputs are joined once for all of its levels
+    d, s = X0.shape[1], values.shape[1]
+    x_cells = list(map(repr, X0.ravel().tolist()))
+    v_cells = list(map(repr, values.ravel().tolist()))
     lines = []
-    for x, levels in zip(X0.tolist(), values):
-        cells = _line(x)
-        lines.extend(f"{cells},{t},{_line(row)}\n" for t, row in enumerate(levels, start=1))
+    k = 0
+    for i in range(X0.shape[0]):
+        cells = ",".join(x_cells[i * d:(i + 1) * d])
+        for t in range(1, s + 1):
+            lines.append(f"{cells},{t},{','.join(v_cells[k:k + 4])}\n")
+            k += 4
     _write_rows(path, header, lines)
 
 

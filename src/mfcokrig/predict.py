@@ -45,11 +45,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln, stdtr, stdtrit
 
-from .estimate import (
-    CokrigingData,
-    FitResult,
-    coincident_rows,
-)
+from .estimate import check_fit, coincident_rows
 from .exceptions import (
     DesignRankError,
     InvalidArgumentError,
@@ -146,14 +142,7 @@ class CokrigingModel:
     """
 
     def __init__(self, data, fit_result):
-        if not isinstance(data, CokrigingData):
-            raise InvalidArgumentError("data must be CokrigingData")
-        if not isinstance(fit_result, FitResult):
-            raise InvalidArgumentError("fit_result must be a FitResult")
-        if fit_result.s != data.s:
-            raise InvalidArgumentError(
-                f"fit has {fit_result.s} levels but data has {data.s}"
-            )
+        check_fit(data, fit_result)
         self.data = data
         self.fit_result = fit_result
         self.spec = fit_result.spec
@@ -440,7 +429,7 @@ def _t_cdf_pdf(z, loc, scale, df):
     """CDF and density at ``z`` of ``loc + scale * T_df``; a zero scale is
     a point mass at ``loc``, with density zero."""
     logc = gammaln(0.5 * (df + 1.0)) - gammaln(0.5 * df) - 0.5 * np.log(df * np.pi)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = (z - loc) / scale
         F = stdtr(df, x)
         f = np.exp(logc - 0.5 * (df + 1.0) * np.log1p(x * x / df)) / scale
@@ -621,7 +610,7 @@ class _Quadrature:
         if mass > TAIL_MASS:
             st = self.states[t]
             Q0 = _by_row(self.Q0[t], r, b.ndim)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 e_c = np.sqrt(e_star**2 + b * b / (st.sigma2_pred * Q0))
             e_c = np.where(np.isnan(e_c), e_star, e_c)
             v, w_tail = self.tail_rules[t]
@@ -650,6 +639,13 @@ class _Quadrature:
           ``sign(e)*gamma > 0`` (this covers ``gamma < 0``);
         - ``A <= 0``: ``J`` lies between the roots when ``D^2 >= 0`` and
           ``sign(e)*h`` is non-negative there, else it is empty.
+
+        Every node of the central rule has ``A > 0``, so there the lower
+        CDF is taken at the one finite end only: ``P(J)`` is ``F`` or
+        ``1.0 - F`` and its derivative ``f*slope`` or ``0.0 - f*slope``,
+        the floats the two-ended difference gives.  The tail rule, and a
+        central rule on which rounding leaves some node at ``A <= 0``,
+        take both ends.
         """
         st = self.states[t]
         gamma, q = st.gamma, st.minv_qq
@@ -666,10 +662,13 @@ class _Quadrature:
             u1 = (gb + D) / A
             u2 = np.where(gb + D == 0.0, u1, (b * b - e2S * Q0) / (gb + D))
         h1, h2 = sign * (b - gamma * u1), sign * (b - gamma * u2)
-        first = h1 >= h2
-        end = np.where(first, u1, u2)
+        end = np.where(h1 >= h2, u1, u2)
         open_low = sign * gamma > 0.0
         half = A > 0.0
+        if half.all():
+            F, f, err = self._lower_cdf(t, end + yc, r)
+            f = f * self._slope(t, e, end, Q0)
+            return np.where(open_low, F, 1.0 - F), np.where(open_low, f, 0.0 - f), err
         kept = (D2 >= 0.0) & (h1 + h2 >= 0.0)
         order = u1 <= u2
         lo = np.where(half, np.where(open_low, -np.inf, end),
@@ -677,26 +676,35 @@ class _Quadrature:
         hi = np.where(half, np.where(open_low, end, np.inf),
                       np.where(kept, np.where(order, u2, u1), np.inf))
         u = np.stack([lo, hi], axis=-1)
-        ends = u + yc[..., None]
-        # an end solves gamma*u + e*sqrt(S*Q(u)) = b, so its derivative in
-        # z is 1 / (gamma + e*S*q*u / sqrt(S*Q(u))); zero at an infinite
-        # end, and where the ends merge and the derivative diverges
+        Fe, fe, ee = self._lower_cdf(t, u + yc[..., None], r)
+        fe = fe * self._slope(t, e[..., None], u, Q0[..., None])
+        return Fe[..., 1] - Fe[..., 0], fe[..., 1] - fe[..., 0], ee[..., 0] + ee[..., 1]
+
+    def _slope(self, t, e, u, Q0):
+        """Derivative in ``z`` of the end ``u`` of ``J`` at innovation
+        ``e``.  An end solves ``gamma*u + e*sqrt(S*Q(u)) = b``, so it is
+        ``1 / (gamma + e*S*q*u / sqrt(S*Q(u)))``; zero at an infinite end,
+        and where the ends merge and the derivative diverges."""
+        st = self.states[t]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            scale = np.sqrt(st.sigma2_pred * (Q0[..., None] + q * u * u))
-            bend = st.sigma2_pred * q * e[..., None] * u / scale
-            slope = 1.0 / (gamma + np.where(scale > 0.0, bend, 0.0))
-        slope = np.where(np.isfinite(slope), slope, 0.0)
+            scale = np.sqrt(st.sigma2_pred * (Q0 + st.minv_qq * u * u))
+            bend = st.sigma2_pred * st.minv_qq * e * u / scale
+            slope = 1.0 / (st.gamma + np.where(scale > 0.0, bend, 0.0))
+        return np.where(np.isfinite(slope), slope, 0.0)
+
+    def _lower_cdf(self, t, ends, r):
+        """``cdf`` of the level below level ``t + 1`` at ``ends``, whose
+        leading axis indexes the block rows ``r``; an end that is not finite
+        has CDF ``end > 0`` and zero density and error."""
         finite = np.isfinite(ends)
-        Fe = (ends > 0.0).astype(np.float64)
-        fe = np.zeros_like(ends)
-        ee = np.zeros_like(ends)
+        if finite.all():
+            return self.cdf(t - 1, ends, r)
+        F = (ends > 0.0).astype(np.float64)
+        f = np.zeros_like(ends)
+        err = np.zeros_like(ends)
         rows = np.broadcast_to(_by_row(r, np.arange(r.size), ends.ndim), ends.shape)
-        Fe[finite], fe[finite], ee[finite] = self.cdf(t - 1, ends[finite], rows[finite])
-        return (
-            Fe[..., 1] - Fe[..., 0],
-            fe[..., 1] * slope[..., 1] - fe[..., 0] * slope[..., 0],
-            ee[..., 0] + ee[..., 1],
-        )
+        F[finite], f[finite], err[finite] = self.cdf(t - 1, ends[finite], rows[finite])
+        return F, f, err
 
     def quantiles(self, t, probs):
         """Level ``t + 1`` quantiles ``(rows, len(probs))`` at every block

@@ -30,6 +30,9 @@ one triangular solve and one set of seeded draws per query point, with the
 level-one Student-t formula written out.  ``point_cdf`` integrates the joint
 predictive at one query row with ``scipy.integrate.quad``, nested over the
 lower levels' values, each in its Student-t CDF scale.
+``two_ended_interval`` is the interval probability of a quadrature's
+innovation sum taken as the difference of the lower CDF at both ends of
+the interval, an infinite end included, for every innovation.
 """
 
 import math
@@ -439,6 +442,56 @@ def point_cdf(model, pieces, level, z):
         )
 
     return integrate(0, mu1, s1, df1)
+
+
+
+def two_ended_interval(quad, t, b, e, r):
+    """``P(J)``, its derivative in ``z`` and its error estimate, as
+    ``predict._Quadrature._interval`` documents them, from the lower CDF of
+    ``quad`` at both ends of ``J`` for every innovation ``e``: an infinite
+    end has CDF 0 or 1 and slope 0, and the finite ends are gathered into
+    one flat call of ``quad.cdf``."""
+    st = quad.states[t]
+    gamma, q = st.gamma, st.minv_qq
+    Q0 = quad.Q0[t][r].reshape((-1,) + (1,) * (b.ndim - 1))
+    yc = quad.yc[t][r].reshape((-1,) + (1,) * (b.ndim - 1))
+    sign = np.where(e >= 0.0, 1.0, -1.0)
+    e2S = st.sigma2_pred * e * e
+    A = gamma * gamma - e2S * q
+    D2 = e2S * (q * b * b + A * Q0)
+    gb = gamma * b
+    D = np.copysign(np.sqrt(np.maximum(D2, 0.0)), gb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u1 = (gb + D) / A
+        u2 = np.where(gb + D == 0.0, u1, (b * b - e2S * Q0) / (gb + D))
+    h1, h2 = sign * (b - gamma * u1), sign * (b - gamma * u2)
+    end = np.where(h1 >= h2, u1, u2)
+    open_low = sign * gamma > 0.0
+    half = A > 0.0
+    kept = (D2 >= 0.0) & (h1 + h2 >= 0.0)
+    order = u1 <= u2
+    lo = np.where(half, np.where(open_low, -np.inf, end),
+                  np.where(kept, np.where(order, u1, u2), np.inf))
+    hi = np.where(half, np.where(open_low, end, np.inf),
+                  np.where(kept, np.where(order, u2, u1), np.inf))
+    u = np.stack([lo, hi], axis=-1)
+    ends = u + yc[..., None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = np.sqrt(st.sigma2_pred * (Q0[..., None] + q * u * u))
+        bend = st.sigma2_pred * q * e[..., None] * u / scale
+        slope = 1.0 / (gamma + np.where(scale > 0.0, bend, 0.0))
+    slope = np.where(np.isfinite(slope), slope, 0.0)
+    finite = np.isfinite(ends)
+    Fe = (ends > 0.0).astype(np.float64)
+    fe = np.zeros_like(ends)
+    ee = np.zeros_like(ends)
+    rows = np.broadcast_to(r.reshape((-1,) + (1,) * (ends.ndim - 1)), ends.shape)
+    Fe[finite], fe[finite], ee[finite] = quad.cdf(t - 1, ends[finite], rows[finite])
+    return (
+        Fe[..., 1] - Fe[..., 0],
+        fe[..., 1] * slope[..., 1] - fe[..., 0] * slope[..., 0],
+        ee[..., 0] + ee[..., 1],
+    )
 
 
 def _start_points(d, opts, level):

@@ -20,6 +20,7 @@ from mfcokrig.estimate import (
     SENTINEL_THRESHOLD,
     INFEASIBLE,
     CokrigingData,
+    FitResult,
     LevelFit,
     OptimOptions,
     assemble,
@@ -1176,6 +1177,36 @@ class TestLevelFit:
         lf = _level_fit(level=np.int64(2), objective_value=np.float64(-3.0),
                         n_evals=np.int32(7), converged=False, b_hat=[1.0, 1.3])
         assert lf.level == 2 and lf.gamma == 1.3
+
+
+class TestFitResult:
+    @staticmethod
+    def _fields(**changes):
+        fields = dict(levels=(_level_fit(),), method=POSTERIOR, prior=PriorSpec(kind="flat"),
+                      spec=KernelSpec(family=MATERN, shape=2.5, dims=1), opts=OptimOptions())
+        fields.update(changes)
+        return fields
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        (("levels", None), ("levels", ()), ("levels", [_level_fit()]),
+         ("levels", (_level_fit(), "fit")), ("method", 3), ("method", "mcmc"),
+         ("prior", None), ("prior", "flat"), ("spec", None), ("opts", None),
+         ("parameterization", "phi")),
+    )
+    def test_fields_hold_their_declared_types(self, field, bad):
+        with pytest.raises(InvalidArgumentError, match=f"^{field} must be"):
+            FitResult(**self._fields(**{field: bad}))
+
+    def test_a_model_never_sees_an_unchecked_fit(self):
+        """The probe that once reached ``CokrigingModel`` as a bare
+        ``TypeError`` stops at the fit."""
+        with pytest.raises(InvalidArgumentError, match="^levels must be"):
+            FitResult(levels=None, method=3, prior=None, spec=None, opts=None)
+
+    def test_both_methods_pass(self):
+        for method in (POSTERIOR, PLUGIN):
+            assert FitResult(**self._fields(method=method)).s == 1
 
 
 class TestFit:

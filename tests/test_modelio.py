@@ -376,7 +376,56 @@ class TestMalformedDocuments:
             load_model(path)
 
 
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=4)
+
+
+@st.composite
+def _cell_spellings(draw):
+    """A CSV cell as a person or a program might spell a number: padding,
+    a sign, ``_`` between digit groups, a fraction, an exponent,
+    ``nan``/``inf`` words, non-ASCII digits, or a near miss of these."""
+    kind = draw(st.sampled_from(["number", "word", "non-ascii", "near-miss"]))
+    if kind == "number":
+        body = "_".join(draw(st.lists(_DIGITS, min_size=1, max_size=3)))
+        if draw(st.booleans()):
+            body += "." + draw(_DIGITS)
+        if draw(st.booleans()):
+            sign = draw(st.sampled_from(["", "+", "-"]))
+            body += draw(st.sampled_from("eE")) + sign + draw(_DIGITS)
+    elif kind == "word":
+        body = draw(st.sampled_from(["nan", "NaN", "inf", "Inf", "infinity", "INFINITY"]))
+    elif kind == "non-ascii":
+        digits = "\u0660\u0661\u0667\u0669\uff10\uff13\uff19"
+        body = draw(st.text(alphabet=digits, min_size=1, max_size=4))
+    else:
+        body = draw(st.text(alphabet="0123456789._eE+-xnaif ", max_size=6))
+    pad = st.sampled_from(["", " ", "  ", "\t", "\u2003", "\u00a0"])
+    return draw(pad) + draw(st.sampled_from(["", "+", "-"])) + body + draw(pad)
+
+
+def _per_cell_parse(rows):
+    """The rows' cells parsed one at a time by ``float``."""
+    return np.array([[float(v) for v in row] for row in rows])
+
+
 class TestLevelCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.lists(_cell_spellings(), min_size=3, max_size=3),
+                         min_size=1, max_size=4))
+    def test_cells_parse_as_float_does(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("cells") / "level.csv"
+        text = "x1,x2,y\n" + "".join(",".join(row) + "\n" for row in rows)
+        path.write_text(text, encoding="utf-8")
+        try:
+            want = _per_cell_parse(rows)
+        except ValueError as exc:
+            with pytest.raises(ConfigError) as err:
+                load_level_csv(path)
+            assert str(err.value) == f"{path}: non-numeric cell ({exc})"
+            return
+        X, y = load_level_csv(path)
+        assert np.column_stack([X, y]).tobytes() == want.tobytes()
+
     def test_write_rejects_mismatched_and_non_numeric_arrays(self, tmp_path):
         path = tmp_path / "level1.csv"
         with pytest.raises(InvalidArgumentError, match="one output each"):
@@ -601,6 +650,14 @@ class TestWriterErrors:
         for args, name in (((None, result), "data"), ((data, None), "fit_result")):
             with pytest.raises(InvalidArgumentError, match=f"{name} must be"):
                 save_model(tmp_path / "model.json", *args)
+
+    def test_save_model_needs_one_fit_per_level(self, tmp_path):
+        data, result = _fitted()
+        short = dataclasses.replace(result, levels=result.levels[:1])
+        path = tmp_path / "model.json"
+        with pytest.raises(InvalidArgumentError, match="fit has 1 levels but data has 2"):
+            save_model(path, data, short)
+        assert not path.exists()
 
     @pytest.mark.parametrize("name", sorted(_WRITERS + ["load_level_csv", "load_model"]))
     def test_paths_are_str_or_pathlike(self, name):

@@ -36,7 +36,7 @@ from mfcokrig.kernels import (
 from mfcokrig import predict as predict_module
 from mfcokrig.predict import TAIL_MASS, CokrigingModel, _Quadrature, _quantiles, _Rules
 from mfcokrig.priors import PriorSpec
-from oracles import coincident_rows_loop, point_cdf, point_draws
+from oracles import coincident_rows_loop, point_cdf, point_draws, two_ended_interval
 
 
 def _nested_pair(rng, n1=15, n2=8, d=2, gamma=1.4):
@@ -646,6 +646,62 @@ class TestQuadratureCases:
             Fp, _, _ = quad_cdf.cdf(1, np.array([z + h]), r)
             Fm, _, _ = quad_cdf.cdf(1, np.array([z - h]), r)
             assert f[0] == pytest.approx((Fp[0] - Fm[0]) / (2.0 * h), rel=1e-5)
+
+
+@st.composite
+def _synthetic_levels(draw):
+    """Two or three levels of synthetic states and pieces for one to three
+    query rows, and two offsets per row in units of the top spread: the
+    scale link of either sign, a zero or positive ``Q0`` and any ``yc``."""
+    rows = draw(st.integers(1, 3))
+
+    def real(lo, hi):
+        return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+    def column(cell):
+        return np.array(draw(st.lists(cell, min_size=rows, max_size=rows)))
+
+    states, pieces = [], []
+    for t in range(draw(st.integers(2, 3))):
+        n, q = draw(st.integers(4, 60)), 1 + (t > 0)
+        gamma = draw(st.sampled_from([-1.0, 1.0])) * draw(real(0.2, 2.0)) if t else 0.0
+        states.append(SimpleNamespace(
+            data=SimpleNamespace(n=n, q=q), df=n - q, sigma2_pred=draw(real(0.05, 4.0)),
+            gamma=gamma, minv_qq=draw(real(0.005, 1.0)) if t else 0.0,
+        ))
+        pieces.append((
+            column(real(-1.0, 1.0)),
+            column(st.just(0.0) | real(0.0, 2.0)),
+            column(real(-2.0, 2.0)) if t else None,
+        ))
+    offsets = np.array(draw(st.lists(real(-5.0, 5.0), min_size=2 * rows, max_size=2 * rows)))
+    return states, pieces, offsets
+
+
+class TestCentralRuleInterval:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_synthetic_levels())
+    def test_one_end_per_node_matches_the_two_ended_oracle(self, case):
+        """On the central rule the interval probability, its derivative and
+        its error estimate are the floats of the two-ended difference, from
+        one lower-CDF call at one end per node, with the block's rows
+        broadcast rather than gathered."""
+        states, pieces, offsets = case
+        quad = _Quadrature(states, pieces, _Rules(states, 0))
+        r = np.repeat(np.arange(pieces[0][0].size), 2)
+        for t in range(1, len(states)):
+            z = quad.loc[t][r] + quad.spread[t][r] * offsets
+            b = z[:, None] - (quad.mu[t] + states[t].gamma * quad.yc[t])[r][:, None]
+            e = quad.mid_rules[t][0]
+            want = two_ended_interval(quad, t, b, e, r)
+            calls = []
+            cdf = quad.cdf
+            quad.cdf = lambda lv, at, rows: calls.append((lv, at.shape)) or cdf(lv, at, rows)
+            got = quad._interval(t, b, e, r)
+            del quad.cdf
+            assert calls[0] == (t - 1, (r.size, e.size))
+            for a, w in zip(got, want):
+                assert a.shape == w.shape and a.tobytes() == w.tobytes()
 
 
 class TestModelConstruction:
