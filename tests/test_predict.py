@@ -34,7 +34,15 @@ from mfcokrig.kernels import (
     cross_corr,
 )
 from mfcokrig import predict as predict_module
-from mfcokrig.predict import TAIL_MASS, CokrigingModel, _Quadrature, _quantiles, _Rules
+from mfcokrig.predict import (
+    SERIES_MAX_DF,
+    TAIL_MASS,
+    CokrigingModel,
+    _Quadrature,
+    _quantiles,
+    _Rules,
+    _t_cdf,
+)
 from mfcokrig.priors import PriorSpec
 from oracles import coincident_rows_loop, point_cdf, point_draws, two_ended_interval
 
@@ -564,16 +572,17 @@ class TestBatchedIntervals:
         monkeypatch.setattr(predict_module, "QUAD_BLOCK_BYTES", 1)
         np.testing.assert_array_equal(model.credible_intervals(X0), whole)
 
-    def test_rules_are_built_once_per_call(self, monkeypatch):
-        """The rules depend only on the model, so every block of a call
-        shares them: one row per block, and three times the rows, build
-        as many."""
+    @pytest.mark.parametrize("builder", ["_tanh_sinh", "_t_series", "_t_log_norm"])
+    def test_rules_are_built_once_per_call(self, monkeypatch, builder):
+        """The rules and the levels' Student-t series and normalisers
+        depend only on the model, so every block of a call shares them:
+        one row per block, and three times the rows, build as many."""
         model, X0 = _interval_cases()[0]
         monkeypatch.setattr(predict_module, "QUAD_BLOCK_BYTES", 1)
         builds = []
-        tanh_sinh = predict_module._tanh_sinh
+        build = getattr(predict_module, builder)
         monkeypatch.setattr(
-            predict_module, "_tanh_sinh", lambda step: builds.append(step) or tanh_sinh(step)
+            predict_module, builder, lambda arg: builds.append(arg) or build(arg)
         )
         counts = []
         for reps in (1, 3):
@@ -584,20 +593,102 @@ class TestBatchedIntervals:
 
     def test_negative_scale_link(self):
         """A fitted model whose level-two output falls as level one rises."""
-        rng = np.random.default_rng(145)
-        X1 = rng.uniform(size=(16, 2))
-        X2 = X1[:9]
-        y1 = np.sin(3.0 * X1[:, 0]) + X1[:, 1] ** 2 + 0.1 * rng.standard_normal(16)
-        y2 = -1.3 * y1[:9] + 0.3 * np.cos(4.0 * X2[:, 0])
-        data = assemble([(X1, y1), (X2, y2)])
-        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
-        result = fit(data, spec, PriorSpec(kind="reference"),
-                     OptimOptions(seed=3, n_starts=2, max_evals=200))
-        model = CokrigingModel(data, result)
+        model, X0 = _negative_link_case()
         assert model._states[1].gamma < 0.0
-        X0 = np.vstack([rng.uniform(size=(8, 2)), X2[:3], X1[12:15]])
         got = model.credible_intervals(X0)
         _assert_tail_probabilities(model, X0, got, (0.025, 0.975), range(X0.shape[0]), [2])
+
+    @pytest.mark.parametrize(
+        "case, prob",
+        [(0, 0.95), (0, 0.9), (1, 0.95), (1, 0.9), (2, 0.95)],
+        ids=["two_level-95", "two_level-90", "three_level-95", "three_level-90",
+             "negative_link-95"],
+    )
+    def test_series_cdf_matches_stdtr(self, monkeypatch, case, prob):
+        """The quadrature's series Student-t CDF moves no bound by more than
+        1e-12 relative from the same solve on scipy's stdtr, and no moment
+        at all."""
+        model, X0 = _interval_cases()[case] if case < 2 else _negative_link_case()
+        got, moments = model.credible_intervals(X0, prob), model.predict(X0)
+        calls = []
+        monkeypatch.setattr(
+            predict_module, "_t_cdf",
+            lambda df, x, coef=None: calls.append(df) or stdtr(df, x),
+        )
+        want = model.credible_intervals(X0, prob)
+        assert calls and max(calls) <= SERIES_MAX_DF
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        again = model.predict(X0)
+        for a, b in ((moments.means, again.means), (moments.variances, again.variances)):
+            assert a.tobytes() == b.tobytes()
+
+
+def _negative_link_case():
+    """A fitted two-level model with a negative scale link, and queries at
+    random points, at the top design and at bottom-only design points."""
+    rng = np.random.default_rng(145)
+    X1 = rng.uniform(size=(16, 2))
+    X2 = X1[:9]
+    y1 = np.sin(3.0 * X1[:, 0]) + X1[:, 1] ** 2 + 0.1 * rng.standard_normal(16)
+    y2 = -1.3 * y1[:9] + 0.3 * np.cos(4.0 * X2[:, 0])
+    data = assemble([(X1, y1), (X2, y2)])
+    spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+    result = fit(data, spec, PriorSpec(kind="reference"),
+                 OptimOptions(seed=3, n_starts=2, max_evals=200))
+    return CokrigingModel(data, result), np.vstack(
+        [rng.uniform(size=(8, 2)), X2[:3], X1[12:15]]
+    )
+
+
+# zeros, subnormals, small, large, overflowing-square and infinite
+# arguments, and nan
+_T_CDF_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-8, -1e-8,
+                1e154, -1e154, 1e200, -1e200, np.finfo(np.float64).max,
+                -np.finfo(np.float64).max, np.inf, -np.inf, np.nan]
+
+
+def _t_cdf_reference(df, x):
+    """scipy's stdtr, except at one degree of freedom: there scipy 1.17's
+    stdtr is off by up to 1.6e-9 near zero (against mpmath), so the
+    reference is the Cauchy CDF ``atan2(1, -x) / pi``."""
+    return np.arctan2(1.0, -x) / np.pi if df == 1 else stdtr(df, x)
+
+
+class TestSeriesStudentT:
+    """``_t_cdf`` against scipy on either side of ``SERIES_MAX_DF``."""
+
+    @staticmethod
+    def _check(df, x):
+        F = _t_cdf(df, x)
+        assert F.shape == x.shape
+        nan = np.isnan(x)
+        assert np.array_equal(np.isnan(F), nan)
+        x, F = x[~nan], F[~nan]
+        err = np.abs(F - _t_cdf_reference(df, x))
+        assert err.max() <= 1e-14, (df, x[err.argmax()], err.max())
+        # odd to 2 ulp of 1
+        assert np.all(np.abs(F + _t_cdf(df, -x) - 1.0) <= 2.0 * np.spacing(1.0))
+        # non-decreasing to the absolute accuracy: at neighbouring floats
+        # neither this series nor stdtr is exactly monotone
+        order = np.argsort(x, kind="stable")
+        assert np.all(np.diff(F[order]) >= -1e-14)
+        assert np.all(F[x == -np.inf] == 0.0) and np.all(F[x == np.inf] == 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        df=st.integers(1, 2000) | st.sampled_from([1, 2, SERIES_MAX_DF, SERIES_MAX_DF + 1]),
+        xs=st.lists(st.floats(width=64) | st.floats(-60.0, 60.0), min_size=1, max_size=40),
+    )
+    def test_matches_stdtr(self, df, xs):
+        self._check(df, np.array(xs + _T_CDF_EDGES))
+
+    def test_every_series_df_on_a_grid(self):
+        """Every degrees of freedom the series serves, and the first that
+        stdtr does, on a grid out to the far tails."""
+        x = np.concatenate([np.linspace(-12.0, 12.0, 2401), np.geomspace(12.0, 1e6, 200),
+                            -np.geomspace(12.0, 1e6, 200), _T_CDF_EDGES])
+        for df in range(1, SERIES_MAX_DF + 2):
+            self._check(df, x)
 
 
 class TestQuadratureCases:
