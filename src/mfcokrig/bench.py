@@ -18,13 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimate import (
-    OptimOptions,
-    PLUGIN,
-    POSTERIOR,
-    assemble,
-    fit,
-)
+from .estimate import POSTERIOR, OptimOptions, _check_method, assemble, fit
 from .exceptions import (
     BenchmarkError,
     DegenerateDataError,
@@ -55,62 +49,31 @@ BOREHOLE_BOX = (
 BOREHOLE_DIM = len(BOREHOLE_BOX)
 
 
-@dataclass(frozen=True)
-class BoreholeInput:
-    """One physical input point, validated against the box constraints."""
-
-    r_w: float
-    r: float
-    T_u: float
-    H_u: float
-    T_l: float
-    H_l: float
-    L: float
-    K_w: float
-
-    def __post_init__(self):
-        for (name, lo, hi) in BOREHOLE_BOX:
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not lo <= value <= hi:
-                raise DomainError(
-                    f"{name}={value} outside its physical range [{lo}, {hi}]"
-                )
-
-    @classmethod
-    def from_array(cls, arr):
-        arr = real_array(arr, "x").ravel()
-        if arr.size != BOREHOLE_DIM:
-            raise InvalidArgumentError(
-                f"expected {BOREHOLE_DIM} coordinates, got {arr.size}"
-            )
-        return cls(*arr)
-
-
-def _coerce_input(x):
-    if isinstance(x, BoreholeInput):
-        return x
-    return BoreholeInput.from_array(x)
-
-
-def _flow_terms(v):
-    log_ratio = math.log(v.r / v.r_w)
-    bracket_common = 2.0 * v.L * v.T_u / (log_ratio * v.r_w**2 * v.K_w) + v.T_u / v.T_l
-    return log_ratio, bracket_common
+def _flow(x, lead, offset):
+    """Water flow rate ``lead T_u (H_u - H_l) / (log(r / r_w) (offset +
+    2 L T_u / (log(r / r_w) r_w^2 K_w) + T_u / T_l))`` at the 8 physical
+    coordinates ``x``, each checked against its range in ``BOREHOLE_BOX``."""
+    x = real_array(x, "x").ravel()
+    if x.size != BOREHOLE_DIM:
+        raise InvalidArgumentError(f"expected {BOREHOLE_DIM} coordinates, got {x.size}")
+    point = x.tolist()
+    for value, (name, lo, hi) in zip(point, BOREHOLE_BOX):
+        if not lo <= value <= hi:
+            raise DomainError(f"{name}={value} outside its physical range [{lo}, {hi}]")
+    r_w, r, T_u, H_u, T_l, H_l, L, K_w = point
+    log_ratio = math.log(r / r_w)
+    bracket = 2.0 * L * T_u / (log_ratio * r_w**2 * K_w) + T_u / T_l
+    return lead * T_u * (H_u - H_l) / (log_ratio * (offset + bracket))
 
 
 def borehole_high(x):
     """High-fidelity water flow rate through the borehole."""
-    v = _coerce_input(x)
-    log_ratio, bracket = _flow_terms(v)
-    return 2.0 * math.pi * v.T_u * (v.H_u - v.H_l) / (log_ratio * (1.0 + bracket))
+    return _flow(x, 2.0 * math.pi, 1.0)
 
 
 def borehole_low(x):
     """Cheap approximation: leading constant 5 and bracket offset 1.5."""
-    v = _coerce_input(x)
-    log_ratio, bracket = _flow_terms(v)
-    return 5.0 * v.T_u * (v.H_u - v.H_l) / (log_ratio * (1.5 + bracket))
+    return _flow(x, 5.0, 1.5)
 
 
 def scale_to_box(U):
@@ -269,8 +232,7 @@ def run_borehole_benchmark(
         spec = KernelSpec(family="power_exponential", shape=1.9, dims=BOREHOLE_DIM)
     if spec.dims != BOREHOLE_DIM:
         raise InvalidArgumentError(f"borehole kernel must have dims={BOREHOLE_DIM}")
-    if method not in (POSTERIOR, PLUGIN):
-        raise InvalidArgumentError(f"unknown method {method!r}")
+    _check_method(method)
     if opts is None:
         opts = OptimOptions()
 

@@ -5,8 +5,10 @@ Configuration comes from an optional JSON file (``--config``) overridden by
 flags; every run echoes its resolved configuration into the output
 directory so results are reproducible from the artifacts alone.
 
-Exit codes: 0 success, 2 configuration or validation failure, 3 numerical
-or estimation failure.
+``main`` reads the config file and makes the output directory once, then
+hands both to the subcommand.  Exit codes: 0 success; 2 for a validation
+failure (``_VALIDATION_ERRORS``: a bad configuration or argument, an
+unreadable or unwritable file); 3 for every other library error.
 """
 
 import argparse
@@ -18,20 +20,14 @@ import numpy as np
 
 from . import __version__
 from .bench import BOREHOLE_DIM, run_borehole_benchmark
-from .estimate import OptimOptions, assemble, fit, tail_probe
+from .estimate import PLUGIN, POSTERIOR, OptimOptions, assemble, fit, tail_probe
 from .exceptions import (
-    BenchmarkError,
     ConfigError,
-    DegenerateDataError,
-    DesignRankError,
     DomainError,
     DuplicateRowError,
-    EstimationError,
     InvalidArgumentError,
+    MfcokrigError,
     NestingError,
-    PriorEvaluationError,
-    SingularCorrelationError,
-    VarianceUndefinedError,
 )
 from .kernels import KernelSpec
 from .modelio import (
@@ -63,15 +59,6 @@ _VALIDATION_ERRORS = (
     NestingError,
     DuplicateRowError,
     OSError,
-)
-_NUMERICAL_ERRORS = (
-    EstimationError,
-    SingularCorrelationError,
-    DegenerateDataError,
-    DesignRankError,
-    PriorEvaluationError,
-    BenchmarkError,
-    VarianceUndefinedError,
 )
 
 _CONFIG_KEYS = {
@@ -106,6 +93,12 @@ def _load_config(path):
         )
     for section, allowed in _SECTION_KEYS.items():
         check_keys(cfg.get(section, {}), section, allowed)
+    for key in ("grid", "out"):
+        if key in cfg and not isinstance(cfg[key], str):
+            raise ConfigError(f"config '{key}' must be a path string, got {cfg[key]!r}")
+    levels = cfg.get("levels", [])
+    if not (isinstance(levels, list) and all(isinstance(p, str) for p in levels)):
+        raise ConfigError(f"config 'levels' must be a JSON array of paths, got {levels!r}")
     return cfg
 
 
@@ -119,32 +112,30 @@ def _section(cfg, args, name):
     return section
 
 
-def _build_kernel(cfg, args, dims):
-    kcfg = _section(cfg, args, "kernel")
-    kcfg.setdefault("family", "power_exponential")
-    kcfg["dims"] = dims
-    return read_record(KernelSpec, kcfg, "kernel", partial=True)
+def _record(cfg, args, section, cls, **defaults):
+    """The ``cls`` record that config ``section`` and the flags laid over it
+    describe; ``defaults`` fill the fields that neither sets."""
+    payload = {**defaults, **_section(cfg, args, section)}
+    return read_record(cls, payload, section, partial=True)
 
 
-def _build_prior(cfg, args):
-    pcfg = _section(cfg, args, "prior")
-    pcfg.setdefault("kind", "reference")
-    return read_record(PriorSpec, pcfg, "prior", partial=True)
+def _spec_and_prior(cfg, args, dims):
+    """The kernel of ``dims`` inputs and the prior of a command that builds
+    both."""
+    return (
+        _record(cfg, args, "kernel", KernelSpec, family="power_exponential", dims=dims),
+        _record(cfg, args, "prior", PriorSpec, kind="reference"),
+    )
 
 
-def _build_opts(cfg, args):
-    ocfg = _section(cfg, args, "optimizer")
-    return read_record(OptimOptions, ocfg, "optimizer", partial=True)
-
-
-def _resolve_out(cfg, args):
-    out = getattr(args, "out", None) or cfg.get("out") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+def _model(path):
+    """The data and the model of the model file at ``path``."""
+    data, result = load_model(path)
+    return data, CokrigingModel(data, result)
 
 
 def _load_levels(cfg, args):
-    paths = list(getattr(args, "level", None) or cfg.get("levels") or [])
+    paths = args.level or cfg.get("levels", [])
     if not paths:
         raise ConfigError("no level data given; pass --level or config 'levels'")
     raw = [load_level_csv(p) for p in paths]
@@ -154,22 +145,18 @@ def _load_levels(cfg, args):
             raise ConfigError(
                 f"{p} has {X.shape[1]} input columns but the first level has {d}"
             )
-    return paths, raw
+    return paths, raw, d
 
 
 def _echo_config(out, name, payload):
     dump_json(payload, os.path.join(out, f"{name}_config.json"))
 
 
-def cmd_fit(args):
-    cfg = _load_config(args.config)
-    out = _resolve_out(cfg, args)
-    paths, raw = _load_levels(cfg, args)
-    dims = raw[0][0].shape[1]
-    spec = _build_kernel(cfg, args, dims)
-    prior = _build_prior(cfg, args)
-    opts = _build_opts(cfg, args)
-    method = args.method or cfg.get("method", "posterior")
+def cmd_fit(args, cfg, out):
+    paths, raw, dims = _load_levels(cfg, args)
+    spec, prior = _spec_and_prior(cfg, args, dims)
+    opts = _record(cfg, args, "optimizer", OptimOptions)
+    method = args.method or cfg.get("method", POSTERIOR)
     data = assemble(raw)
     result = fit(data, spec, prior, opts, method=method)
     model_path = os.path.join(out, "model.json")
@@ -205,14 +192,11 @@ def cmd_fit(args):
     return EXIT_OK
 
 
-def cmd_predict(args):
-    cfg = _load_config(args.config)
-    out = _resolve_out(cfg, args)
+def cmd_predict(args, cfg, out):
     grid_path = args.grid or cfg.get("grid")
     if grid_path is None:
         raise ConfigError("no prediction grid given; pass --grid or config 'grid'")
-    data, result = load_model(args.model)
-    model = CokrigingModel(data, result)
+    data, model = _model(args.model)
     X0, _ = load_level_csv(grid_path, y_optional=True)
     if X0.shape[1] != data.dims:
         raise ConfigError(
@@ -229,11 +213,8 @@ def cmd_predict(args):
     return EXIT_OK
 
 
-def cmd_sample(args):
-    cfg = _load_config(args.config)
-    out = _resolve_out(cfg, args)
-    data, result = load_model(args.model)
-    model = CokrigingModel(data, result)
+def cmd_sample(args, cfg, out):
+    data, model = _model(args.model)
     try:
         x0 = np.array([float(v) for v in args.x0.split(",")])
     except ValueError as exc:
@@ -253,15 +234,12 @@ def cmd_sample(args):
     return EXIT_OK
 
 
-def cmd_benchmark(args):
-    cfg = _load_config(args.config)
-    out = _resolve_out(cfg, args)
+def cmd_benchmark(args, cfg, out):
     # sizes left out take run_borehole_benchmark's defaults
     sizes = _section(cfg, args, "benchmark")
-    spec = _build_kernel(cfg, args, dims=BOREHOLE_DIM)
-    prior = _build_prior(cfg, args)
-    opts = _build_opts(cfg, args)
-    method = args.method or cfg.get("method", "posterior")
+    spec, prior = _spec_and_prior(cfg, args, BOREHOLE_DIM)
+    opts = _record(cfg, args, "optimizer", OptimOptions)
+    method = args.method or cfg.get("method", POSTERIOR)
     report = run_borehole_benchmark(
         prior=prior, spec=spec, seed=opts.seed, method=method, opts=opts, **sizes
     )
@@ -279,13 +257,9 @@ def cmd_benchmark(args):
     return EXIT_OK
 
 
-def cmd_tailprobe(args):
-    cfg = _load_config(args.config)
-    out = _resolve_out(cfg, args)
-    paths, raw = _load_levels(cfg, args)
-    dims = raw[0][0].shape[1]
-    spec = _build_kernel(cfg, args, dims)
-    prior = _build_prior(cfg, args)
+def cmd_tailprobe(args, cfg, out):
+    paths, raw, dims = _load_levels(cfg, args)
+    spec, prior = _spec_and_prior(cfg, args, dims)
     data = assemble(raw)
     if not 1 <= args.level_index <= data.s:
         raise ConfigError(
@@ -331,10 +305,11 @@ def _add_common(parser, seed=True):
         parser.add_argument("--seed", type=int, default=None, help="master seed")
 
 
-def _add_spec_flags(parser):
+def _add_spec_flags(parser, fits=True):
     """Kernel and prior flags, for the commands that build a kernel and a
-    prior; ``predict`` and ``sample`` read theirs from the model file.
-    Each flag's destination is the name of the field it sets."""
+    prior (``predict`` and ``sample`` read theirs from the model file),
+    and with ``fits`` the ``--starts`` and ``--method`` of a command that
+    fits.  Each flag's destination is the name of the field it sets."""
     parser.add_argument(
         "--prior",
         dest="kind",
@@ -358,6 +333,22 @@ def _add_spec_flags(parser):
     parser.add_argument("--nugget", type=float, default=None, help="diagonal jitter")
     parser.add_argument("--jr-a0", type=float, default=None, help="jointly robust a0")
     parser.add_argument("--jr-b0", type=float, default=None, help="jointly robust b0")
+    if fits:
+        parser.add_argument(
+            "--starts",
+            dest="n_starts",
+            metavar="STARTS",
+            type=int,
+            default=None,
+            help="most optimizer starts per level; a level stops once two starts "
+            "agree on its best value",
+        )
+        parser.add_argument(
+            "--method",
+            choices=(POSTERIOR, PLUGIN),
+            default=None,
+            help="posterior maximization or the plug-in baseline",
+        )
 
 
 def build_parser():
@@ -378,21 +369,6 @@ def build_parser():
         "--level",
         action="append",
         help="per-level CSV (repeat, lowest fidelity first)",
-    )
-    p_fit.add_argument(
-        "--starts",
-        dest="n_starts",
-        metavar="STARTS",
-        type=int,
-        default=None,
-        help="most optimizer starts per level; a level stops once two starts "
-        "agree on its best value",
-    )
-    p_fit.add_argument(
-        "--method",
-        choices=("posterior", "plugin"),
-        default=None,
-        help="posterior maximization or the plug-in baseline",
     )
     p_fit.set_defaults(func=cmd_fit)
 
@@ -416,17 +392,13 @@ def build_parser():
     p_bench.add_argument("--n-high", type=int, default=None)
     p_bench.add_argument("--n-test", type=int, default=None)
     p_bench.add_argument("--reps", dest="n_reps", type=int, default=None)
-    p_bench.add_argument("--starts", dest="n_starts", metavar="STARTS", type=int)
-    p_bench.add_argument(
-        "--method", choices=("posterior", "plugin"), default=None
-    )
     p_bench.set_defaults(func=cmd_benchmark)
 
     p_tail = sub.add_parser(
         "tailprobe", help="integrated likelihood and prior along a range ray"
     )
     _add_common(p_tail, seed=False)
-    _add_spec_flags(p_tail)
+    _add_spec_flags(p_tail, fits=False)
     p_tail.add_argument("--level", action="append", help="per-level CSV (repeat)")
     p_tail.add_argument(
         "--level-index", type=int, default=1, help="one-based level to probe"
@@ -442,14 +414,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load_config(args.config)
+        out = args.out or cfg.get("out") or "."
+        os.makedirs(out, exist_ok=True)
+        return args.func(args, cfg, out)
     except _VALIDATION_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except MfcokrigError as exc:
         sys.stderr.write(f"estimation error: {exc}\n")
         return EXIT_ESTIMATION
 

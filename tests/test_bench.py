@@ -10,7 +10,6 @@ from mfcokrig.bench import (
     BOREHOLE_BOX,
     BOREHOLE_DIM,
     BenchmarkReport,
-    BoreholeInput,
     borehole_high,
     borehole_low,
     lhs_design,
@@ -41,10 +40,6 @@ class TestBoreholeFunctions:
         x = _center()
         assert borehole_low(x) < borehole_high(x)
 
-    def test_accepts_structured_input(self):
-        v = BoreholeInput.from_array(_center())
-        assert borehole_high(v) == pytest.approx(HIGH_AT_CENTER, rel=1e-14)
-
     def test_monotone_in_head_difference(self):
         x = _center()
         up = x.copy()
@@ -57,7 +52,23 @@ class TestBoreholeFunctions:
         with pytest.raises(DomainError):
             borehole_high(x)
         with pytest.raises(InvalidArgumentError):
-            BoreholeInput.from_array(np.ones(5))
+            borehole_high(np.ones(5))
+
+    @pytest.mark.parametrize("end", ["low", "high"])
+    @pytest.mark.parametrize("k", range(BOREHOLE_DIM))
+    def test_each_field_is_checked_at_both_ends(self, k, end):
+        """A point one step outside either end of a field's range raises
+        DomainError naming that field in both simulators; the end itself
+        is inside."""
+        name, lo, hi = BOREHOLE_BOX[k]
+        inside = _center()
+        inside[k] = lo if end == "low" else hi
+        outside = inside.copy()
+        outside[k] = np.nextafter(inside[k], -np.inf if end == "low" else np.inf)
+        for simulator in (borehole_low, borehole_high):
+            assert math.isfinite(simulator(inside))
+            with pytest.raises(DomainError, match=f"^{name}="):
+                simulator(outside)
 
 
 class TestScaleToBox:
