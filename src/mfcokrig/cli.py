@@ -94,8 +94,10 @@ def _load_config(path):
     for section, allowed in _SECTION_KEYS.items():
         check_keys(cfg.get(section, {}), section, allowed)
     for key in ("grid", "out"):
-        if key in cfg and not isinstance(cfg[key], str):
-            raise ConfigError(f"config '{key}' must be a path string, got {cfg[key]!r}")
+        if key in cfg and not (isinstance(cfg[key], str) and cfg[key]):
+            raise ConfigError(
+                f"config '{key}' must be a non-empty path string, got {cfg[key]!r}"
+            )
     levels = cfg.get("levels", [])
     if not (isinstance(levels, list) and all(isinstance(p, str) for p in levels)):
         raise ConfigError(f"config 'levels' must be a JSON array of paths, got {levels!r}")
@@ -417,7 +419,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        out = args.out or cfg.get("out") or "."
+        # an empty directory name would mean the working directory
+        if args.out == "":
+            raise ConfigError("--out must name a directory, got ''")
+        out = args.out or cfg.get("out", ".")
         os.makedirs(out, exist_ok=True)
         return args.func(args, cfg, out)
     except _VALIDATION_ERRORS as exc:

@@ -46,7 +46,8 @@ up to ``SERIES_MAX_DF`` it is the finite trigonometric series of
 ``scipy.special.stdtr`` there; above it, ``stdtr``.  scipy stays where
 relative accuracy in a far tail matters or the calls are a few scalars:
 the rules' ``stdtrit`` nodes, the tail mass beyond ``e_star``, the tail
-rule's limits, level-one quantiles and the Newton starts.
+rule's limits, level-one quantiles and the Newton starts.  The tail masses
+go through ``_t_tail``, which takes one degree of freedom in closed form.
 """
 
 from dataclasses import dataclass
@@ -96,8 +97,17 @@ MAX_REFINE = 2
 # interval bounds are solved for a block of query rows at a time, sized so
 # one node array of the block holds at most this many bytes; the solve keeps
 # a few dozen such arrays alive.  The rules are built once per refinement
-# for all blocks, so a block costs only its rows' nodes
-QUAD_BLOCK_BYTES = 1 << 15
+# for all blocks, but each block pays about 0.26 ms of small-array calls
+# (Newton bookkeeping, root algebra, the series set-up) against about 7 us
+# per extra row of a two-level model.  Sweeping 8 KB to 1 MB over the
+# perfbench grids (seed 1, one core of a 2 MB-L2 x86-64, bounds
+# bit-identical at every size), the 1050-row solve took 20.6 ms at 32 KB,
+# 15.1 at 64 KB, 12.9 at 128 KB, 14.1 at 256 KB and 15.2 at 1 MB, where
+# the live arrays outgrow the L2; the 220-row solves 3.1 -> 2.1 ms
+# (borehole_ref) and 4.8 -> 2.9 ms (plugin_n200) from 32 to 128 KB, flat
+# beyond.  The two- and three-level test models did not move past 32 KB:
+# their blocks are a few rows, or one row of a product rule
+QUAD_BLOCK_BYTES = 1 << 17
 
 # Newton steps, with bisection and bracket expansion as the safeguard,
 # allowed per interval bound; a bound takes one to five
@@ -494,6 +504,19 @@ def _t_cdf(df, x, coef=None):
     return F
 
 
+def _t_tail(df, x):
+    """Standard Student-t CDF at ``x`` to full relative accuracy in the
+    lower tail, for the innovation masses beyond ``e_star`` and ``e_c``:
+    ``scipy.special.stdtr``, except at ``df = 1``, where scipy's is off by
+    up to 1.6e-9 near zero.  There it is the Cauchy CDF, ``atan2(1, -x) /
+    pi`` below zero, which does not cancel in the tail, and ``1/2 +
+    atan(x) / pi`` above, each within one rounding of the exact value."""
+    if df == 1:
+        x = np.asarray(x, dtype=np.float64)
+        return np.where(x < 0.0, np.arctan2(1.0, -x) / np.pi, 0.5 + np.arctan(x) / np.pi)
+    return stdtr(df, x)
+
+
 def _t_log_norm(df):
     """Log of the Student-t density's normaliser at ``df``."""
     return gammaln(0.5 * (df + 1.0)) - gammaln(0.5 * df) - 0.5 * np.log(df * np.pi)
@@ -550,7 +573,7 @@ class _Rules:
         self.e_star = [np.inf] + [
             abs(st.gamma) / np.sqrt(st.sigma2_pred * st.minv_qq) for st in states[1:]
         ]
-        self.mass = [float(stdtr(df, -e)) for df, e in zip(self.dfs, self.e_star)]
+        self.mass = [float(_t_tail(df, -e)) for df, e in zip(self.dfs, self.e_star)]
         self.law = [
             (df, _t_log_norm(df), None if df > SERIES_MAX_DF else _t_series(df))
             for df in self.dfs
@@ -696,7 +719,7 @@ class _Quadrature:
                 e_c = np.sqrt(e_star**2 + b * b / (st.sigma2_pred * Q0))
             e_c = np.where(np.isnan(e_c), e_star, e_c)
             v, w_tail = self.tail_rules[t]
-            beyond = stdtr(df, -e_c)
+            beyond = _t_tail(df, -e_c)
             side = np.where(b >= 0.0, 1.0, -1.0)
             e = -side * stdtrit(df, beyond + (mass - beyond) * v)
             prob, dprob, perr = self._interval(t, b, e, r)

@@ -152,3 +152,18 @@ def test_levels_and_out_must_hold_paths(tmp_path, command, config, key):
     code, err = _run([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
     _assert_one_error_line(code, err)
     assert f"config '{key}' must be" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(READS))
+def test_an_empty_out_exits_two_and_writes_nothing(files, tmp_path, monkeypatch, command, source):
+    """An empty ``out`` names no directory, not the working one: from the
+    flag or from the config it exits 2 naming its source, and nothing is
+    written where the command runs."""
+    monkeypatch.chdir(tmp_path)
+    (files / "config.json").write_text(json.dumps({} if source == "flag" else {"out": ""}))
+    argv = _argv(command, "out", files) + (["--out", ""] if source == "flag" else [])
+    code, err = _run(argv)
+    _assert_one_error_line(code, err)
+    assert ("--out" if source == "flag" else "config 'out'") in err
+    assert list(tmp_path.iterdir()) == []

@@ -3,6 +3,7 @@ linear-algebra references and each other."""
 
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from mfcokrig.kernels import (
 )
 from mfcokrig import predict as predict_module
 from mfcokrig.predict import (
+    MAX_REFINE,
     SERIES_MAX_DF,
     TAIL_MASS,
     CokrigingModel,
@@ -42,6 +44,7 @@ from mfcokrig.predict import (
     _quantiles,
     _Rules,
     _t_cdf,
+    _t_tail,
 )
 from mfcokrig.priors import PriorSpec
 from oracles import coincident_rows_loop, point_cdf, point_draws, two_ended_interval
@@ -566,11 +569,28 @@ class TestBatchedIntervals:
                 single = model.credible_interval(X0[i], level)
                 assert single == tuple(batched[0, level - 1])
 
-    def test_blocks_do_not_change_the_bounds(self, monkeypatch):
-        model, X0 = _interval_cases()[0]
-        whole = model.credible_intervals(X0)
-        monkeypatch.setattr(predict_module, "QUAD_BLOCK_BYTES", 1)
-        np.testing.assert_array_equal(model.credible_intervals(X0), whole)
+    @pytest.mark.parametrize("case", [0, 1, 2], ids=["two_level", "three_level", "negative_link"])
+    def test_blocks_do_not_change_the_bounds(self, monkeypatch, case):
+        """One row per block and every row in one block give the default
+        budget's bounds bit for bit: each row's sums do not depend on the
+        other rows of its block."""
+        model, X0 = _interval_cases()[case] if case < 2 else _negative_link_case()
+        default = model.credible_intervals(X0)
+        blocks = []
+        quadrature = predict_module._Quadrature
+        monkeypatch.setattr(
+            predict_module, "_Quadrature",
+            lambda states, pieces, rules: blocks.append(1) or quadrature(states, pieces, rules),
+        )
+        counts = {}
+        for budget in (1, 1 << 60):
+            monkeypatch.setattr(predict_module, "QUAD_BLOCK_BYTES", budget)
+            blocks.clear()
+            np.testing.assert_array_equal(model.credible_intervals(X0), default)
+            counts[budget] = len(blocks)
+        # a block per row and level, against one per level and refinement
+        assert counts[1] >= (model.s - 1) * X0.shape[0], counts
+        assert counts[1 << 60] <= (model.s - 1) * (MAX_REFINE + 1), counts
 
     @pytest.mark.parametrize("builder", ["_tanh_sinh", "_t_series", "_t_log_norm"])
     def test_rules_are_built_once_per_call(self, monkeypatch, builder):
@@ -689,6 +709,39 @@ class TestSeriesStudentT:
                             -np.geomspace(12.0, 1e6, 200), _T_CDF_EDGES])
         for df in range(1, SERIES_MAX_DF + 2):
             self._check(df, x)
+
+
+class TestTailMass:
+    """``_t_tail`` against mpmath's regularised incomplete beta at 50
+    digits, ``P(T < x) = I_{df/(df + x^2)}(df/2, 1/2) / 2`` for ``x < 0``."""
+
+    @staticmethod
+    def _mpmath_cdf(df, x):
+        with mpmath.workdps(50):
+            x = mpmath.mpf(x)
+            lower = mpmath.betainc(df / 2, 0.5, 0, df / (df + x * x), regularized=True) / 2
+            return float(lower if x < 0 else 1 - lower)
+
+    @pytest.mark.parametrize("x", [1e-8, -1e-8, 1e-4, -1e-4, -3.0, -1e6])
+    def test_one_degree_of_freedom_in_closed_form(self, x):
+        """scipy's stdtr(1, x) is off by 1.6e-9 at x = 1e-8; the closed form
+        keeps every digit, the lower tail to 1e-14 relative."""
+        want = self._mpmath_cdf(1, x)
+        got = float(_t_tail(1, x))
+        assert abs(got - want) <= 1e-16 and abs(got - want) <= 1e-14 * want, (got, want)
+        np.testing.assert_array_equal(_t_tail(1, np.array([x])), [got])
+
+    def test_one_degree_of_freedom_across_the_lower_tail(self):
+        x = -np.concatenate([[0.0, 5e-324], np.geomspace(1e-300, 1e300, 301)])
+        want = np.array([self._mpmath_cdf(1, v) for v in x])
+        err = np.abs(_t_tail(1, x) - want)
+        assert err.max() <= 1e-16 and np.all(err <= 1e-14 * want), x[err.argmax()]
+
+    def test_other_degrees_of_freedom_are_stdtr(self):
+        x = np.array([-1e6, -3.0, -1e-4, 0.0, 2.0, -np.inf, np.inf])
+        for df in (2, 3, 30, 1000):
+            assert _t_tail(df, x).tobytes() == stdtr(df, x).tobytes()
+        assert _t_tail(1, -np.inf) == 0.0 and _t_tail(1, np.inf) == 1.0
 
 
 class TestQuadratureCases:
