@@ -58,6 +58,7 @@ from .gp import (
     LevelData,
     constant_basis,
     gls_fit,
+    input_spans,
     likelihood_columns,
     log_likelihood,
     log_likelihood_xi_grad,
@@ -82,6 +83,10 @@ XI_PARAMETERIZATION = "log_inverse_range_density"
 # relative to max(1, |best|)
 _AGREE_RTOL = 1e-6
 
+# the starts after the first lie within this much of it in each
+# coordinate of xi: a factor of e^3, about 20, either way in each range
+START_HALF_WIDTH = 3.0
+
 # the errors that make a range infeasible: an objective evaluation that
 # meets one scores the sentinel, and a tail-probe point nan
 INFEASIBLE = (RangeOverflowError, SingularCorrelationError, DegenerateDataError,
@@ -100,18 +105,15 @@ class OptimOptions:
     stops after the start at which two starts that did not fail (see
     ``fit_level``) have reached its best value so far, to
     ``1e-6 * max(1, |best|)``, and a start after the first usable one ends
-    once its own best agrees so.  The first start is always ``xi = 0``;
-    the others are drawn uniformly from ``[start_low, start_high]^d`` with
-    a stream seeded by ``(seed, level, start)`` so runs are reproducible
-    and levels independent.
+    once its own best agrees so.  The starts sit on the level's own scale
+    (``fit_level``), drawn from a stream seeded by ``(seed, level, start)``
+    so runs are reproducible and levels independent.
     """
 
     seed: int = 0
     n_starts: int = 8
     tol: float = 1e-8
     max_evals: int = None
-    start_low: float = -3.0
-    start_high: float = 3.0
 
     def __post_init__(self):
         if not is_int(self.seed) or self.seed < 0:
@@ -128,12 +130,6 @@ class OptimOptions:
             )
         if not is_real(self.tol) or not 0.0 <= self.tol < math.inf:
             raise InvalidArgumentError(f"tol must be finite and >= 0, got {self.tol!r}")
-        if not (
-            is_real(self.start_low)
-            and is_real(self.start_high)
-            and -math.inf < self.start_low < self.start_high < math.inf
-        ):
-            raise InvalidArgumentError("start_low must be < start_high, both finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,30 +436,38 @@ def tail_probe(data_t, spec, prior, phi_grid):
     """Integrated log-likelihood and log prior along an isotropic range ray.
 
     Returns ``(loglik, logprior)`` at ``phi = (g, ..., g)`` for each grid
-    value ``g``: the likelihood ``objective`` scores, from a value-only
-    ``gls_fit``, and ``log_prior``, which builds its own factorization for
-    the kinds in ``FISHER_KINDS``.  A point where a column meets an
-    ``INFEASIBLE`` error is ``nan`` there, and the sweep goes on.  Used to
-    diagnose non-decaying posterior tails.
+    value ``g``: the likelihood ``objective`` scores and ``log_prior``,
+    both from one ``gls_fit`` in one workspace, which has the derivative
+    buffers for the kinds in ``FISHER_KINDS``.  A point where a column
+    meets an ``INFEASIBLE`` error is ``nan`` there, and the sweep goes on.
+    Used to diagnose non-decaying posterior tails.
     """
     grid = np.asarray(phi_grid, dtype=np.float64).ravel()
     if not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
         raise InvalidArgumentError("phi grid must be finite and positive")
     exponent, projected = _criterion(data_t, prior)
-
-    def column(score):
-        out = np.full(grid.size, np.nan)
-        for i, g in enumerate(grid):
-            try:
-                out[i] = score(RangeParams(np.full(data_t.dims, g)))
-            except INFEASIBLE:
-                pass
-        return out
-
-    return (
-        column(lambda p: log_likelihood(data_t, gls_fit(data_t, p, spec), exponent, projected)),
-        column(lambda p: log_prior(data_t, p, spec, prior)),
-    )
+    ws = Workspace(data_t.inputs, spec, derivs=prior.kind in FISHER_KINDS)
+    loglik, logprior = np.full((2, grid.size), np.nan)
+    for i, g in enumerate(grid):
+        params = RangeParams(np.full(data_t.dims, g))
+        try:
+            fact = gls_fit(data_t, params, spec, ws=ws)
+        except INFEASIBLE:
+            # the derivative stack alone can overflow (power-exponential
+            # ranges near 1e-120); each column then factorizes on its own,
+            # the likelihood without that stack
+            fact = None
+        try:
+            loglik[i] = log_likelihood(
+                data_t, fact or gls_fit(data_t, params, spec), exponent, projected
+            )
+        except INFEASIBLE:
+            pass
+        try:
+            logprior[i] = log_prior(data_t, params, spec, prior, fact=fact)
+        except INFEASIBLE:
+            pass
+    return loglik, logprior
 
 
 @dataclass(frozen=True, eq=False)
@@ -574,11 +578,28 @@ def _uncorrelated(data_t, xi, spec, ws):
     return not ws.pairs[: data_t.n * (data_t.n - 1) // 2].any()
 
 
+def _start_points(data_t, opts):
+    """The start points of level ``data_t``: ``xi = -log(span)``, from the
+    spans of ``gp.input_spans``, then that plus a draw uniform on
+    ``[-START_HALF_WIDTH, START_HALF_WIDTH]^d`` for each further start."""
+    centre = -np.log(input_spans(data_t))
+    starts = [centre]
+    for j in range(1, opts.n_starts):
+        seq = np.random.SeedSequence(entropy=opts.seed, spawn_key=(data_t.index, j))
+        u = np.random.default_rng(seq).uniform(-START_HALF_WIDTH, START_HALF_WIDTH, data_t.dims)
+        starts.append(centre + u)
+    return starts
+
+
 def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
     """Estimate the range parameters of one level by multi-start
     maximization in xi-space with ``optim.lbfgs_max`` and the analytic
     xi-gradient of the objective.  Deterministic given ``opts.seed``.
 
+    Start 0 sets every range to its input column's span, and the others
+    lie within a factor ``e^3`` of that in each range (``_start_points``),
+    so inputs fit to the same ranges in whatever units they come in; a
+    constant column, which has no span, raises ``InvalidArgumentError``.
     The starts run in order, and the level stops after the start at which
     two of them have reached its best value so far, within
     ``1e-6 * max(1, |best|)``, or after ``opts.n_starts`` starts.  Every
@@ -608,7 +629,7 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
             f"level {data_t.index} needs n - q >= 2 to estimate ranges, "
             f"got n={data_t.n}, q={data_t.q}"
         )
-    d = data_t.dims
+    starts = _start_points(data_t, opts)
     # one set of evaluation buffers for the whole fit; freed when it returns
     fisher = method == POSTERIOR and prior.kind in FISHER_KINDS
     ws = Workspace(data_t.inputs, spec, derivs=fisher, grad=True)
@@ -631,14 +652,7 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
     # the values that agree with the best so far; every start after the
     # first usable one ends once its own best lies in it
     band = None
-    for j in range(opts.n_starts):
-        if j == 0:
-            x0 = np.zeros(d)
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=opts.seed, spawn_key=(data_t.index, j))
-            )
-            x0 = rng.uniform(opts.start_low, opts.start_high, size=d)
+    for j, x0 in enumerate(starts):
         res = lbfgs_max(func, x0, tol=opts.tol, max_evals=opts.max_evals, band=band)
         total_evals += res.n_evals
         start_values.append(res.fun)

@@ -143,6 +143,20 @@ class LevelData:
         return np.column_stack([self.basis, self.lower_output])
 
 
+def input_spans(data):
+    """Per-column spans ``max - min`` of a level's inputs; a column whose
+    span is 0 (constant) or overflows raises ``InvalidArgumentError``."""
+    with np.errstate(over="ignore"):
+        spans = np.ptp(data.inputs, axis=0)
+    bad = np.flatnonzero((spans == 0.0) | (spans == math.inf))
+    if bad.size:
+        raise InvalidArgumentError(
+            f"level {data.index} input column {bad[0]} spans {float(spans[bad[0]])}: "
+            "a constant column, or one whose span overflows, gives its range no scale"
+        )
+    return spans
+
+
 @dataclass(frozen=True, eq=False)
 class LevelFactorization:
     """Cached Cholesky algebra of one level at fixed range parameters.

@@ -225,8 +225,9 @@ def load_model(path):
     optimizer = doc["optimizer"]
     if isinstance(optimizer, dict):
         # documents written before OptimOptions dropped its unused
-        # initial_step still carry it
-        optimizer = {k: v for k, v in optimizer.items() if k != "initial_step"}
+        # initial_step and its fixed start box still carry them
+        retired = ("initial_step", "start_low", "start_high")
+        optimizer = {k: v for k, v in optimizer.items() if k not in retired}
     opts = read_record(OptimOptions, optimizer, "optimizer")
     if not isinstance(doc["levels"], list):
         raise ConfigError("'levels' must be a JSON array")

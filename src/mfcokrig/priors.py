@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from .exceptions import InvalidArgumentError, PriorEvaluationError, is_real, real_array
-from .gp import gls_fit, gls_projector
+from .gp import gls_fit, gls_projector, input_spans
 from .kernels import Workspace, curvature_dot, xi_gradient
 
 # bound here as well for tools that wrap the kernel layer under this module
@@ -160,11 +160,12 @@ def fisher_info(data, params, spec, projected, fact=None):
     return 0.5 * (info + info.T)
 
 
-def _half_logdet_xi_grad(fact, params, L, out):
+def _half_logdet_xi_grad(fact, params, inv, out):
     """Gradient in ``xi = -log(phi)`` of ``1/2 log det I``, from the
     operands ``fisher_info`` left in the workspace of ``fact``: the
     projector ``P`` (``Q`` or ``R^{-1}``, both triangles) in its
-    ``chol_R``, ``W_k = dR_k P`` and the factor ``L`` of ``I``.
+    ``chol_R``, ``W_k = dR_k P`` and the lower triangle ``inv`` of
+    ``I^-1``.
 
     With ``D_k = dR/dxi_k``, ``V_k = (I^-1)_0k Id + sum_l (I^-1)_kl W_l``
     and ``dW_k/dxi_j = D_kj P - D_k P D_j P``, the derivative is
@@ -209,7 +210,6 @@ def _half_logdet_xi_grad(fact, params, L, out):
         np.take(flat, ws.lower, out=other, mode="clip")
         np.add(x, other, out=x)
 
-    inv, _ = dpotri(L, lower=1)
     inv = np.tril(inv) + np.tril(inv, -1).T
     np.matmul(inv[1:, 1:], W.reshape(d, -1), out=WT.reshape(d, -1))
     WT.reshape(d, -1)[:, :: n + 1] += inv[1:, :1]
@@ -249,13 +249,7 @@ def _log_jr_prior(data, params, prior, grad):
     d = params.dims
     C = prior.jr_C
     if C is None:
-        ranges = data.inputs.max(axis=0) - data.inputs.min(axis=0)
-        if np.any(ranges <= 0.0):
-            raise InvalidArgumentError(
-                "jointly robust defaults need strictly positive input ranges; "
-                "a dimension of the design is constant"
-            )
-        C = float(data.n) ** (-1.0 / d) * ranges
+        C = float(data.n) ** (-1.0 / d) * input_spans(data)
     if C.size != d:
         raise InvalidArgumentError(
             f"jr_C has {C.size} entries but there are {d} range parameters"
@@ -296,18 +290,23 @@ def log_prior(data, params, spec, prior, fact=None, grad=None):
         fact = _with_derivs(data, params, spec, fact)
         reference = prior.kind == REFERENCE
         info = fisher_info(data, params, spec, reference, fact)
-        # half the log determinant is the sum of the logs of L's diagonal
         L, status = dpotrf(info, lower=1)
-        if status != 0:
+        # the gradient reads I^-1, which overflows where every correlation
+        # nearly underflows though I still factors; the value is refused
+        # there too, so both paths agree on which ranges are feasible
+        inv = dpotri(L, lower=1)[0]
+        if status != 0 or not np.isfinite(inv).all():
             what = "reference-prior" if reference else "Jeffreys-prior"
             raise PriorEvaluationError(
-                f"{what} information matrix is not positive definite", phi=params.phi
+                f"{what} information matrix is not positive definite or its "
+                "inverse overflows", phi=params.phi
             )
+        # half the log determinant is the sum of the logs of L's diagonal
         value = float(np.log(L.diagonal()).sum())
         if prior.kind == JEFFREYS2:
             value += 0.5 * fact.logdet_M
         if grad is not None:
-            _half_logdet_xi_grad(fact, params, L, grad)
+            _half_logdet_xi_grad(fact, params, inv, grad)
         return value
     if prior.kind == FLAT:
         value = 0.0

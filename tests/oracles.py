@@ -494,28 +494,31 @@ def two_ended_interval(quad, t, b, e, r):
     )
 
 
-def _start_points(d, opts, level):
-    """The start points of level ``level`` under ``opts``: ``xi = 0``,
-    then uniform draws on ``[start_low, start_high]^d`` seeded by
+def _start_points(X, opts, level):
+    """The start points of level ``level``, with design ``X``, under
+    ``opts``: ``xi = -log(max_k - min_k)`` over the columns of ``X``, then
+    that plus uniform draws on ``[-3, 3]^d`` seeded by
     ``(seed, level, start)``."""
-    yield np.zeros(d)
+    X = np.asarray(X)
+    centre = -np.log(X.max(axis=0) - X.min(axis=0))
+    yield centre
     for j in range(1, opts.n_starts):
         seq = np.random.SeedSequence(entropy=opts.seed, spawn_key=(level, j))
-        yield np.random.default_rng(seq).uniform(opts.start_low, opts.start_high, size=d)
+        yield centre + np.random.default_rng(seq).uniform(-3.0, 3.0, size=X.shape[1])
 
 
-def every_start(func, d, opts, level):
-    """One ``optim.lbfgs_max`` result per start of level ``level`` under
-    the ``OptimOptions`` ``opts``, all ``opts.n_starts`` of them, each run
-    to its own stop.  ``func(xi, grad)`` is the objective with its
-    gradient."""
+def every_start(func, X, opts, level):
+    """One ``optim.lbfgs_max`` result per start of level ``level``, with
+    design ``X``, under the ``OptimOptions`` ``opts``, all
+    ``opts.n_starts`` of them, each run to its own stop.
+    ``func(xi, grad)`` is the objective with its gradient."""
     return [
         lbfgs_max(func, x0, tol=opts.tol, max_evals=opts.max_evals)
-        for x0 in _start_points(d, opts, level)
+        for x0 in _start_points(X, opts, level)
     ]
 
 
-def stopping_rule(func, d, opts, level):
+def stopping_rule(func, X, opts, level):
     """``(start_values, n_evals, best_start, xi)`` of the multi-start
     ``fit_level`` documents, replayed from full runs of every start.
 
@@ -531,7 +534,7 @@ def stopping_rule(func, d, opts, level):
     start_values, n_evals = [], 0
     best = best_start = xi = None
     usable = []
-    for j, x0 in enumerate(_start_points(d, opts, level)):
+    for j, x0 in enumerate(_start_points(X, opts, level)):
         points, values = [], []
 
         def logged(x, grad):

@@ -534,6 +534,7 @@ class TestExitCodes:
             ("prior", "knd"),
             ("optimizer", "n_start"),
             ("optimizer", "initial_step"),
+            ("optimizer", "start_low"),
             ("benchmark", "n_lo"),
         ],
     )

@@ -45,8 +45,6 @@ ACCEPTS = {
     "optimizer.n_starts": {"number"},
     "optimizer.tol": {"number"},
     "optimizer.max_evals": {"number", "null"},
-    "optimizer.start_low": {"number"},
-    "optimizer.start_high": {"number"},
     "benchmark": {"object"},
     "benchmark.n_low": {"number"},
     "benchmark.n_high": {"number"},

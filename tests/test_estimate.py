@@ -5,13 +5,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfcokrig import estimate as estimate_module
 from mfcokrig import gp as gp_module
 from mfcokrig import optim as optim_module
-from mfcokrig.bench import borehole_high, borehole_low, replicate_design, scale_to_box
+from mfcokrig import priors as priors_module
+from mfcokrig.bench import (
+    borehole_high,
+    borehole_low,
+    lhs_design,
+    replicate_design,
+    scale_to_box,
+)
 from mfcokrig.estimate import (
     MATCH_TOL,
     PLUGIN,
@@ -477,6 +484,34 @@ class TestGradient:
             assert ws.dR.shape == (8, lv.n, lv.n) and ws.gpairs is not None
 
     @pytest.mark.parametrize("kind", _GRAD_CRITERIA)
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 30),
+           kernel=st.sampled_from(_GRAD_KERNELS),
+           xi=st.lists(st.floats(-8.0, 12.0), min_size=2, max_size=2))
+    # where the Fisher information factors but its inverse overflows
+    @example(seed=1, n=30, kernel=(MATERN, 2.5), xi=[9.657445199221215, 5.7024407472092875])
+    @example(seed=1, n=30, kernel=(MATERN, 2.5), xi=[9.639226629369261, -3.540507482061523])
+    @example(seed=1, n=30, kernel=(MATERN, 2.5), xi=[6.675887512118823, 9.293963334941903])
+    def test_value_with_a_gradient_is_the_value_without(self, kind, seed, n, kernel, xi):
+        """On small Latin hypercube designs with standard-normal outputs
+        and xi anywhere in ``[-8, 12]^2``, the value with a gradient is bit
+        for bit the value without one, the sentinel included, and the
+        gradient beside any other value is finite.  Near where every
+        correlation underflows, the Fisher information can factor while
+        its inverse overflows; both then score the sentinel."""
+        lv = assemble([(lhs_design(n, 2, seed),
+                        np.random.default_rng(seed).standard_normal(n))]).levels[0]
+        spec = KernelSpec(family=kernel[0], shape=kernel[1], dims=2)
+        with np.errstate(all="ignore"):
+            value, grad, float_only = _value_and_grad(
+                lv, np.array(xi), spec, kind, _grad_workspace(lv, spec, kind))
+        assert value == float_only
+        if value == SENTINEL:
+            np.testing.assert_array_equal(grad, np.zeros(2))
+        else:
+            assert np.isfinite(grad).all()
+
+    @pytest.mark.parametrize("kind", _GRAD_CRITERIA)
     def test_sentinel_comes_with_a_zero_gradient(self, kind):
         rng = np.random.default_rng(11)
         (X1, y1), _ = _nested_pair(rng)
@@ -757,6 +792,24 @@ class TestTailProbe:
             assert loglik.tobytes() == np.array(want_ll).tobytes()
             assert logprior.tobytes() == np.array(want_lp).tobytes()
 
+    @pytest.mark.parametrize("kind", PRIOR_KINDS)
+    def test_one_factorization_per_feasible_point(self, monkeypatch, kind):
+        """Where the ranges are feasible, each point builds and factorizes
+        R once: the Fisher-information priors read the likelihood's
+        factor instead of making their own."""
+        lv = _probe_level(np.random.default_rng(39))
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+        calls = []
+        for module in (estimate_module, priors_module):
+            def counted(*args, _real=module.gls_fit, **kwargs):
+                calls.append(args[1])
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "gls_fit", counted)
+        loglik, logprior = tail_probe(lv, spec, PriorSpec(kind=kind), [0.3, 1.0, 3.0])
+        assert np.isfinite(loglik).all() and np.isfinite(logprior).all()
+        assert len(calls) == 3
+
     def test_only_the_fisher_priors_read_nan_at_tiny_ranges(self):
         """At phi = 1e-200 the weights of power-exponential 1.9 overflow:
         the likelihood and the Fisher priors, which build R, read nan, and
@@ -846,8 +899,6 @@ class TestOptimOptions:
             OptimOptions(n_starts=0)
         with pytest.raises(InvalidArgumentError):
             OptimOptions(max_evals=0)
-        with pytest.raises(InvalidArgumentError):
-            OptimOptions(start_low=1.0, start_high=-1.0)
 
     def test_rejects_negative_tol(self):
         # a negative spread tolerance can never be met
@@ -865,12 +916,10 @@ class TestOptimOptions:
             with pytest.raises(InvalidArgumentError, match="max_evals"):
                 OptimOptions(max_evals=max_evals)
 
-    def test_rejects_bad_seed_and_start_box(self):
+    def test_rejects_bad_seed(self):
         for seed in (-1, 1.5):
             with pytest.raises(InvalidArgumentError, match="seed"):
                 OptimOptions(seed=seed)
-        with pytest.raises(InvalidArgumentError, match="start_low"):
-            OptimOptions(start_low=-np.inf)
 
     def test_accepts_numpy_integers(self):
         opts = OptimOptions(seed=np.int64(3), n_starts=np.int32(2), max_evals=np.int64(50))
@@ -993,14 +1042,37 @@ class TestFitLevel:
             return real(*args)
 
         monkeypatch.setattr(estimate_module, name, feasible_near_zero)
-        # every start but xi = 0 is drawn from [1.5, 3]^2
-        opts = OptimOptions(seed=3, n_starts=4, start_low=1.5, start_high=3.0)
+        # every start but xi = 0 lies in [1.5, 3]^2
+        starts = [np.zeros(2), np.array([1.5, 3.0]), np.array([2.0, 2.0]), np.array([3.0, 1.7])]
+        monkeypatch.setattr(estimate_module, "_start_points", lambda data_t, opts: starts)
+        opts = OptimOptions(seed=3, n_starts=4)
         lf = fit_level(lv, spec, PriorSpec(kind="flat"), opts, method=method)
         assert lf.n_failed_starts == 3
         assert lf.best_start == 0
         assert lf.start_values[1:] == (SENTINEL,) * 3
         assert lf.objective_value > SENTINEL_THRESHOLD
         assert np.abs(lf.xi).max() <= 1.0
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_a_constant_column_raises_naming_it(self, column):
+        """A constant input column spans 0, so it gives neither the start
+        points their scale nor the jointly robust prior its default ``C``;
+        both refuse it by level and column.  A ``jr_C`` given outright
+        needs no span."""
+        rng = np.random.default_rng(39)
+        X = rng.uniform(size=(10, 2))
+        X[:, column] = 0.25
+        lv = assemble([(X, rng.standard_normal(10))]).levels[0]
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+        match = f"level 1 input column {column} spans 0.0"
+        for method in (POSTERIOR, PLUGIN):
+            with pytest.raises(InvalidArgumentError, match=match):
+                fit_level(lv, spec, PriorSpec(kind="reference"), method=method)
+        params = RangeParams(np.ones(2))
+        with pytest.raises(InvalidArgumentError, match=match):
+            log_prior(lv, params, spec, PriorSpec(kind=JOINTLY_ROBUST))
+        given_C = PriorSpec(kind=JOINTLY_ROBUST, jr_C=[0.5, 0.5])
+        assert math.isfinite(log_prior(lv, params, spec, given_C))
 
     def test_minimum_degrees_of_freedom(self):
         rng = np.random.default_rng(32)
@@ -1048,10 +1120,11 @@ class TestStoppingRule:
     ``stopping_rule`` replays the rule from such runs."""
 
     SPEC = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=2)
+    MATERN_SPEC = KernelSpec(family=MATERN, shape=2.5, dims=2)
 
     @staticmethod
-    def _assert_the_rule(lf, func, opts, level):
-        start_values, n_evals, best_start, xi = stopping_rule(func, 2, opts, level)
+    def _assert_the_rule(lf, func, opts, lv):
+        start_values, n_evals, best_start, xi = stopping_rule(func, lv.inputs, opts, lv.index)
         assert lf.start_values == start_values
         assert lf.n_evals == n_evals
         assert lf.best_start == best_start
@@ -1061,11 +1134,11 @@ class TestStoppingRule:
         """The second start agrees with the first, ends as its running
         best reaches the first's value, and stops the level."""
         lv = assemble(_nested_pair(np.random.default_rng(38))).levels[1]
-        opts = OptimOptions(seed=4, n_starts=6)
+        opts = OptimOptions(seed=3, n_starts=6)
         lf = fit_level(lv, self.SPEC, PriorSpec(kind="reference"), opts)
         func = _fitted_objective(lv, self.SPEC, "reference")
-        self._assert_the_rule(lf, func, opts, 2)
-        runs = every_start(func, 2, opts, 2)
+        self._assert_the_rule(lf, func, opts, lv)
+        runs = every_start(func, lv.inputs, opts, 2)
         assert _agree(runs[0].fun, runs[1].fun)
         assert len(lf.start_values) == 2 and lf.n_failed_starts == 0
         assert lf.n_evals < runs[0].n_evals + runs[1].n_evals
@@ -1076,7 +1149,7 @@ class TestStoppingRule:
         lv = assemble(_nested_pair(np.random.default_rng(38))).levels[0]
         opts = OptimOptions(seed=4, n_starts=6)
         lf = fit_level(lv, self.SPEC, PriorSpec(kind="inverse_range"), opts)
-        runs = every_start(_fitted_objective(lv, self.SPEC, "inverse_range"), 2, opts, 1)
+        runs = every_start(_fitted_objective(lv, self.SPEC, "inverse_range"), lv.inputs, opts, 1)
         assert sum(_agree(r.fun, lf.objective_value) for r in runs) == 1
         assert lf.start_values == tuple(r.fun for r in runs)
         assert lf.objective_value == runs[lf.best_start].fun == max(lf.start_values)
@@ -1090,20 +1163,21 @@ class TestStoppingRule:
         lv = assemble(_nested_pair(np.random.default_rng(37))).levels[0]
         opts = OptimOptions(seed=4, n_starts=n_starts)
         lf = _fit_kind(lv, self.SPEC, kind, opts)
-        self._assert_the_rule(lf, _fitted_objective(lv, self.SPEC, kind), opts, 1)
+        self._assert_the_rule(lf, _fitted_objective(lv, self.SPEC, kind), opts, lv)
         assert len(lf.start_values) == n_starts
 
     @pytest.mark.parametrize("level", [0, 1])
     @pytest.mark.parametrize("kind", ("plugin",) + PRIOR_KINDS)
     def test_one_start_is_the_plain_run_less_its_repeats(self, kind, level):
         """A one-start fit is the plain, unmemoized L-BFGS-B run from
-        ``xi = 0`` in every field but ``n_evals``, which counts that run's
-        distinct points."""
+        ``xi = -log(span)`` in every field but ``n_evals``, which counts
+        that run's distinct points."""
         lv = assemble(_nested_pair(np.random.default_rng(38))).levels[level]
         opts = OptimOptions(seed=4, n_starts=1)
         lf = _fit_kind(lv, self.SPEC, kind, opts)
         func = _fitted_objective(lv, self.SPEC, kind)
-        plain, points = plain_lbfgs_max(func, np.zeros(2), tol=opts.tol)
+        x0 = -np.log(lv.inputs.max(axis=0) - lv.inputs.min(axis=0))
+        plain, points = plain_lbfgs_max(func, x0, tol=opts.tol)
         np.testing.assert_array_equal(lf.xi, plain.x)
         np.testing.assert_array_equal(lf.phi, RangeParams.from_xi(plain.x).phi)
         assert lf.objective_value == plain.fun
@@ -1117,19 +1191,24 @@ class TestStoppingRule:
     @pytest.mark.parametrize("kind", ("plugin",) + PRIOR_KINDS)
     def test_best_value_is_that_of_every_start(self, kind, seed, level):
         lv = assemble(_nested_pair(np.random.default_rng(seed))).levels[level]
-        opts = OptimOptions(seed=4, n_starts=6)
+        opts = OptimOptions(seed=3, n_starts=6)
         lf = _fit_kind(lv, self.SPEC, kind, opts)
-        runs = every_start(_fitted_objective(lv, self.SPEC, kind), 2, opts, lv.index)
+        runs = every_start(_fitted_objective(lv, self.SPEC, kind), lv.inputs, opts, lv.index)
         best = max(r.fun for r in runs if r.fun > SENTINEL_THRESHOLD)
         assert lf.objective_value >= best - 1e-6 * max(1.0, abs(best))
 
-    def test_uncorrelated_starts_count_as_failed(self):
-        """Starts drawn where every correlation underflows stop at once on
+    def test_uncorrelated_starts_count_as_failed(self, monkeypatch):
+        """Starts put where every correlation underflows stop at once on
         a zero gradient, on one value of the plug-in criterion; they fail,
         and their agreement never stops the level."""
         lv = assemble(_nested_pair(np.random.default_rng(37))).levels[0]
-        opts = OptimOptions(seed=3, n_starts=4, start_low=20.0, start_high=25.0)
-        runs = every_start(_fitted_objective(lv, self.SPEC, "plugin"), 2, opts, 1)
+        opts = OptimOptions(seed=3, n_starts=4)
+        drawn = estimate_module._start_points(lv, opts)
+        # every start but the first 22 further out in xi: ranges below 1e-8
+        starts = [drawn[0]] + [x0 + 22.0 for x0 in drawn[1:]]
+        monkeypatch.setattr(estimate_module, "_start_points", lambda data_t, opts: starts)
+        func = _fitted_objective(lv, self.SPEC, "plugin")
+        runs = [optim_module.lbfgs_max(func, x0, tol=opts.tol) for x0 in starts]
         assert all(r.n_evals == 1 and r.converged for r in runs[1:])
         assert runs[1].fun == runs[2].fun == runs[3].fun
         lf = _fit_kind(lv, self.SPEC, "plugin", opts)
@@ -1137,20 +1216,53 @@ class TestStoppingRule:
         assert lf.n_failed_starts == 3
         assert lf.best_start == 0
 
-    def test_physical_unit_borehole_starts_all_fail(self):
-        """Borehole inputs in physical units (spans 0.099 to 5.2e4): from
-        every start of the default box, with phi between 0.05 and 20, every
-        correlation underflows, so each plug-in start stops after one
-        evaluation on a zero gradient, and the level has no fit."""
-        U, low, _, _ = replicate_design(0, 1, 80, 30, 20)
+    @pytest.mark.parametrize("kind", ("plugin", "reference"))
+    @pytest.mark.parametrize("family, shape", [(POWER_EXPONENTIAL, 1.9), (MATERN, 2.5)])
+    def test_physical_unit_borehole_fits_match_the_unit_box(self, kind, family, shape):
+        """Borehole inputs in physical units (spans 0.099 to 5.2e4) and
+        those times 1e3 fit to the unit-box fit's value, with its ranges
+        scaled as the inputs were wherever the unit-box range is within
+        100 times its column's span."""
+        U, low, _, _ = replicate_design(0, 20191023, 80, 30, 20)
         X = scale_to_box(U)[low]
-        lv = assemble([(X, np.array([borehole_low(x) for x in X]))]).levels[0]
-        spec = KernelSpec(family=POWER_EXPONENTIAL, shape=1.9, dims=8)
+        y = np.array([borehole_low(x) for x in X])
+        spec = KernelSpec(family=family, shape=shape, dims=8)
         opts = OptimOptions(seed=5, n_starts=4)
-        runs = every_start(_fitted_objective(lv, spec, "plugin"), 8, opts, 1)
-        assert all(r.n_evals == 1 and r.converged for r in runs)
-        with pytest.raises(EstimationError, match="all 4 optimizer starts failed"):
-            _fit_kind(lv, spec, "plugin", opts)
+        unit = _fit_kind(assemble([(U[low], y)]).levels[0], spec, kind, opts)
+        identified = unit.phi < 100.0 * np.ptp(U[low], axis=0)
+        for factor in (1.0, 1e3):
+            lf = _fit_kind(assemble([(X * factor, y)]).levels[0], spec, kind, opts)
+            assert lf.objective_value == pytest.approx(unit.objective_value, rel=1e-9)
+            # the affine map from the unit box scales each column by c
+            c = np.ptp(X * factor, axis=0) / np.ptp(U[low], axis=0)
+            np.testing.assert_allclose(
+                lf.phi[identified], unit.phi[identified] * c[identified], rtol=1e-3
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(("plugin",) + tuple(k for k in PRIOR_KINDS if k != "flat")),
+        seed=st.sampled_from((37, 38, 39, 40)),
+        scales=st.lists(st.floats(1e-3, 1e6), min_size=2, max_size=2),
+    )
+    def test_fits_do_not_depend_on_the_units(self, kind, seed, scales):
+        """A fit of ``X * c`` reaches the ranges ``phi * c`` of the fit of
+        ``X`` (Matern 5/2, which identifies both ranges on these designs
+        under every objective here), and its best value, less what the
+        prior's scaling adds, to 1e-9 relative.  Only the jointly robust
+        prior adds anything: its default ``C`` scales with the spans, so
+        its density of ``B = 1/phi`` is unchanged, and the Jacobian
+        ``sum(xi)`` falls by ``sum(log c)``."""
+        c = np.array(scales)
+        lv = assemble([_nested_pair(np.random.default_rng(seed))[0]]).levels[0]
+        scaled = assemble([(lv.inputs * c, lv.outputs)]).levels[0]
+        opts = OptimOptions(seed=1, n_starts=4)
+        base = _fit_kind(lv, self.MATERN_SPEC, kind, opts)
+        lf = _fit_kind(scaled, self.MATERN_SPEC, kind, opts)
+        shift = -float(np.log(c).sum()) if kind == JOINTLY_ROBUST else 0.0
+        assert lf.objective_value - shift == pytest.approx(base.objective_value, rel=1e-9)
+        assert (base.phi < 100.0 * np.ptp(lv.inputs, axis=0)).all()
+        np.testing.assert_allclose(lf.phi, base.phi * c, rtol=1e-6)
 
 
 def _level_fit(**changes):

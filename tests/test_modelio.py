@@ -96,14 +96,15 @@ class TestModelRoundTrip:
 
     def test_loads_document_with_retired_initial_step(self, tmp_path):
         # version-1 documents written before OptimOptions lost its unused
-        # initial_step carry it in their optimizer record
+        # initial_step, or its start box, carry them in their optimizer record
         data, result = _fitted()
         path = tmp_path / "model.json"
         save_model(path, data, result)
         current = path.read_bytes()
         doc = json.loads(current)
-        assert "initial_step" not in doc["optimizer"]
-        doc["optimizer"]["initial_step"] = 0.5
+        retired = {"initial_step": 0.5, "start_low": -3.0, "start_high": 3.0}
+        assert not retired.keys() & doc["optimizer"].keys()
+        doc["optimizer"].update(retired)
         path.write_text(json.dumps(doc))
         data2, result2 = load_model(path)
         assert result2.opts == result.opts
@@ -178,8 +179,6 @@ optim_options = st.builds(
     n_starts=st.integers(1, 50),
     tol=st.floats(0.0, 1.0),
     max_evals=st.none() | st.integers(1, 10**6),
-    start_low=st.floats(-10.0, -0.5),
-    start_high=st.floats(0.5, 10.0),
 )
 level_fits = st.builds(
     LevelFit,
