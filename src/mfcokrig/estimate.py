@@ -87,6 +87,12 @@ _AGREE_RTOL = 1e-6
 # coordinate of xi: a factor of e^3, about 20, either way in each range
 START_HALF_WIDTH = 3.0
 
+# a range above this many times its input column's span has run onto a
+# ridge: every correlation in that column is within 3e-8 of 1 under
+# power-exponential 1.9 (8e-9 under Matern 5/2), so the objective barely
+# moves along it
+RIDGE_SPANS = 1e4
+
 # the errors that make a range infeasible: an objective evaluation that
 # meets one scores the sentinel, and a tail-probe point nan
 INFEASIBLE = (RangeOverflowError, SingularCorrelationError, DegenerateDataError,
@@ -104,10 +110,11 @@ class OptimOptions:
     evaluation.  ``n_starts`` is the most starts a level runs: a level
     stops after the start at which two starts that did not fail (see
     ``fit_level``) have reached its best value so far, to
-    ``1e-6 * max(1, |best|)``, and a start after the first usable one ends
-    once its own best agrees so.  The starts sit on the level's own scale
-    (``fit_level``), drawn from a stream seeded by ``(seed, level, start)``
-    so runs are reproducible and levels independent.
+    ``1e-6 * max(1, |best|)`` off a ridge, and a start after the first
+    usable one ends once its own best agrees so.  The starts sit on the
+    level's own scale (``fit_level``), drawn from a stream seeded by
+    ``(seed, level, start)`` so runs are reproducible and levels
+    independent.
     """
 
     seed: int = 0
@@ -436,38 +443,30 @@ def tail_probe(data_t, spec, prior, phi_grid):
     """Integrated log-likelihood and log prior along an isotropic range ray.
 
     Returns ``(loglik, logprior)`` at ``phi = (g, ..., g)`` for each grid
-    value ``g``: the likelihood ``objective`` scores and ``log_prior``,
-    both from one ``gls_fit`` in one workspace, which has the derivative
-    buffers for the kinds in ``FISHER_KINDS``.  A point where a column
-    meets an ``INFEASIBLE`` error is ``nan`` there, and the sweep goes on.
-    Used to diagnose non-decaying posterior tails.
+    value ``g``: the likelihood ``objective`` scores, from a value-only
+    ``gls_fit``, and ``log_prior``, which builds its own factorization for
+    the kinds in ``FISHER_KINDS``.  A point where a column meets an
+    ``INFEASIBLE`` error is ``nan`` there, and the sweep goes on.  Used to
+    diagnose non-decaying posterior tails.
     """
     grid = np.asarray(phi_grid, dtype=np.float64).ravel()
     if not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
         raise InvalidArgumentError("phi grid must be finite and positive")
     exponent, projected = _criterion(data_t, prior)
-    ws = Workspace(data_t.inputs, spec, derivs=prior.kind in FISHER_KINDS)
-    loglik, logprior = np.full((2, grid.size), np.nan)
-    for i, g in enumerate(grid):
-        params = RangeParams(np.full(data_t.dims, g))
-        try:
-            fact = gls_fit(data_t, params, spec, ws=ws)
-        except INFEASIBLE:
-            # the derivative stack alone can overflow (power-exponential
-            # ranges near 1e-120); each column then factorizes on its own,
-            # the likelihood without that stack
-            fact = None
-        try:
-            loglik[i] = log_likelihood(
-                data_t, fact or gls_fit(data_t, params, spec), exponent, projected
-            )
-        except INFEASIBLE:
-            pass
-        try:
-            logprior[i] = log_prior(data_t, params, spec, prior, fact=fact)
-        except INFEASIBLE:
-            pass
-    return loglik, logprior
+
+    def column(score):
+        out = np.full(grid.size, np.nan)
+        for i, g in enumerate(grid):
+            try:
+                out[i] = score(RangeParams(np.full(data_t.dims, g)))
+            except INFEASIBLE:
+                pass
+        return out
+
+    return (
+        column(lambda p: log_likelihood(data_t, gls_fit(data_t, p, spec), exponent, projected)),
+        column(lambda p: log_prior(data_t, p, spec, prior)),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -602,7 +601,10 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
     constant column, which has no span, raises ``InvalidArgumentError``.
     The starts run in order, and the level stops after the start at which
     two of them have reached its best value so far, within
-    ``1e-6 * max(1, |best|)``, or after ``opts.n_starts`` starts.  Every
+    ``1e-6 * max(1, |best|)``, at points with no range above
+    ``RIDGE_SPANS`` times its column's span, or after ``opts.n_starts``
+    starts: two starts that ran onto such a ridge match in value wherever
+    along it they end, so their agreement does not stop the level.  Every
     start after the first usable one gets that agreement band,
     ``[best - 1e-6 * max(1, |best|), best]``, and ends at its first
     evaluation whose running best lies in it; a start whose running best
@@ -630,6 +632,8 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
             f"got n={data_t.n}, q={data_t.q}"
         )
     starts = _start_points(data_t, opts)
+    # below this in any coordinate of xi, a start's best point is on a ridge
+    ridge = -np.log(RIDGE_SPANS * input_spans(data_t))
     # one set of evaluation buffers for the whole fit; freed when it returns
     fisher = method == POSTERIOR and prior.kind in FISHER_KINDS
     ws = Workspace(data_t.inputs, spec, derivs=fisher, grad=True)
@@ -648,6 +652,7 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
     total_evals = 0
     n_failed = 0
     start_values = []
+    # the values of the usable starts that ended off a ridge
     usable = []
     # the values that agree with the best so far; every start after the
     # first usable one ends once its own best lies in it
@@ -662,7 +667,8 @@ def fit_level(data_t, spec, prior, opts=None, method=POSTERIOR):
         if best is None or res.fun > best.fun:
             best = res
             best_start = j
-        usable.append(res.fun)
+        if np.all(res.x >= ridge):
+            usable.append(res.fun)
         band = (best.fun - _AGREE_RTOL * max(1.0, abs(best.fun)), best.fun)
         if sum(v >= band[0] for v in usable) >= 2:
             break

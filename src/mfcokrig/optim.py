@@ -25,7 +25,11 @@ hooks it, so it goes with the next change to that harness.
 Both return the best point ever evaluated and both treat a value at or
 below ``SENTINEL_THRESHOLD`` as a sentinel of an infeasible region: the
 simplex is repelled from it, and L-BFGS-B's line search retreats from a
-sentinel that comes with a zero gradient.
+sentinel that comes with a zero gradient.  Where that retreat ends the
+L-BFGS-B run after it rose above its start's value, ``lbfgs_max`` runs
+L-BFGS-B again from the best point, its memory cleared, so the next step
+is a unit-length one along the gradient instead of the quasi-Newton step
+that overshot.
 """
 
 from dataclasses import dataclass
@@ -59,10 +63,12 @@ class OptimResult:
     the objective's rounding ends all progress, on the relative reduction
     of the value falling below ``_LBFGS_FTOL`` or on a line search that
     found no decrease, unless that last line search met a sentinel: its
-    step then collapsed at an infeasible region.  A run that ends on its
-    evaluation budget or on its agreement band, or whose best value is a
-    sentinel, is not converged.  ``n_evals`` counts the objective's calls;
-    a point served again from the run's memo is not one.
+    step then collapsed at an infeasible region.  A run that started
+    L-BFGS-B again after such a collapse is judged by its last L-BFGS-B
+    run.  A run that ends on its evaluation budget or on its agreement
+    band, or whose best value is a sentinel, is not converged.
+    ``n_evals`` counts the objective's calls; a point served again from the
+    run's memo is not one.
     """
 
     x: np.ndarray
@@ -204,7 +210,9 @@ def lbfgs_max(func, x0, tol=1e-8, max_evals=None, band=None):
         ``func(x, grad)`` returns the value at the 1-d point ``x`` as a
         float and writes its gradient into the array ``grad``.  A value at
         or below ``SENTINEL_THRESHOLD``, with a zero gradient, marks an
-        infeasible point, from which the line search retreats.  It is
+        infeasible point, from which the line search retreats; a run whose
+        last line search met one, having risen above the value it started
+        from, starts L-BFGS-B again from its best point.  It is
         called once per distinct point: a point the run evaluated before
         gets the value and gradient it had then.
     x0 : array_like
@@ -225,11 +233,11 @@ def lbfgs_max(func, x0, tol=1e-8, max_evals=None, band=None):
     grad = np.empty(budget.x0.size)
     # value and gradient of every point evaluated, by the point's bytes
     memo = {}
-    # calls from L-BFGS-B, served ones included, at the end of each
-    # iteration and at the last sentinel: the final line search is what
-    # came after the last but one
+    # calls from L-BFGS-B, served ones included, at the start of the
+    # current L-BFGS-B run, at the end of each of its iterations and at
+    # the last sentinel: the final line search came after the last but one
     calls = 0
-    ends = [0]
+    ends = []
     last_sentinel = 0
 
     def negated(x):
@@ -255,33 +263,33 @@ def lbfgs_max(func, x0, tol=1e-8, max_evals=None, band=None):
         ends.append(calls)
 
     converged = False
+    start = budget.x0
     try:
-        res = minimize(
-            negated,
-            budget.x0,
-            jac=True,
-            method="L-BFGS-B",
-            callback=iteration_end,
-            options={
+        while True:
+            ends[:] = [calls]
+            res = minimize(
+                negated, start, jac=True, method="L-BFGS-B", callback=iteration_end,
                 # the budget binds, never scipy's count of calls
-                "maxfun": _NO_LIMIT,
-                "maxiter": budget.max_evals,
-                "ftol": _LBFGS_FTOL,
-                "gtol": tol,
-            },
-        )
-        # past the gradient test, L-BFGS-B stops where the objective's
-        # rounding ends all progress: on its relative-reduction test, or
-        # on a line search that finds no decrease even downhill (status
-        # 2); but where that last search met a sentinel and fell back, the
-        # step collapsed at an infeasible region instead
-        gradient_test = res.status == 0 and float(np.abs(res.jac).max()) <= tol
-        last_search = ends[-2] if len(ends) > 1 else 0
-        converged = (
-            res.status != 1
-            and budget.best_f > SENTINEL_THRESHOLD
-            and (gradient_test or last_sentinel <= last_search)
-        )
+                options={"maxfun": _NO_LIMIT, "maxiter": budget.max_evals,
+                         "ftol": _LBFGS_FTOL, "gtol": tol},
+            )
+            # past the gradient test, L-BFGS-B stops where the objective's
+            # rounding ends all progress: on its relative-reduction test,
+            # or on a line search that finds no decrease even downhill
+            # (status 2); but where that last search met a sentinel and
+            # fell back, the step collapsed at an infeasible region instead
+            gradient_test = res.status == 0 and float(np.abs(res.jac).max()) <= tol
+            collapsed = last_sentinel > ends[-2 if len(ends) > 1 else 0]
+            converged = (
+                res.status != 1
+                and budget.best_f > SENTINEL_THRESHOLD
+                and (gradient_test or not collapsed)
+            )
+            # a run that gained ground before its step collapsed starts
+            # again from its best point, with L-BFGS-B's memory cleared
+            if converged or res.status == 1 or budget.best_f <= memo[start.tobytes()][0]:
+                break
+            start = budget.best_x
     except (_BudgetExhausted, _Agreed):
         pass
     return budget.result(converged)

@@ -294,7 +294,8 @@ def log_prior(data, params, spec, prior, fact=None, grad=None):
         # the gradient reads I^-1, which overflows where every correlation
         # nearly underflows though I still factors; the value is refused
         # there too, so both paths agree on which ranges are feasible
-        inv = dpotri(L, lower=1)[0]
+        if status == 0:
+            inv = dpotri(L, lower=1)[0]
         if status != 0 or not np.isfinite(inv).all():
             what = "reference-prior" if reference else "Jeffreys-prior"
             raise PriorEvaluationError(

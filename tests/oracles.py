@@ -528,9 +528,13 @@ def stopping_rule(func, X, opts, level):
     being the best value so far: its value is that running best, its
     evaluations those up to the cut and its point the first one that
     reached it.  Starts whose value is a sentinel fail; the level stops
-    once two usable starts are within the band of its best.  Starts that
-    fail by leaving every pair uncorrelated are not replayed.
+    once two usable starts are within the band of its best, each at a
+    point whose ranges are all at most 10^4 times their column's
+    ``max - min``.  Starts that fail by leaving every pair uncorrelated
+    are not replayed.
     """
+    X = np.asarray(X)
+    widest = 1e4 * (X.max(axis=0) - X.min(axis=0))
     start_values, n_evals = [], 0
     best = best_start = xi = None
     usable = []
@@ -560,7 +564,9 @@ def stopping_rule(func, X, opts, level):
             continue
         if best is None or value > best:
             best, best_start, xi = value, j, x
-        usable.append(value)
+        with np.errstate(over="ignore"):
+            if np.all(np.exp(-x) <= widest):
+                usable.append(value)
         if sum(v >= best - 1e-6 * max(1.0, abs(best)) for v in usable) >= 2:
             break
     return tuple(start_values), n_evals, best_start, xi
@@ -574,14 +580,14 @@ def plain_lbfgs_max(func, x0, tol=1e-8, max_evals=None):
     ``OptimResult`` ``lbfgs_max`` documents: the first best point, and
     ``converged`` from scipy's gradient test, or from its other stops
     unless the last line search met a sentinel; not on the budget, nor at
-    a sentinel best.  Returns the result and every point evaluated, in
-    order.
+    a sentinel best.  A run whose last line search met a sentinel after it
+    rose above its start's value runs again from its first best point.
+    Returns the result and every point evaluated, in order.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     budget = 500 * (x0.size + 1) if max_evals is None else max_evals
     grad = np.empty(x0.size)
     points, values = [], []
-    ends = [0]
     last_sentinel = 0
 
     class OutOfBudget(Exception):
@@ -599,19 +605,26 @@ def plain_lbfgs_max(func, x0, tol=1e-8, max_evals=None):
         return -value, -grad
 
     converged = False
+    start = x0
     try:
-        res = minimize(
-            negated, x0, jac=True, method="L-BFGS-B",
-            callback=lambda xk: ends.append(len(values)),
-            options={"maxfun": budget, "maxiter": budget, "ftol": _LBFGS_FTOL, "gtol": tol},
-        )
-        gradient_test = res.status == 0 and np.abs(res.jac).max() <= tol
-        last_search = ends[-2] if len(ends) > 1 else 0
-        converged = (
-            res.status != 1
-            and max(values) > SENTINEL_THRESHOLD
-            and (gradient_test or last_sentinel <= last_search)
-        )
+        while True:
+            first = len(values)
+            ends = [first]
+            res = minimize(
+                negated, start, jac=True, method="L-BFGS-B",
+                callback=lambda xk: ends.append(len(values)),
+                options={"maxfun": budget, "maxiter": budget, "ftol": _LBFGS_FTOL, "gtol": tol},
+            )
+            gradient_test = res.status == 0 and np.abs(res.jac).max() <= tol
+            last_search = ends[-2] if len(ends) > 1 else first
+            converged = (
+                res.status != 1
+                and max(values) > SENTINEL_THRESHOLD
+                and (gradient_test or last_sentinel <= last_search)
+            )
+            if converged or res.status == 1 or max(values) <= values[first]:
+                break
+            start = points[int(np.argmax(values))]
     except OutOfBudget:
         pass
     best = int(np.argmax(values))

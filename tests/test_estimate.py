@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mfcokrig import estimate as estimate_module
 from mfcokrig import gp as gp_module
 from mfcokrig import optim as optim_module
-from mfcokrig import priors as priors_module
 from mfcokrig.bench import (
     borehole_high,
     borehole_low,
@@ -29,6 +28,7 @@ from mfcokrig.estimate import (
     CokrigingData,
     FitResult,
     LevelFit,
+    RIDGE_SPANS,
     OptimOptions,
     assemble,
     coincident_rows,
@@ -792,24 +792,6 @@ class TestTailProbe:
             assert loglik.tobytes() == np.array(want_ll).tobytes()
             assert logprior.tobytes() == np.array(want_lp).tobytes()
 
-    @pytest.mark.parametrize("kind", PRIOR_KINDS)
-    def test_one_factorization_per_feasible_point(self, monkeypatch, kind):
-        """Where the ranges are feasible, each point builds and factorizes
-        R once: the Fisher-information priors read the likelihood's
-        factor instead of making their own."""
-        lv = _probe_level(np.random.default_rng(39))
-        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
-        calls = []
-        for module in (estimate_module, priors_module):
-            def counted(*args, _real=module.gls_fit, **kwargs):
-                calls.append(args[1])
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(module, "gls_fit", counted)
-        loglik, logprior = tail_probe(lv, spec, PriorSpec(kind=kind), [0.3, 1.0, 3.0])
-        assert np.isfinite(loglik).all() and np.isfinite(logprior).all()
-        assert len(calls) == 3
-
     def test_only_the_fisher_priors_read_nan_at_tiny_ranges(self):
         """At phi = 1e-200 the weights of power-exponential 1.9 overflow:
         the likelihood and the Fisher priors, which build R, read nan, and
@@ -1074,6 +1056,24 @@ class TestFitLevel:
         given_C = PriorSpec(kind=JOINTLY_ROBUST, jr_C=[0.5, 0.5])
         assert math.isfinite(log_prior(lv, params, spec, given_C))
 
+    @pytest.mark.parametrize("kind", ("plugin", "flat", "inverse_range"))
+    def test_a_constant_high_level_column_stops_the_whole_fit(self, kind):
+        """A high-fidelity design that holds one input fixed raises
+        ``InvalidArgumentError`` naming the level and the column.  That is
+        no ``EstimationError``, so ``fit`` does not record it as one
+        level's failure: the whole fit stops, under these objectives too,
+        where the fixed column's range has a zero gradient."""
+        (X1, y1), _ = _nested_pair(np.random.default_rng(38))
+        X1[:7, 1] = 0.25
+        X2 = X1[:7]
+        y2 = 1.6 * y1[:7] + np.cos(5.0 * X2[:, 0])
+        data = assemble([(X1, y1), (X2, y2)])
+        spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+        prior = PriorSpec(kind="flat" if kind == "plugin" else kind)
+        method = PLUGIN if kind == "plugin" else POSTERIOR
+        with pytest.raises(InvalidArgumentError, match="level 2 input column 1 spans 0.0"):
+            fit(data, spec, prior, OptimOptions(seed=4, n_starts=2), method=method)
+
     def test_minimum_degrees_of_freedom(self):
         rng = np.random.default_rng(32)
         X = rng.uniform(size=(2, 2))
@@ -1134,7 +1134,7 @@ class TestStoppingRule:
         """The second start agrees with the first, ends as its running
         best reaches the first's value, and stops the level."""
         lv = assemble(_nested_pair(np.random.default_rng(38))).levels[1]
-        opts = OptimOptions(seed=3, n_starts=6)
+        opts = OptimOptions(seed=4, n_starts=6)
         lf = fit_level(lv, self.SPEC, PriorSpec(kind="reference"), opts)
         func = _fitted_objective(lv, self.SPEC, "reference")
         self._assert_the_rule(lf, func, opts, lv)
@@ -1191,11 +1191,27 @@ class TestStoppingRule:
     @pytest.mark.parametrize("kind", ("plugin",) + PRIOR_KINDS)
     def test_best_value_is_that_of_every_start(self, kind, seed, level):
         lv = assemble(_nested_pair(np.random.default_rng(seed))).levels[level]
-        opts = OptimOptions(seed=3, n_starts=6)
+        opts = OptimOptions(seed=4, n_starts=6)
         lf = _fit_kind(lv, self.SPEC, kind, opts)
         runs = every_start(_fitted_objective(lv, self.SPEC, kind), lv.inputs, opts, lv.index)
         best = max(r.fun for r in runs if r.fun > SENTINEL_THRESHOLD)
         assert lf.objective_value >= best - 1e-6 * max(1.0, abs(best))
+
+    def test_an_agreement_on_a_ridge_does_not_stop_the_level(self):
+        """Plug-in, data 38, level 2: starts 0 and 1 agree on a value at
+        points whose second range is over ``RIDGE_SPANS`` times its span,
+        a ridge; the level goes on, and start 2 finds a higher one."""
+        lv = assemble(_nested_pair(np.random.default_rng(38))).levels[1]
+        opts = OptimOptions(seed=4, n_starts=6)
+        lf = _fit_kind(lv, self.SPEC, "plugin", opts)
+        func = _fitted_objective(lv, self.SPEC, "plugin")
+        self._assert_the_rule(lf, func, opts, lv)
+        runs = every_start(func, lv.inputs, opts, 2)
+        assert _agree(runs[0].fun, runs[1].fun) and runs[2].fun > runs[0].fun + 1.0
+        ridge = -np.log(RIDGE_SPANS * np.ptp(lv.inputs, axis=0))
+        assert all(np.any(r.x < ridge) for r in runs[:3])
+        assert len(lf.start_values) == 6 and lf.best_start == 2
+        assert lf.objective_value == runs[2].fun == max(r.fun for r in runs)
 
     def test_uncorrelated_starts_count_as_failed(self, monkeypatch):
         """Starts put where every correlation underflows stop at once on

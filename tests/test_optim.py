@@ -221,6 +221,31 @@ class TestLbfgsMax:
         assert res.fun > -1e299 and res.x[0] < 1.0
         assert not res.converged
 
+    def test_a_step_that_collapses_after_a_climb_starts_again(self):
+        # the first step climbs from 0 to 1, the quasi-Newton steps to 5
+        # and 17.5 overshoot the peak at 3 into the sentinels from 4, and
+        # L-BFGS-B stops; a run started again from 1, its memory cleared,
+        # reaches the peak
+        calls = []
+
+        def func(x, grad):
+            calls.append(float(x[0]))
+            if x[0] >= 4.0:
+                grad[:] = 0.0
+                return -1e300
+            r = math.sqrt(1.0 + (x[0] - 3.0) ** 2)
+            grad[:] = -(x - 3.0) / r
+            return -r
+
+        res = lbfgs_max(func, np.zeros(1))
+        seen = calls.copy()
+        assert seen[:3] == [0.0, 1.0, 5.0] and seen[4] == 2.0
+        assert res.converged and res.x[0] == 3.0 and res.fun == -1.0
+        # the plain run evaluates again the points the memo serves
+        plain, points = plain_lbfgs_max(func, np.zeros(1))
+        assert plain.converged and plain.x == res.x and plain.fun == res.fun
+        assert sorted({p[0] for p in points}) == sorted(seen) and len(seen) == res.n_evals
+
     def test_a_stop_at_the_rounding_noise_is_converged(self):
         # noise of 1e-4 in the value: the run ends on a line search that
         # finds no decrease, a rounding-noise distance from the optimum
@@ -341,7 +366,9 @@ class TestLbfgsMemo:
         """A line-search driver that comes back to a sentinel point in its
         final search, after which it reports no decrease: the served
         sentinel, as an evaluated one in the plain run, means the step
-        collapsed there, so neither run is converged."""
+        collapsed there.  The run rose from 0 to 0.6 first, so it starts
+        again from 0.6, where every point the driver tries is a sentinel
+        and the best stays put; neither run is converged."""
 
         def scripted(fun, x0, callback, **kwargs):
             a, b, s = x0 + 0.5, x0 + 0.6, x0 + 2.0
@@ -363,7 +390,9 @@ class TestLbfgsMemo:
             return _collapse(x, grad)
 
         res = lbfgs_max(func, np.zeros(1))
-        assert len(calls) == 4 and _collapse(calls[1], np.empty(1)) == -1e300
+        # 0.6 is served in the second run, which adds 2.6, 1.1 and 1.2
+        assert len(calls) == 4 + 3 and _collapse(calls[1], np.empty(1)) == -1e300
+        assert all(_collapse(x, np.empty(1)) == -1e300 for x in calls[4:])
         plain, _ = plain_lbfgs_max(_collapse, np.zeros(1))
         assert not plain.converged
         assert res.converged == plain.converged
