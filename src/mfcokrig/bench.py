@@ -18,15 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimate import POSTERIOR, OptimOptions, _check_method, assemble, fit
+from .estimate import INFEASIBLE, POSTERIOR, OptimOptions, _check_method, assemble, fit
 from .exceptions import (
     BenchmarkError,
-    DegenerateDataError,
-    DesignRankError,
     DomainError,
     EstimationError,
     InvalidArgumentError,
-    SingularCorrelationError,
     is_int,
     real_array,
 )
@@ -244,12 +241,7 @@ def run_borehole_benchmark(
                     rep, seed, n_low, n_high, n_test, spec, prior, method, opts
                 )
             )
-        except (
-            EstimationError,
-            SingularCorrelationError,
-            DegenerateDataError,
-            DesignRankError,
-        ) as exc:
+        except (EstimationError,) + INFEASIBLE as exc:
             replicates.append(
                 {
                     "replicate": rep,

@@ -94,7 +94,8 @@ START_HALF_WIDTH = 3.0
 RIDGE_SPANS = 1e4
 
 # the errors that make a range infeasible: an objective evaluation that
-# meets one scores the sentinel, and a tail-probe point nan
+# meets one scores the sentinel, a tail-probe point nan, and a benchmark
+# replicate fails
 INFEASIBLE = (RangeOverflowError, SingularCorrelationError, DegenerateDataError,
               PriorEvaluationError, DesignRankError)
 
@@ -473,9 +474,9 @@ def tail_probe(data_t, spec, prior, phi_grid):
 class LevelFit:
     """Estimation outcome at one level.
 
-    ``phi``, ``xi`` and ``b_hat`` are held as float arrays and
-    ``start_values`` as a tuple of floats, whatever sequences they are
-    built from.
+    ``phi``, ``xi`` and ``b_hat`` are held as 1-d float arrays, ``phi``
+    and ``xi`` of one length, and ``start_values`` as a tuple of floats,
+    whatever sequences of real numbers (not booleans) they are built from.
     """
 
     level: int
@@ -504,9 +505,20 @@ class LevelFit:
                 if not ok(value):
                     raise InvalidArgumentError(f"{f.name} must be {kind}, got {value!r}")
         for name in ("phi", "xi", "b_hat"):
-            value = np.asarray(getattr(self, name), dtype=np.float64)
+            value = real_array(getattr(self, name), name)
+            if value.ndim != 1:
+                raise InvalidArgumentError(f"{name} must be 1-d, got shape {value.shape}")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "start_values", tuple(map(float, self.start_values)))
+        if self.xi.size != self.phi.size:
+            raise InvalidArgumentError(
+                f"xi must have the length of phi, {self.phi.size}, got {self.xi.size}"
+            )
+        values = tuple(self.start_values) if np.iterable(self.start_values) else None
+        if values is None or not all(map(is_real, values)):
+            raise InvalidArgumentError(
+                f"start_values must be a sequence of numbers, got {self.start_values!r}"
+            )
+        object.__setattr__(self, "start_values", tuple(map(float, values)))
 
     @property
     def gamma(self):

@@ -35,7 +35,7 @@ from .estimate import (
     assemble,
     check_fit,
 )
-from .exceptions import ConfigError, InvalidArgumentError, real_array, require_types
+from .exceptions import ConfigError, InvalidArgumentError, is_int, real_array, require_types
 from .kernels import KernelSpec
 from .priors import PriorSpec
 
@@ -206,9 +206,9 @@ def load_model(path):
     """Rebuild ``(CokrigingData, FitResult)`` from a model document."""
     doc = read_json_object(path, "model file")
     version = doc.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
+    if not is_int(version) or version != MODEL_SCHEMA_VERSION:
         raise ConfigError(
-            f"unsupported model schema version {version!r}; "
+            f"unsupported model schema version {version!r} in 'schema_version'; "
             f"this build reads version {MODEL_SCHEMA_VERSION}"
         )
     check_keys(doc, "", _DOCUMENT_KEYS, _DOCUMENT_KEYS)

@@ -1,13 +1,4 @@
-"""Budgeted maximization from one start: L-BFGS-B for objectives with an
-analytic gradient, which every fit runs, and a derivative-free simplex.
-
-``nelder_mead_max`` is a small Nelder-Mead implementation instead of an
-off-the-shelf one because its stop rule is the function-value spread of
-the simplex alone (plus an evaluation budget); common library
-implementations insist on a joint parameter-and-value tolerance, which
-never triggers on the flat ridges these objectives develop at extreme range
-parameters.  Coefficients: reflection 1, expansion 2, contraction 0.5,
-shrink 0.5.
+"""Budgeted maximization from one start with L-BFGS-B, which every fit runs.
 
 ``lbfgs_max`` runs scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) without
 bounds on the negated objective and its gradient.  It evaluates each
@@ -16,20 +7,17 @@ points the run has already evaluated, most often its best one, and those
 are served from a memo of the run, keyed by the bytes of the point,
 without calling the objective and without counting as evaluations.  It
 enforces the evaluation budget itself, since scipy's ``maxfun`` is checked
-only between iterations, where a line search can overrun it, and counts
-the served points too.  Given an agreement band, it ends the run at the
-first evaluation whose running best lies in the band.  No fit runs the
-simplex any more; the benchmark's tracer (``perfbench/tracing.py``) still
-hooks it, so it goes with the next change to that harness.
+only between iterations, where a line search can overrun it.  Given an
+agreement band, it ends the run at the first evaluation whose running best
+lies in the band.
 
-Both return the best point ever evaluated and both treat a value at or
-below ``SENTINEL_THRESHOLD`` as a sentinel of an infeasible region: the
-simplex is repelled from it, and L-BFGS-B's line search retreats from a
-sentinel that comes with a zero gradient.  Where that retreat ends the
-L-BFGS-B run after it rose above its start's value, ``lbfgs_max`` runs
-L-BFGS-B again from the best point, its memory cleared, so the next step
-is a unit-length one along the gradient instead of the quasi-Newton step
-that overshot.
+It returns the best point ever evaluated and treats a value at or below
+``SENTINEL_THRESHOLD`` as a sentinel of an infeasible region: L-BFGS-B's
+line search retreats from a sentinel that comes with a zero gradient.
+Where that retreat ends the L-BFGS-B run after it rose above its start's
+value, ``lbfgs_max`` runs L-BFGS-B again from the best point, its memory
+cleared, so the next step is a unit-length one along the gradient instead
+of the quasi-Newton step that overshot.
 """
 
 from dataclasses import dataclass
@@ -37,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .exceptions import InvalidArgumentError
+from .exceptions import InvalidArgumentError, MfcokrigError
 
 # objective sentinel marking infeasible points; anything at or below the
 # threshold is treated as a failed evaluation
@@ -56,17 +44,15 @@ class OptimResult:
     """Outcome of one optimizer run from one start.
 
     ``x`` and ``fun`` are the best point ever evaluated, which is not
-    necessarily the simplex's last vertex or L-BFGS-B's last iterate.
-    ``converged`` is the optimizer's own stop test: for the simplex, the
-    value spread of its vertices fell below ``tol``.  For L-BFGS-B, the
-    largest gradient component fell to ``tol``; or the run stopped where
-    the objective's rounding ends all progress, on the relative reduction
-    of the value falling below ``_LBFGS_FTOL`` or on a line search that
-    found no decrease, unless that last line search met a sentinel: its
-    step then collapsed at an infeasible region.  A run that started
-    L-BFGS-B again after such a collapse is judged by its last L-BFGS-B
-    run.  A run that ends on its evaluation budget or on its agreement
-    band, or whose best value is a sentinel, is not converged.
+    necessarily L-BFGS-B's last iterate.  ``converged`` is the optimizer's
+    own stop test: the largest gradient component fell to ``tol``; or the
+    run stopped where the objective's rounding ends all progress, on the
+    relative reduction of the value falling below ``_LBFGS_FTOL`` or on a
+    line search that found no decrease, unless that last line search met a
+    sentinel: its step then collapsed at an infeasible region.  A run that
+    started L-BFGS-B again after such a collapse is judged by its last
+    L-BFGS-B run.  A run that ends on its evaluation budget or on its
+    agreement band, or whose best value is a sentinel, is not converged.
     ``n_evals`` counts the objective's calls; a point served again from the
     run's memo is not one.
     """
@@ -77,128 +63,17 @@ class OptimResult:
     converged: bool
 
 
-class _BudgetExhausted(Exception):
-    pass
+class _Stop(Exception):
+    """The run's budget is spent, or its best value fell inside its
+    agreement band."""
 
 
-class _Agreed(Exception):
-    """The run's best value fell inside its agreement band."""
-
-
-class _Budget:
-    """The evaluation budget of one run, and its best point so far."""
-
-    def __init__(self, x0, max_evals):
-        x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-        if x0.ndim != 1 or not np.all(np.isfinite(x0)):
-            raise InvalidArgumentError("starting point must be a finite 1-d vector")
-        self.x0 = x0
-        self.max_evals = 500 * (x0.size + 1) if max_evals is None else max_evals
-        self.n_evals = 0
-        self.best_x = None
-        self.best_f = -np.inf
-
-    def evaluate(self, value_of, x):
-        """``value_of(x)`` as a float, counted and kept when it is the best;
-        raises ``_BudgetExhausted`` when no evaluation is left."""
-        if self.n_evals >= self.max_evals:
-            raise _BudgetExhausted
-        self.n_evals += 1
-        f = float(value_of(x))
-        if f > self.best_f:
-            self.best_f = f
-            self.best_x = x.copy()
-        return f
-
-    def result(self, converged):
-        if self.best_x is None:
-            raise InvalidArgumentError(
-                f"evaluation budget {self.max_evals} is too small for the first evaluation"
-            )
-        return OptimResult(
-            x=self.best_x, fun=self.best_f, n_evals=self.n_evals, converged=converged
-        )
-
-
-def nelder_mead_max(func, x0, initial_step=0.5, tol=1e-8, max_evals=None):
-    """Maximize ``func`` from ``x0`` with a Nelder-Mead simplex.
-
-    Parameters
-    ----------
-    func : callable
-        Maps a 1-d point to a float.  May return very large negative
-        sentinels to mark infeasible regions; those repel the simplex.
-    x0 : array_like
-        Starting point; the initial simplex adds ``initial_step`` along
-        each coordinate.
-    tol : float
-        Stop when ``max(f) - min(f)`` over the simplex drops below this.
-    max_evals : int, optional
-        Evaluation budget; defaults to ``500 * (len(x0) + 1)``.
-    """
-    budget = _Budget(x0, max_evals)
-    d = budget.x0.size
-
-    def evaluate(x):
-        return budget.evaluate(func, x)
-
-    simplex = np.empty((d + 1, d))
-    simplex[0] = budget.x0
-    for k in range(d):
-        simplex[k + 1] = budget.x0
-        simplex[k + 1, k] += initial_step
-
-    converged = False
-    fvals = None
-    try:
-        fvals = np.array([evaluate(v) for v in simplex])
-        while True:
-            order = np.argsort(-fvals)
-            simplex = simplex[order]
-            fvals = fvals[order]
-            if fvals[0] - fvals[-1] < tol:
-                converged = True
-                break
-            centroid = simplex[:-1].mean(axis=0)
-            worst = simplex[-1]
-
-            reflected = centroid + (centroid - worst)
-            f_ref = evaluate(reflected)
-            if f_ref > fvals[0]:
-                expanded = centroid + 2.0 * (centroid - worst)
-                f_exp = evaluate(expanded)
-                if f_exp > f_ref:
-                    simplex[-1], fvals[-1] = expanded, f_exp
-                else:
-                    simplex[-1], fvals[-1] = reflected, f_ref
-                continue
-            if f_ref > fvals[-2]:
-                simplex[-1], fvals[-1] = reflected, f_ref
-                continue
-            if f_ref > fvals[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-                f_con = evaluate(contracted)
-                if f_con > f_ref:
-                    simplex[-1], fvals[-1] = contracted, f_con
-                    continue
-            else:
-                contracted = centroid + 0.5 * (worst - centroid)
-                f_con = evaluate(contracted)
-                if f_con > fvals[-1]:
-                    simplex[-1], fvals[-1] = contracted, f_con
-                    continue
-            # shrink toward the best vertex
-            for k in range(1, d + 1):
-                simplex[k] = simplex[0] + 0.5 * (simplex[k] - simplex[0])
-                fvals[k] = evaluate(simplex[k])
-    except _BudgetExhausted:
-        pass
-
-    # the budget can die inside an iteration; re-check the spread so a
-    # simplex that tightened on its last moves still reports convergence
-    if fvals is not None and not converged and fvals.max() - fvals.min() < tol:
-        converged = True
-    return budget.result(converged)
+def nelder_mead_max(*args, **kwargs):
+    """Retired: every fit runs ``lbfgs_max``.  The name stays only because
+    the benchmark's tracer (``perfbench/tracing.py``) wraps it on traced
+    runs and ``test_every_benchmark_hook_exists`` checks it; ROADMAP item 5
+    removes it with the next change to that benchmark."""
+    raise MfcokrigError("the Nelder-Mead simplex is retired; use optim.lbfgs_max")
 
 
 def lbfgs_max(func, x0, tol=1e-8, max_evals=None, band=None):
@@ -229,10 +104,16 @@ def lbfgs_max(func, x0, tol=1e-8, max_evals=None, band=None):
         ``[low, high]``.  A run whose best value rises above ``high`` runs
         to its own stop.
     """
-    budget = _Budget(x0, max_evals)
-    grad = np.empty(budget.x0.size)
-    # value and gradient of every point evaluated, by the point's bytes
+    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
+    if x0.ndim != 1 or not np.all(np.isfinite(x0)):
+        raise InvalidArgumentError("starting point must be a finite 1-d vector")
+    if max_evals is None:
+        max_evals = 500 * (x0.size + 1)
+    grad = np.empty(x0.size)
+    # value and gradient of every point evaluated, by the point's bytes, so
+    # its size is the number of evaluations; and the best point among them
     memo = {}
+    best_x, best_f = None, -np.inf
     # calls from L-BFGS-B, served ones included, at the start of the
     # current L-BFGS-B run, at the end of each of its iterations and at
     # the last sentinel: the final line search came after the last but one
@@ -241,36 +122,35 @@ def lbfgs_max(func, x0, tol=1e-8, max_evals=None, band=None):
     last_sentinel = 0
 
     def negated(x):
-        nonlocal calls, last_sentinel
+        nonlocal calls, last_sentinel, best_x, best_f
         calls += 1
         key = x.tobytes()
-        if key in memo:
-            f, g = memo[key]
-        else:
-            f = budget.evaluate(value, x)
-            g = grad.copy()
-            memo[key] = f, g
-            if band is not None and band[0] <= budget.best_f <= band[1]:
-                raise _Agreed
+        if key not in memo:
+            if len(memo) >= max_evals:
+                raise _Stop
+            f = float(func(x, grad))
+            memo[key] = f, grad.copy()
+            if f > best_f:
+                best_x, best_f = x.copy(), f
+            if band is not None and band[0] <= best_f <= band[1]:
+                raise _Stop
+        f, g = memo[key]
         if f <= SENTINEL_THRESHOLD:
             last_sentinel = calls
         return -f, -g
-
-    def value(x):
-        return func(x, grad)
 
     def iteration_end(xk):
         ends.append(calls)
 
     converged = False
-    start = budget.x0
+    start = x0
     try:
         while True:
             ends[:] = [calls]
             res = minimize(
                 negated, start, jac=True, method="L-BFGS-B", callback=iteration_end,
                 # the budget binds, never scipy's count of calls
-                options={"maxfun": _NO_LIMIT, "maxiter": budget.max_evals,
+                options={"maxfun": _NO_LIMIT, "maxiter": max_evals,
                          "ftol": _LBFGS_FTOL, "gtol": tol},
             )
             # past the gradient test, L-BFGS-B stops where the objective's
@@ -282,14 +162,18 @@ def lbfgs_max(func, x0, tol=1e-8, max_evals=None, band=None):
             collapsed = last_sentinel > ends[-2 if len(ends) > 1 else 0]
             converged = (
                 res.status != 1
-                and budget.best_f > SENTINEL_THRESHOLD
+                and best_f > SENTINEL_THRESHOLD
                 and (gradient_test or not collapsed)
             )
             # a run that gained ground before its step collapsed starts
             # again from its best point, with L-BFGS-B's memory cleared
-            if converged or res.status == 1 or budget.best_f <= memo[start.tobytes()][0]:
+            if converged or res.status == 1 or best_f <= memo[start.tobytes()][0]:
                 break
-            start = budget.best_x
-    except (_BudgetExhausted, _Agreed):
+            start = best_x
+    except _Stop:
         pass
-    return budget.result(converged)
+    if best_x is None:
+        raise InvalidArgumentError(
+            f"evaluation budget {max_evals} is too small for the first evaluation"
+        )
+    return OptimResult(x=best_x, fun=best_f, n_evals=len(memo), converged=converged)

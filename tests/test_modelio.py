@@ -180,20 +180,23 @@ optim_options = st.builds(
     tol=st.floats(0.0, 1.0),
     max_evals=st.none() | st.integers(1, 10**6),
 )
-level_fits = st.builds(
-    LevelFit,
-    level=st.integers(1, 5),
-    phi=st.lists(positive, min_size=1, max_size=4),
-    xi=vectors,
-    objective_value=finite,
-    b_hat=vectors,
-    sigma2_hat=positive,
-    S2=positive,
-    converged=st.booleans(),
-    n_evals=st.integers(0, 10**6),
-    best_start=st.integers(-1, 50),
-    n_failed_starts=st.integers(0, 50),
-    start_values=st.lists(finite, max_size=5).map(tuple),
+# phi and xi have one length, the level's input dimension
+level_fits = st.integers(1, 4).flatmap(
+    lambda d: st.builds(
+        LevelFit,
+        level=st.integers(1, 5),
+        phi=st.lists(positive, min_size=d, max_size=d),
+        xi=st.lists(finite, min_size=d, max_size=d),
+        objective_value=finite,
+        b_hat=vectors,
+        sigma2_hat=positive,
+        S2=positive,
+        converged=st.booleans(),
+        n_evals=st.integers(0, 10**6),
+        best_start=st.integers(-1, 50),
+        n_failed_starts=st.integers(0, 50),
+        start_values=st.lists(finite, max_size=5).map(tuple),
+    )
 )
 
 
@@ -309,6 +312,14 @@ def _edit_text_objective(doc):
     doc["levels"][0]["fit"]["objective_value"] = "high"
 
 
+def _edit_boolean_version(doc):
+    doc["schema_version"] = True
+
+
+def _edit_float_version(doc):
+    doc["schema_version"] = 1.0
+
+
 def _edit_method(doc):
     doc["method"] = "nonsense"
 
@@ -345,6 +356,8 @@ class TestMalformedDocuments:
             (_edit_method, "method"),
             (_edit_parameterization, "parameterization"),
             (_edit_basis, "basis"),
+            (_edit_boolean_version, "schema_version"),
+            (_edit_float_version, "schema_version"),
         ],
     )
     def test_rejected_naming_the_key(self, tmp_path, fitted, edit, key):
@@ -356,6 +369,35 @@ class TestMalformedDocuments:
         with pytest.raises(ConfigError) as err:
             load_model(path)
         assert f"'{key}'" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("phi", [True, True]),
+            ("phi", [[0.5, 0.5]]),
+            ("xi", [[0.1, 0.2]]),
+            ("xi", [0.1, 0.2, 0.3]),
+            ("b_hat", [True]),
+            ("b_hat", [[1.0]]),
+            ("start_values", [True]),
+            ("start_values", 3.0),
+        ],
+    )
+    def test_level_fit_refuses_booleans_and_wrong_shapes(self, tmp_path, fitted, field, value):
+        """A level fit's arrays hold real numbers in one dimension, ``phi``
+        and ``xi`` of one length, in a document and in the constructor."""
+        data, result = fitted
+        doc = model_document(data, result)
+        doc["levels"][0]["fit"][field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as err:
+            load_model(path)
+        assert f"'levels[0].fit.{field}'" in str(err.value)
+        lf = result.levels[0]
+        kwargs = {f.name: getattr(lf, f.name) for f in dataclasses.fields(lf)}
+        with pytest.raises(InvalidArgumentError, match=f"^{field} "):
+            LevelFit(**dict(kwargs, **{field: value}))
 
     def test_non_object_entries_rejected(self, tmp_path, fitted):
         data, result = fitted

@@ -1,6 +1,6 @@
-"""Simplex and L-BFGS-B maximizers: convergence on smooth objectives,
-budget handling, sentinel repulsion, and L-BFGS-B's memo of evaluated
-points and agreement band against an unmemoized run."""
+"""The L-BFGS-B maximizer: convergence on smooth objectives, budget
+handling, retreat from sentinels, and its memo of evaluated points and
+agreement band against an unmemoized run."""
 
 import math
 
@@ -10,96 +10,14 @@ from scipy.optimize import OptimizeResult
 
 import oracles
 from mfcokrig import optim as optim_module
-from mfcokrig.exceptions import InvalidArgumentError
+from mfcokrig.exceptions import InvalidArgumentError, MfcokrigError
 from mfcokrig.optim import lbfgs_max, nelder_mead_max
 from oracles import plain_lbfgs_max
 
 
-class TestNelderMeadMax:
-    def test_quadratic_bowl(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            d = int(rng.integers(1, 5))
-            target = rng.uniform(-2.0, 2.0, size=d)
-
-            def func(x):
-                return -float(np.sum((x - target) ** 2))
-
-            res = nelder_mead_max(func, np.zeros(d), tol=1e-12)
-            assert res.converged
-            np.testing.assert_allclose(res.x, target, atol=1e-4)
-            assert res.fun == pytest.approx(0.0, abs=1e-8)
-
-    def test_anisotropic_objective(self):
-        # banana-shaped ridge, maximized at (1, 1)
-        def func(x):
-            return -((1.0 - x[0]) ** 2 + 5.0 * (x[1] - x[0] ** 2) ** 2)
-
-        res = nelder_mead_max(func, np.array([-1.0, 1.5]), tol=1e-13)
-        assert res.converged
-        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-3)
-
-    def test_respects_evaluation_budget(self):
-        calls = 0
-
-        def func(x):
-            nonlocal calls
-            calls += 1
-            return -float(x @ x)
-
-        res = nelder_mead_max(func, np.full(3, 5.0), max_evals=40, tol=0.0)
-        assert calls == 40
-        assert res.n_evals == calls
-        assert not res.converged
-
-    def test_budget_smaller_than_initial_simplex(self):
-        # with room for a single evaluation, the start point is returned
-        res = nelder_mead_max(lambda x: -float(x @ x), np.array([2.0, 3.0]), max_evals=1)
-        assert res.n_evals == 1
-        np.testing.assert_array_equal(res.x, [2.0, 3.0])
-
-    def test_returns_best_ever_point(self):
-        # an objective with a spike the simplex steps over: the best
-        # evaluated point must be reported even if later moves leave it
-        seen = []
-
-        def func(x):
-            v = -float(x @ x)
-            if 0.9 < x[0] < 1.1:
-                v += 100.0
-            seen.append((x.copy(), v))
-            return v
-
-        res = nelder_mead_max(func, np.array([1.0, 0.0]), max_evals=60)
-        best = max(v for _, v in seen)
-        assert res.fun == best
-
-    def test_sentinel_regions_are_repelled(self):
-        # half-space of sentinels; the optimum sits at the feasible peak
-        def func(x):
-            if x[0] > 1.0:
-                return -1e300
-            return -float((x[0] - 0.5) ** 2 + x[1] ** 2)
-
-        res = nelder_mead_max(func, np.array([0.9, 0.2]), tol=1e-12)
-        assert res.fun > -1e299
-        np.testing.assert_allclose(res.x, [0.5, 0.0], atol=1e-4)
-
-    def test_rejects_bad_start(self):
-        with pytest.raises(InvalidArgumentError):
-            nelder_mead_max(lambda x: 0.0, np.array([np.nan, 1.0]))
-        with pytest.raises(InvalidArgumentError):
-            nelder_mead_max(lambda x: 0.0, np.zeros((2, 2)))
-
-    def test_deterministic(self):
-        def func(x):
-            return -float(np.sum(np.abs(x - 0.3) ** 1.5))
-
-        a = nelder_mead_max(func, np.zeros(2))
-        b = nelder_mead_max(func, np.zeros(2))
-        np.testing.assert_array_equal(a.x, b.x)
-        assert a.fun == b.fun
-        assert a.n_evals == b.n_evals
+def test_the_retired_simplex_names_its_replacement():
+    with pytest.raises(MfcokrigError, match="lbfgs_max"):
+        nelder_mead_max(lambda x: 0.0, np.zeros(2))
 
 
 def _rosenbrock(x, grad):

@@ -542,6 +542,34 @@ def _assert_tail_probabilities(model, X0, intervals, tails, rows, levels):
                 assert abs(got - tail) <= 1e-8, (i, t, k, got)
 
 
+def test_intervals_at_the_true_ranges_cover_95_percent():
+    """Data drawn from the two-level model itself, with the model pinned at
+    its true ranges: the 95% intervals hold the held-out truth 95% of the
+    time at each level.  The points of one replicate are correlated, so the
+    band is set from the spread of the replicates' coverages."""
+    spec = KernelSpec(family=MATERN, shape=2.5, dims=2)
+    phis = [np.array([0.3, 0.6]), np.array([0.5, 0.4])]
+    coverage = []
+    for rep in range(400):
+        rng = np.random.default_rng(rep)
+        X1 = lhs_design(30, 2, rep + 1)
+        X0 = rng.uniform(size=(20, 2))
+        X = np.vstack([X1, X0])
+        z1, z2 = (
+            np.linalg.cholesky(corr_matrix(X, RangeParams(phi), spec)) @ rng.standard_normal(50)
+            for phi in phis
+        )
+        y1 = 1.0 + z1
+        y2 = 1.2 * y1 + 0.5 + 0.6 * z2
+        data = assemble([(X1, y1[:30]), (X1[:12], y2[:12])])
+        bounds = CokrigingModel(data, _manual_fit(data, spec, phis)).credible_intervals(X0)
+        truth = np.column_stack([y1[30:], y2[30:]])
+        coverage.append(np.mean((bounds[..., 0] <= truth) & (truth <= bounds[..., 1]), axis=0))
+    coverage = np.array(coverage)
+    se = coverage.std(axis=0, ddof=1) / np.sqrt(len(coverage))
+    assert np.all(np.abs(coverage.mean(axis=0) - 0.95) <= 4.0 * se), (coverage.mean(axis=0), se)
+
+
 class TestBatchedIntervals:
     @pytest.mark.parametrize("case", [0, 1], ids=["two_level", "three_level"])
     def test_agree_with_per_point_oracle(self, case):
